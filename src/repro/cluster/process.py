@@ -765,10 +765,20 @@ class ProcessCoordinator:
         future_categorical = future_categorical or {}
         with self._lock:
             deadline = None if timeout is None else obs.now() + timeout
-            keys = self.tenants() if tenants is None else list(tenants)
             by_shard: Dict[str, List[str]] = {}
-            for tenant in keys:
-                by_shard.setdefault(self._assign_locked(tenant), []).append(tenant)
+            if tenants is None:
+                # "Every live tenant" comes from the census — kept current
+                # by every ingest ack, drop, restore and failover — so an
+                # implicit sweep costs no per-worker enumeration RPC.
+                grouped: Dict[str, List[str]] = {shard_id: [] for shard_id in self._shards}
+                for tenant in self._census:
+                    grouped[self._assign_locked(tenant)].append(tenant)
+                by_shard = {shard_id: members for shard_id, members in grouped.items() if members}
+                keys = [tenant for members in by_shard.values() for tenant in members]
+            else:
+                keys = list(tenants)
+                for tenant in keys:
+                    by_shard.setdefault(self._assign_locked(tenant), []).append(tenant)
             handles: Dict[str, PendingForecast] = {}
             first_error: Optional[BaseException] = None
             with obs.span(

@@ -62,7 +62,7 @@ from ..config import ModelConfig
 from ..runtime import Executor, SerialExecutor, map_shards
 from ..runtime.annotations import guarded_by, requires_lock, unguarded
 from ..runtime.locks import RWLock, TrackedRLock
-from ..serving.admission import DEFAULT_PRIORITY
+from ..serving.admission import DEFAULT_PRIORITY, resolve_deadline
 from ..serving.service import ForecastService, ServiceStats
 from ..streaming.forecaster import StreamingForecast, StreamingForecaster, StreamingStats
 from ..streaming.store import StoreStats
@@ -250,13 +250,17 @@ class ShardedForecaster:
         tooling — get a consistent version/ring pair too.
         """
         with self._topology.read():
-            version = self._topology_version
-            cached = self._assign_cache.get(tenant)
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            shard_id = self.ring.assign(tenant)
-            self._assign_cache[tenant] = (version, shard_id)
-            return shard_id
+            return self._assign_locked(tenant)
+
+    @requires_lock("_topology")
+    def _assign_locked(self, tenant: str) -> str:
+        version = self._topology_version
+        cached = self._assign_cache.get(tenant)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        shard_id = self.ring.assign(tenant)
+        self._assign_cache[tenant] = (version, shard_id)
+        return shard_id
 
     def tenants(self) -> List[str]:
         """Every tenant across the cluster (shard order, then first-seen)."""
@@ -519,7 +523,9 @@ class ShardedForecaster:
     ) -> Dict[str, StreamingForecast]:
         """Queue one forecast per tenant, fanned out shard by shard.
 
-        Requests are grouped per shard before any flush, so each shard's
+        Routing resolves every tenant's shard in one pass under the
+        topology read lock, and each shard receives its tenants as one
+        columnar :meth:`StreamingForecaster.forecast_all` block, so its
         tenants coalesce into that replica's micro-batches — N tenants on
         S shards cost ``ceil(N/S / max_batch_size)`` passes per shard, not
         N model calls.  Shard groups run through the cluster's executor:
@@ -527,9 +533,15 @@ class ShardedForecaster:
         forward passes overlap across cores.  Each group's submit+flush is
         one unit under its shard lock, so concurrent fan-outs never split
         each other's micro-batches.
+
+        The sweep shares one deadline: ``timeout`` is anchored once, when
+        the fan-out starts, for every shard.  A tenant refused by its
+        shard's admission control gets a handle that raises the typed
+        error from ``result()``.
         """
         future_numerical = future_numerical or {}
         future_categorical = future_categorical or {}
+        deadline = None if timeout is None else resolve_deadline(obs.now(), timeout)
         with self._topology.read():
             # Tenant enumeration and the per-shard fan-out are two steps
             # under the *shared* lock, so a concurrent drop() (also a
@@ -541,29 +553,25 @@ class ShardedForecaster:
             keys = self.tenants() if implicit else list(tenants)
             by_shard: Dict[str, List[str]] = {}
             for tenant in keys:
-                by_shard.setdefault(self.shard_for(tenant), []).append(tenant)
+                by_shard.setdefault(self._assign_locked(tenant), []).append(tenant)
 
             def run_shard(shard_id: str) -> Dict[str, StreamingForecast]:
-                forecaster = self._shards[shard_id]
+                members = by_shard[shard_id]
                 # map_shards carried the cluster.forecast_all span onto this
                 # (possibly pool-worker) thread, so the shard span nests
                 # under it even when the fan-out crosses threads.
-                with obs.span("shard.forecast", shard=shard_id, tenants=len(by_shard[shard_id])):
+                with obs.span("shard.forecast", shard=shard_id, tenants=len(members)):
                     shard_started = obs.now() if obs.metrics_enabled() else 0.0
                     with self._shard_locks[shard_id]:
-                        shard_handles = {}
-                        for tenant in by_shard[shard_id]:
-                            if implicit and tenant not in forecaster.store:
-                                continue
-                            shard_handles[tenant] = forecaster.forecast(
-                                tenant,
-                                future_numerical=future_numerical.get(tenant),
-                                future_categorical=future_categorical.get(tenant),
-                                priority=priority,
-                                timeout=timeout,
-                            )
-                        if flush:
-                            forecaster.flush()
+                        shard_handles = self._shards[shard_id].forecast_all(
+                            members,
+                            flush=flush,
+                            future_numerical=future_numerical,
+                            future_categorical=future_categorical,
+                            priority=priority,
+                            deadline=deadline,
+                            skip_missing=implicit,
+                        )
                     if shard_started:
                         _SHARD_FORECAST_SECONDS.labels(shard=shard_id).observe(
                             obs.now() - shard_started

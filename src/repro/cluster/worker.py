@@ -37,7 +37,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .. import obs, wire
-from ..serving.admission import DEFAULT_PRIORITY, DeadlineExceeded, Overloaded
+from ..serving.admission import DEFAULT_PRIORITY, DeadlineExceeded
 from ..streaming.forecaster import StreamingForecast, StreamingForecaster
 from .spec import ServiceSpec
 
@@ -205,22 +205,39 @@ class ShardWorker:
     def _cmd_forecast_many(self, message: dict) -> dict:
         forecaster = self._require()
         admission_errors: Dict[str, dict] = {}
-        for entry in message["entries"]:
+        entries = message["entries"]
+        start = 0
+        while start < len(entries):
+            # Consecutive entries sharing a priority and budget go through
+            # one columnar forecast_many block (a coordinator fan-out sends
+            # one such run per frame).
+            key = _admission_key(entries[start])
+            stop = start + 1
+            while stop < len(entries) and _admission_key(entries[stop]) == key:
+                stop += 1
+            run, start = entries[start:stop], stop
             try:
-                handle = forecaster.forecast(
-                    str(entry["tenant"]),
-                    future_numerical=entry.get("fn"),
-                    future_categorical=entry.get("fc"),
-                    priority=str(entry.get("priority", DEFAULT_PRIORITY)),
-                    timeout=self._entry_budget(entry.get("budget")),
-                )
-            except (Overloaded, DeadlineExceeded) as error:
-                # A shed entry fails alone — the rest of the batch (and
-                # the worker) keeps serving.  The coordinator rematerialises
-                # the typed error on that entry's handle.
-                admission_errors[str(entry["id"])] = wire.error_payload(error)
+                budget = self._entry_budget(key[1])
+            except DeadlineExceeded as error:
+                for entry in run:
+                    admission_errors[str(entry["id"])] = wire.error_payload(error)
                 continue
-            self._pending[str(entry["id"])] = handle
+            rows = forecaster.forecast_many(
+                [str(entry["tenant"]) for entry in run],
+                future_numerical=[entry.get("fn") for entry in run],
+                future_categorical=[entry.get("fc") for entry in run],
+                priority=str(key[0]),
+                timeout=budget,
+            )
+            for entry, (_, handle) in zip(run, rows):
+                refused = handle.admission_error
+                if refused is not None:
+                    # A shed entry fails alone — the rest of the batch (and
+                    # the worker) keeps serving.  The coordinator
+                    # rematerialises the typed error on that entry's handle.
+                    admission_errors[str(entry["id"])] = wire.error_payload(refused)
+                else:
+                    self._pending[str(entry["id"])] = handle
         if not message.get("flush", True):
             return {"flushed": 0, "results": {}, "errors": admission_errors}
         reply = self._resolve_pending(forecaster.flush())
@@ -337,6 +354,10 @@ class ShardWorker:
 
     def _cmd_metrics(self, message: dict) -> dict:
         return {"snapshot": obs.default_registry().snapshot()}
+
+
+def _admission_key(entry: dict):
+    return entry.get("priority", DEFAULT_PRIORITY), entry.get("budget")
 
 
 def main(argv=None) -> None:

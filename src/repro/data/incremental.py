@@ -18,7 +18,7 @@ out of ``transform`` (model input), float64 out of ``inverse_transform``
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +130,25 @@ class RollingScaler:
             scaler._mean = np.asarray(state["mean"], dtype=np.float64).copy()
             scaler._m2 = np.asarray(state["m2"], dtype=np.float64).copy()
         return scaler
+
+    @staticmethod
+    def frozen_moments(scalers: Sequence["RollingScaler"]) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(mean, std)``, each ``[N, C]``, of many fitted scalers.
+
+        Row ``i`` holds exactly the ``mean_`` / ``std_`` that
+        ``scalers[i].to_standard_scaler()`` would freeze, computed in one
+        vectorised pass.
+        """
+        counts, means, m2s, epss = [], [], [], []
+        for scaler in scalers:
+            scaler._check_fitted()
+            counts.append(scaler._count)
+            means.append(scaler._mean)
+            m2s.append(scaler._m2)
+            epss.append(scaler.eps)
+        mean = np.array(means)
+        std = np.sqrt(np.array(m2s) / np.array(counts, dtype=np.float64)[:, None])
+        return mean, np.where(std < np.array(epss, dtype=np.float64)[:, None], 1.0, std)
 
     def to_standard_scaler(self) -> StandardScaler:
         """Freeze the current statistics into an offline ``StandardScaler``."""

@@ -246,15 +246,16 @@ class Histogram:
     def bounds(self) -> Tuple[float, ...]:
         return self._bounds
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one bucket search, one lock)."""
         if not _STATE.metrics:
             return
         value = float(value)
         index = bisect_left(self._bounds, value)
         with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._sum += value
+            self._counts[index] += count
+            self._count += count
+            self._sum += value * count
             if value < self._min:
                 self._min = value
             if value > self._max:

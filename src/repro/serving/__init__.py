@@ -4,12 +4,14 @@ The serving subsystem turns the repo's train-time models into a
 request-level inference stack:
 
 * :class:`ForecastService` — ``submit(history, covariates) -> Forecast``
-  with a micro-batching queue that coalesces pending requests into single
-  padded forward passes under ``no_grad``;
+  (or ``submit_many`` for a whole sweep) with a micro-batching queue that
+  coalesces pending requests into single padded forward passes under
+  ``no_grad``;
 * :class:`ModelRegistry` — an LRU cache of live models keyed on
   ``(model_name, config_hash)``, spilling evicted weights through
   :mod:`repro.nn.serialization` so multiple scenarios share one process;
-* batching helpers (:func:`pad_history`, :func:`coalesce`) and stats
+* batching helpers (:func:`pad_history`, :func:`group_requests`,
+  :class:`BatchAssembler`) and stats
   objects for observing cache and batching behaviour;
 * :mod:`repro.serving.admission` — overload protection: priority classes
   (:data:`PRIORITIES`), per-request deadlines, and an
@@ -32,15 +34,24 @@ from .admission import (
     DeadlineExceeded,
     Overloaded,
 )
-from .batching import Forecast, ForecastRequest, coalesce, pad_history
+from .batching import (
+    BatchAssembler,
+    Forecast,
+    ForecastRequest,
+    ForecastRows,
+    group_requests,
+    pad_history,
+)
 from .registry import ModelRegistry, RegistryStats, config_hash
 from .service import ForecastService, ServiceStats
 
 __all__ = [
     "Forecast",
+    "ForecastRows",
     "ForecastRequest",
     "pad_history",
-    "coalesce",
+    "group_requests",
+    "BatchAssembler",
     "ModelRegistry",
     "RegistryStats",
     "config_hash",

@@ -1,16 +1,19 @@
 """Request handles and micro-batch coalescing for the serving layer.
 
-The service accepts one request at a time (:meth:`ForecastService.submit`)
-but the model runs most efficiently over batches, so pending requests are
-queued and coalesced into a single padded forward pass.  This module holds
-the pieces that are independent of any model:
+The service accepts requests one at a time (:meth:`ForecastService.submit`)
+or a whole sweep at once (:meth:`ForecastService.submit_many`), but the
+model runs most efficiently over batches, so pending rows are queued and
+coalesced into a single padded forward pass.  This module holds the pieces
+that are independent of any model:
 
-* :class:`Forecast` — the future-like handle returned by ``submit``;
+* :class:`ForecastRows` — the deferred results of the rows one submit call
+  queued, and :class:`Forecast`, the handle on one of those rows;
+* :class:`ForecastRequest` — a run of queued rows sharing one submit
+  call's timing, priority and covariate signature;
 * :func:`pad_history` — left-pads (or truncates) a single ``[T, C]``
   history to the model's ``input_length``;
-* :func:`coalesce` — stacks compatible pending requests into rectangular
-  arrays, grouping requests with and without covariates separately so each
-  group maps onto exactly one forward pass.
+* :func:`group_requests` / :class:`BatchAssembler` — split queued runs by
+  covariate signature and copy each group into one rectangular batch.
 """
 
 from __future__ import annotations
@@ -24,69 +27,151 @@ from ..nn.plan import bucket_for
 
 __all__ = [
     "Forecast",
+    "ForecastRows",
     "ForecastRequest",
     "pad_history",
     "group_requests",
     "BatchAssembler",
-    "coalesce",
 ]
 
 
-class Forecast:
-    """Deferred result of a submitted forecast request.
+class ForecastRows:
+    """Deferred results of the ``n`` rows one submit call queued.
 
-    The value materialises when the owning service flushes the micro-batch
-    containing the request; :meth:`result` triggers that flush on demand, so
-    callers can treat the handle as blocking without managing the queue.
-    If the request's forward pass failed, :meth:`result` re-raises that
-    error on the submitting caller rather than on whichever caller happened
-    to trigger the flush.
+    Rows settle independently — a mid-sweep flush resolves the rows
+    admitted before it, admission control refuses or displaces single
+    rows — but land in one ``[n, horizon, channels]`` block, so a caller
+    holding the whole sweep can post-process it in one vectorised pass.
+    A failed row raises its error from :meth:`result`; rows refused at
+    admission are also listed in :attr:`refused`.
     """
 
-    __slots__ = ("_service", "_value", "_error")
+    __slots__ = ("_service", "_n", "values", "errors", "refused", "_settled", "_unsettled")
 
-    def __init__(self, service) -> None:
+    def __init__(self, service, n: int) -> None:
         self._service = service
-        self._value: Optional[np.ndarray] = None
-        self._error: Optional[Exception] = None
+        self._n = n
+        #: ``[n, horizon, channels]`` model-space forecasts, allocated on the
+        #: first resolve; rows that failed stay zero
+        self.values: Optional[np.ndarray] = None
+        #: row -> the error its result() raises
+        self.errors: Dict[int, Exception] = {}
+        #: row -> the typed error admission control refused it with
+        self.refused: Dict[int, Exception] = {}
+        self._settled = np.zeros(n, dtype=bool)
+        self._unsettled = n
+
+    def done(self, index: int) -> bool:
+        """Whether row ``index`` has been computed (or failed)."""
+        return bool(self._settled[index])
+
+    def all_done(self) -> bool:
+        """Whether every row has been computed (or failed)."""
+        return self._unsettled == 0
+
+    def result(self, index: int) -> np.ndarray:
+        """Row ``index``'s ``[horizon, channels]`` forecast; flushes if needed."""
+        if not self._settled[index]:
+            self._service.flush()
+        error = self.errors.get(index)
+        if error is not None:
+            raise error
+        if not self._settled[index]:  # pragma: no cover - defensive
+            raise RuntimeError("forecast not resolved by service flush")
+        return self.values[index]
+
+    def _resolve(self, offset: int, values: np.ndarray) -> None:
+        if self.values is None:
+            self.values = np.zeros((self._n,) + values.shape[1:], dtype=values.dtype)
+        stop = offset + len(values)
+        self.values[offset:stop] = values
+        self._settled[offset:stop] = True
+        self._unsettled -= len(values)
+
+    def _fail(self, offset: int, count: int, error: Exception, refused: bool = False) -> None:
+        for index in range(offset, offset + count):
+            self.errors[index] = error
+            if refused:
+                self.refused[index] = error
+        self._settled[offset:offset + count] = True
+        self._unsettled -= count
+
+
+class Forecast:
+    """Deferred result of one submitted row.
+
+    The value materialises when the owning service flushes the micro-batch
+    containing the row; :meth:`result` triggers that flush on demand, so
+    callers can treat the handle as blocking without managing the queue.
+    If the row's forward pass failed, :meth:`result` re-raises that error
+    on the submitting caller rather than on whichever caller happened to
+    trigger the flush.
+    """
+
+    __slots__ = ("_rows", "_index")
+
+    def __init__(self, rows: ForecastRows, index: int = 0) -> None:
+        self._rows = rows
+        self._index = index
 
     def done(self) -> bool:
         """Whether the forecast has been computed (or failed)."""
-        return self._value is not None or self._error is not None
+        return self._rows.done(self._index)
 
     def result(self) -> np.ndarray:
         """The ``[horizon, channels]`` forecast; flushes the queue if needed."""
-        if not self.done():
-            self._service.flush()
-        if self._error is not None:
-            raise self._error
-        if self._value is None:  # pragma: no cover - defensive
-            raise RuntimeError("forecast not resolved by service flush")
-        return self._value
-
-    def _resolve(self, value: np.ndarray) -> None:
-        self._value = value
-
-    def _fail(self, error: Exception) -> None:
-        self._error = error
+        return self._rows.result(self._index)
 
 
-@dataclass
+@dataclass(eq=False)
 class ForecastRequest:
-    """One queued request: a padded history plus optional future covariates."""
+    """A run of queued rows: padded histories plus optional covariates.
 
-    history: np.ndarray                        # [input_length, C], already padded
-    observed_length: int                       # un-padded history length
-    future_numerical: Optional[np.ndarray]     # [horizon, cn] or None
-    future_categorical: Optional[np.ndarray]   # [horizon, ct] or None
-    forecast: Forecast
+    Every row of a run shares its submit call's clock stamp, priority and
+    deadline, and its covariate signature, so the run moves through the
+    queue — admission, eviction, expiry, priority order, batching — as
+    one entry that :meth:`span` cuts where a row-level decision falls
+    inside it.  Row ``i`` resolves into row ``offset + i`` of ``forecast``.
+    """
+
+    history: np.ndarray                        # [n, input_length, C], already padded
+    observed_length: np.ndarray                # [n] un-padded history lengths
+    future_numerical: Optional[np.ndarray]     # [n, horizon, cn] or None
+    future_categorical: Optional[np.ndarray]   # [n, horizon, ct] or None
+    forecast: ForecastRows
+    offset: int = 0
     submitted_at: float = 0.0                  # obs clock at submit (always stamped)
     priority: str = "batch"                    # admission class; see serving.admission
     deadline: Optional[float] = None           # absolute obs-clock deadline, or None
 
+    def __len__(self) -> int:
+        return len(self.history)
+
     @property
     def has_covariates(self) -> bool:
         return self.future_numerical is not None or self.future_categorical is not None
+
+    def span(self, start: int, stop: int) -> "ForecastRequest":
+        """Rows ``[start, stop)`` of this run, as a run of their own (views)."""
+        if start == 0 and stop == len(self):
+            return self
+        return ForecastRequest(
+            self.history[start:stop],
+            self.observed_length[start:stop],
+            None if self.future_numerical is None else self.future_numerical[start:stop],
+            None if self.future_categorical is None else self.future_categorical[start:stop],
+            self.forecast,
+            self.offset + start,
+            self.submitted_at,
+            self.priority,
+            self.deadline,
+        )
+
+    def _resolve(self, values: np.ndarray) -> None:
+        self.forecast._resolve(self.offset, values)
+
+    def _fail(self, error: Exception, refused: bool = False) -> None:
+        self.forecast._fail(self.offset, len(self), error, refused)
 
 
 def pad_history(
@@ -124,17 +209,17 @@ def pad_history(
 
 
 def _signature(request: ForecastRequest) -> Tuple:
-    """Covariate signature; only identically-shaped requests can share a pass."""
+    """Covariate signature; only identically-shaped rows can share a pass."""
     return (
-        None if request.future_numerical is None else request.future_numerical.shape,
-        None if request.future_categorical is None else request.future_categorical.shape,
+        None if request.future_numerical is None else request.future_numerical.shape[1:],
+        None if request.future_categorical is None else request.future_categorical.shape[1:],
     )
 
 
 def group_requests(requests: Sequence[ForecastRequest]) -> List[List[ForecastRequest]]:
-    """Split pending requests into per-forward-pass groups.
+    """Split queued runs into per-forward-pass groups.
 
-    Requests can only share a forward pass when their covariate signatures
+    Rows can only share a forward pass when their covariate signatures
     match (the covariate encoder needs full rectangular ``[b, L, c]``
     blocks) — typically one group with covariates and one without.
     Submission order is preserved within a group.
@@ -151,10 +236,10 @@ class BatchAssembler:
     ``np.stack`` per flush allocated a fresh batch block (plus per-row
     copies) every time; the assembler instead keeps one scratch buffer per
     input kind — history, numerical covariates, categorical covariates —
-    already in the model's dtype, and copies each request's rows straight
-    in.  Steady-state flushing therefore performs no batch-sized
-    allocations and no dtype casts (``pad_history`` / submit-time
-    validation normalised dtypes already).
+    already in the model's dtype, and copies each run's rows straight in
+    with one slice assignment.  Steady-state flushing therefore performs
+    no batch-sized allocations and no dtype casts (``pad_history`` /
+    submit-time validation normalised dtypes already).
 
     The returned batch views alias the scratch buffers: they are valid
     until the next :meth:`assemble` call, which is exactly the flush loop's
@@ -171,12 +256,12 @@ class BatchAssembler:
     @staticmethod
     def _fill(
         buffer: Optional[np.ndarray],
-        rows: List[np.ndarray],
+        blocks: List[np.ndarray],
         dtype: np.dtype,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy ``rows`` into (a large-enough) ``buffer``; returns (buffer, view)."""
-        n = len(rows)
-        row_shape = rows[0].shape
+        """Copy ``blocks`` into (a large-enough) ``buffer``; returns (buffer, view)."""
+        n = sum(len(block) for block in blocks)
+        row_shape = blocks[0].shape[1:]
         if buffer is None or buffer.shape[0] < n or buffer.shape[1:] != row_shape:
             # Clamp scratch capacity to the active power-of-two bucket —
             # the same bucketing the compiled-plan cache uses — so
@@ -184,8 +269,10 @@ class BatchAssembler:
             # and then stabilise, instead of growing row by row.
             buffer = np.empty((bucket_for(n),) + row_shape, dtype=dtype)
         view = buffer[:n]
-        for index, row in enumerate(rows):
-            view[index] = row
+        start = 0
+        for block in blocks:
+            view[start:start + len(block)] = block
+            start += len(block)
         return buffer, view
 
     def assemble(self, members: Sequence[ForecastRequest]) -> Dict[str, Optional[np.ndarray]]:
@@ -209,27 +296,3 @@ class BatchAssembler:
                 self._fc, [r.future_categorical for r in members], np.int64
             )
         return batch
-
-
-def coalesce(
-    requests: Sequence[ForecastRequest],
-) -> List[Tuple[Dict[str, Optional[np.ndarray]], List[ForecastRequest]]]:
-    """Stack pending requests into per-forward-pass ``(batch, members)`` pairs.
-
-    Standalone convenience built on :func:`group_requests`; each group is
-    stacked into freshly allocated arrays.  The service's flush loop uses
-    :class:`BatchAssembler` instead so the batch blocks are reused.
-    """
-    groups: List[Tuple[Dict[str, Optional[np.ndarray]], List[ForecastRequest]]] = []
-    for members in group_requests(requests):
-        batch: Dict[str, Optional[np.ndarray]] = {
-            "x": np.stack([r.history for r in members]),
-            "future_numerical": None,
-            "future_categorical": None,
-        }
-        if members[0].future_numerical is not None:
-            batch["future_numerical"] = np.stack([r.future_numerical for r in members])
-        if members[0].future_categorical is not None:
-            batch["future_categorical"] = np.stack([r.future_categorical for r in members])
-        groups.append((batch, members))
-    return groups

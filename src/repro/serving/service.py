@@ -12,6 +12,10 @@ traffic rather than pre-shaped arrays.
 
 The service also exposes:
 
+* :meth:`submit_many` — the columnar twin of ``submit`` for a whole sweep:
+  one covariate validation, one clock read, one deadline and one lock
+  acquisition for N rows, with the same per-row admission outcomes as N
+  ``submit`` calls;
 * :meth:`predict_many` — synchronous convenience over submit+flush;
 * :meth:`backfill` — batched inference over every window of a historical
   series, using the vectorised ``SlidingWindowDataset.as_arrays`` fast path.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +43,14 @@ from .admission import (
     priority_rank,
     resolve_deadline,
 )
-from .batching import BatchAssembler, Forecast, ForecastRequest, group_requests, pad_history
+from .batching import (
+    BatchAssembler,
+    Forecast,
+    ForecastRequest,
+    ForecastRows,
+    group_requests,
+    pad_history,
+)
 from .registry import ModelRegistry
 
 __all__ = ["ServiceStats", "ForecastService"]
@@ -106,7 +117,7 @@ class ServiceStats(CounterStats):
         return {**counters_dict(self), "mean_batch_size": self.mean_batch_size}
 
 
-@guarded_by("_pending", "stats", "_assembler", "_timer", "_timer_at", lock="_lock")
+@guarded_by("_pending", "_rows", "stats", "_assembler", "_timer", "_timer_at", lock="_lock")
 class ForecastService:
     """Serve a forecasting model behind a micro-batching request API.
 
@@ -156,7 +167,9 @@ class ForecastService:
         #: deadlines) so un-configured services behave exactly as before.
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.stats = ServiceStats()
+        # Queued runs of rows in admission order, and the rows they hold.
         self._pending: List[ForecastRequest] = []
+        self._rows = 0
         self._assembler = BatchAssembler()
         self._timer: Optional[threading.Timer] = None
         self._timer_at = 0.0
@@ -190,9 +203,9 @@ class ForecastService:
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
-        """Number of queued, not-yet-resolved requests."""
+        """Number of queued, not-yet-resolved rows."""
         with self._lock:
-            return len(self._pending)
+            return self._rows
 
     def submit(
         self,
@@ -223,73 +236,186 @@ class ForecastService:
         padded, observed = pad_history(
             history, self.config.input_length, self.config.n_channels, pad_mode=self.pad_mode
         )
-        future_numerical, future_categorical = self._validate_covariates(
-            future_numerical, future_categorical
+        ((_, _, numerical, categorical),) = self._covariate_runs(
+            1, [future_numerical], [future_categorical]
         )
         # The scheduling clock is unconditional: deadlines and the flush
         # timer need real timestamps whether or not metrics are recording.
         now = obs.now()
+        rows = ForecastRows(self, 1)
         request = ForecastRequest(
-            history=padded,
-            observed_length=observed,
-            future_numerical=future_numerical,
-            future_categorical=future_categorical,
-            forecast=Forecast(self),
+            history=padded[None],
+            observed_length=np.array([observed]),
+            future_numerical=numerical,
+            future_categorical=categorical,
+            forecast=rows,
             submitted_at=now,
             priority=priority,
             deadline=resolve_deadline(now, timeout, deadline, self.admission),
         )
         with self._lock:
             self._admit_locked(request, rank, now)
-            if len(self._pending) >= self.max_batch_size:
-                self._flush_locked()
-            elif request.deadline is not None:
-                self._arm_timer_locked(request)
-        return request.forecast
+        refused = rows.refused.get(0)
+        if refused is not None:
+            raise refused
+        return Forecast(rows, 0)
+
+    def submit_many(
+        self,
+        histories: np.ndarray,
+        observed_lengths: np.ndarray,
+        future_numerical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        future_categorical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        priority: str = DEFAULT_PRIORITY,
+        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
+    ) -> ForecastRows:
+        """Queue a block of rows at once; returns their deferred results.
+
+        ``histories`` is ``[n, input_length, channels]`` float32 with each
+        row's ``observed_lengths[i]`` observed steps right-aligned; the
+        service takes ownership and left-pads the rest in place
+        (``pad_mode``), exactly as :func:`pad_history` would.
+        ``future_numerical`` / ``future_categorical`` are per-row sequences
+        (``None`` entries, or ``None`` altogether, for rows without).
+
+        Every row gets the admission outcome ``n`` successive ``submit``
+        calls would give it — refusals, displacements, a flush each time
+        the queue reaches ``max_batch_size`` — and the same counters move.
+        Refused rows do not raise: they fail their row (listed in
+        :attr:`ForecastRows.refused`) and the rest of the block proceeds.
+        Unlike ``n`` submits, the block shares one clock read, so
+        ``timeout`` yields one deadline for every row.  Malformed input
+        raises ``ValueError`` before any row is admitted.
+        """
+        rank = priority_rank(priority)
+        input_length, n_channels = self.config.input_length, self.config.n_channels
+        if (
+            not isinstance(histories, np.ndarray)
+            or histories.dtype != np.float32
+            or histories.shape[1:] != (input_length, n_channels)
+        ):
+            raise ValueError(
+                f"histories must be float32 [n, {input_length}, {n_channels}], got "
+                f"{getattr(histories, 'dtype', type(histories).__name__)} "
+                f"{np.shape(histories)}"
+            )
+        n = len(histories)
+        observed = np.asarray(observed_lengths, dtype=np.int64)
+        if observed.shape != (n,) or (n and (observed.min() < 1 or observed.max() > input_length)):
+            raise ValueError(
+                f"observed_lengths must be {n} lengths in [1, {input_length}]"
+            )
+        self._pad_block(histories, observed)
+        runs = self._covariate_runs(n, future_numerical, future_categorical)
+        now = obs.now()
+        deadline = resolve_deadline(now, timeout, deadline, self.admission)
+        rows = ForecastRows(self, n)
+        requests = [
+            ForecastRequest(
+                histories[start:stop], observed[start:stop], numerical, categorical,
+                rows, start, now, priority, deadline,
+            )
+            for start, stop, numerical, categorical in runs
+        ]
+        with self._lock:
+            for request in requests:
+                self._admit_locked(request, rank, now)
+        return rows
+
+    def _pad_block(self, histories: np.ndarray, observed: np.ndarray) -> None:
+        """Left-pad short rows of a right-aligned block in place."""
+        input_length = self.config.input_length
+        short = np.flatnonzero(observed < input_length)
+        if not len(short):
+            return
+        if self.pad_mode not in ("edge", "zeros"):
+            raise ValueError(f"unknown pad_mode {self.pad_mode!r}; use 'edge' or 'zeros'")
+        for row in short:
+            pad = input_length - int(observed[row])
+            histories[row, :pad] = histories[row, pad] if self.pad_mode == "edge" else 0.0
 
     @requires_lock("_lock")
     def _admit_locked(self, request: ForecastRequest, rank: int, now: float) -> None:
-        """Admit one request into the pending queue, or shed typed.
+        """Admit a run's rows in order, or shed them typed, row by row.
 
-        Expired work is refused outright.  At a full queue the arrival
-        displaces the worst strictly-lower-priority queued request (whose
+        Expired work is refused outright.  At a full queue each arriving
+        row displaces the worst strictly-lower-priority queued row (whose
         handle fails :class:`Overloaded`); with nothing lower-priority to
-        displace, the arrival itself is refused.
+        displace, the row — and so every later row of the run, which
+        meets the same queue — is refused.  Rows between those decisions
+        are admitted in one step, up to the next ``max_batch_size``
+        flush, so the outcome matches one ``submit`` per row.
         """
+        n = len(request)
         if request.deadline is not None and request.deadline <= now:
-            self.stats.shed_expired += 1
-            _SHED_TOTAL.labels(reason="expired").inc()
-            raise DeadlineExceeded(
-                f"deadline passed {now - request.deadline:.3f}s before admission"
+            self.stats.shed_expired += n
+            _SHED_TOTAL.labels(reason="expired").inc(n)
+            request._fail(
+                DeadlineExceeded(
+                    f"deadline passed {now - request.deadline:.3f}s before admission"
+                ),
+                refused=True,
             )
+            return
         limit = self.admission.queue_limit
-        if limit is not None and len(self._pending) >= limit:
-            victim = self._evict_locked(rank)
-            self.stats.shed_overloaded += 1
-            _SHED_TOTAL.labels(reason="overloaded").inc()
-            if victim is None:
-                raise Overloaded(
-                    f"pending queue full ({limit}) with no lower-priority "
-                    f"work to displace for a {request.priority!r} arrival"
+        start = 0
+        queued_from: Optional[int] = None   # first row of this run still queued
+        while start < n:
+            if limit is not None and self._rows >= limit:
+                victim = self._evict_locked(rank)
+                if victim is None:
+                    rest = n - start
+                    self.stats.shed_overloaded += rest
+                    _SHED_TOTAL.labels(reason="overloaded").inc(rest)
+                    request.span(start, n)._fail(
+                        Overloaded(
+                            f"pending queue full ({limit}) with no lower-priority "
+                            f"work to displace for a {request.priority!r} arrival"
+                        ),
+                        refused=True,
+                    )
+                    break
+                self.stats.shed_overloaded += 1
+                _SHED_TOTAL.labels(reason="overloaded").inc()
+                victim._fail(
+                    Overloaded(
+                        f"{victim.priority!r} request displaced from a full queue "
+                        f"({limit}) by a {request.priority!r} arrival"
+                    )
                 )
-            victim.forecast._fail(
-                Overloaded(
-                    f"{victim.priority!r} request displaced from a full queue "
-                    f"({limit}) by a {request.priority!r} arrival"
-                )
+                take = 1
+            else:
+                take = min(n - start, self.max_batch_size - self._rows)
+                if limit is not None:
+                    take = min(take, limit - self._rows)
+            stop = start + take
+            # This run is always the queue's last entry while it admits
+            # (eviction only takes strictly lower classes, flush empties).
+            if queued_from is None:
+                queued_from = start
+                self._pending.append(request.span(start, stop))
+            else:
+                self._pending[-1] = request.span(queued_from, stop)
+            self._rows += take
+            self.stats.requests += take
+            self.stats.padded_requests += int(
+                np.count_nonzero(request.observed_length[start:stop] < self.config.input_length)
             )
-        self._pending.append(request)
-        self.stats.requests += 1
-        if request.observed_length < self.config.input_length:
-            self.stats.padded_requests += 1
+            start = stop
+            if self._rows >= self.max_batch_size:
+                self._flush_locked()
+                queued_from = None
+        if queued_from is not None and request.deadline is not None:
+            self._arm_timer_locked(request)
 
     @requires_lock("_lock")
     def _evict_locked(self, incoming_rank: int) -> Optional[ForecastRequest]:
-        """Pop the eviction victim: worst priority class, newest within it.
+        """Pop the eviction victim: worst priority class, newest row within it.
 
-        Returns ``None`` when nothing queued ranks strictly below the
-        arrival — equal-priority work is never displaced (FIFO fairness
-        within a class).
+        Returns the victim row (as a one-row run), or ``None`` when nothing
+        queued ranks strictly below the arrival — equal-priority work is
+        never displaced (FIFO fairness within a class).
         """
         victim_index = -1
         victim_rank = incoming_rank
@@ -300,7 +426,14 @@ class ForecastService:
                 victim_rank = rank
         if victim_index < 0:
             return None
-        return self._pending.pop(victim_index)
+        entry = self._pending[victim_index]
+        last = len(entry) - 1
+        if last:
+            self._pending[victim_index] = entry.span(0, last)
+        else:
+            del self._pending[victim_index]
+        self._rows -= 1
+        return entry.span(last, last + 1)
 
     @requires_lock("_lock")
     def _arm_timer_locked(self, request: ForecastRequest) -> None:
@@ -422,12 +555,13 @@ class ForecastService:
         return np.concatenate(outputs, axis=0)
 
     # ------------------------------------------------------------------ #
-    def _validate_covariates(
+    def _covariate_runs(
         self,
-        future_numerical: Optional[np.ndarray],
-        future_categorical: Optional[np.ndarray],
-    ):
-        """Normalise per-request covariates to ``[horizon, c]`` or drop them.
+        n: int,
+        future_numerical: Optional[Sequence[Optional[np.ndarray]]],
+        future_categorical: Optional[Sequence[Optional[np.ndarray]]],
+    ) -> List[Tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]]:
+        """Validate per-row covariates in one pass; cut rows into runs.
 
         Covariates supplied to a model (or config) that does not consume
         them are silently dropped, mirroring the trainer's behaviour for
@@ -435,38 +569,78 @@ class ForecastService:
         validation is strict at submit time: a combination the covariate
         encoder would reject mid-forward (missing half of a required pair,
         wrong channel width) raises here, on the submitting caller, instead
-        of blowing up an entire micro-batch at flush time.
+        of blowing up an entire micro-batch at flush time.  Rows with
+        covariates stack into ``[k, horizon, c]`` arrays (one dtype cast and
+        one shape check per kind), and the block is cut into maximal
+        ``(start, stop, numerical, categorical)`` runs of one covariate
+        signature, in row order.
         """
-        if not self.model.supports_covariates or not self.config.has_covariates:
-            return None, None
-        if future_numerical is None and future_categorical is None:
-            return None, None  # model falls back to its base forecast
-        horizon = self.config.horizon
-        expected = {
-            "future_numerical": self.config.covariate_numerical_dim,
-            "future_categorical": len(self.config.covariate_categorical_cardinalities),
-        }
-        normalised = []
-        for name, value, dtype in (
-            ("future_numerical", future_numerical, np.float32),
-            ("future_categorical", future_categorical, np.int64),
+        if (
+            not self.model.supports_covariates
+            or not self.config.has_covariates
+            or (future_numerical is None and future_categorical is None)
         ):
-            width = expected[name]
+            return [(0, n, None, None)]
+        numerical_rows = future_numerical if future_numerical is not None else [None] * n
+        categorical_rows = future_categorical if future_categorical is not None else [None] * n
+        if len(numerical_rows) != n or len(categorical_rows) != n:
+            raise ValueError(f"per-row covariates must list {n} entries")
+        present = [
+            numerical is not None or categorical is not None
+            for numerical, categorical in zip(numerical_rows, categorical_rows)
+        ]
+        with_covariates = [row for row in range(n) if present[row]]
+        if not with_covariates:
+            return [(0, n, None, None)]
+        horizon = self.config.horizon
+        stacked = []
+        for name, values, dtype, width in (
+            ("future_numerical", numerical_rows, np.float32, self.config.covariate_numerical_dim),
+            (
+                "future_categorical",
+                categorical_rows,
+                np.int64,
+                len(self.config.covariate_categorical_cardinalities),
+            ),
+        ):
             if width == 0:
-                normalised.append(None)
+                stacked.append(None)
                 continue
-            if value is None:
+            rows = [values[row] for row in with_covariates]
+            if any(value is None for value in rows):
                 raise ValueError(
                     f"model requires {name} ([horizon={horizon}, {width}]) when "
                     "any covariates are supplied"
                 )
-            value = np.asarray(value, dtype=dtype)
-            if value.ndim != 2 or value.shape[0] != horizon or value.shape[1] != width:
-                raise ValueError(
-                    f"{name} must be [horizon={horizon}, {width}], got shape {value.shape}"
-                )
-            normalised.append(value)
-        return tuple(normalised)
+            try:
+                block = np.asarray(rows, dtype=dtype)
+            except ValueError:   # rows of differing shapes
+                block = None
+            if block is None or block.shape[1:] != (horizon, width):
+                got = "rows of differing shapes" if block is None else f"shape {block.shape[1:]}"
+                raise ValueError(f"{name} must be [horizon={horizon}, {width}], got {got}")
+            stacked.append(block)
+        numerical, categorical = stacked
+        if len(with_covariates) == n:
+            return [(0, n, numerical, categorical)]
+        runs = []
+        start = 0
+        position = 0   # index into the stacked covariate rows
+        for row in range(1, n + 1):
+            if row < n and present[row] == present[start]:
+                continue
+            if present[start]:
+                end = position + row - start
+                runs.append((
+                    start, row,
+                    None if numerical is None else numerical[position:end],
+                    None if categorical is None else categorical[position:end],
+                ))
+                position = end
+            else:
+                runs.append((start, row, None, None))
+            start = row
+        return runs
 
     def warmup(self, batch_sizes: Optional[Sequence[int]] = None) -> int:
         """Pre-trace the polymorphic compiled plan off the request path.
@@ -513,7 +687,7 @@ class ForecastService:
 
     @requires_lock("_lock")
     def _shed_expired_locked(self, pending: List[ForecastRequest]) -> List[ForecastRequest]:
-        """Fail queued requests whose deadline lapsed; return the live rest.
+        """Fail queued rows whose deadline lapsed; return the live runs.
 
         Running an expired request would spend forward-pass capacity on an
         answer nobody is waiting for — under overload exactly the spend
@@ -526,9 +700,9 @@ class ForecastService:
                 if not now:
                     now = obs.now()
                 if request.deadline <= now:
-                    self.stats.deadline_misses += 1
-                    _SHED_TOTAL.labels(reason="deadline").inc()
-                    request.forecast._fail(
+                    self.stats.deadline_misses += len(request)
+                    _SHED_TOTAL.labels(reason="deadline").inc(len(request))
+                    request._fail(
                         DeadlineExceeded(
                             f"{request.priority!r} request expired in queue "
                             f"({now - request.deadline:.3f}s past deadline)"
@@ -538,6 +712,23 @@ class ForecastService:
             live.append(request)
         return live
 
+    def _chunks(self, live: List[ForecastRequest]) -> Iterator[List[ForecastRequest]]:
+        """Cut queued runs into consecutive ``max_batch_size``-row chunks."""
+        chunk: List[ForecastRequest] = []
+        room = self.max_batch_size
+        for request in live:
+            start, n = 0, len(request)
+            while start < n:
+                take = min(room, n - start)
+                chunk.append(request.span(start, start + take))
+                start += take
+                room -= take
+                if not room:
+                    yield chunk
+                    chunk, room = [], self.max_batch_size
+        if chunk:
+            yield chunk
+
     @requires_lock("_lock")
     def _flush_locked(self) -> int:
         if not self._pending:
@@ -545,32 +736,33 @@ class ForecastService:
         self._cancel_timer_locked()
         started = obs.now() if obs.metrics_enabled() else 0.0
         pending, self._pending = self._pending, []
+        queued, self._rows = self._rows, 0
         if started:
-            _QUEUE_DEPTH.set(len(pending))
+            _QUEUE_DEPTH.set(queued)
         self.stats.flushes += 1
         live = self._shed_expired_locked(pending)
         if not live:
-            return len(pending)
+            return queued
         if len(live) > 1:
             # Stable priority order: higher classes land in earlier forward
             # passes, FIFO preserved within a class.  Rows of a batch are
             # independent, so reordering across rows never changes any
             # row's bits — admitted traffic stays parity-clean.
             live.sort(key=lambda request: priority_rank(request.priority))
-        with obs.span("service.flush", requests=len(live)):
-            for start in range(0, len(live), self.max_batch_size):
-                chunk = live[start : start + self.max_batch_size]
+        with obs.span("service.flush", requests=sum(len(request) for request in live)):
+            for chunk in self._chunks(live):
                 for members in group_requests(chunk):
                     # A failing forward must not take unrelated requests down
                     # with it: the error is attached to the failing group's
                     # handles (raised from their result()), and the remaining
                     # groups still run.
+                    size = sum(len(request) for request in members)
                     self.stats.forward_passes += 1
-                    self.stats.largest_batch = max(self.stats.largest_batch, len(members))
+                    self.stats.largest_batch = max(self.stats.largest_batch, size)
                     if started:
-                        _FLUSH_OCCUPANCY.observe(len(members) / self.max_batch_size)
+                        _FLUSH_OCCUPANCY.observe(size / self.max_batch_size)
                     try:
-                        with obs.span("batch.assemble", requests=len(members)):
+                        with obs.span("batch.assemble", requests=size):
                             # The assembled batch aliases the service's
                             # scratch buffers — consumed by the forward pass
                             # below before the next group is assembled.
@@ -578,17 +770,22 @@ class ForecastService:
                         output = self._run_batch(batch)
                     except Exception as error:  # noqa: BLE001 - routed to handles
                         for request in members:
-                            request.forecast._fail(error)
+                            request._fail(error)
                         continue
                     resolved_at = obs.now() if started else 0.0
-                    for row, request in zip(output, members):
-                        request.forecast._resolve(row)
+                    row = 0
+                    for request in members:
+                        n = len(request)
+                        request._resolve(output[row:row + n])
+                        row += n
                         if resolved_at and request.submitted_at:
+                            # Rows of a run share their submit stamp and
+                            # this pass's resolve stamp: one latency, n rows.
                             latency = resolved_at - request.submitted_at
-                            _REQUEST_LATENCY_SECONDS.observe(latency)
+                            _REQUEST_LATENCY_SECONDS.observe(latency, count=n)
                             _PRIORITY_LATENCY_SECONDS.labels(
                                 priority=request.priority
-                            ).observe(latency)
+                            ).observe(latency, count=n)
         if started:
             _FLUSH_SECONDS.observe(obs.now() - started)
-        return len(pending)
+        return queued

@@ -7,7 +7,11 @@ observations stream into a :class:`~repro.streaming.store.SeriesStore`
 :meth:`~repro.serving.service.ForecastService.submit` — so forecasts for
 concurrent tenants queue on the service and coalesce into one padded
 forward pass, exactly like any other submit-path traffic.  Short histories
-(cold-start tenants) lean on the service's left-padding.
+(cold-start tenants) lean on the service's left-padding.  A sweep over
+many tenants (``forecast_all`` / ``forecast_many``) takes the columnar
+route instead: one store gather, one vectorised normalisation and one
+:meth:`~repro.serving.service.ForecastService.submit_many` per block, with
+outputs bit-identical to the per-tenant ``forecast`` loop.
 
 Per-tenant normalisation modes handle the distribution-shift story at the
 serving boundary:
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from ..data.incremental import RollingScaler
 from ..runtime.annotations import guarded_by
 from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
-from ..serving.batching import Forecast
+from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ForecastService
 from .store import SeriesStore
 
@@ -222,6 +226,68 @@ class StreamingForecaster:
                 self.stats.cold_start_forecasts += 1
         return StreamingForecast(tenant, handle, denormalize)
 
+    def forecast_many(
+        self,
+        tenants: Sequence[str],
+        future_numerical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        future_categorical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        priority: str = DEFAULT_PRIORITY,
+        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
+        skip_missing: bool = False,
+    ) -> List[Tuple[str, StreamingForecast]]:
+        """Queue one forecast per listed tenant as one columnar block.
+
+        The columnar twin of calling :meth:`forecast` per tenant: one
+        store gather for every window, one vectorised normalisation, one
+        :meth:`~repro.serving.service.ForecastService.submit_many` for the
+        block, and one vectorised denormalisation the first time any
+        handle's ``result()`` needs it.  Returns ``(tenant, handle)`` per
+        row, in order (a listed-twice tenant gets two rows).
+
+        Outputs are bit-identical to the per-tenant loop, and every row
+        gets the same admission outcome — except that a row refused by
+        admission control does not raise here: its handle raises the
+        typed :class:`~repro.serving.Overloaded` /
+        :class:`~repro.serving.DeadlineExceeded` from ``result()`` (and
+        reports it as ``admission_error``), and the rest of the block
+        proceeds.  ``timeout`` is anchored once, so the block shares one
+        deadline.  Covariates are per-row sequences aligned with
+        ``tenants``.  An unknown tenant raises ``KeyError`` (or, with
+        ``skip_missing``, drops out of the result), and a tenant with no
+        observations raises ``ValueError``, before any row is queued.
+        """
+        positions, windows, lengths = self.store.gather(
+            tenants, self.config.input_length, skip_missing=skip_missing
+        )
+        if not positions:
+            return []
+        keys = [tenants[position] for position in positions]
+        if len(keys) != len(tenants):
+            future_numerical = _take(future_numerical, positions)
+            future_categorical = _take(future_categorical, positions)
+        empty = np.flatnonzero(lengths == 0)
+        if len(empty):
+            raise ValueError(f"tenant {keys[empty[0]]!r} has no observations to forecast from")
+        normalized, shift, scale = self._normalize_many(keys, windows)
+        rows = self.service.submit_many(
+            normalized,
+            lengths,
+            future_numerical=future_numerical,
+            future_categorical=future_categorical,
+            priority=priority,
+            timeout=timeout,
+            deadline=deadline,
+        )
+        sweep = _Sweep(rows, self.normalization, shift, scale)
+        cold = lengths < self.config.input_length
+        if rows.refused:
+            cold[list(rows.refused)] = False
+        with self._lock:
+            self.stats.forecasts += len(keys) - len(rows.refused)
+            self.stats.cold_start_forecasts += int(np.count_nonzero(cold))
+        return [(tenant, _SweepForecast(tenant, sweep, row)) for row, tenant in enumerate(keys)]
+
     def forecast_all(
         self,
         tenants: Optional[Sequence[str]] = None,
@@ -230,34 +296,38 @@ class StreamingForecaster:
         future_categorical: Optional[Mapping[str, np.ndarray]] = None,
         priority: str = DEFAULT_PRIORITY,
         timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
+        skip_missing: bool = False,
     ) -> Dict[str, StreamingForecast]:
         """Queue one forecast per tenant, then (by default) flush once.
 
-        This is the steady-state serving shape: N live tenants produce N
-        queued requests that the service coalesces into ``ceil(N /
-        max_batch_size)`` forward passes instead of N model calls.
+        This is the steady-state serving shape: N live tenants produce one
+        columnar block (:meth:`forecast_many`) that the service coalesces
+        into ``ceil(N / max_batch_size)`` forward passes instead of N model
+        calls.
 
         Per-tenant future covariates are passed as ``tenant -> [horizon, c]``
         mappings; tenants absent from a mapping submit history-only.
-        ``priority`` / ``timeout`` apply to every tenant in the sweep (the
-        timeout is re-anchored per submit).
+        ``priority`` applies to every tenant in the sweep, and the sweep
+        shares one deadline: ``timeout`` is anchored once, not per tenant.
+        A tenant refused by admission control gets a handle that raises the
+        typed error from ``result()``.  With ``tenants=None`` (every live
+        tenant) or ``skip_missing``, a tenant dropped concurrently is
+        skipped instead of raising ``KeyError``.
         """
         keys: List[str] = list(tenants) if tenants is not None else self.store.tenants()
-        future_numerical = future_numerical or {}
-        future_categorical = future_categorical or {}
-        handles = {
-            tenant: self.forecast(
-                tenant,
-                future_numerical=future_numerical.get(tenant),
-                future_categorical=future_categorical.get(tenant),
-                priority=priority,
-                timeout=timeout,
-            )
-            for tenant in keys
-        }
+        rows = self.forecast_many(
+            keys,
+            future_numerical=_per_row(future_numerical, keys),
+            future_categorical=_per_row(future_categorical, keys),
+            priority=priority,
+            timeout=timeout,
+            deadline=deadline,
+            skip_missing=skip_missing or tenants is None,
+        )
         if flush:
             self.service.flush()
-        return handles
+        return dict(rows)
 
     def ingest_and_forecast(
         self, arrivals: Dict[str, np.ndarray], timestamp=None
@@ -386,9 +456,117 @@ class StreamingForecaster:
         anchor = window[-1:].astype(np.float32)
         return window - anchor, _AddAnchor(anchor)
 
+    def _normalize_many(self, keys: List[str], windows: np.ndarray):
+        """Map a gathered ``[N, L, C]`` block into model space, vectorised.
+
+        Row for row the same arithmetic :meth:`_normalize` does (rolling
+        statistics frozen under the lock at this moment); returns the
+        float32 model input plus the stacked ``[N, C]`` shift and scale
+        (see :class:`_Sweep`) that map the block's forecasts back.
+        """
+        if self.normalization == "none":
+            return windows.astype(np.float32, copy=False), None, None
+        if self.normalization == "rolling":
+            with self._lock:
+                scalers = []
+                for tenant in keys:
+                    scaler = self._scalers.get(tenant)
+                    if scaler is None:
+                        raise RuntimeError(f"tenant {tenant!r} has no rolling statistics yet")
+                    scalers.append(scaler)
+                mean, std = RollingScaler.frozen_moments(scalers)
+            normalized = (
+                (windows.astype(np.float64) - mean[:, None, :]) / std[:, None, :]
+            ).astype(np.float32)
+            return normalized, mean, std
+        # last_value: windows are right-aligned, so row i's last observed
+        # value is windows[i, -1].
+        anchor = windows[:, -1, :].astype(np.float32)
+        normalized = (windows - anchor[:, None, :]).astype(np.float32, copy=False)
+        return normalized, anchor, None
+
 
 def _identity(prediction: np.ndarray) -> np.ndarray:
     return prediction
+
+
+def _per_row(mapping: Optional[Mapping[str, np.ndarray]], keys: List[str]):
+    """A tenant-keyed covariate mapping as a row-aligned list (or ``None``)."""
+    if not mapping:
+        return None
+    return [mapping.get(tenant) for tenant in keys]
+
+
+def _take(rows: Optional[Sequence], positions: List[int]):
+    return None if rows is None else [rows[position] for position in positions]
+
+
+class _Sweep:
+    """One :meth:`StreamingForecaster.forecast_many` block's way back out.
+
+    Holds the block's service rows and the stacked inverse mapping, and
+    denormalises the whole ``[N, H, C]`` block once, when the first
+    handle asks for a result after every row has settled.
+    """
+
+    __slots__ = ("rows", "mode", "shift", "scale", "_values")
+
+    def __init__(
+        self,
+        rows: ForecastRows,
+        mode: str,
+        shift: Optional[np.ndarray],
+        scale: Optional[np.ndarray],
+    ) -> None:
+        self.rows = rows
+        self.mode = mode
+        self.shift = shift      # [N, C]: rolling mean, or last-value anchor
+        self.scale = scale      # [N, C]: rolling std
+        self._values: Optional[np.ndarray] = None
+
+    def denormalize(self, values: np.ndarray, index=slice(None)) -> np.ndarray:
+        """Rows ``index`` of the block, mapped back to the tenants' scale."""
+        if self.mode == "none":
+            return values
+        if self.mode == "rolling":
+            return values.astype(np.float64) * self.scale[index, None, :] + self.shift[index, None, :]
+        return values + self.shift[index, None, :]
+
+    def result(self, index: int) -> np.ndarray:
+        rows = self.rows
+        if self._values is None:
+            value = rows.result(index)   # flushes if queued; raises the row's error
+            if not rows.all_done():
+                # A sibling row is still queued (a flush=False sweep that a
+                # mid-block flush split): map this row alone, flush nothing.
+                return self.denormalize(value, index)
+            self._values = self.denormalize(rows.values)
+        elif index in rows.errors:
+            raise rows.errors[index]
+        return self._values[index]
+
+
+class _SweepForecast(StreamingForecast):
+    """A :class:`StreamingForecast` on one row of a columnar sweep."""
+
+    __slots__ = ("_sweep", "_index")
+
+    def __init__(self, tenant: str, sweep: _Sweep, index: int) -> None:
+        self.tenant = tenant
+        self._sweep = sweep
+        self._index = index
+
+    def done(self) -> bool:
+        return self._sweep.rows.done(self._index)
+
+    def result(self) -> np.ndarray:
+        """The ``[horizon, channels]`` forecast in the tenant's scale."""
+        return self._sweep.result(self._index)
+
+    @property
+    def admission_error(self) -> Optional[Exception]:
+        """The typed error admission control refused this row with, if any."""
+        return self._sweep.rows.refused.get(self._index)
 
 
 class _AddAnchor:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -87,13 +87,26 @@ class RingBuffer:
         """The most recent ``min(n, len(self))`` rows, oldest→newest, as a copy."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        n = min(n, self._size)
+        out = np.empty((min(n, self._size), self.n_channels), dtype=self._data.dtype)
+        self.copy_latest(out)
+        return out
+
+    def copy_latest(self, out: np.ndarray) -> int:
+        """Copy the most recent ``min(len(out), len(self))`` rows into the
+        *tail* of ``out`` (oldest→newest); returns how many were copied."""
+        want = len(out)
+        n = want if want < self._size else self._size
         if n == 0:
-            return self._data[:0].copy()
-        start = (self._write - n) % self.capacity
-        if start + n <= self.capacity:
-            return self._data[start:start + n].copy()
-        return np.concatenate([self._data[start:], self._data[:start + n - self.capacity]])
+            return 0
+        head = want - n
+        start = self._write - n
+        if start >= 0:
+            out[head:] = self._data[start:self._write]
+        else:
+            # Wrapped: the oldest -start rows sit at the end of the array.
+            out[head:head - start] = self._data[start:]
+            out[head - start:] = self._data[:self._write]
+        return n
 
     # ------------------------------------------------------------------ #
     def to_state(self) -> dict:
@@ -279,6 +292,41 @@ class SeriesStore:
         """
         with self._lock:
             return self._buffer_locked(tenant).latest(n)
+
+    def gather(
+        self, tenants: Sequence[str], n: int, skip_missing: bool = False
+    ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+        """Every tenant's latest window, stacked, under one lock acquisition.
+
+        Returns ``(found, windows, lengths)``: ``found`` lists the
+        positions in ``tenants`` that were gathered, and ``windows[i]`` is
+        the ``[n, channels]`` window of ``tenants[found[i]]`` — its most
+        recent ``lengths[i] = min(n, held)`` rows right-aligned (what
+        :meth:`latest` returns, at the end of the row), zeros before them.
+        An unknown tenant raises ``KeyError``, or with ``skip_missing`` is
+        left out.
+        """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        windows = np.empty((len(tenants), n, self.n_channels), dtype=self._dtype)
+        lengths = np.empty(len(tenants), dtype=np.int64)
+        found: List[int] = []
+        with self._lock:
+            buffers = self._buffers
+            for position, tenant in enumerate(tenants):
+                buffer = buffers.get(tenant)
+                if buffer is None:
+                    if skip_missing:
+                        continue
+                    raise KeyError(f"unknown tenant {tenant!r}")
+                row = len(found)
+                window = windows[row]
+                copied = buffer.copy_latest(window)
+                if copied < n:
+                    window[:n - copied] = 0
+                lengths[row] = copied
+                found.append(position)
+        return found, windows[:len(found)], lengths[:len(found)]
 
     def last_timestamp(self, tenant: str):
         """The last ingested timestamp for a tenant, or ``None``."""

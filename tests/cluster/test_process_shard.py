@@ -121,6 +121,36 @@ class TestRoutedTraffic:
             assert sorted(cluster.tenants()) == ["tenant-0", "tenant-2"]
             assert cluster.tenant_count() == 2
 
+    def test_implicit_sweep_sends_one_frame_per_worker(self, cluster, monkeypatch):
+        """Live tenants come from the census: no per-worker enumeration RPC."""
+        sent = []
+        # The coordinator keeps no public accessor for its shard handles.
+        for shard in cluster._shards.values():
+            def counted(command, _send=shard.send, **fields):
+                sent.append(command)
+                return _send(command, **fields)
+
+            monkeypatch.setattr(shard, "send", counted)
+        handles = cluster.forecast_all()
+        assert sent == ["forecast_many"] * len(cluster.shard_ids())
+        for handle in handles.values():
+            handle.result()
+        assert sent == ["forecast_many"] * len(cluster.shard_ids())
+
+    def test_implicit_sweep_matches_explicit_list(self, spec):
+        with ProcessCoordinator(spec, n_shards=2, warmup=False) as cluster:
+            for tenant, values in make_streams(5, INPUT_LENGTH).items():
+                cluster.ingest(tenant, values)
+            cluster.drop("tenant-3")
+            cluster.ingest("tenant-3", np.ones((2, CHANNELS), dtype=np.float32))
+            cluster.drop("tenant-1")
+            implicit = cluster.forecast_all()
+            # tenants() asks every worker; the census must agree with it.
+            assert sorted(implicit) == sorted(cluster.tenants())
+            explicit = cluster.forecast_all(sorted(implicit))
+            for tenant, handle in explicit.items():
+                np.testing.assert_array_equal(implicit[tenant].result(), handle.result())
+
 
 class TestParity:
     def test_process_cluster_matches_unsharded_replay(self, spec):

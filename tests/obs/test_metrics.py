@@ -130,6 +130,35 @@ class TestPercentileProperty:
         assert min(samples) <= estimates[0]
         assert estimates[-1] <= max(samples)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        observations=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-7, max_value=100.0, allow_nan=False, allow_infinity=False),
+                st.integers(1, 64),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_weighted_observe_equals_repeated_observes(self, observations):
+        """``observe(v, count=n)`` records what n single observes record."""
+        weighted = Histogram("w", buckets=BUCKETS)
+        repeated = Histogram("r", buckets=BUCKETS)
+        with observability(metrics=True):
+            for value, count in observations:
+                weighted.observe(value, count=count)
+                for _ in range(count):
+                    repeated.observe(value)
+        assert weighted.count == repeated.count
+        assert weighted.bucket_counts() == repeated.bucket_counts()
+        # n additions and one multiply round differently in the last bits.
+        assert weighted.sum == pytest.approx(repeated.sum, rel=1e-12)
+        for q in (0, 1, 25, 50, 75, 95, 99, 100):
+            assert weighted.percentile(q) == repeated.percentile(q)
+        snapshot_w, snapshot_r = weighted.snapshot(), repeated.snapshot()
+        assert (snapshot_w["min"], snapshot_w["max"]) == (snapshot_r["min"], snapshot_r["max"])
+
 
 class TestConcurrency:
     THREADS = 8

@@ -3,17 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.serving.batching import Forecast, ForecastRequest, coalesce, pad_history
+from repro.serving.batching import (
+    BatchAssembler,
+    ForecastRequest,
+    ForecastRows,
+    group_requests,
+    pad_history,
+)
 
 
 def _request(history, fn=None, fc=None):
+    """A one-row queued run, as ``ForecastService.submit`` builds it."""
     return ForecastRequest(
-        history=np.asarray(history, dtype=np.float32),
-        observed_length=len(history),
-        future_numerical=fn,
-        future_categorical=fc,
-        forecast=Forecast(service=None),
+        history=np.asarray(history, dtype=np.float32)[None],
+        observed_length=np.array([len(history)]),
+        future_numerical=None if fn is None else fn[None],
+        future_categorical=None if fc is None else fc[None],
+        forecast=ForecastRows(service=None, n=1),
     )
+
+
+def _assembled(requests):
+    """``(batch, members)`` per forward-pass group, the way the flush loop
+    builds them: ``group_requests`` then ``BatchAssembler`` (one assembler
+    per group here, so every batch stays valid)."""
+    return [(BatchAssembler().assemble(members), members) for members in group_requests(requests)]
 
 
 class TestPadHistory:
@@ -67,7 +81,7 @@ class TestPadHistory:
 class TestCoalesce:
     def test_homogeneous_requests_form_one_group(self):
         requests = [_request(np.full((4, 2), i)) for i in range(3)]
-        groups = coalesce(requests)
+        groups = _assembled(requests)
         assert len(groups) == 1
         batch, members = groups[0]
         assert batch["x"].shape == (3, 4, 2)
@@ -82,7 +96,7 @@ class TestCoalesce:
             _request(np.ones((4, 2))),
             _request(np.full((4, 2), 2.0), fn=fn, fc=fc),
         ]
-        groups = coalesce(requests)
+        groups = _assembled(requests)
         assert len(groups) == 2
         sizes = sorted(len(members) for _, members in groups)
         assert sizes == [1, 2]
@@ -100,7 +114,7 @@ class TestCoalesce:
             _request(np.zeros((4, 2)), fn=fn),
             _request(np.zeros((4, 2)), fn=fn, fc=fc),
         ]
-        assert len(coalesce(requests)) == 2
+        assert len(_assembled(requests)) == 2
 
     def test_empty_input(self):
-        assert coalesce([]) == []
+        assert _assembled([]) == []

@@ -6,7 +6,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import ForecastService
-from repro.serving.batching import BatchAssembler, ForecastRequest, coalesce, group_requests, Forecast
+from repro.serving.batching import BatchAssembler, ForecastRequest, ForecastRows, group_requests
 
 
 @pytest.fixture
@@ -124,16 +124,16 @@ class TestCompiledServiceParity:
 
 class TestBatchAssembler:
     def _request(self, rng, config, fn=None, fc=None):
-        history = rng.normal(size=(config.input_length, config.n_channels)).astype(np.float32)
+        history = rng.normal(size=(1, config.input_length, config.n_channels)).astype(np.float32)
         return ForecastRequest(
             history=history,
-            observed_length=config.input_length,
-            future_numerical=fn,
-            future_categorical=fc,
-            forecast=Forecast(None),
+            observed_length=np.array([config.input_length]),
+            future_numerical=None if fn is None else fn[None],
+            future_categorical=None if fc is None else fc[None],
+            forecast=ForecastRows(None, 1),
         )
 
-    def test_assemble_matches_coalesce_stacks(self, config, rng):
+    def test_assemble_matches_np_stack(self, config, rng):
         fn = rng.normal(size=(config.horizon, 3)).astype(np.float32)
         fc = rng.integers(0, 5, size=(config.horizon, 1)).astype(np.int64)
         requests = [
@@ -142,10 +142,17 @@ class TestBatchAssembler:
             self._request(rng, config),
         ]
         assembler = BatchAssembler()
-        stacked = {id(m[0]): batch for batch, m in coalesce(requests)}
         for members in group_requests(requests):
             batch = assembler.assemble(members)
-            expected = stacked[id(members[0])]
+            expected = {
+                key: None if getattr(members[0], field) is None
+                else np.concatenate([getattr(m, field) for m in members])
+                for key, field in (
+                    ("x", "history"),
+                    ("future_numerical", "future_numerical"),
+                    ("future_categorical", "future_categorical"),
+                )
+            }
             for key in ("x", "future_numerical", "future_categorical"):
                 if expected[key] is None:
                     assert batch[key] is None
@@ -167,5 +174,5 @@ class TestBatchAssembler:
         big = assembler.assemble(big_members)["x"]
         assert big.shape[0] == 6
         for i, member in enumerate(big_members):
-            assert np.array_equal(big[i], member.history)
+            assert np.array_equal(big[i], member.history[0])
         assert small.shape[0] == 1

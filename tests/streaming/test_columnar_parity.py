@@ -1,0 +1,201 @@
+"""Columnar sweep parity: ``forecast_all`` against a per-tenant loop.
+
+``StreamingForecaster.forecast_all`` gathers, normalises and admits a
+whole sweep as one block.  The per-tenant ``forecast()`` path is kept as
+the reference: for any mix of queue bound, batch size, normalisation,
+padding, covariates and already-queued work, every row must come back
+with the same bits or the same typed error, and every counter must match.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.obs as obs
+from repro.config import ModelConfig
+from repro.core import LiPFormer
+from repro.serving import PRIORITIES, AdmissionPolicy, DeadlineExceeded, ForecastService, Overloaded
+from repro.streaming import StreamingForecaster
+
+CONFIG = ModelConfig(
+    input_length=12, horizon=4, n_channels=2, patch_length=4, hidden_dim=8,
+    dropout=0.0, n_heads=2, n_layers=1, seed=5,
+    covariate_numerical_dim=2, covariate_categorical_cardinalities=(5,),
+)
+MODEL = LiPFormer(CONFIG)
+
+
+@st.composite
+def sweeps(draw):
+    n_tenants = draw(st.integers(1, 9))
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "n_tenants": n_tenants,
+        # Histories shorter than input_length exercise cold-start padding.
+        "history": [draw(st.integers(1, 2 * CONFIG.input_length)) for _ in range(n_tenants)],
+        "with_covariates": [draw(st.booleans()) for _ in range(n_tenants)],
+        "max_batch_size": draw(st.sampled_from([1, 2, 3, 4, 16])),
+        "normalization": draw(st.sampled_from(["none", "rolling", "last_value"])),
+        "pad_mode": draw(st.sampled_from(["edge", "zeros"])),
+        "queue_limit": draw(st.one_of(st.none(), st.integers(1, n_tenants + 2))),
+        "queued": draw(st.lists(st.sampled_from(PRIORITIES), max_size=4)),
+        "priority": draw(st.sampled_from(PRIORITIES)),
+        "deadline": draw(st.sampled_from([None, "expired", "far"])),
+    }
+
+
+def fixed_case(n_tenants, **overrides):
+    """One hand-picked sweep, in the shape ``sweeps()`` draws."""
+    case = {
+        "seed": 3, "n_tenants": n_tenants, "history": [20] * n_tenants,
+        "with_covariates": [False] * n_tenants, "max_batch_size": 16,
+        "normalization": "none", "pad_mode": "edge", "queue_limit": None,
+        "queued": [], "priority": "batch", "deadline": None,
+    }
+    case.update(overrides)
+    return case
+
+
+def build(case):
+    service = ForecastService(
+        MODEL,
+        max_batch_size=case["max_batch_size"],
+        pad_mode=case["pad_mode"],
+        compiled=False,
+        admission=AdmissionPolicy(queue_limit=case["queue_limit"]),
+    )
+    forecaster = StreamingForecaster(service, normalization=case["normalization"])
+    rng = np.random.default_rng(case["seed"])
+    for i, length in enumerate(case["history"]):
+        forecaster.ingest(f"t{i}", rng.normal(3.0, 2.0, size=(length, CONFIG.n_channels)))
+    # Work already queued ahead of the sweep, at assorted priorities: the
+    # sweep's rows may displace it (or be refused behind it).
+    queued = []
+    for priority in case["queued"]:
+        window = rng.normal(size=(CONFIG.input_length, CONFIG.n_channels))
+        try:
+            queued.append(service.submit(window, priority=priority))
+        except Overloaded as error:
+            queued.append(error)
+    return service, forecaster, queued
+
+
+def covariates(case):
+    rng = np.random.default_rng(case["seed"] + 1)
+    numerical, categorical = {}, {}
+    for i, present in enumerate(case["with_covariates"]):
+        if present:
+            numerical[f"t{i}"] = rng.normal(size=(CONFIG.horizon, 2)).astype(np.float32)
+            categorical[f"t{i}"] = rng.integers(0, 5, size=(CONFIG.horizon, 1))
+    return numerical, categorical
+
+
+def outcome(handle):
+    """Bits, or the typed error's class and (clock-free) message."""
+    if isinstance(handle, Exception):
+        error = handle
+    else:
+        try:
+            return handle.result()
+        except (Overloaded, DeadlineExceeded) as caught:
+            error = caught
+    message = str(error) if isinstance(error, Overloaded) else ""
+    return type(error).__name__, message
+
+
+def assert_same(expected, actual):
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray), actual
+        assert expected.dtype == actual.dtype
+        np.testing.assert_array_equal(expected, actual)
+    else:
+        assert expected == actual
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=sweeps())
+def test_columnar_sweep_matches_per_tenant_loop(case):
+    numerical, categorical = covariates(case)
+    deadline = {
+        None: None,
+        "expired": obs.now() - 1.0,
+        "far": obs.now() + 3600.0,
+    }[case["deadline"]]
+    tenants = [f"t{i}" for i in np.random.default_rng(case["seed"]).permutation(case["n_tenants"])]
+
+    ref_service, reference, ref_queued = build(case)
+    expected = {}
+    for tenant in tenants:
+        try:
+            expected[tenant] = reference.forecast(
+                tenant,
+                future_numerical=numerical.get(tenant),
+                future_categorical=categorical.get(tenant),
+                priority=case["priority"],
+                deadline=deadline,
+            )
+        except (Overloaded, DeadlineExceeded) as error:
+            expected[tenant] = error
+    ref_service.flush()
+
+    service, columnar, queued = build(case)
+    actual = columnar.forecast_all(
+        tenants,
+        future_numerical=numerical,
+        future_categorical=categorical,
+        priority=case["priority"],
+        deadline=deadline,
+    )
+
+    assert list(actual) == tenants
+    for tenant in tenants:
+        assert_same(outcome(expected[tenant]), outcome(actual[tenant]))
+    for before, after in zip(ref_queued, queued):
+        assert_same(outcome(before), outcome(after))
+    assert service.stats_snapshot() == ref_service.stats_snapshot()
+    assert columnar.stats_snapshot() == reference.stats_snapshot()
+    assert service.pending == ref_service.pending == 0
+    ref_service.close()
+    service.close()
+
+
+def test_sweep_refusal_is_per_row_not_raised():
+    """A full queue refuses the sweep's tail typed; the head still serves."""
+    service, forecaster, _ = build(fixed_case(5, normalization="rolling", queue_limit=3))
+    handles = forecaster.forecast_all([f"t{i}" for i in range(5)])
+    outcomes = [outcome(handles[f"t{i}"]) for i in range(5)]
+    assert all(isinstance(o, np.ndarray) for o in outcomes[:3])
+    assert [o[0] for o in outcomes[3:]] == ["Overloaded", "Overloaded"]
+    assert handles["t4"].admission_error is not None
+    assert handles["t0"].admission_error is None
+    assert service.stats.shed_overloaded == 2
+    assert forecaster.stats.forecasts == 3
+
+
+def test_unknown_tenant_raises_before_any_row_is_queued():
+    service, forecaster, _ = build(fixed_case(2))
+    with pytest.raises(KeyError, match="ghost"):
+        forecaster.forecast_all(["t0", "ghost", "t1"])
+    assert service.pending == 0
+    assert service.stats.requests == 0
+    assert forecaster.stats.forecasts == 0
+
+
+def test_unflushed_sweep_split_by_a_mid_block_flush():
+    """Rows a mid-block flush resolved answer without flushing the rest."""
+    case = fixed_case(3, history=[20, 5, 20], max_batch_size=2, normalization="last_value")
+    tenants = ["t0", "t1", "t2"]
+    ref_service, reference, _ = build(case)
+    expected = {tenant: reference.forecast(tenant) for tenant in tenants}
+    ref_service.flush()
+    service, columnar, _ = build(case)
+    handles = columnar.forecast_all(tenants, flush=False)
+    assert handles["t0"].done() and not handles["t2"].done()
+    np.testing.assert_array_equal(handles["t1"].result(), expected["t1"].result())
+    assert service.pending == 1          # t2 is still queued
+    np.testing.assert_array_equal(handles["t2"].result(), expected["t2"].result())
+    assert service.pending == 0
+    for tenant in tenants:
+        np.testing.assert_array_equal(handles[tenant].result(), expected[tenant].result())
+    assert service.stats_snapshot() == ref_service.stats_snapshot()

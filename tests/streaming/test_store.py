@@ -184,3 +184,60 @@ class TestDirtyTracking:
         assert target.generation("a") == 1
         revived = SeriesStore.from_state(store.to_state())
         assert revived.generation("a") == 1
+
+
+class TestGather:
+    """The batched store gather against per-tenant ``RingBuffer.latest``
+    and against the raw appended history (randomized shapes)."""
+
+    @pytest.mark.parametrize("channels", [1, 7])
+    def test_gather_matches_latest_per_tenant(self, channels):
+        rng = np.random.default_rng(channels)
+        for _ in range(100):
+            capacity = int(rng.integers(1, 12))
+            n = int(rng.integers(1, capacity + 1))     # input_length <= capacity
+            store = SeriesStore(capacity=capacity, n_channels=channels)
+            history = {}
+            for t in range(int(rng.integers(1, 6))):
+                tenant = f"t{t}"
+                # Chunk sizes cover cold starts (< n), exactly-full rings,
+                # wraps, and single chunks at least as long as capacity.
+                chunks = [
+                    rng.normal(size=(int(rng.integers(1, 2 * capacity + 2)), channels))
+                    for _ in range(int(rng.integers(1, 4)))
+                ]
+                if rng.random() < 0.2:
+                    chunks = [rng.normal(size=(capacity, channels))]
+                for chunk in chunks:
+                    store.ingest(tenant, chunk)
+                history[tenant] = np.concatenate(chunks).astype(np.float32)
+            tenants = list(rng.permutation(list(history)))
+            found, windows, lengths = store.gather(tenants, n)
+            assert found == list(range(len(tenants)))
+            assert windows.shape == (len(tenants), n, channels)
+            assert windows.dtype == np.float32
+            for row, tenant in enumerate(tenants):
+                expected = history[tenant][-min(n, capacity, len(history[tenant])):]
+                reference = store.buffer(tenant).latest(n)
+                np.testing.assert_array_equal(reference, expected)
+                assert lengths[row] == len(expected)
+                np.testing.assert_array_equal(windows[row, n - len(expected):], expected)
+                assert not windows[row, : n - len(expected)].any()
+
+    def test_unknown_tenant_raises_or_is_skipped(self):
+        store = SeriesStore(capacity=4, n_channels=2)
+        store.ingest("a", rows(0, 3))
+        store.ingest("b", rows(10, 5))
+        with pytest.raises(KeyError, match="ghost"):
+            store.gather(["a", "ghost", "b"], 4)
+        found, windows, lengths = store.gather(["a", "ghost", "b"], 4, skip_missing=True)
+        assert found == [0, 2]
+        assert lengths.tolist() == [3, 4]
+        np.testing.assert_array_equal(windows[1], rows(11, 4))
+
+    def test_duplicate_tenants_get_one_row_each(self):
+        store = SeriesStore(capacity=4, n_channels=2)
+        store.ingest("a", rows(0, 2))
+        _, windows, lengths = store.gather(["a", "a"], 3)
+        assert lengths.tolist() == [2, 2]
+        np.testing.assert_array_equal(windows[0], windows[1])
