@@ -8,10 +8,10 @@ salted per process (``PYTHONHASHSEED``) and ``hashlib`` sprinkled ad hoc
 invites layout drift between ring implementations.
 
 Scope: ``repro/cluster/``, ``repro/streaming/``,
-``repro/nn/serialization.py``, and the process-boundary transport —
-``repro/wire.py`` plus ``repro/runtime/procpool.py`` — where pickle would
-otherwise be the path of least resistance (every byte a worker sends or
-receives must go through the codec).  ``cluster/ring.py`` is the one
+``repro/nn/serialization.py``, and the process-boundary transport
+``repro/wire.py`` — where pickle would otherwise be the path of least
+resistance (every byte a worker sends or receives must go through the
+codec).  ``cluster/ring.py`` is the one
 module allowed to touch ``hashlib`` — it *implements* ``stable_hash``.
 """
 
@@ -29,7 +29,7 @@ _HASH_EXEMPT_MODULE = "cluster.ring"
 
 #: single modules (dotted, under ``repro/``) the ban covers beyond the
 #: blanket packages: the weight codec and the process-boundary transport.
-_SCOPED_MODULES = {"nn.serialization", "wire", "runtime.procpool"}
+_SCOPED_MODULES = {"nn.serialization", "wire"}
 
 
 def _in_scope(context) -> bool:

@@ -7,44 +7,31 @@ past both limits:
 * :class:`HashRing` — consistent hashing with virtual nodes: a
   deterministic (MD5-based, process-independent) tenant → shard map where
   changing the shard count reassigns only ≈ ``1/N`` of tenants;
-* :class:`ShardedForecaster` — N independent streaming stacks (one
-  :class:`~repro.serving.service.ForecastService` replica each) behind a
-  single ``ingest`` / ``forecast`` / ``forecast_all`` façade, with live
-  :meth:`~ShardedForecaster.add_shard` / :meth:`~ShardedForecaster.remove_shard`
-  rebalancing that migrates exactly the tenants whose ring assignment
-  changed, and cluster-wide stats via ``ServiceStats.merge``;
+* :class:`Coordinator` — the one cluster coordinator: routing under a
+  reader/writer topology lock (topology before shard locks), live
+  ``add_shard`` / ``remove_shard`` rebalancing that migrates exactly the
+  tenants whose ring assignment changed, ``failover`` with an honest
+  :class:`FailoverReport`, merged stats, full and O(churn) delta
+  checkpoints chained under :func:`resolve_chain`, and one split-phase
+  fan-out (start every shard, then collect every shard) behind
+  ``forecast_all`` / ``flush`` / ``warmup`` / checkpoint collection;
+* two shard transports behind that coordinator:
+  :class:`LocalShard` (an in-process
+  :class:`~repro.streaming.forecaster.StreamingForecaster`, fan-outs
+  overlapped by a pluggable executor) and :class:`ProcessShard` (a worker
+  OS process behind the pickle-free wire codec, :mod:`repro.wire`, with
+  retries, a circuit breaker and a census of acknowledged ingests that
+  outlives a ``kill -9``);
+* :class:`ShardedForecaster` / :class:`ProcessCoordinator` — the two
+  public constructors, picking the shard class; :func:`build_cluster`
+  picks between them from a :class:`ClusterSpec`, and
+  :class:`ServiceSpec` is the replica recipe both share;
 * :mod:`~repro.cluster.snapshot` — a pickle-free nested-state ↔ ``.npz``
-  codec over the new ``to_state`` / ``from_state`` methods on
-  :class:`~repro.streaming.store.RingBuffer`,
-  :class:`~repro.streaming.store.SeriesStore`,
-  :class:`~repro.data.incremental.RollingScaler` and
-  :class:`~repro.streaming.forecaster.StreamingForecaster`, so a serving
-  process (or a whole cluster) restarts without losing tenant state;
+  codec, one snapshot format for both backends, and
+  :func:`compact_chain`;
 * :mod:`~repro.cluster.parity` — the correctness harness: sharded,
-  rebalanced and snapshot/restored deployments must forecast
+  rebalanced, failed-over and snapshot/restored deployments must forecast
   **bit-identically** to an uninterrupted single forecaster.
-
-Built on :mod:`repro.runtime` (PR 4), the cluster also runs *parallel*:
-routed traffic shares a reader/writer topology lock with per-shard locks
-underneath, fan-outs drive S shards on S cores through a pluggable
-executor, :meth:`~ShardedForecaster.save_incremental` writes O(churn)
-delta checkpoints chained under :func:`resolve_chain`, and
-:meth:`~ShardedForecaster.failover` re-routes a dead shard's ring arc to
-the survivors, restoring its tenants from the last checkpoint chain with
-an honest :class:`FailoverReport` of any data loss.
-
-PR 9 takes shards out of the coordinator's process entirely:
-:class:`ProcessCoordinator` (via :func:`build_cluster` with
-``backend="process"``) runs each shard as a :class:`ProcessShard` — a
-worker OS process speaking the length-prefixed pickle-free wire codec
-(:mod:`repro.wire`) over a socketpair — so S shards use S cores with no
-GIL in the way, worker death is a detectable event (``kill -9`` drills
-in ``tests/cluster/test_crash_drill.py``), and
-:meth:`ProcessCoordinator.failover` restores from the same checkpoint
-chains bit-identically.  :class:`~repro.cluster.spec.ServiceSpec` is the
-replica recipe both backends share, and
-:func:`~repro.cluster.snapshot.compact_chain` folds a long checkpoint
-chain back into one full snapshot.
 
 See ``examples/cluster_quickstart.py`` and
 ``examples/cluster_process_quickstart.py`` for tours and
@@ -52,17 +39,12 @@ See ``examples/cluster_quickstart.py`` and
 backend-vs-backend and rebalance-cost measurements.
 """
 
+from ..errors import WorkerDied, WorkerStalled
+from .coordinator import Coordinator, FailoverReport, Shard
 from .parity import compare_cluster_to_unsharded, replay_cluster
-from .process import (
-    PendingForecast,
-    ProcessCoordinator,
-    ProcessShard,
-    WorkerDied,
-    WorkerStalled,
-    build_cluster,
-)
+from .process import PendingForecast, ProcessCoordinator, ProcessShard, build_cluster
 from .ring import HashRing, stable_hash
-from .sharded import FailoverReport, ShardedForecaster
+from .sharded import LocalShard, ShardedForecaster
 from .snapshot import (
     compact_chain,
     decode_state,
@@ -78,6 +60,9 @@ from .spec import ClusterSpec, ServiceSpec, validate_cluster_timeouts
 __all__ = [
     "HashRing",
     "stable_hash",
+    "Coordinator",
+    "Shard",
+    "LocalShard",
     "ShardedForecaster",
     "FailoverReport",
     "ServiceSpec",

@@ -20,9 +20,10 @@ callable), so one recipe drives both deployments.
 :class:`ClusterSpec` is the operational counterpart: where
 :class:`ServiceSpec` describes one replica, :class:`ClusterSpec`
 describes the deployment around it — shard count, backend, timeouts and
-the resilience knobs (retry/backoff, circuit breaker).  Passing one to
-:func:`~repro.cluster.process.build_cluster` replaces a pile of loose
-keyword arguments with a single validated object.
+the resilience knobs (retry/backoff, circuit breaker).  It is the one
+place deployment knobs are validated: :func:`~repro.cluster.process.build_cluster`
+and both cluster constructors turn loose keyword arguments into one, and
+the process backend keeps it as ``cluster_spec``.
 """
 
 from __future__ import annotations
@@ -154,7 +155,10 @@ class ClusterSpec:
       :class:`~repro.cluster.process.ProcessShard` is built with.
 
     Thread-backend deployments ignore the process-only knobs (timeouts,
-    retries, breakers) — there is no process gap to protect.
+    retries, breakers) — there is no process gap to protect.  When a
+    cluster is restored from a snapshot, the snapshot supplies the shape
+    (shards, normalisation, capacity, vnodes) and the spec only the
+    resilience knobs.
     """
 
     n_shards: int = 2

@@ -317,24 +317,7 @@ class ShardWorker:
         return {"census": self._census()}
 
     def _cmd_delta(self, message: dict) -> dict:
-        forecaster = self._require()
-        dirty = set(forecaster.dirty_tenants())
-        order = forecaster.store.tenants()
-        return {
-            "order": order,
-            "dirty": {
-                tenant: forecaster.export_tenant(tenant)
-                for tenant in order
-                if tenant in dirty
-            },
-            "stats": asdict(forecaster.stats_snapshot()),
-            "store_stats": asdict(forecaster.store.stats_snapshot()),
-            "store": {
-                "capacity": int(forecaster.store.capacity),
-                "n_channels": int(forecaster.store.n_channels),
-                "dtype": forecaster.store.dtype.name,
-            },
-        }
+        return self._require().delta_state()
 
     def _cmd_clear_dirty(self, message: dict) -> dict:
         self._require().clear_dirty()

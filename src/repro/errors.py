@@ -16,10 +16,11 @@ Base classes are chosen so existing narrow handlers keep working:
   budget was the *caller's*, not a transport default;
 * :class:`Overloaded` *is a* ``RuntimeError`` — a capacity decision, not
   a transport failure;
-* :class:`CircuitOpen` and :class:`TransientWireError` are
-  ``ConnectionError`` subclasses — both describe the health of a
-  connection to a worker, one synthesised locally (fail-fast), one a
-  retryable transport hiccup.
+* :class:`CircuitOpen`, :class:`TransientWireError`,
+  :class:`WorkerDied` and :class:`WorkerStalled` are ``ConnectionError``
+  subclasses — all describe the health of a connection to a worker: one
+  synthesised locally (fail-fast), one a retryable transport hiccup, one
+  a worker gone for good and one a worker past its reply budget.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "DeadlineExceeded",
     "CircuitOpen",
     "TransientWireError",
+    "WorkerDied",
+    "WorkerStalled",
 ]
 
 
@@ -77,4 +80,27 @@ class TransientWireError(ConnectionError):
     a transient error is raised *before* any frame bytes were consumed,
     so a retry over the same socket is sound.  The fault-injection
     harness raises it to exercise retry paths deterministically.
+    """
+
+
+class WorkerDied(ConnectionError):
+    """A worker process stopped answering (crash, kill -9, or hang)."""
+
+    def __init__(self, shard_id: str, reason: str) -> None:
+        super().__init__(f"worker {shard_id!r} died: {reason}")
+        self.shard_id = shard_id
+        self.reason = reason
+
+
+class WorkerStalled(WorkerDied):
+    """A worker missed its reply budget but the stream is still intact.
+
+    Raised instead of permanently marking the shard dead: every frame
+    carries a sequence number and the worker echoes it back, so when the
+    overdue reply eventually arrives it is recognised as stale and
+    drained — the request/reply stream resynchronises without tearing
+    the worker down.  Subclasses :class:`WorkerDied` so "this call
+    failed, settle and move on" handlers keep working; the shard's
+    circuit breaker is what escalates *repeated* stalls into fail-fast
+    rejection.
     """

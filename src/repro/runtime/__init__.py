@@ -16,11 +16,9 @@ the cluster so they stay reusable (and testable) on their own:
   :func:`enable_lock_ordering` or ``REPRO_LOCK_ORDER=1``);
 * :func:`guarded_by` / :func:`requires_lock` / :func:`unguarded` — no-op
   annotations the static analyzer (``python -m repro.analysis``) enforces;
-* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` /
-  :class:`ProcessExecutor` — pluggable fan-out strategies for per-shard
-  work (inline, thread pool, or worker processes; threads reach S cores
-  only while the work is NumPy-bound, processes always do — at the price
-  of wire-codec-serialisable tasks, see :mod:`repro.runtime.procpool`);
+* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` —
+  pluggable fan-out strategies for per-shard work (inline or thread
+  pool; threads reach S cores while the work is NumPy-bound);
 * :func:`map_shards` — the one fan-out idiom: ``fn(shard_id)`` per shard,
   results keyed and ordered by shard id;
 * :class:`RetryPolicy` / :class:`CircuitBreaker` — resilience primitives
@@ -51,9 +49,7 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "ProcessExecutor",
     "map_shards",
-    "task_name",
     "RWLock",
     "TrackedRLock",
     "LockOrderMonitor",
@@ -68,15 +64,3 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
 ]
-
-
-def __getattr__(name):
-    # ProcessExecutor loads lazily (PEP 562): the worker half runs as
-    # ``python -m repro.runtime.procpool``, and an eager import here would
-    # put the module in sys.modules before runpy executes it as __main__,
-    # tripping the double-import RuntimeWarning in every worker.
-    if name in ("ProcessExecutor", "task_name"):
-        from . import procpool
-
-        return getattr(procpool, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -378,6 +378,27 @@ class StreamingForecaster:
         """Reset churn tracking after a checkpoint captured this shard."""
         self.store.mark_clean()
 
+    def delta_state(self) -> dict:
+        """This forecaster's share of a delta checkpoint.
+
+        The full tenant key list (which doubles as the deletion record),
+        full payloads only for tenants dirtied since the last checkpoint,
+        the (tiny) stats, and the store geometry.
+        """
+        dirty = set(self.dirty_tenants())
+        order = self.store.tenants()
+        return {
+            "order": order,
+            "dirty": {tenant: self.export_tenant(tenant) for tenant in order if tenant in dirty},
+            "stats": asdict(self.stats_snapshot()),
+            "store_stats": asdict(self.store.stats_snapshot()),
+            "store": {
+                "capacity": int(self.store.capacity),
+                "n_channels": int(self.store.n_channels),
+                "dtype": self.store.dtype.name,
+            },
+        }
+
     def stats_snapshot(self) -> StreamingStats:
         """A consistent copy of the forecast counters."""
         with self._lock:

@@ -315,18 +315,8 @@ class TestPickleBan:
         """
         findings = lint(source, path="repro/wire.py", rules=[PickleBanRule])
         assert rule_ids(findings) == ["pickle-ban"]
-
-    def test_procpool_in_scope(self, lint):
-        source = """
-            from pickle import loads
-
-            def receive(blob):
-                return loads(blob)
-        """
-        findings = lint(source, path="repro/runtime/procpool.py", rules=[PickleBanRule])
-        assert rule_ids(findings) == ["pickle-ban"]
-        # The rest of repro.runtime (locks, thread executors) carries no
-        # serialised state and stays out of scope.
+        # repro.runtime (locks, thread executors) carries no serialised
+        # state and stays out of scope.
         assert lint(source, path="repro/runtime/executor.py", rules=[PickleBanRule]) == []
 
     def test_real_transport_modules_are_clean(self, lint):
@@ -335,9 +325,9 @@ class TestPickleBan:
         root = pathlib.Path(__file__).resolve().parents[2]
         for module in (
             "repro/wire.py",
-            "repro/runtime/procpool.py",
             "repro/cluster/worker.py",
             "repro/cluster/process.py",
+            "repro/cluster/coordinator.py",
         ):
             source = (root / "src" / module).read_text(encoding="utf-8")
             assert lint(source, path=module, rules=[PickleBanRule]) == [], module

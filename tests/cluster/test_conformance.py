@@ -1,0 +1,248 @@
+"""Backend conformance: every coordinator guarantee, on both shard classes.
+
+One :class:`~repro.cluster.coordinator.Coordinator` drives two shard
+transports — :class:`~repro.cluster.sharded.LocalShard` and
+:class:`~repro.cluster.process.ProcessShard` — so each control-plane
+contract is checked once here, parametrized over the backend: migration
+sets and their unwind, failover accounting, checkpoint round trips,
+retired-stat folding and sweep equivalence.  On the process backend a
+shard "dies" by a real ``kill -9``; on the thread backend the dead
+replica is simply abandoned.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import ServiceSpec, build_cluster
+from repro.config import ModelConfig
+
+INPUT_LENGTH = 16
+HORIZON = 4
+CHANNELS = 2
+
+SPEC = ServiceSpec(
+    config=ModelConfig(
+        input_length=INPUT_LENGTH, horizon=HORIZON, n_channels=CHANNELS,
+        patch_length=4, hidden_dim=16, dropout=0.0, n_heads=2, n_layers=1, seed=11,
+    ),
+    max_batch_size=16,
+)
+
+BACKENDS = ["thread", "process"]
+
+
+def close(cluster):
+    if cluster.BACKEND == "process":
+        cluster.close()
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    return request.param
+
+
+@pytest.fixture
+def cluster(backend):
+    built = build_cluster(SPEC, n_shards=2, backend=backend)
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        built.ingest(f"tenant-{i}", rng.normal(size=(INPUT_LENGTH + 2, CHANNELS)))
+    yield built
+    close(built)
+
+
+def forecasts(cluster, tenants=None):
+    return {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+
+
+def assert_same(left, right):
+    assert sorted(left) == sorted(right)
+    for tenant in left:
+        np.testing.assert_array_equal(left[tenant], right[tenant])
+
+
+def kill(cluster, shard_id):
+    """Make the shard's replica unreachable the way its backend dies."""
+    if cluster.BACKEND == "process":
+        cluster.kill_worker(shard_id)
+
+
+def victims_of(cluster, shard_id):
+    return [t for t in cluster.tenants() if cluster.shard_for(t) == shard_id]
+
+
+class TestRebalance:
+    def test_add_then_remove_moves_exactly_the_reassigned_tenants(self, cluster):
+        before = {t: cluster.shard_for(t) for t in cluster.tenants()}
+        expected = forecasts(cluster)
+        moved = cluster.add_shard()
+        assert moved, "the new shard must adopt part of the ring"
+        for tenant, owner in before.items():
+            assert cluster.shard_for(tenant) == ("shard-2" if tenant in moved else owner)
+        assert sorted(victims_of(cluster, "shard-2")) == sorted(moved)
+        assert_same(forecasts(cluster), expected)
+        assert sorted(cluster.remove_shard("shard-2")) == sorted(moved)
+        assert {t: cluster.shard_for(t) for t in cluster.tenants()} == before
+        assert_same(forecasts(cluster), expected)
+        assert cluster.rebalances == 2
+        assert cluster.tenants_migrated == 2 * len(moved)
+
+    def test_failed_add_shard_unwinds(self, cluster, monkeypatch):
+        before = {t: cluster.shard_for(t) for t in cluster.tenants()}
+        expected = forecasts(cluster)
+        armed = {"on": True}
+        for shard in list(cluster._shards.values()):
+            def failing_export(tenant, _export=shard.export_tenant):
+                if armed["on"]:
+                    raise RuntimeError("injected migration failure")
+                return _export(tenant)
+
+            monkeypatch.setattr(shard, "export_tenant", failing_export)
+        with pytest.raises(RuntimeError, match="injected migration failure"):
+            cluster.add_shard()
+        assert cluster.rebalance_failures == 1
+        assert cluster.as_dict()["rebalance_failures"] == 1
+        assert cluster.rebalances == 0
+        assert cluster.shard_ids() == ["shard-0", "shard-1"]
+        assert {t: cluster.shard_for(t) for t in cluster.tenants()} == before
+        assert_same(forecasts(cluster), expected)
+        armed["on"] = False
+        moved = cluster.add_shard()
+        assert all(cluster.shard_for(t) == "shard-2" for t in moved)
+        assert_same(forecasts(cluster), expected)
+
+    def test_failed_remove_shard_unwinds(self, cluster, monkeypatch):
+        expected = forecasts(cluster)
+        victim = cluster.shard_for("tenant-0")
+        for shard_id in cluster.shard_ids():
+            if shard_id != victim:
+                def failing_import(tenant, payload):
+                    raise RuntimeError("injected import failure")
+
+                monkeypatch.setattr(cluster._shards[shard_id], "import_tenant", failing_import)
+        with pytest.raises(RuntimeError, match="injected import failure"):
+            cluster.remove_shard(victim)
+        assert cluster.rebalance_failures == 1
+        assert victim in cluster.shard_ids()
+        assert cluster.tenant_count() == 12
+        assert_same(forecasts(cluster), expected)
+
+
+class TestFailover:
+    def test_checkpointed_shard_recovers_bit_identically(self, cluster, tmp_path):
+        expected = forecasts(cluster)
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        victims = victims_of(cluster, victim)
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert report.complete, report
+        assert sorted(report.restored) == sorted(victims)
+        assert victim not in cluster.shard_ids()
+        assert_same(forecasts(cluster), expected)
+
+    def test_report_accounts_for_lost_and_stale_rows(self, cluster, tmp_path):
+        rng = np.random.default_rng(8)
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        stale, recreated, *restored = victims_of(cluster, victim)
+        cluster.ingest(stale, rng.normal(size=(3, CHANNELS)))
+        cluster.drop(recreated)
+        cluster.ingest(recreated, rng.normal(size=(INPUT_LENGTH + 5, CHANNELS)))
+        newborn = next(
+            f"late-{i}" for i in range(1000) if cluster.shard_for(f"late-{i}") == victim
+        )
+        cluster.ingest(newborn, rng.normal(size=(4, CHANNELS)))
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert report.stale == {stale: 3}
+        assert sorted(report.lost) == sorted([recreated, newborn])
+        assert sorted(report.restored) == sorted([stale] + restored)
+        assert recreated not in cluster.tenants()
+        assert newborn not in cluster.tenants()
+
+    def test_dropped_tenant_is_neither_restored_nor_lost(self, cluster, tmp_path):
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        cluster.drop("tenant-0")
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert "tenant-0" not in report.lost
+        assert "tenant-0" not in report.restored
+        assert "tenant-0" not in cluster.tenants()
+
+
+class TestCheckpoints:
+    def test_chain_and_compaction_round_trip(self, cluster, backend, tmp_path):
+        rng = np.random.default_rng(12)
+        cluster.save(str(tmp_path / "base"))
+        cluster.ingest("tenant-1", rng.normal(size=(2, CHANNELS)))
+        cluster.save_incremental(str(tmp_path / "d1"))
+        cluster.drop("tenant-2")
+        cluster.ingest("fresh", rng.normal(size=(INPUT_LENGTH, CHANNELS)))
+        cluster.save_incremental(str(tmp_path / "d2"))
+        chain = cluster.checkpoint_chain()
+        assert len(chain) == 3
+        expected = forecasts(cluster)
+        loader = type(cluster)
+        revived = loader.load_chain(SPEC, chain)
+        try:
+            assert sorted(revived.tenants()) == sorted(cluster.tenants())
+            assert_same(forecasts(revived), expected)
+        finally:
+            close(revived)
+        compacted = cluster.compact(str(tmp_path / "compacted"))
+        assert cluster.checkpoint_chain() == [compacted]
+        revived = loader.load(SPEC, compacted)
+        try:
+            assert_same(forecasts(revived), expected)
+            # The compacted base keeps extending as a chain.
+            revived.ingest("tenant-3", rng.normal(size=(1, CHANNELS)))
+            revived.save_incremental(str(tmp_path / "d3"))
+            assert len(revived.checkpoint_chain()) == 2
+        finally:
+            close(revived)
+
+    def test_incremental_needs_a_base(self, cluster, tmp_path):
+        with pytest.raises(RuntimeError, match="call save"):
+            cluster.save_incremental(str(tmp_path / "orphan"))
+
+
+class TestRetiredStats:
+    def test_history_survives_remove_and_failover(self, cluster, tmp_path):
+        forecasts(cluster)
+        cluster.add_shard()
+        forecasts(cluster)
+        want_service = cluster.service_stats()
+        want_store = cluster.store_stats()
+        cluster.remove_shard("shard-2")
+        assert cluster.service_stats() == want_service
+        assert cluster.store_stats().observations == want_store.observations
+        cluster.save(str(tmp_path / "ckpt"))
+        # Poll right before the crash: a killed worker's counters fold
+        # from its last poll.
+        want_service = cluster.service_stats()
+        want_store = cluster.store_stats()
+        victim = cluster.shard_for("tenant-0")
+        kill(cluster, victim)
+        cluster.failover(victim)
+        assert cluster.service_stats() == want_service
+        assert cluster.store_stats() == want_store
+
+
+class TestSweeps:
+    def test_implicit_sweep_equals_explicit_sweep(self, cluster):
+        rng = np.random.default_rng(4)
+        cluster.drop("tenant-3")
+        cluster.ingest("tenant-3", rng.normal(size=(2, CHANNELS)))
+        cluster.drop("tenant-5")
+        implicit = forecasts(cluster)
+        assert sorted(implicit) == sorted(cluster.tenants())
+        assert "tenant-5" not in implicit
+        assert_same(forecasts(cluster, sorted(implicit)), implicit)
+
+    def test_explicit_unknown_tenant_raises_and_settles_the_rest(self, cluster):
+        handle = cluster.forecast("tenant-1")
+        with pytest.raises(KeyError):
+            cluster.forecast_all(["tenant-0", "never-ingested"])
+        assert handle.result().shape == (HORIZON, CHANNELS)

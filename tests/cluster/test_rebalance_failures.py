@@ -133,4 +133,4 @@ class TestRemoveShardFailure:
             assert cluster.shard_for(tenant) == before[tenant]
             assert tenant in cluster.shard(before[tenant]).store
         # The restored shard keeps its named lock (still routable).
-        assert victim in cluster._shard_locks
+        assert cluster._shards[victim].lock.name == f"shard:{victim}"

@@ -199,6 +199,35 @@ class TestRetryMasksTransients:
         assert handle.result().shape == (HORIZON, CHANNELS)
         assert schedule.pending() == 0
 
+    def test_recv_transient_during_forecast_all_loses_nothing(self, cluster):
+        """The fan-out's collect leg retries a failed receive: the reply
+        was never consumed, so every handle still resolves exactly."""
+        tenants = [f"tenant-{i}" for i in range(6)]
+        _, on_victim, elsewhere = split_by_shard(cluster, tenants)
+        assert on_victim and elsewhere, "the drill needs both shards busy"
+        expected = {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+        schedule = faults.FaultSchedule(seed=2).add("shard.recv", "transient_eof", times=1)
+        with faults.inject(schedule):
+            handles = cluster.forecast_all(tenants)
+        assert schedule.pending() == 0
+        assert sorted(handles) == sorted(tenants)
+        for tenant in tenants:
+            np.testing.assert_array_equal(handles[tenant].result(), expected[tenant])
+
+    def test_recv_transient_during_flush_loses_nothing(self, cluster):
+        tenants = [f"tenant-{i}" for i in range(6)]
+        _, on_victim, elsewhere = split_by_shard(cluster, tenants)
+        assert on_victim and elsewhere, "the drill needs both shards busy"
+        expected = {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+        handles = {tenant: cluster.forecast(tenant) for tenant in tenants}
+        schedule = faults.FaultSchedule(seed=2).add("shard.recv", "transient_eof", times=1)
+        with faults.inject(schedule):
+            assert cluster.flush() == len(tenants)
+        assert schedule.pending() == 0
+        assert all(handle.done() for handle in handles.values())
+        for tenant in tenants:
+            np.testing.assert_array_equal(handles[tenant].result(), expected[tenant])
+
     def test_exhausted_retries_surface_the_transient(self, cluster):
         schedule = faults.FaultSchedule(seed=2).add(
             "shard.send", "transient_eof", times=FAST_CLUSTER.retry_attempts

@@ -188,7 +188,7 @@ class TestClusterLockNames:
             lambda: ForecastService(LiPFormer(small_config)), n_shards=2
         )
         assert cluster._topology.name == "cluster-topology"
-        assert sorted(lock.name for lock in cluster._shard_locks.values()) == [
+        assert sorted(shard.lock.name for shard in cluster._shards.values()) == [
             "shard:shard-0",
             "shard:shard-1",
         ]
