@@ -16,8 +16,8 @@ Quantifies the three claims of the polymorphic compiled fast path:
   forwards then parallelise their kernels too.
 * **bounded plan count**: a workload cycling batch sizes 1..max_batch must
   trace at most ``ceil(log2(max_batch)) + 1`` plans (the power-of-two
-  bucket ladder) — and, because LiPFormer's trace is sliceable, settle on
-  a single steady-state plan.
+  bucket ladder) — and, because each bucket plan replaces the smaller
+  one, settle on a single steady-state plan.
 * **liveness compression**: the arena allocator (first/last-use liveness +
   offline greedy-by-size placement) must pack trace-time intermediates at
   least 3x tighter than keeping every recorded buffer alive.
@@ -96,7 +96,7 @@ def test_compiled_plan_speedup_over_eager(bench_record):
     trace-shape best case.
     """
     model = _model()
-    predictor = model.compiled_predictor(max_batch=MAX_BATCH)
+    predictor = model.compiled_predictor()
     warm = np.zeros((MAX_BATCH, INPUT_LENGTH, 1), dtype=np.float32)
     model.predict(warm, compiled=True)                   # the only trace
     assert predictor.traces == 1
@@ -150,7 +150,7 @@ def test_bucketed_workload_traces_logarithmic_plans(bench_record):
     """Cycling batch 1..max_batch must trace <= ceil(log2(max_batch)) + 1
     plans — the bucket ladder — and settle on one steady-state plan."""
     model = _model()
-    predictor = model.compiled_predictor(max_batch=MAX_BATCH)
+    predictor = model.compiled_predictor()
     rng = np.random.default_rng(5)
     x = rng.normal(size=(MAX_BATCH, INPUT_LENGTH, 1)).astype(np.float32)
 
@@ -163,7 +163,7 @@ def test_bucketed_workload_traces_logarithmic_plans(bench_record):
         f"the bucket ladder allows at most {bound}"
     )
     assert predictor.fallbacks == 0, "some batch fell back to eager"
-    # A sliceable model collapses the ladder: the max_batch plan serves
+    # Each bucket plan replaced the smaller one: the max_batch plan serves
     # every smaller bucket, so only one plan survives.
     assert len(predictor) == 1, f"steady state kept {len(predictor)} plans"
 
@@ -194,7 +194,6 @@ def test_liveness_arena_reduces_plan_memory(bench_record):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(MAX_BATCH, INPUT_LENGTH, 1)).astype(np.float32)
     plan = InferencePlan.trace(model, x)
-    assert plan.sliceable, f"LiPFormer trace demoted: {plan.demotions}"
 
     ratio = plan.naive_nbytes / plan.arena_nbytes
     print(

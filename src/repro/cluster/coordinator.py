@@ -466,7 +466,7 @@ class Coordinator:
             # The first post-failover forecast must replay a compiled plan,
             # not trace or fall back eager on the request path.
             adopters = sorted(set(report.restored.values()))
-            self._fan_out("warmup", {target: {"batch_sizes": None} for target in adopters})
+            self._fan_out("warmup", {target: {} for target in adopters})
             if started:
                 _REBALANCE_SECONDS.labels(op="failover").observe(obs.now() - started)
             return report
@@ -592,13 +592,12 @@ class Coordinator:
         with self._topology.read():
             return sum(self._fan_out("flush", self._all()).values())
 
-    def warmup(self, batch_sizes: Optional[Sequence[int]] = None) -> int:
+    def warmup(self) -> int:
         """Pre-trace one polymorphic compiled plan per shard; returns the
         total plans traced.  :meth:`load`, :meth:`load_chain` and
         :meth:`failover` already warm their restored shards."""
-        sizes = None if batch_sizes is None else [int(size) for size in batch_sizes]
         with self._topology.read():
-            return sum(self._fan_out("warmup", self._all(batch_sizes=sizes)).values())
+            return sum(self._fan_out("warmup", self._all()).values())
 
     def drop(self, tenant: str) -> None:
         """Forget a tenant cluster-wide (buffer, watermark and scaler)."""

@@ -275,11 +275,7 @@ class ShardWorker:
 
     # ------------------------------------------------------------------ #
     def _cmd_warmup(self, message: dict) -> dict:
-        sizes = message.get("batch_sizes")
-        traced = self._require().warmup(
-            None if sizes is None else [int(size) for size in sizes]
-        )
-        return {"traced": int(traced)}
+        return {"traced": int(self._require().warmup())}
 
     def _cmd_drop(self, message: dict) -> dict:
         self._require().drop(str(message["tenant"]))

@@ -39,27 +39,13 @@ class ForecastModel(Module):
         self.config = config
 
     # ------------------------------------------------------------------ #
-    def compiled_predictor(self, max_batch: Optional[int] = None):
-        """The lazily created per-model plan cache (compiled fast path).
-
-        ``max_batch`` configures the polymorphic trace width (the batch
-        size warmup traces at, serving every smaller batch from one plan).
-        Passing it for an existing predictor grows the width in place —
-        the serving layer calls this with its ``max_batch_size`` so plans
-        are traced at the micro-batch ceiling.
-        """
+    def compiled_predictor(self):
+        """The lazily created per-model plan cache (compiled fast path)."""
         from ..nn.plan import CompiledPredictor
 
         predictor = getattr(self, "_compiled", None)
         if predictor is None:
-            predictor = (
-                CompiledPredictor(self)
-                if max_batch is None
-                else CompiledPredictor(self, max_batch=max_batch)
-            )
-            self._compiled = predictor
-        elif max_batch is not None:
-            predictor.grow_max_batch(max_batch)
+            predictor = self._compiled = CompiledPredictor(self)
         return predictor
 
     # ------------------------------------------------------------------ #

@@ -20,30 +20,32 @@ This module removes all of it for the steady-state serving hot path with a
   owning base), then an offline greedy-by-size pass packs the buffers into
   one shared byte arena: a dead intermediate's storage is reused by later
   buffers, so plan memory tracks *peak liveness*, not trace depth.  Scratch
-  buffers of composite kernels participate.  The replay self-check stays
-  bit-for-bit — if relocation ever perturbs a kernel, the plan falls back
-  to standalone buffers before it may serve traffic.
+  buffers of composite kernels participate.
 
 * **Stage two — batch polymorphism.**  A plan is traced once at a bucket
   batch size ``B`` and replayed on *leading-dim slices* of the arena: every
   batch-scaled buffer (taint-propagated from the inputs) is bound to its
   ``[: b * rows_per_batch]`` prefix, so any ``batch <= B`` hits the same
-  plan with zero re-tracing.  Slice replay is validated bit-exactly against
-  eager at trace time; kernels that bake the batch dimension into a
-  reduction demote the plan to *padded* replay (rows are edge-replicated up
-  to the bucket and the output truncated), and genuinely batch-coupled
-  models demote further to exact-shape plans.  :class:`CompiledPredictor`
-  keys its cache on the **batch-free signature** and grows power-of-two
-  buckets on demand, so a workload cycling batch sizes ``1..B`` traces at
-  most ``ceil(log2(B)) + 1`` plans instead of one per size.
+  plan with zero re-tracing.  :class:`CompiledPredictor` keys its cache on
+  the **batch-free signature** and keeps one plan per signature: a larger
+  batch retraces at its power-of-two bucket and replaces it, so a workload
+  cycling batch sizes ``1..B`` traces at most ``ceil(log2(B)) + 1`` plans
+  and keeps one.
+
+There is exactly one plan tier.  A trace that cannot become a sliceable,
+arena-packed plan — a batch-scaled buffer whose leading dim does not scale
+with the batch, a view with no prefix slice, a replay that differs from
+eager at the full batch or at a prefix probe — raises
+:class:`PlanUnsupported`, and the caller serves that signature eager.
 
 Correctness model: tracing assumes the forward's *structure* depends only
 on input shapes, never on input values.  All ``repro.nn`` tensor ops and
 the ``softmax`` / ``layer_norm`` / ``gelu`` primitives satisfy this; models
 computing raw-NumPy, value-dependent constants inside ``forward`` must not
 enable ``supports_compiled_plan``.  Every freshly traced plan is
-self-checked by replaying it on the traced inputs and requiring the output
-to match the eager result exactly before it may serve traffic.
+self-checked by replaying it on the traced inputs (and on prefixes of
+them) and requiring the output to match the eager result exactly before
+it may serve traffic.
 """
 
 from __future__ import annotations
@@ -187,6 +189,10 @@ class _Slot:
         if self.axis is None:
             return self.array
         n = batch * self.rows
+        if n == self.array.shape[self.axis]:
+            # The whole traced batch: the array itself, so a full-batch
+            # replay hands back the very same output buffer every time.
+            return self.array
         if self.axis == 0:
             return self.array[:n]
         slicer = [slice(None)] * self.array.ndim
@@ -194,37 +200,17 @@ class _Slot:
         return self.array[tuple(slicer)]
 
 
-class _CompileResult:
-    __slots__ = (
-        "kernels",
-        "step_slots",
-        "out_slot",
-        "arena",
-        "arena_nbytes",
-        "sliceable",
-    )
-
-    def __init__(self, kernels, step_slots, out_slot, arena, arena_nbytes, sliceable):
-        self.kernels = kernels
-        self.step_slots = step_slots
-        self.out_slot = out_slot
-        self.arena = arena
-        self.arena_nbytes = arena_nbytes
-        self.sliceable = sliceable
-
-
 def _compile_steps(
     steps: List[_Step],
     inputs: List[np.ndarray],
     output: np.ndarray,
     max_batch: int,
-    use_arena: bool = True,
-) -> _CompileResult:
+) -> Tuple[tuple, tuple, _Slot, Optional[np.ndarray], int]:
     """Liveness + arena packing + batch-slice metadata over a raw trace.
 
-    Returns the rebindable step table.  ``use_arena=False`` keeps every
-    buffer in its original storage (the fallback when relocation perturbs
-    a kernel's bit pattern).
+    Returns ``(kernels, step_slots, out_slot, arena, arena_nbytes)``, the
+    rebindable step table.  Raises :class:`PlanUnsupported` when some
+    batch-scaled array has no leading-dim prefix slice.
     """
     owned: "OrderedDict[int, np.ndarray]" = OrderedDict()
     def_step: Dict[int, int] = {}
@@ -280,29 +266,28 @@ def _compile_steps(
         last_use[id(out_root)] = len(steps)
 
     # ---- batch taint: which buffers scale with the leading batch dim ----
-    tainted = set(input_ids)
+    # ``factor`` maps every batch-tainted buffer to its rows per sample.
     factor: Dict[int, int] = {ident: 1 for ident in input_ids}
-    sliceable = True
     for i, step in enumerate(steps):
         own_here = {id(step.out)} | {id(s) for s in step.scratch}
         reads_tainted = False
         for array in step.arrays:
             root = resolve(array)
-            if root is not None and id(root) in tainted and id(root) not in own_here:
+            if root is not None and id(root) in factor and id(root) not in own_here:
                 reads_tainted = True
                 break
         if not reads_tainted:
             continue
         buffers = step.scratch if step.out is None else (step.out,) + step.scratch
         for buf in buffers:
-            tainted.add(id(buf))
-            if buf.ndim >= 1 and buf.shape[0] > 0 and buf.shape[0] % max_batch == 0:
-                factor[id(buf)] = buf.shape[0] // max_batch
-            else:
-                sliceable = False
-    if out_root is None or id(out_root) not in tainted or id(out_root) not in factor:
-        # A forecast that does not scale with the batch cannot be sliced.
-        sliceable = False
+            if buf.ndim < 1 or buf.shape[0] == 0 or buf.shape[0] % max_batch:
+                raise PlanUnsupported(
+                    f"step {i} writes a batch-dependent buffer of shape {buf.shape} "
+                    f"whose leading dim does not scale with batch {max_batch}"
+                )
+            factor[id(buf)] = buf.shape[0] // max_batch
+    if out_root is None or id(out_root) not in factor:
+        raise PlanUnsupported("the forecast does not scale with the batch")
 
     # ---- arena allocation over owned, C-contiguous buffers --------------
     # Offline greedy-by-size placement (the planner used by TFLite/XLA):
@@ -311,46 +296,43 @@ def _compile_steps(
     # already-placed buffer with an overlapping lifetime.  Online first-fit
     # fragments around long-lived small buffers; this ordering reaches the
     # peak-liveness lower bound on the LiPFormer trace.
-    arena = None
+    intervals: List[Tuple[int, int, int, int]] = []  # (size, born, last, id)
+    for ident, buf in owned.items():
+        if not buf.flags.c_contiguous or buf.nbytes == 0:
+            continue
+        size = -(-buf.nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
+        # A buffer read at step i stays allocated through i: storage is
+        # reusable only by buffers *defined strictly later*, which rules
+        # out same-step aliasing (e.g. matmul out overlapping an input).
+        intervals.append((size, def_step[ident], last_use[ident], ident))
     offsets: Dict[int, int] = {}
     arena_total = 0
-    if use_arena:
-        intervals: List[Tuple[int, int, int, int]] = []  # (size, born, last, id)
-        for ident, buf in owned.items():
-            if not buf.flags.c_contiguous or buf.nbytes == 0:
-                continue
-            size = -(-buf.nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
-            # A buffer read at step i stays allocated through i: storage is
-            # reusable only by buffers *defined strictly later*, which rules
-            # out same-step aliasing (e.g. matmul out overlapping an input).
-            intervals.append((size, def_step[ident], last_use[ident], ident))
-        placed: List[Tuple[int, int, int, int]] = []  # (offset, size, born, last)
-        for size, born, last, ident in sorted(
-            intervals, key=lambda iv: (-iv[0], iv[1], iv[3])
-        ):
-            gaps = sorted(
-                (off, used)
-                for off, used, p_born, p_last in placed
-                if born <= p_last and last >= p_born
-            )
-            cursor = 0
-            offset = None
-            for off, used in gaps:
-                if off - cursor >= size:
-                    offset = cursor
-                    break
-                cursor = max(cursor, off + used)
-            if offset is None:
+    placed: List[Tuple[int, int, int, int]] = []  # (offset, size, born, last)
+    for size, born, last, ident in sorted(
+        intervals, key=lambda iv: (-iv[0], iv[1], iv[3])
+    ):
+        gaps = sorted(
+            (off, used)
+            for off, used, p_born, p_last in placed
+            if born <= p_last and last >= p_born
+        )
+        cursor = 0
+        offset = None
+        for off, used in gaps:
+            if off - cursor >= size:
                 offset = cursor
-            offsets[ident] = offset
-            placed.append((offset, size, born, last))
-            arena_total = max(arena_total, offset + size)
-        if arena_total:
-            arena = np.empty(arena_total, dtype=np.uint8)
+                break
+            cursor = max(cursor, off + used)
+        if offset is None:
+            offset = cursor
+        offsets[ident] = offset
+        placed.append((offset, size, born, last))
+        arena_total = max(arena_total, offset + size)
+    arena = np.empty(arena_total, dtype=np.uint8) if arena_total else None
 
     mapping: Dict[int, np.ndarray] = {}
     for ident, buf in owned.items():
-        if arena is not None and ident in offsets:
+        if ident in offsets:
             mapping[ident] = np.ndarray(
                 buf.shape, dtype=buf.dtype, buffer=arena, offset=offsets[ident]
             )
@@ -359,10 +341,7 @@ def _compile_steps(
             arena_total += buf.nbytes
 
     # ---- slot construction: relocation + slice metadata per array -------
-    slot_failed = False
-
     def make_slot(array: np.ndarray) -> _Slot:
-        nonlocal slot_failed
         root = resolve(array)
         if root is None:
             return _Slot(array, None, 0)
@@ -379,7 +358,7 @@ def _compile_steps(
                 offset=_addr(array) - _addr(root),
                 strides=array.strides,
             )
-        if id(root) not in tainted or id(root) not in factor:
+        if id(root) not in factor:
             return _Slot(new_array, None, 0)
         if array is root:
             return _Slot(new_array, 0, factor[id(root)])
@@ -409,32 +388,22 @@ def _compile_steps(
                 continue
             if start + sub + new_array.itemsize <= step_bytes:
                 return _Slot(new_array, j, n // max_batch)
-        # View collapses or reorders the batch dim: no prefix slice exists.
-        slot_failed = True
-        return _Slot(new_array, None, 0)
+        raise PlanUnsupported(
+            f"a view of shape {array.shape} collapses or reorders the batch dim: "
+            "no prefix slice exists"
+        )
 
-    kernels = []
-    step_slots = []
-    for step in steps:
-        kernels.append(step.kernel)
-        step_slots.append(tuple(make_slot(array) for array in step.arrays))
-    out_slot = make_slot(output)
-    if slot_failed:
-        sliceable = False
-    return _CompileResult(
-        tuple(kernels), tuple(step_slots), out_slot, arena, arena_total, sliceable
-    )
+    kernels = tuple(step.kernel for step in steps)
+    step_slots = tuple(tuple(make_slot(array) for array in step.arrays) for step in steps)
+    return kernels, step_slots, make_slot(output), arena, arena_total
 
 
 class InferencePlan:
     """A traced forward pass: rebindable replay steps over a packed arena.
 
     One plan serves every batch size up to its trace-time ``max_batch``:
-    *sliced* replay binds each batch-scaled buffer to a leading-dim prefix,
-    *padded* replay (the fallback for plans whose kernels bake the batch
-    dim into reductions) edge-replicates rows up to the bucket and
-    truncates the output.  Plans that fail even the padded validation serve
-    only their exact traced shape.
+    each batch-scaled buffer is bound to a leading-dim prefix of the
+    arena, and a full-batch replay binds the arrays themselves.
     """
 
     __slots__ = (
@@ -452,12 +421,8 @@ class InferencePlan:
         "output",
         "_param_state",
         "max_batch",
-        "sliceable",
-        "pad_safe",
         "naive_nbytes",
         "arena_nbytes",
-        "_out_rows",
-        "demotions",
     )
 
     def __init__(self) -> None:
@@ -476,8 +441,8 @@ class InferencePlan:
 
         ``model`` must be in eval mode (stochastic layers like dropout
         would otherwise bake one sampled mask into every replay).  The
-        traced output becomes the plan's output buffer; a replay self-check
-        must reproduce it bit-for-bit before the plan is returned.
+        traced output becomes the plan's output buffer; replay must
+        reproduce eager bit-for-bit before the plan is returned.
         """
         if getattr(model, "training", False):
             raise PlanUnsupported("plans are traced in eval mode only")
@@ -499,143 +464,66 @@ class InferencePlan:
         if out.data.ndim < 1:
             raise PlanUnsupported("forward returned a scalar; plans need a batch dim")
 
-        param_state = tuple(
-            (param, getattr(param, "_version", 0)) for param in model.parameters()
-        )
         expected = out.data.copy()
         max_batch = x_buf.shape[0]
         inputs = [buf for buf in (x_buf, fn_buf, fc_buf) if buf is not None]
-
-        plan = cls._build(
-            recorder, inputs, x_buf, fn_buf, fc_buf, out.data, param_state,
-            max_batch, use_arena=True,
+        kernels, step_slots, out_slot, arena, arena_nbytes = _compile_steps(
+            recorder.steps, inputs, out.data, max_batch
         )
-        # Self-check: replaying over the traced inputs must reproduce the
-        # eager output exactly.  If arena relocation perturbed a kernel
-        # (alignment-sensitive BLAS paths), retry with standalone buffers
-        # before giving up on the plan entirely.
-        plan._replay_full()
-        if not np.array_equal(plan.output, expected):
-            plan = cls._build(
-                recorder, inputs, x_buf, fn_buf, fc_buf, out.data, param_state,
-                max_batch, use_arena=False,
-            )
-            plan._replay_full()
-            if not np.array_equal(plan.output, expected):
-                raise PlanUnsupported("replay self-check diverged from the eager forward")
-
-        plan._validate_polymorphism(model, x_buf, fn_buf, fc_buf)
-        return plan
-
-    @classmethod
-    def _build(
-        cls,
-        recorder: PlanRecorder,
-        inputs: List[np.ndarray],
-        x_buf: np.ndarray,
-        fn_buf: Optional[np.ndarray],
-        fc_buf: Optional[np.ndarray],
-        output: np.ndarray,
-        param_state,
-        max_batch: int,
-        use_arena: bool,
-    ) -> "InferencePlan":
-        compiled = _compile_steps(recorder.steps, inputs, output, max_batch, use_arena)
         plan = object.__new__(cls)
-        plan._kernels = compiled.kernels
-        plan._step_slots = compiled.step_slots
-        plan._out_slot = compiled.out_slot
-        plan._x_slot = _Slot(x_buf, 0, x_buf.shape[0] // max_batch)
-        plan._fn_slot = None if fn_buf is None else _Slot(fn_buf, 0, fn_buf.shape[0] // max_batch)
-        plan._fc_slot = None if fc_buf is None else _Slot(fc_buf, 0, fc_buf.shape[0] // max_batch)
+        plan._kernels = kernels
+        plan._step_slots = step_slots
+        plan._out_slot = out_slot
+        plan._x_slot = _Slot(x_buf, 0, 1)
+        plan._fn_slot = None if fn_buf is None else _Slot(fn_buf, 0, 1)
+        plan._fc_slot = None if fc_buf is None else _Slot(fc_buf, 0, 1)
         plan._x_buf = x_buf
         plan._fn_buf = fn_buf
         plan._fc_buf = fc_buf
-        plan._arena = compiled.arena
+        plan._arena = arena
         plan._bound = {}
-        plan.output = compiled.out_slot.array
-        plan._param_state = param_state
-        plan.max_batch = max_batch
-        plan.sliceable = compiled.sliceable
-        plan.pad_safe = False
-        plan.naive_nbytes = recorder.arena_nbytes
-        plan.arena_nbytes = compiled.arena_nbytes
-        # (tier, reason) pairs explaining why a replay tier was demoted.
-        plan.demotions = []
-        plan._out_rows = (
-            plan.output.shape[0] // max_batch
-            if plan.output.ndim >= 1 and plan.output.shape[0] % max_batch == 0
-            else 0
+        plan.output = out_slot.array
+        plan._param_state = tuple(
+            (param, getattr(param, "_version", 0)) for param in model.parameters()
         )
+        plan.max_batch = max_batch
+        plan.naive_nbytes = recorder.arena_nbytes
+        plan.arena_nbytes = arena_nbytes
+        plan._self_check(model, expected)
         return plan
 
-    # ------------------------------------------------------------------ #
-    def _validate_polymorphism(self, model, x_buf, fn_buf, fc_buf) -> None:
-        """Cross-check sliced and padded replay against eager at small batches.
+    def _self_check(self, model, expected: np.ndarray) -> None:
+        """Require replay to reproduce eager exactly, or raise.
 
-        Sliced replay must be bit-identical to eager on a strict prefix of
-        the traced inputs; any divergence (baked batch constants, batch-dim
-        reductions) demotes the plan to padded replay, which in turn must
-        reproduce eager on the *real* rows of a padded batch.  Plans
-        failing both serve only their exact traced shape.
+        Prefixes of the traced inputs (batch 1, B/2, B-1) must replay
+        bit-identical to eager at that batch — a kernel that bakes the
+        batch into a reduction diverges here — and the full batch must
+        reproduce the traced output.  The full batch runs last, so the
+        arena ends in the state it verified.
         """
         B = self.max_batch
-        if B <= 1:
-            self.pad_safe = self._out_rows > 0
-            return
-        probes = sorted({1, B // 2, B - 1})
-
-        def eager(b: int) -> np.ndarray:
-            with no_grad():
-                result = model.forward(
-                    Tensor(x_buf[:b].copy()),
-                    future_numerical=None if fn_buf is None else fn_buf[:b].copy(),
-                    future_categorical=None if fc_buf is None else fc_buf[:b].copy(),
-                )
-            return result.data
-
-        if self.sliceable:
-            for b in probes:
-                try:
-                    got = self._run_sliced(
-                        x_buf[:b],
-                        None if fn_buf is None else fn_buf[:b],
-                        None if fc_buf is None else fc_buf[:b],
-                        copy=True,
-                    )
-                except Exception as exc:
-                    self.demotions.append(("sliced", repr(exc)))
-                    self.sliceable = False
-                    break
-                if not np.array_equal(got, eager(b)):
-                    self.demotions.append(("sliced", f"diverged from eager at batch {b}"))
-                    self.sliceable = False
-                    break
-        if not self.sliceable and self._out_rows > 0:
-            b = probes[0]
+        x, fn, fc = self._x_buf, self._fn_buf, self._fc_buf
+        for b in sorted({1, B // 2, B - 1, B} - {0}):
+            prefix = (
+                x[:b],
+                None if fn is None else fn[:b],
+                None if fc is None else fc[:b],
+            )
+            if b == B:
+                want = expected
+            else:
+                with no_grad():
+                    want = model.forward(
+                        Tensor(prefix[0].copy()),
+                        future_numerical=None if fn is None else prefix[1].copy(),
+                        future_categorical=None if fc is None else prefix[2].copy(),
+                    ).data
             try:
-                got = self._run_padded(
-                    x_buf[:b],
-                    None if fn_buf is None else fn_buf[:b],
-                    None if fc_buf is None else fc_buf[:b],
-                    copy=True,
-                )
-                self.pad_safe = np.array_equal(got, eager(b))
-                if not self.pad_safe:
-                    self.demotions.append(("padded", f"diverged from eager at batch {b}"))
+                got = self._replay(*prefix, copy=False)
             except Exception as exc:
-                self.demotions.append(("padded", repr(exc)))
-                self.pad_safe = False
-        # Leave the arena in the full-batch state the self-check verified.
-        self._replay_inputs_full(x_buf, fn_buf, fc_buf)
-
-    def _replay_inputs_full(self, x, fn, fc) -> None:
-        np.copyto(self._x_buf, x)
-        if self._fn_buf is not None:
-            np.copyto(self._fn_buf, fn)
-        if self._fc_buf is not None:
-            np.copyto(self._fc_buf, fc)
-        self._replay_full()
+                raise PlanUnsupported(f"replay failed at batch {b}: {exc!r}") from exc
+            if not np.array_equal(got, want):
+                raise PlanUnsupported(f"replay diverged from eager at batch {b}")
 
     # ------------------------------------------------------------------ #
     def is_stale(self) -> bool:
@@ -646,20 +534,6 @@ class InferencePlan:
     def n_steps(self) -> int:
         return len(self._kernels)
 
-    def serves(self, batch: int) -> bool:
-        """Whether this plan can serve ``batch`` rows."""
-        if batch == self.max_batch:
-            return True
-        return batch < self.max_batch and (self.sliceable or self.pad_safe)
-
-    def _replay_full(self) -> None:
-        bound = self._bound.get(self.max_batch)
-        if bound is None:
-            bound = tuple(tuple(slot.array for slot in slots) for slots in self._step_slots)
-            self._bound[self.max_batch] = bound
-        for kernel, arrays in zip(self._kernels, bound):
-            kernel(*arrays)
-
     def _bind(self, batch: int):
         bound = tuple(
             tuple(slot.bind(batch) for slot in slots) for slots in self._step_slots
@@ -667,7 +541,7 @@ class InferencePlan:
         self._bound[batch] = bound
         return bound
 
-    def _check_shapes(self, x, future_numerical, future_categorical) -> int:
+    def _check_shapes(self, x, future_numerical, future_categorical) -> None:
         batch = x.shape[0] if x.ndim else 0
         if x.shape[1:] != self._x_buf.shape[1:] or batch > self.max_batch or batch < 1:
             raise ValueError(f"plan expects input shape {self._x_buf.shape}, got {x.shape}")
@@ -687,7 +561,6 @@ class InferencePlan:
                     f"plan expects {name} shape {(batch,) + buffer.shape[1:]}, "
                     f"got {np.shape(value)}"
                 )
-        return batch
 
     def run(
         self,
@@ -696,30 +569,16 @@ class InferencePlan:
         future_categorical: Optional[np.ndarray] = None,
         copy: bool = True,
     ) -> np.ndarray:
-        """Execute the plan on fresh inputs of any batch size it serves.
+        """Execute the plan on fresh inputs of any batch up to ``max_batch``.
 
         With ``copy=False`` the internal output buffer is returned: valid
         only until the next ``run`` — callers that retain results (the
         serving layer resolving request handles) must take the copy.
         """
-        batch = self._check_shapes(x, future_numerical, future_categorical)
-        if batch == self.max_batch:
-            np.copyto(self._x_buf, x)
-            if self._fn_buf is not None:
-                np.copyto(self._fn_buf, future_numerical)
-            if self._fc_buf is not None:
-                np.copyto(self._fc_buf, future_categorical)
-            self._replay_full()
-            return self.output.copy() if copy else self.output
-        if self.sliceable:
-            return self._run_sliced(x, future_numerical, future_categorical, copy)
-        if self.pad_safe:
-            return self._run_padded(x, future_numerical, future_categorical, copy)
-        raise ValueError(
-            f"plan expects input shape {self._x_buf.shape}, got {x.shape}"
-        )
+        self._check_shapes(x, future_numerical, future_categorical)
+        return self._replay(x, future_numerical, future_categorical, copy)
 
-    def _run_sliced(self, x, future_numerical, future_categorical, copy) -> np.ndarray:
+    def _replay(self, x, future_numerical, future_categorical, copy) -> np.ndarray:
         batch = x.shape[0]
         bound = self._bound.get(batch)
         if bound is None:
@@ -734,36 +593,17 @@ class InferencePlan:
         out = self._out_slot.bind(batch)
         return out.copy() if copy else out
 
-    def _run_padded(self, x, future_numerical, future_categorical, copy) -> np.ndarray:
-        batch = x.shape[0]
-        # Edge-replicate the last real row: always valid model input (and
-        # in-range for categorical embeddings), recomputed rows beyond
-        # ``batch`` are sliced off below.
-        np.copyto(self._x_buf[:batch], x)
-        np.copyto(self._x_buf[batch:], x[-1:])
-        if self._fn_buf is not None:
-            np.copyto(self._fn_buf[:batch], future_numerical)
-            np.copyto(self._fn_buf[batch:], future_numerical[-1:])
-        if self._fc_buf is not None:
-            np.copyto(self._fc_buf[:batch], future_categorical)
-            np.copyto(self._fc_buf[batch:], future_categorical[-1:])
-        self._replay_full()
-        out = self.output[: batch * self._out_rows]
-        return out.copy() if copy else out
-
 
 @guarded_by(
     "_plans", "_unsupported", "hits", "traces", "fallbacks", "invalidations",
-    "capacity", "max_batch", lock="_lock",
+    "capacity", lock="_lock",
 )
 class CompiledPredictor:
-    """Per-model cache of :class:`InferencePlan` objects, keyed by signature.
+    """Per-model cache of :class:`InferencePlan` objects, one per signature.
 
-    The key is **batch-free**: one cache entry per (trailing input shape,
-    covariate signature), holding power-of-two bucket plans grown on
-    demand.  A sliceable bucket plan serves every smaller batch directly,
-    so the steady state is one plan per signature; non-sliceable models
-    keep at most ``ceil(log2(max_batch)) + 1`` bucket plans.
+    The key is **batch-free**: (trailing input shape, covariate signature).
+    Its plan serves every batch up to the power-of-two bucket it was traced
+    at; a larger batch retraces at ``bucket_for(batch)`` and replaces it.
 
     ``predict`` returns the forecast array, or ``None`` when the caller
     should run eager inference instead (unsupported model, lock contention
@@ -772,16 +612,12 @@ class CompiledPredictor:
     interleaving the two paths is invisible to callers.
     """
 
-    def __init__(self, model, capacity: int = 16, max_batch: int = 32) -> None:
+    def __init__(self, model, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
         self.model = model
         self.capacity = capacity
-        self.max_batch = max_batch
-        # signature -> OrderedDict[bucket batch -> plan]
-        self._plans: "OrderedDict[Tuple, OrderedDict[int, InferencePlan]]" = OrderedDict()
+        self._plans: "OrderedDict[Tuple, InferencePlan]" = OrderedDict()
         # Signatures whose trace failed, tagged with the model's parameter
         # version at failure time: a weight change retires the marker, so a
         # transient failure (bad weights, mid-swap state) never disables
@@ -794,7 +630,7 @@ class CompiledPredictor:
         self.fallbacks = 0
         self.invalidations = 0
         # Weakly bound metrics-registry view over the cache counters, so
-        # hit/trace/fallback/demotion rates show up next to the serving
+        # hit/trace/fallback rates show up next to the serving
         # latency histograms without a second bookkeeping path.
         obs.register_stats("repro_plan_cache", self._stats_snapshot)
 
@@ -806,7 +642,7 @@ class CompiledPredictor:
                 "traces": self.traces,
                 "fallbacks": self.fallbacks,
                 "invalidations": self.invalidations,
-                "plans": sum(len(buckets) for buckets in self._plans.values()),
+                "plans": len(self._plans),
             }
 
     @staticmethod
@@ -815,8 +651,8 @@ class CompiledPredictor:
         future_numerical: Optional[np.ndarray],
         future_categorical: Optional[np.ndarray],
     ) -> Tuple:
-        # Batch-free: the leading dim is served polymorphically by bucket
-        # plans, so it must not fragment the cache.
+        # Batch-free: the leading dim is served polymorphically by the
+        # bucket plan, so it must not fragment the cache.
         return (
             x.shape[1:],
             None if future_numerical is None else np.shape(future_numerical)[1:],
@@ -825,7 +661,7 @@ class CompiledPredictor:
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(buckets) for buckets in self._plans.values())
+            return len(self._plans)
 
     def reserve(self, capacity: int) -> None:
         """Grow (never shrink) the signature-entry budget.
@@ -838,17 +674,6 @@ class CompiledPredictor:
         """
         with self._lock:
             self.capacity = max(self.capacity, int(capacity))
-
-    def grow_max_batch(self, max_batch: int) -> None:
-        """Raise (never shrink) the configured polymorphic trace width.
-
-        ``max_batch`` is the batch size ``warmup`` paths trace at — one
-        sliceable plan at that width serves every smaller batch.  Growing
-        it never invalidates existing plans; they keep serving their own
-        buckets.
-        """
-        with self._lock:
-            self.max_batch = max(self.max_batch, int(max_batch))
 
     def _parameter_version(self) -> int:
         version = getattr(self.model, "parameter_version", None)
@@ -873,14 +698,8 @@ class CompiledPredictor:
     ) -> Optional[InferencePlan]:
         """The cached plan that would serve this input, if any (test helper)."""
         with self._lock:
-            buckets = self._plans.get(self._key(x, future_numerical, future_categorical))
-            if not buckets:
-                return None
-            batch = x.shape[0]
-            for size in sorted(buckets):
-                if size >= batch and buckets[size].serves(batch):
-                    return buckets[size]
-            return None
+            plan = self._plans.get(self._key(x, future_numerical, future_categorical))
+            return plan if plan is not None and x.shape[0] <= plan.max_batch else None
 
     @staticmethod
     def _padded(buf: Optional[np.ndarray], target: int) -> Optional[np.ndarray]:
@@ -901,7 +720,7 @@ class CompiledPredictor:
         future_numerical: Optional[np.ndarray] = None,
         future_categorical: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
-        """Run (tracing on demand) the bucket plan serving this input.
+        """Run (tracing on demand) the plan serving this input.
 
         Returns ``None`` when the caller must fall back to eager inference.
         Exceptions raised by the model's own ``forward`` (validation
@@ -935,30 +754,23 @@ class CompiledPredictor:
             # Weights changed since the failed trace: retry below.
             del self._unsupported[key]
         batch = x.shape[0]
-        buckets = self._plans.get(key)
-        if buckets is not None:
-            for size in sorted(buckets):
-                plan = buckets[size]
-                if plan.is_stale():
-                    del buckets[size]
-                    self.invalidations += 1
-                    continue
-                if size >= batch and plan.serves(batch):
-                    self._plans.move_to_end(key)
-                    self.hits += 1
-                    with obs.span("plan.replay", batch=batch, bucket=size):
-                        return plan.run(x, future_numerical, future_categorical, copy=True)
+        plan = self._plans.get(key)
+        if plan is not None and plan.is_stale():
+            del self._plans[key]
+            self.invalidations += 1
+            plan = None
+        if plan is not None and batch <= plan.max_batch:
+            self._plans.move_to_end(key)
+            self.hits += 1
+            with obs.span("plan.replay", batch=batch, bucket=plan.max_batch):
+                return plan.run(x, future_numerical, future_categorical, copy=True)
         if getattr(self.model, "training", False):
             # Tracing needs eval mode; don't poison the cache —
             # the caller may flip the flag and retry.
             return None
-        # Trace a new bucket plan.  Exact-only models (both polymorphic
-        # validations failed) get an exact-shape plan for this batch
-        # instead — the pre-refactor behavior, kept as the safety floor.
-        exact_only = buckets is not None and any(
-            not (plan.sliceable or plan.pad_safe) for plan in buckets.values()
-        )
-        target = batch if exact_only else bucket_for(batch)
+        # Trace at this batch's bucket; the new plan serves every smaller
+        # batch too, so it replaces the signature's old one.
+        target = bucket_for(batch)
         try:
             plan = InferencePlan.trace(
                 self.model,
@@ -973,29 +785,12 @@ class CompiledPredictor:
             self.fallbacks += 1
             return None
         self.traces += 1
-        if buckets is None:
-            buckets = self._plans.setdefault(key, OrderedDict())
-        if plan.sliceable:
-            # One polymorphic plan covers every smaller bucket: drop them.
-            for size in [s for s in buckets if s < target]:
-                del buckets[size]
-        buckets[target] = plan
+        self._plans[key] = plan
         self._plans.move_to_end(key)
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
         if target == batch:
             # The trace itself already computed this call's forecast.
             return plan.output.copy()
-        if plan.serves(batch):
-            with obs.span("plan.replay", batch=batch, bucket=target):
-                return plan.run(x, future_numerical, future_categorical, copy=True)
-        # Padded trace of an exact-only model: its output rows are not
-        # trustworthy for this batch — retrace at the exact shape.
-        try:
-            exact = InferencePlan.trace(self.model, x, future_numerical, future_categorical)
-        except PlanUnsupported:
-            self.fallbacks += 1
-            return None
-        self.traces += 1
-        buckets[batch] = exact
-        return exact.output.copy()
+        with obs.span("plan.replay", batch=batch, bucket=target):
+            return plan.run(x, future_numerical, future_categorical, copy=True)

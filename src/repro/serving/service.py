@@ -76,11 +76,6 @@ _PRIORITY_LATENCY_SECONDS = obs.histogram(
     "submit-to-resolve latency per request, split by priority class",
     labels=("priority",),
 )
-_SHED_TOTAL = obs.counter(
-    "repro_serving_shed_total",
-    "requests refused or failed by admission control, by reason",
-    labels=("reason",),
-)
 
 
 @dataclass
@@ -162,7 +157,7 @@ class ForecastService:
             # shape population — tail batches of any size replay the same
             # bucket plan.  Align the predictor's polymorphic trace width
             # with the service's micro-batch ceiling.
-            model.compiled_predictor(max_batch=max_batch_size).reserve(4)
+            model.compiled_predictor().reserve(4)
         #: admission policy; the default is inert (unbounded queue, no
         #: deadlines) so un-configured services behave exactly as before.
         self.admission = admission if admission is not None else AdmissionPolicy()
@@ -350,7 +345,6 @@ class ForecastService:
         n = len(request)
         if request.deadline is not None and request.deadline <= now:
             self.stats.shed_expired += n
-            _SHED_TOTAL.labels(reason="expired").inc(n)
             request._fail(
                 DeadlineExceeded(
                     f"deadline passed {now - request.deadline:.3f}s before admission"
@@ -367,7 +361,6 @@ class ForecastService:
                 if victim is None:
                     rest = n - start
                     self.stats.shed_overloaded += rest
-                    _SHED_TOTAL.labels(reason="overloaded").inc(rest)
                     request.span(start, n)._fail(
                         Overloaded(
                             f"pending queue full ({limit}) with no lower-priority "
@@ -377,7 +370,6 @@ class ForecastService:
                     )
                     break
                 self.stats.shed_overloaded += 1
-                _SHED_TOTAL.labels(reason="overloaded").inc()
                 victim._fail(
                     Overloaded(
                         f"{victim.priority!r} request displaced from a full queue "
@@ -642,32 +634,27 @@ class ForecastService:
             start = row
         return runs
 
-    def warmup(self, batch_sizes: Optional[Sequence[int]] = None) -> int:
-        """Pre-trace the polymorphic compiled plan off the request path.
+    def warmup(self) -> int:
+        """Pre-trace the compiled plan off the request path.
 
         First-request latency on a fresh service (cold start, failover
         replacement, restored snapshot) includes the plan trace; ``warmup``
-        moves that cost up front.  Plans are batch-polymorphic, so one
-        trace at ``max_batch_size`` (the default) serves *every* smaller
-        batch — warming is one trace, not a shape sweep.  Explicit
-        ``batch_sizes`` are probed largest-first: for a sliceable plan the
-        smaller sizes are cache hits; a model demoted to exact-shape plans
-        warms each size individually.  Returns the number of plans
-        actually traced (0 when the model or the service runs eager).
+        moves that cost up front.  One plan traced at ``max_batch_size``
+        serves every smaller batch on leading-dim slices, so warming is one
+        trace, not a shape sweep.  Returns the number of plans actually
+        traced (0 when the model or the service runs eager, or when the
+        model's trace is unsupported and it serves eager).
         """
         if not self.compiled or not getattr(self.model, "supports_compiled_plan", False):
             return 0
-        sizes = sorted({int(n) for n in (batch_sizes or (self.max_batch_size,))})
-        if any(n < 1 for n in sizes):
-            raise ValueError(f"batch sizes must be positive, got {sizes}")
         predictor = self.model.compiled_predictor()
         template = np.zeros(
-            (sizes[-1], self.config.input_length, self.config.n_channels), dtype=np.float32
+            (self.max_batch_size, self.config.input_length, self.config.n_channels),
+            dtype=np.float32,
         )
         with self._lock:
             before = predictor.traces
-            for n in reversed(sizes):
-                self.model.predict(template[:n], compiled=True)
+            self.model.predict(template, compiled=True)
             return predictor.traces - before
 
     def _run_batch(self, batch) -> np.ndarray:
@@ -701,7 +688,6 @@ class ForecastService:
                     now = obs.now()
                 if request.deadline <= now:
                     self.stats.deadline_misses += len(request)
-                    _SHED_TOTAL.labels(reason="deadline").inc(len(request))
                     request._fail(
                         DeadlineExceeded(
                             f"{request.priority!r} request expired in queue "

@@ -341,14 +341,14 @@ class StreamingForecaster:
         """Flush the underlying service queue; returns requests resolved."""
         return self.service.flush()
 
-    def warmup(self, batch_sizes: Optional[Sequence[int]] = None) -> int:
-        """Pre-trace the service's compiled plans (see
+    def warmup(self) -> int:
+        """Pre-trace the service's compiled plan (see
         :meth:`~repro.serving.service.ForecastService.warmup`).
 
         Useful right after building or restoring a forecaster, so the
         first live tick doesn't pay the plan-tracing latency.
         """
-        return self.service.warmup(batch_sizes)
+        return self.service.warmup()
 
     def drop(self, tenant: str) -> None:
         """Forget a tenant entirely: ring buffer, timestamp AND scaler.

@@ -1,6 +1,10 @@
 """Per-rule fixture tests: each rule fires on a bad snippet, stays silent
 on the corresponding good one (the shape the real code uses)."""
 
+import ast
+from pathlib import Path
+
+import repro.nn.plan
 from repro.analysis.rules.bans import PickleBanRule
 from repro.analysis.rules.exceptions import ExceptHygieneRule
 from repro.analysis.rules.grad_mode import GradModeRule
@@ -214,6 +218,57 @@ class TestReplayAlloc:
 
     def test_replay_path_names_only_special_in_plan_module(self, lint):
         assert lint(self.BAD_REPLAY_PATH, rules=[ReplayAllocRule]) == []
+
+    def test_real_plan_kernel_dispatch_is_linted(self, lint):
+        """Every function of the real ``nn/plan.py`` that runs the
+        ``kernel(*arrays)`` loop must be a replay-alloc scope: an
+        allocation planted in it is flagged.  A rename that drops the
+        dispatch out of the scope naming fails here, not silently."""
+        tree = ast.parse(Path(repro.nn.plan.__file__).read_text(encoding="utf-8"))
+        dispatchers = _kernel_dispatchers(tree)
+        assert dispatchers, "no kernel(*arrays) loop found in nn/plan.py"
+        for qual, function in dispatchers:
+            function.body.insert(0, ast.parse("np.stack(())").body[0])
+            findings = lint(ast.unparse(tree), path="repro/nn/plan.py", rules=[ReplayAllocRule])
+            del function.body[0]
+            assert any(
+                f.symbol == qual and "np.stack" in f.message for f in findings
+            ), f"{qual} runs the replay kernels but is not a replay-alloc scope"
+
+
+def _kernel_dispatchers(tree):
+    """``(qualname, def)`` of functions whose own body calls ``kernel(*arrays)``."""
+    found = []
+
+    def calls_kernel(function):
+        stack = list(function.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "kernel"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Starred)
+            ):
+                return True
+            stack.extend(ast.iter_child_nodes(node))
+        return False
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                child_qual = f"{qual}.{child.name}" if qual else child.name
+                if not isinstance(child, ast.ClassDef) and calls_kernel(child):
+                    found.append((child_qual, child))
+                visit(child, child_qual)
+            else:
+                visit(child, qual)
+
+    visit(tree, "")
+    return found
 
 
 class TestGradMode:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
-from repro.core import BasePredictor, LiPFormer
+from repro.core import BasePredictor, ForecastModel, LiPFormer
 from repro.nn import AdamW, InferencePlan, PlanUnsupported, Tensor, no_grad
 from repro.nn.plan import CompiledPredictor
 
@@ -37,6 +37,30 @@ def _covariates(rng, batch, config):
         axis=-1,
     )
     return fn, fc
+
+
+class _BatchCoupled(ForecastModel):
+    """A toy forward whose sample rows depend on other samples' rows."""
+
+    supports_compiled_plan = True
+
+    def __init__(self, config, couple):
+        super().__init__(config)
+        self.couple = couple
+
+    def forward(self, x, future_numerical=None, future_categorical=None):
+        return self.couple(x)[:, -self.config.horizon:, :]
+
+
+# (batch coupling, the PlanUnsupported reason it must trace to)
+BATCH_COUPLED = {
+    # the mean buffer's leading dim is 1 at every batch
+    "mean-keepdims": (lambda x: x - x.mean(axis=0, keepdims=True), "does not scale"),
+    # (48, 3) looks batch-scaled, but its prefix slice breaks the kernel
+    "mean": (lambda x: x - x.mean(axis=0), "replay failed at batch 1"),
+    # a reversed view has no leading-dim prefix
+    "reversed": (lambda x: x[::-1] * 1.0, "no prefix slice"),
+}
 
 
 class TestInferencePlan:
@@ -154,13 +178,13 @@ class TestParameterVersion:
 class TestCompiledPredictor:
     def test_predict_matches_eager_across_bucketed_batches(self, plain_config, rng):
         model = LiPFormer(plain_config).eval()
-        predictor = CompiledPredictor(model, max_batch=8)
+        predictor = CompiledPredictor(model)
         for batch in (1, 2, 4):
             x = rng.normal(size=(batch, 48, 3)).astype(np.float32)
             assert np.array_equal(predictor.predict(x), model.predict(x))   # trace
             assert np.array_equal(predictor.predict(x), model.predict(x))   # replay
-        # Each ascending power-of-two batch traced its bucket, but a
-        # sliceable bucket plan subsumes every smaller one: one plan left.
+        # Each ascending power-of-two batch traced its bucket, and each
+        # bucket plan replaced the smaller one: one plan left.
         assert len(predictor) == 1
         assert predictor.traces == 3 and predictor.hits == 3
         # A batch strictly inside the warm bucket needs no new trace.
@@ -170,7 +194,7 @@ class TestCompiledPredictor:
 
     def test_warm_at_max_batch_serves_all_batches_from_one_plan(self, plain_config, rng):
         model = LiPFormer(plain_config).eval()
-        predictor = CompiledPredictor(model, max_batch=8)
+        predictor = CompiledPredictor(model)
         predictor.predict(rng.normal(size=(8, 48, 3)).astype(np.float32))
         for batch in range(1, 9):
             x = rng.normal(size=(batch, 48, 3)).astype(np.float32)
@@ -245,6 +269,22 @@ class TestCompiledPredictor:
         assert len(predictor) == 1
         for x in good:
             assert predictor.plan_for(x) is not None
+
+    @pytest.mark.parametrize("coupling", sorted(BATCH_COUPLED))
+    def test_batch_coupled_model_falls_back_to_eager(self, plain_config, rng, coupling):
+        """A forward that couples samples has no prefix-sliced replay: the
+        trace is unsupported and the signature serves eager."""
+        couple, reason = BATCH_COUPLED[coupling]
+        model = _BatchCoupled(plain_config, couple).eval()
+        with pytest.raises(PlanUnsupported, match=reason):
+            InferencePlan.trace(model, rng.normal(size=(4, 48, 3)).astype(np.float32))
+        predictor = model.compiled_predictor()
+        x = rng.normal(size=(3, 48, 3)).astype(np.float32)
+        for _ in range(2):
+            assert predictor.predict(x) is None
+            assert np.array_equal(model.predict(x, compiled=True), model.predict(x))
+        assert predictor.fallbacks == 4 and predictor.traces == 0
+        assert predictor.plan_for(x) is None
 
     def test_run_rejects_wrong_covariate_shape(self, covariate_config, rng):
         model = LiPFormer(covariate_config).eval()

@@ -222,13 +222,14 @@ def _series(metric_name):
 
 class TestShedMetrics:
     def test_shed_reasons_are_counted(self, history):
+        # Shedding is counted once, in ServiceStats; the registry exports
+        # those fields as the repro_serving_* views.
         service = make_service(AdmissionPolicy(queue_limit=1))
+        names = ("shed_overloaded", "shed_expired", "deadline_misses")
 
         def shed_counts():
-            return {
-                labels: s["value"]
-                for labels, s in _series("repro_serving_shed_total").items()
-            }
+            views = obs.default_registry().views_snapshot()
+            return {name: views.get(f"repro_serving_{name}", 0.0) for name in names}
 
         before = shed_counts()
         with obs.observability(metrics=True):
@@ -238,10 +239,8 @@ class TestShedMetrics:
             with pytest.raises(DeadlineExceeded):
                 service.submit(history, deadline=obs.now() - 1.0)
         after = shed_counts()
-        overloaded = (("reason", "overloaded"),)
-        expired = (("reason", "expired"),)
-        assert after.get(overloaded, 0.0) - before.get(overloaded, 0.0) == 1.0
-        assert after.get(expired, 0.0) - before.get(expired, 0.0) == 1.0
+        delta = {name: after[name] - before[name] for name in names}
+        assert delta == {"shed_overloaded": 1.0, "shed_expired": 1.0, "deadline_misses": 0.0}
         service.flush()
 
     def test_per_priority_latency_recorded(self, history):

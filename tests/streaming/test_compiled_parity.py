@@ -58,11 +58,12 @@ class TestCompiledStreamingParity:
         model = LiPFormer(config)
         service = ForecastService(model, max_batch_size=4, compiled=True)
         forecaster = StreamingForecaster(service)
-        assert forecaster.warmup(batch_sizes=(3,)) == 1
+        assert forecaster.warmup() == 1
         predictor = model.compiled_predictor()
         traced = predictor.traces
         streams = make_streams(rng, 3, config.input_length + 2)
         replay(forecaster, streams, warmup=config.input_length)
-        # The 3-tenant flush shape was pre-traced: every tick was a plan hit.
+        # The plan traced at max_batch_size serves the 3-tenant flush on a
+        # leading-dim slice: every tick was a plan hit.
         assert predictor.traces == traced
         assert predictor.hits > 0
