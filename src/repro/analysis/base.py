@@ -10,7 +10,7 @@ per run (rules may keep per-run state, e.g. cross-file caches).
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Type
 
 from .findings import Finding
 
@@ -71,25 +71,6 @@ def get_rule(rule_id: str) -> Optional[Type[Rule]]:
 # ---------------------------------------------------------------------- #
 # Shared AST utilities.
 # ---------------------------------------------------------------------- #
-def walk_functions(tree: ast.AST) -> Iterator[tuple]:
-    """Yield ``(qualname, function_node, class_node_or_None)`` for every
-    function/method in the module, including nested ones."""
-
-    def visit(node: ast.AST, prefix: str, owner: Optional[ast.ClassDef]):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}" if prefix else child.name
-                yield qual, child, owner
-                yield from visit(child, f"{qual}.", owner)
-            elif isinstance(child, ast.ClassDef):
-                qual = f"{prefix}{child.name}" if prefix else child.name
-                yield from visit(child, f"{qual}.", child)
-            else:
-                yield from visit(child, prefix, owner)
-
-    yield from visit(tree, "", None)
-
-
 def decorator_name(node: ast.expr) -> str:
     """The dotted name of a decorator expression (call or bare)."""
     target = node.func if isinstance(node, ast.Call) else node

@@ -75,9 +75,13 @@ class Shard(Protocol):
 
     Routed calls run under the topology read lock plus ``lock``;
     control-plane calls run under the topology write lock.  ``census``
-    (tenant → (observed rows, generation)) must still answer after the
-    shard died: failover reads it to account for every tenant the dead
-    replica held.  ``start(op, **fields)`` / ``collect()`` are the two
+    maps tenant → (observed rows, generation) and counts every row
+    ``ingest`` accepted, including rows a transport still holds for
+    later delivery (a process shard's write-behind buffer).  It must
+    still answer after the shard died: failover reads it to account for
+    every tenant the dead replica held, so a row that died undelivered
+    shows up as ``stale`` (or its tenant as ``lost``) like any row
+    ingested after the last checkpoint.  ``start(op, **fields)`` / ``collect()`` are the two
     halves of :func:`fan_out`, for the ops ``forecast_all``, ``flush``,
     ``warmup``, ``to_state``, ``delta_state``, ``clear_dirty`` and
     ``restore``.
@@ -492,7 +496,9 @@ class Coordinator:
 
         Holds the topology read lock (arrivals for different shards
         proceed concurrently) plus the owning shard's lock, so an arrival
-        can never land on a shard mid-migration and vanish.
+        can never land on a shard mid-migration and vanish.  A process
+        shard validates and buffers the rows; the next frame to its
+        worker, whatever its command, applies them first.
         """
         with self._topology.read():
             shard = self._shards[self._assign_locked(tenant)]

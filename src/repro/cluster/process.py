@@ -19,10 +19,15 @@ What is genuinely different about real processes:
 * **Death is a signal, not a simulation.**  A ``kill -9``'d worker is
   detected by pipe-EOF / heartbeat timeout (:meth:`detect_failures`,
   :class:`~repro.errors.WorkerDied`), never by a hang.
+* **A round trip per row would dominate.**  Ingest is write-behind:
+  :class:`ProcessShard` validates and buffers rows, and every frame to
+  the worker carries them ahead of its command as one columnar batch,
+  so a tick of ingests plus a sweep is one frame per worker.
 * **The dead shard's memory is actually gone.**  Each
-  :class:`ProcessShard` therefore mirrors a per-tenant **census** —
-  (observed rows, generation) from every ingest/import ack — which
-  survives the worker and keeps failover accounting exact.
+  :class:`ProcessShard` therefore keeps a per-tenant **census** —
+  (observed rows, generation), buffered rows included, confirmed by
+  every ack — which survives the worker and keeps failover accounting
+  exact.
 * **Serving counters die with the replica.**  Stats polled from workers
   are cached per shard; at failover the last-polled snapshot folds into
   the retired accumulators.
@@ -51,11 +56,12 @@ from ..errors import (
     WorkerStalled,
 )
 from ..runtime import SerialExecutor
+from ..runtime.annotations import guarded_by, requires_lock
 from ..runtime.locks import TrackedRLock
 from ..runtime.resilience import CircuitBreaker, RetryPolicy
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import StreamingStats
-from ..streaming.store import StoreStats
+from ..streaming.forecaster import StreamingStats, _per_row
+from ..streaming.store import StoreStats, check_timestamp_order
 from ..testing import faults as _faults
 from .coordinator import Coordinator, Stats, fan_out
 from .sharded import ShardedForecaster
@@ -81,7 +87,16 @@ _SHARD_RETRIES = obs.counter(
 _COMMANDS = {"to_state": "state", "delta_state": "delta"}
 _DECODE = {"warmup": lambda reply: int(reply["traced"]), "to_state": lambda reply: reply["state"]}
 
+#: write-behind cap: once a shard holds this many buffered rows, the
+#: ingest that reached it ships them on a frame of their own instead of
+#: waiting for the next command
+BUFFER_ROWS = 4096
 
+
+@guarded_by(
+    "_buffer", "_buffered_rows", "_in_flight", "_census", "_watermarks", "_tombstones",
+    lock="lock",
+)
 class ProcessShard:
     """One worker process plus its request/reply socket.
 
@@ -92,6 +107,15 @@ class ProcessShard:
     other shards.  The socket is only touched under ``lock``:
     :meth:`request` takes it, and a fan-out holds it from ``start`` to
     ``collect``.
+
+    Ingest is **write-behind**: :meth:`ingest` validates rows against
+    what the worker would accept and buffers them, and every frame
+    :meth:`send` writes carries the buffer ahead of its command, so the
+    worker applies the rows first.  A tick of ingests plus one sweep is
+    one frame per worker.  Rows leave the buffer only once their frame
+    is written, so a send that never happened (transient fault, open
+    breaker) leaves them for the next frame; they are lost only with the
+    worker, and the census (which counts them) reports that at failover.
 
     Failure handling is graduated:
 
@@ -114,6 +138,7 @@ class ProcessShard:
     def __init__(
         self,
         shard_id: str,
+        n_channels: int,
         request_timeout: float = 120.0,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -121,6 +146,7 @@ class ProcessShard:
         if request_timeout <= 0:
             raise ValueError(f"request_timeout must be > 0, got {request_timeout}")
         self.shard_id = shard_id
+        self.n_channels = n_channels
         self.request_timeout = request_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker(shard_id)
@@ -132,13 +158,25 @@ class ProcessShard:
         self._sent_at = 0.0
         self._seq_ids = itertools.count(1)
         self._pending_seq: Optional[int] = None
-        # tenant -> (observed rows, generation), refreshed from every
-        # ingest/import/restore acknowledgement: after a kill -9 the
-        # worker's store is unreadable, and this is what failover reads.
+        # Accepted rows no frame has carried yet: (tenant, [T, C] float32
+        # rows, timestamp) per ingest() call, in arrival order.
+        self._buffer: List[Tuple[str, np.ndarray, object]] = []
+        self._buffered_rows = 0
+        # Tenants of the batch the last written frame carried, aligned with
+        # the census acks its reply brings back.
+        self._in_flight: List[str] = []
+        # tenant -> (observed rows, generation), buffered rows included.
+        # Projected at ingest and confirmed by every ack; after a kill -9
+        # the worker's store is unreadable, and this is what failover reads.
         self._census: Dict[str, Tuple[int, int]] = {}
+        # What the worker's store would check a new row against: the last
+        # accepted timestamp per tenant, and the generation a dropped key
+        # comes back with.
+        self._watermarks: Dict[str, object] = {}
+        self._tombstones: Dict[str, int] = {}
         # Unresolved forecast handles, keyed by request id.
-        self._pending: Dict[str, PendingForecast] = {}
-        self._request_ids = itertools.count(1)
+        self._pending: Dict[int, PendingForecast] = {}
+        self._next_request = 1
         # Last stats poll: the fold-in source when the worker dies.
         self._last_stats: Optional[Stats] = None
         # The fan-out leg in flight: (op, sweep handles, deadline); op is
@@ -156,11 +194,13 @@ class ProcessShard:
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
+    @requires_lock("lock")
     def send(self, command: str, **fields) -> None:
         """Write one sequence-stamped request frame (no reply collected yet).
 
-        Gated by the shard's circuit breaker: while the breaker is open
-        this raises :class:`~repro.errors.CircuitOpen` with zero I/O.
+        The frame carries every buffered row ahead of the command.  Gated
+        by the shard's circuit breaker: while the breaker is open this
+        raises :class:`~repro.errors.CircuitOpen` with zero I/O.
         """
         if self._dead is not None:
             raise WorkerDied(self.shard_id, self._dead)
@@ -171,6 +211,8 @@ class ProcessShard:
         message["cmd"] = command
         seq = next(self._seq_ids)
         message["seq"] = seq
+        if self._buffer:
+            message["rows"] = self._batch()
         if obs.tracing_enabled():
             message["trace"] = True
             parent = obs.current_span()
@@ -180,7 +222,7 @@ class ProcessShard:
             wire.send_message(self._sock, message)
         except TransientWireError:
             # Pre-write hiccup: nothing reached the worker, so a retry of
-            # this send is sound and no reply is pending.
+            # this send is sound, no reply is pending and the rows stay.
             raise
         except TimeoutError:
             self.breaker.record_failure()
@@ -189,14 +231,31 @@ class ProcessShard:
             self.breaker.record_failure()
             self._mark_dead(f"send failed ({command}): {error}")
         self._pending_seq = seq
+        self._in_flight = [entry[0] for entry in self._buffer]
+        self._buffer = []
+        self._buffered_rows = 0
 
+    @requires_lock("lock")
+    def _batch(self) -> dict:
+        """The buffer as one columnar batch (the worker's ``ingest_many``)."""
+        buffer = self._buffer
+        timestamps = [entry[2] for entry in buffer]
+        return {
+            "tenants": [entry[0] for entry in buffer],
+            "counts": np.array([len(entry[1]) for entry in buffer], dtype=np.int64),
+            "values": np.concatenate([entry[1] for entry in buffer]),
+            "timestamps": None if all(t is None for t in timestamps) else timestamps,
+        }
+
+    @requires_lock("lock")
     def receive(self, timeout: Optional[float] = None) -> dict:
         """Collect the pending reply frame; re-raises worker errors typed.
 
         Replies whose echoed ``seq`` predates the pending request are
         stale remnants of a timed-out call — drained and discarded, which
         is what lets a stalled shard resynchronise instead of staying
-        dead forever.
+        dead forever.  A reply's census acks (one per row entry its frame
+        carried) refresh the census before any error is raised.
         """
         if self._dead is not None:
             raise WorkerDied(self.shard_id, self._dead)
@@ -233,6 +292,13 @@ class ProcessShard:
                 continue  # stale reply of a stalled earlier request — drain it
             break
         self._pending_seq = None
+        acks = reply.pop("acks", None)
+        if acks is not None:
+            census = self._census
+            for tenant, observed, generation in zip(
+                self._in_flight, acks["observed"].tolist(), acks["generation"].tolist()
+            ):
+                census[tenant] = (observed, generation)
         spans = reply.pop("spans", None)
         if spans:
             rebase = 0.0
@@ -270,13 +336,59 @@ class ProcessShard:
         self._dead = reason
         raise WorkerDied(self.shard_id, reason)
 
+    def _request_ids(self, count: int) -> range:
+        first = self._next_request
+        self._next_request += count
+        return range(first, first + count)
+
     # ------------------------------------------------------------------ #
     # Routed traffic
     # ------------------------------------------------------------------ #
+    @requires_lock("lock")
     def ingest(self, tenant: str, values: np.ndarray, timestamp) -> int:
-        reply = self.request("ingest", tenant=tenant, values=np.asarray(values), timestamp=timestamp)
-        self._census[tenant] = (int(reply["total"]), int(reply["generation"]))
-        return int(reply["total"])
+        """Accept rows into the write-behind buffer; returns the tenant's
+        total observed rows, buffered ones included.
+
+        Everything the worker's store would reject is rejected here, with
+        the thread backend's exception types, before the row is buffered:
+        the shape against the replica's channel count, and the timestamp
+        against the tenant's watermark.  A timestamp the wire codec cannot
+        encode raises ``TypeError`` now rather than failing a later frame.
+        A dead worker raises :class:`WorkerDied` and an open breaker
+        :class:`~repro.errors.CircuitOpen` (without taking the half-open
+        probe, which belongs to the frame that will carry the row).
+        """
+        if self._dead is None and self.process.poll() is not None:
+            self._dead = "worker process exited"
+        if self._dead is not None:
+            raise WorkerDied(self.shard_id, self._dead)
+        self.breaker.check()
+        # A copy: the caller may reuse its array before the frame goes out.
+        values = np.array(values, dtype=np.float32)
+        if values.ndim == 1:
+            values = values[None, :]
+        if values.ndim != 2 or values.shape[1] != self.n_channels:
+            raise ValueError(f"expected [T, {self.n_channels}] rows, got shape {values.shape}")
+        if timestamp is not None:
+            wire.encode_state(timestamp)
+            check_timestamp_order(tenant, timestamp, self._watermarks.get(tenant))
+            self._watermarks[tenant] = timestamp
+        entry = self._census.get(tenant)
+        if entry is None:
+            entry = (0, self._tombstones.pop(tenant, 0))
+        total = entry[0] + len(values)
+        self._census[tenant] = (total, entry[1])
+        self._buffer.append((tenant, values, timestamp))
+        self._buffered_rows += len(values)
+        if self._buffered_rows >= BUFFER_ROWS:
+            try:
+                self.request("ping")
+            except ConnectionError:
+                # The row is accepted either way: an unsent frame left it
+                # buffered for the next one, and a dead worker's census
+                # reports it at failover.
+                pass
+        return total
 
     def forecast(self, tenant, future_numerical, future_categorical, priority, timeout, deadline):
         """Queue one forecast in the worker.  The deadline crosses the wire
@@ -284,7 +396,7 @@ class ProcessShard:
         so the worker re-anchors it at admission."""
         if timeout is not None and deadline is not None:
             raise ValueError("pass either timeout (relative) or deadline (absolute), not both")
-        request_id = str(next(self._request_ids))
+        (request_id,) = self._request_ids(1)
         self.request(
             "submit",
             id=request_id,
@@ -299,24 +411,34 @@ class ProcessShard:
         return handle
 
     def drop(self, tenant: str) -> None:
-        self.request("drop", tenant=tenant)
-        self._census.pop(tenant, None)
+        with self.lock:
+            self.request("drop", tenant=tenant)
+            self._watermarks.pop(tenant, None)
+            entry = self._census.pop(tenant, None)
+            if entry is not None:
+                self._tombstones[tenant] = entry[1] + 1
 
     # ------------------------------------------------------------------ #
     # Control plane
     # ------------------------------------------------------------------ #
     def tenants(self) -> List[str]:
-        return list(self._census)
+        with self.lock:
+            return list(self._census)
 
     def census(self) -> Dict[str, Tuple[int, int]]:
-        return dict(self._census)
+        with self.lock:
+            return dict(self._census)
 
     def export_tenant(self, tenant: str) -> dict:
         return self.request("export_tenant", tenant=tenant)["payload"]
 
     def import_tenant(self, tenant: str, payload: dict) -> None:
-        reply = self.request("import_tenant", tenant=tenant, payload=payload)
-        self._census[tenant] = (int(reply["observed"]), int(reply["generation"]))
+        with self.lock:
+            reply = self.request("import_tenant", tenant=tenant, payload=payload)
+            self._census[tenant] = (int(reply["observed"]), int(reply["generation"]))
+            watermark = payload["series"].get("last_timestamp")
+            if watermark is not None:
+                self._watermarks[tenant] = watermark
 
     def stats(self) -> Optional[Stats]:
         """Poll the worker's counters; a sick worker contributes its last
@@ -339,11 +461,17 @@ class ProcessShard:
     # ------------------------------------------------------------------ #
     # Split-phase fan-out legs
     # ------------------------------------------------------------------ #
+    @requires_lock("lock")
     def start(self, op: str, **fields) -> None:
         """Send this shard's frame of a fan-out; :meth:`collect` reads the reply."""
         if op == "forecast_all":
             self._start_sweep(**fields)
             return
+        if op == "restore":
+            # The replaced store's watermarks, which new rows must follow;
+            # its tombstones are in-memory only and do not survive.
+            self._watermarks = dict(fields["state"]["store"]["last_timestamps"])
+            self._tombstones = {}
         self._leg = (op, None, None)
         try:
             self._retrying(lambda: self.send(_COMMANDS.get(op, op), **fields))
@@ -351,29 +479,30 @@ class ProcessShard:
             self._fail_pending(str(error))
             raise
 
+    @requires_lock("lock")
     def _start_sweep(
         self, tenants, flush, future_numerical, future_categorical, priority, deadline, skip_missing
     ) -> None:
         if skip_missing:
-            # The census is exact under the shard lock: a tenant dropped
-            # since the caller enumerated it simply drops out.
+            # The census is exact under the shard lock (buffered tenants
+            # included: their rows ride this frame ahead of the sweep), so
+            # a tenant dropped since the caller enumerated it drops out.
             tenants = [tenant for tenant in tenants if tenant in self._census]
         budget = None if deadline is None else deadline - obs.now()
-        entries, handles = [], {}
-        for tenant in tenants:
-            request_id = str(next(self._request_ids))
-            entries.append(
-                {
-                    "id": request_id,
-                    "tenant": tenant,
-                    "fn": future_numerical.get(tenant),
-                    "fc": future_categorical.get(tenant),
-                    "priority": priority,
-                    "budget": budget,
-                }
-            )
+        ids = self._request_ids(len(tenants))
+        handles = {}
+        for request_id, tenant in zip(ids, tenants):
             handle = self._pending[request_id] = PendingForecast(self, request_id, tenant)
             handles[tenant] = handle
+        frame = {
+            "ids": np.arange(ids.start, ids.stop, dtype=np.int64),
+            "tenants": list(tenants),
+            "fn": _per_row(future_numerical, tenants),
+            "fc": _per_row(future_categorical, tenants),
+            "priority": priority,
+            "budget": budget,
+            "flush": flush,
+        }
         self._leg = (None, handles, deadline)
         if budget is not None and budget <= 0:
             # The deadline burned before this frame went out: shed
@@ -383,9 +512,7 @@ class ProcessShard:
             )
             return
         try:
-            self._retrying(
-                lambda: self.send("forecast_many", entries=entries, flush=flush), deadline
-            )
+            self._retrying(lambda: self.send("forecast_many", **frame), deadline)
         except CircuitOpen as error:
             if deadline is None:
                 self._fail_pending(str(error), only=handles)
@@ -402,6 +529,7 @@ class ProcessShard:
             raise
         self._leg = ("forecast_all", handles, deadline)
 
+    @requires_lock("lock")
     def collect(self):
         """Receive this shard's reply (transients retried) and apply it.
 
@@ -451,13 +579,18 @@ class ProcessShard:
         return reply if decode is None else decode(reply)
 
     def _apply(self, reply: dict) -> int:
-        """Resolve pending handles from a flush reply; returns the count."""
-        for request_id, value in reply["results"].items():
+        """Resolve pending handles from a flush reply; returns the count.
+
+        Results come back columnar: request ids plus one stacked
+        ``[N, horizon, channels]`` array; errors are keyed by id.
+        """
+        values = reply["values"]
+        for index, request_id in enumerate(reply["ids"].tolist()):
             handle = self._pending.pop(request_id, None)
             if handle is not None:
-                handle._resolve(value)
+                handle._resolve(values[index])
         for request_id, payload in reply["errors"].items():
-            handle = self._pending.pop(request_id, None)
+            handle = self._pending.pop(int(request_id), None)
             if handle is not None:
                 handle._fail(payload)
         return int(reply["flushed"])
@@ -542,7 +675,7 @@ class PendingForecast:
 
     __slots__ = ("tenant", "_shard", "_request_id", "_value", "_error", "_resolved")
 
-    def __init__(self, shard: ProcessShard, request_id: str, tenant: str) -> None:
+    def __init__(self, shard: ProcessShard, request_id: int, tenant: str) -> None:
         self.tenant = tenant
         self._shard = shard
         self._request_id = request_id
@@ -670,6 +803,7 @@ class ProcessCoordinator(Coordinator):
             for shard_id in shard_ids:
                 spawned[shard_id] = ProcessShard(
                     shard_id,
+                    self.spec.config.n_channels,
                     request_timeout=cluster.request_timeout,
                     retry=RetryPolicy(
                         max_attempts=cluster.retry_attempts,

@@ -9,6 +9,11 @@ socketpair fd, builds a complete streaming stack (model replica →
 then serves a strict request/reply command loop over the pickle-free
 wire codec until the stream closes.
 
+A request may carry a ``rows`` batch — the coordinator's write-behind
+ingest buffer — which is applied through
+:meth:`StreamingForecaster.ingest_many` before the command runs; the
+reply then acks each entry's (observed, generation).
+
 The command set mirrors the :class:`StreamingForecaster` surface plus
 the persistence hooks the coordinator needs (full state, delta state,
 census, tenant export/import), so the coordinator can drive checkpoint
@@ -32,7 +37,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,7 +55,7 @@ class ShardWorker:
     def __init__(self, channel) -> None:
         self._channel = channel
         self._forecaster: Optional[StreamingForecaster] = None
-        self._pending: Dict[str, StreamingForecast] = {}
+        self._pending: Dict[int, StreamingForecast] = {}
         self._shard_id = "?"
         # Armed by the "fault" command: the next _stall_count commands
         # sleep _stall_seconds before dispatch — a deterministic wedged
@@ -87,23 +92,41 @@ class ShardWorker:
                 return
 
     def _dispatch(self, command: str, message: dict) -> dict:
-        handler = getattr(self, f"_cmd_{command}", None)
-        if handler is None:
-            return {
-                "error": {
-                    "type": "ValueError",
-                    "message": f"unknown command {command!r}",
-                }
-            }
+        acks = None
         try:
+            rows = message.get("rows")
+            if rows is not None:
+                # Write-behind rows ride ahead of the command they came
+                # with, so the command sees them.
+                acks = self._ingest_rows(rows)
+            handler = getattr(self, f"_cmd_{command}", None)
+            if handler is None:
+                raise ValueError(f"unknown command {command!r}")
             if message.get("trace"):
-                return self._traced(command, handler, message)
-            return handler(message)
+                reply = self._traced(command, handler, message)
+            else:
+                reply = handler(message)
         except Exception as error:
             # Deliberately broad: the error is recorded on the reply and
             # re-raised coordinator-side with its type — a bad request
             # must not take the worker (and its tenants' state) down.
-            return {"error": wire.error_payload(error)}
+            reply = {"error": wire.error_payload(error)}
+        if acks is not None:
+            reply["acks"] = acks
+        return reply
+
+    def _ingest_rows(self, rows: dict) -> dict:
+        """Apply one columnar batch; ack each entry's census watermark."""
+        forecaster = self._require()
+        tenants = rows["tenants"]
+        observed = forecaster.ingest_many(
+            tenants, rows["counts"], rows["values"], rows["timestamps"]
+        )
+        generations = forecaster.store.generations()
+        return {
+            "observed": observed,
+            "generation": np.array([generations[t] for t in tenants], dtype=np.int64),
+        }
 
     def _traced(self, command: str, handler, message: dict) -> dict:
         """Run one command under a span tree and ship the tree back.
@@ -160,17 +183,6 @@ class ShardWorker:
         return {"ok": True}
 
     # ------------------------------------------------------------------ #
-    def _cmd_ingest(self, message: dict) -> dict:
-        forecaster = self._require()
-        tenant = str(message["tenant"])
-        total = forecaster.ingest(
-            tenant, message["values"], timestamp=message.get("timestamp")
-        )
-        return {
-            "total": int(total),
-            "generation": int(forecaster.store.generation(tenant)),
-        }
-
     def _cmd_submit(self, message: dict) -> dict:
         forecaster = self._require()
         handle = forecaster.forecast(
@@ -183,7 +195,7 @@ class ShardWorker:
             # deadline would be meaningless here).
             timeout=self._entry_budget(message.get("budget")),
         )
-        self._pending[str(message["id"])] = handle
+        self._pending[int(message["id"])] = handle
         return {"ok": True, "queued": len(self._pending)}
 
     @staticmethod
@@ -203,59 +215,63 @@ class ShardWorker:
         return self._resolve_pending(flushed)
 
     def _cmd_forecast_many(self, message: dict) -> dict:
+        """One columnar sweep: ids, tenants, optional per-row covariates,
+        and one priority and budget for the whole frame."""
         forecaster = self._require()
+        ids = message["ids"].tolist()
         admission_errors: Dict[str, dict] = {}
-        entries = message["entries"]
-        start = 0
-        while start < len(entries):
-            # Consecutive entries sharing a priority and budget go through
-            # one columnar forecast_many block (a coordinator fan-out sends
-            # one such run per frame).
-            key = _admission_key(entries[start])
-            stop = start + 1
-            while stop < len(entries) and _admission_key(entries[stop]) == key:
-                stop += 1
-            run, start = entries[start:stop], stop
-            try:
-                budget = self._entry_budget(key[1])
-            except DeadlineExceeded as error:
-                for entry in run:
-                    admission_errors[str(entry["id"])] = wire.error_payload(error)
-                continue
+        try:
+            budget = self._entry_budget(message.get("budget"))
+        except DeadlineExceeded as error:
+            admission_errors = {str(request_id): wire.error_payload(error) for request_id in ids}
+        else:
             rows = forecaster.forecast_many(
-                [str(entry["tenant"]) for entry in run],
-                future_numerical=[entry.get("fn") for entry in run],
-                future_categorical=[entry.get("fc") for entry in run],
-                priority=str(key[0]),
+                message["tenants"],
+                future_numerical=message.get("fn"),
+                future_categorical=message.get("fc"),
+                priority=str(message.get("priority", DEFAULT_PRIORITY)),
                 timeout=budget,
             )
-            for entry, (_, handle) in zip(run, rows):
+            for request_id, (_, handle) in zip(ids, rows):
                 refused = handle.admission_error
                 if refused is not None:
                     # A shed entry fails alone — the rest of the batch (and
                     # the worker) keeps serving.  The coordinator
                     # rematerialises the typed error on that entry's handle.
-                    admission_errors[str(entry["id"])] = wire.error_payload(refused)
+                    admission_errors[str(request_id)] = wire.error_payload(refused)
                 else:
-                    self._pending[str(entry["id"])] = handle
+                    self._pending[request_id] = handle
         if not message.get("flush", True):
-            return {"flushed": 0, "results": {}, "errors": admission_errors}
+            return {
+                "flushed": 0,
+                "ids": np.empty(0, dtype=np.int64),
+                "values": None,
+                "errors": admission_errors,
+            }
         reply = self._resolve_pending(forecaster.flush())
         reply["errors"].update(admission_errors)
         return reply
 
     def _resolve_pending(self, flushed: int) -> dict:
-        results: Dict[str, np.ndarray] = {}
+        """Every pending result, columnar: ids plus one stacked array."""
+        ids: List[int] = []
+        values: List[np.ndarray] = []
         errors: Dict[str, dict] = {}
         for request_id, handle in self._pending.items():
             try:
-                results[request_id] = np.asarray(handle.result())
+                values.append(np.asarray(handle.result()))
+                ids.append(request_id)
             except Exception as error:
                 # Recorded per-request and re-raised when the coordinator
                 # resolves that handle; sibling requests still succeed.
-                errors[request_id] = wire.error_payload(error)
+                errors[str(request_id)] = wire.error_payload(error)
         self._pending.clear()
-        return {"flushed": int(flushed), "results": results, "errors": errors}
+        return {
+            "flushed": int(flushed),
+            "ids": np.array(ids, dtype=np.int64),
+            "values": np.stack(values) if values else None,
+            "errors": errors,
+        }
 
     def _cmd_fault(self, message: dict) -> dict:
         """Arm a deterministic stall: the next ``count`` commands sleep first.
@@ -280,9 +296,6 @@ class ShardWorker:
     def _cmd_drop(self, message: dict) -> dict:
         self._require().drop(str(message["tenant"]))
         return {"ok": True}
-
-    def _cmd_tenants(self, message: dict) -> dict:
-        return {"tenants": self._require().store.tenants()}
 
     def _cmd_census(self, message: dict) -> dict:
         return {"census": self._census()}
@@ -333,10 +346,6 @@ class ShardWorker:
 
     def _cmd_metrics(self, message: dict) -> dict:
         return {"snapshot": obs.default_registry().snapshot()}
-
-
-def _admission_key(entry: dict):
-    return entry.get("priority", DEFAULT_PRIORITY), entry.get("budget")
 
 
 def main(argv=None) -> None:

@@ -85,9 +85,19 @@ class RollingScaler:
                 f"expected {self._mean.shape[0]} channels, got {values.shape[1]}"
             )
         chunk_count = len(values)
+        total = self._count + chunk_count
+        if chunk_count == 1:
+            # The chunk formula with chunk_mean = row and chunk_m2 = 0, term
+            # for term, so a finite row gets the same bits (M2 is never
+            # -0.0, so dropping "+ 0" changes nothing); skips the two
+            # reductions a streaming tick's one row would otherwise pay.
+            delta = values[0] - self._mean
+            self._mean = self._mean + delta * (1 / total)
+            self._m2 = self._m2 + delta**2 * (self._count / total)
+            self._count = total
+            return self
         chunk_mean = values.mean(axis=0)
         chunk_m2 = ((values - chunk_mean) ** 2).sum(axis=0)
-        total = self._count + chunk_count
         delta = chunk_mean - self._mean
         self._mean = self._mean + delta * (chunk_count / total)
         self._m2 = self._m2 + chunk_m2 + delta**2 * (self._count * chunk_count / total)

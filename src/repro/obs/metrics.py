@@ -188,9 +188,6 @@ class Gauge:
             if self._value > self._max:
                 self._max = self._value
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:

@@ -110,17 +110,27 @@ class CircuitBreaker:
         from being dogpiled.
         """
         with self._lock:
-            if self._state == self.CLOSED:
-                return
-            now = obs.now()
-            if self._state == self.OPEN:
-                remaining = self._opened_at + self.reset_timeout - now
-                if remaining > 0:
-                    raise CircuitOpen(self.name, remaining)
-                self._transition(self.HALF_OPEN)
-                return  # this caller is the probe
-            # Half-open with a probe already in flight.
-            raise CircuitOpen(self.name, 0.0)
+            if self._gate_locked():
+                self._transition(self.HALF_OPEN)  # this caller is the probe
+
+    def check(self) -> None:
+        """Raise :class:`CircuitOpen` exactly where :meth:`allow` would,
+        without admitting a half-open probe: for work that is accepted
+        now and delivered by a later gated call."""
+        with self._lock:
+            self._gate_locked()
+
+    def _gate_locked(self) -> bool:
+        """Raise if the gate is shut; True when the caller would be the probe."""
+        if self._state == self.CLOSED:
+            return False
+        if self._state == self.OPEN:
+            remaining = self._opened_at + self.reset_timeout - obs.now()
+            if remaining > 0:
+                raise CircuitOpen(self.name, remaining)
+            return True
+        # Half-open with a probe already in flight.
+        raise CircuitOpen(self.name, 0.0)
 
     def record_success(self) -> None:
         """A gated call completed: close (probe succeeded) / stay closed."""

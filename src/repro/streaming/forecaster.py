@@ -39,7 +39,7 @@ import numpy as np
 
 from .. import obs
 from ..data.incremental import RollingScaler
-from ..runtime.annotations import guarded_by
+from ..runtime.annotations import guarded_by, requires_lock
 from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
 from ..serving.batching import Forecast, ForecastRows
@@ -173,11 +173,44 @@ class StreamingForecaster:
         total = self.store.ingest(tenant, values, timestamp=timestamp)
         if self.normalization == "rolling":
             with self._lock:
-                scaler = self._scalers.get(tenant)
-                if scaler is None:
-                    scaler = self._scalers[tenant] = RollingScaler()
-                scaler.update(values)
+                self._fold_locked(tenant, values)
         return total
+
+    def ingest_many(
+        self,
+        tenants: Sequence[str],
+        counts: Sequence[int],
+        values: np.ndarray,
+        timestamps: Optional[Sequence] = None,
+    ) -> np.ndarray:
+        """Append a columnar batch: one lock acquisition per layer.
+
+        The batch layout is :meth:`SeriesStore.ingest_many`'s (entry ``i``
+        is ``counts[i]`` rows of ``values`` for ``tenants[i]``).  Each
+        entry updates the ring and, in ``"rolling"`` mode, folds into the
+        tenant's scaler on its own, so the state is bit-identical to one
+        :meth:`ingest` call per entry.  Returns each entry's total.
+        """
+        values = np.asarray(values, dtype=np.float32)
+        if values.ndim == 1:
+            values = values[None, :]
+        totals = self.store.ingest_many(tenants, counts, values, timestamps)
+        if self.normalization == "rolling":
+            with self._lock:
+                start = 0
+                for tenant, count in zip(tenants, counts):
+                    stop = start + int(count)
+                    self._fold_locked(tenant, values[start:stop])
+                    start = stop
+        return totals
+
+    @requires_lock("_lock")
+    def _fold_locked(self, tenant: str, values: np.ndarray) -> None:
+        """Fold one append into the tenant's rolling statistics."""
+        scaler = self._scalers.get(tenant)
+        if scaler is None:
+            scaler = self._scalers[tenant] = RollingScaler()
+        scaler.update(values)
 
     # ------------------------------------------------------------------ #
     def forecast(

@@ -22,7 +22,7 @@ from .. import obs
 from ..runtime.annotations import guarded_by, requires_lock
 from ..stats import CounterStats
 
-__all__ = ["RingBuffer", "SeriesStore", "StoreStats"]
+__all__ = ["RingBuffer", "SeriesStore", "StoreStats", "check_timestamp_order"]
 
 
 class RingBuffer:
@@ -165,6 +165,15 @@ class StoreStats(CounterStats):
     evicted: int = 0            # rows that have fallen off a ring
 
 
+def check_timestamp_order(tenant: str, timestamp, last) -> None:
+    """Per-tenant timestamps must strictly increase."""
+    if last is not None and not timestamp > last:
+        raise ValueError(
+            f"tenant {tenant!r}: timestamp {timestamp!r} is not after "
+            f"the last ingested timestamp {last!r}"
+        )
+
+
 @guarded_by(
     "_buffers", "_last_timestamp", "stats", "_dirty", "_generations",
     "_tombstones", lock="_lock",
@@ -251,6 +260,61 @@ class SeriesStore:
         # Validate before touching any state: a rejected ingest must not
         # leave a phantom empty tenant behind (forecast_all over
         # store.tenants() would then fail every healthy tenant's tick).
+        values = self._rows(values)
+        with self._lock:
+            if timestamp is not None:
+                check_timestamp_order(tenant, timestamp, self._last_timestamp.get(tenant))
+            return self._append_locked(tenant, values, timestamp)
+
+    def ingest_many(
+        self,
+        tenants: Sequence[str],
+        counts: Sequence[int],
+        values: np.ndarray,
+        timestamps: Optional[Sequence] = None,
+    ) -> np.ndarray:
+        """Append a columnar batch under one lock acquisition.
+
+        Entry ``i`` is ``counts[i]`` consecutive rows of the ``[sum(counts),
+        C]`` block for ``tenants[i]``, stamped ``timestamps[i]`` (or
+        unstamped when ``timestamps`` is ``None``).  Entries apply in
+        order, each exactly as one :meth:`ingest` call would, so a tenant
+        listed twice sees both appends.  Every entry is validated before
+        any is applied: a batch that raises leaves the store untouched.
+        Returns each entry's total observed rows after it applied.
+        """
+        values = self._rows(values)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(tenants),) or (counts < 0).any():
+            raise ValueError(f"expected {len(tenants)} non-negative row counts, got {counts!r}")
+        if int(counts.sum()) != len(values):
+            raise ValueError(f"row counts sum to {int(counts.sum())}, values hold {len(values)}")
+        if timestamps is not None and len(timestamps) != len(tenants):
+            raise ValueError(f"expected {len(tenants)} timestamps, got {len(timestamps)}")
+        totals = np.empty(len(tenants), dtype=np.int64)
+        stops = np.cumsum(counts).tolist()
+        with self._lock:
+            if timestamps is not None:
+                watermarks: Dict[str, object] = {}
+                for tenant, timestamp in zip(tenants, timestamps):
+                    if timestamp is None:
+                        continue
+                    last = watermarks.get(tenant, self._last_timestamp.get(tenant))
+                    check_timestamp_order(tenant, timestamp, last)
+                    watermarks[tenant] = timestamp
+            start = 0
+            for index, tenant in enumerate(tenants):
+                stop = stops[index]
+                totals[index] = self._append_locked(
+                    tenant,
+                    values[start:stop],
+                    None if timestamps is None else timestamps[index],
+                )
+                start = stop
+        return totals
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as store-dtype ``[T, C]`` rows, or ``ValueError``."""
         values = np.asarray(values, dtype=self._dtype)
         if values.ndim == 1:
             values = values[None, :]
@@ -258,30 +322,28 @@ class SeriesStore:
             raise ValueError(
                 f"expected [T, {self.n_channels}] rows, got shape {values.shape}"
             )
-        with self._lock:
-            buffer = self._buffers.get(tenant)
-            if buffer is None:
-                buffer = RingBuffer(self.capacity, self.n_channels, dtype=self._dtype)
-                self._buffers[tenant] = buffer
-                self._generations[tenant] = self._tombstones.pop(tenant, 0)
-                self.stats.tenants += 1
-            if timestamp is not None:
-                last = self._last_timestamp.get(tenant)
-                if last is not None and not timestamp > last:
-                    raise ValueError(
-                        f"tenant {tenant!r}: timestamp {timestamp!r} is not after "
-                        f"the last ingested timestamp {last!r}"
-                    )
-            total_before = buffer.total_appended
-            dropped_before = total_before - len(buffer)
-            buffer.extend(values)
-            if timestamp is not None:
-                self._last_timestamp[tenant] = timestamp
-            self.stats.ingests += 1
-            self.stats.observations += buffer.total_appended - total_before
-            self.stats.evicted += (buffer.total_appended - len(buffer)) - dropped_before
-            self._dirty.add(tenant)
-            return buffer.total_appended
+        return values
+
+    @requires_lock("_lock")
+    def _append_locked(self, tenant: str, values: np.ndarray, timestamp) -> int:
+        """One validated append: ring, watermark, counters and churn mark."""
+        buffer = self._buffers.get(tenant)
+        if buffer is None:
+            buffer = RingBuffer(self.capacity, self.n_channels, dtype=self._dtype)
+            self._buffers[tenant] = buffer
+            self._generations[tenant] = self._tombstones.pop(tenant, 0)
+            self.stats.tenants += 1
+        rows, held_before = len(values), buffer._size
+        buffer.extend(values)
+        if timestamp is not None:
+            self._last_timestamp[tenant] = timestamp
+        stats = self.stats
+        stats.ingests += 1
+        stats.observations += rows
+        # Every appended row is held, or pushed an older one off the ring.
+        stats.evicted += rows - (buffer._size - held_before)
+        self._dirty.add(tenant)
+        return buffer._total
 
     def latest(self, tenant: str, n: int) -> np.ndarray:
         """The tenant's most recent ``min(n, held)`` rows, chronological.

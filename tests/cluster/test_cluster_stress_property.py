@@ -128,6 +128,20 @@ def assert_matches_serial_replay(cluster, rows):
         )
 
 
+def assert_census_matches_workers(cluster):
+    """Each process shard's census — projected from accepted rows, buffered
+    ones included — equals what its worker reports once they land."""
+    # The coordinator keeps no public accessor for its shard handles.
+    for shard in cluster._shards.values():
+        with shard.lock:
+            projected = shard.census()
+            reply = shard.request("census")["census"]
+        assert list(projected.items()) == [
+            (tenant, (entry["observed"], entry["generation"]))
+            for tenant, entry in reply.items()
+        ]
+
+
 class TestScheduleParity:
     @settings(
         max_examples=10, deadline=None,
@@ -147,6 +161,7 @@ class TestScheduleParity:
     def test_process_backend_with_real_kills(self, ops, data_seed):
         with ProcessCoordinator(SPEC, n_shards=2, warmup=False) as cluster:
             rows = run_drill(cluster, ops, data_seed, kill_for_real=True)
+            assert_census_matches_workers(cluster)
             assert_matches_serial_replay(cluster, rows)
 
     @settings(
@@ -159,6 +174,7 @@ class TestScheduleParity:
         thread_rows = run_drill(thread, ops, data_seed, kill_for_real=False)
         with ProcessCoordinator(SPEC, n_shards=2, warmup=False) as process:
             process_rows = run_drill(process, ops, data_seed, kill_for_real=True)
+            assert_census_matches_workers(process)
             assert sorted(process_rows) == sorted(thread_rows)
             thread_handles = thread.forecast_all()
             process_handles = process.forecast_all()

@@ -246,3 +246,79 @@ class TestSweeps:
         with pytest.raises(KeyError):
             cluster.forecast_all(["tenant-0", "never-ingested"])
         assert handle.result().shape == (HORIZON, CHANNELS)
+
+
+def censuses(cluster):
+    # The coordinator keeps no public accessor for its shard handles.
+    return {shard_id: shard.census() for shard_id, shard in cluster._shards.items()}
+
+
+BAD_INGESTS = {
+    "channel-count": ("phantom", np.zeros((2, CHANNELS + 1)), None),
+    "three-d": ("phantom", np.zeros((1, 2, CHANNELS)), None),
+    "non-numeric": ("tenant-0", np.array([["a", "b"]]), None),
+    "stale-timestamp": ("stamped", np.zeros((1, CHANNELS)), 5),
+}
+
+
+class TestIngestValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_INGESTS))
+    def test_bad_ingest_raises_typed_and_changes_nothing(self, cluster, case):
+        rng = np.random.default_rng(6)
+        cluster.ingest("stamped", rng.normal(size=(INPUT_LENGTH, CHANNELS)), timestamp=5)
+        tenants, census = cluster.tenants(), censuses(cluster)
+        expected = forecasts(cluster)
+        tenant, values, timestamp = BAD_INGESTS[case]
+        with pytest.raises(ValueError) as info:
+            cluster.ingest(tenant, values, timestamp=timestamp)
+        assert type(info.value) is ValueError
+        assert cluster.tenants() == tenants
+        assert censuses(cluster) == census
+        assert_same(forecasts(cluster), expected)
+
+    def test_unencodable_timestamp_raises_type_error_at_ingest(self):
+        cluster = build_cluster(SPEC, n_shards=2, backend="process")
+        try:
+            row = np.zeros((1, CHANNELS))
+            with pytest.raises(TypeError, match="cannot snapshot"):
+                cluster.ingest("t", row, timestamp=object())
+            assert cluster.tenants() == []
+            cluster.ingest("t", np.zeros((INPUT_LENGTH, CHANNELS)), timestamp=1)
+            assert forecasts(cluster)["t"].shape == (HORIZON, CHANNELS)
+        finally:
+            close(cluster)
+
+    def test_timestamp_watermarks_follow_migration_and_restore(self, cluster, tmp_path):
+        rng = np.random.default_rng(7)
+        tenants = [f"tenant-{i}" for i in range(12)]
+        for tenant in tenants:
+            cluster.ingest(tenant, rng.normal(size=(1, CHANNELS)), timestamp=10)
+        moved = cluster.add_shard()
+        assert moved, "the new shard must adopt part of the ring"
+        cluster.save(str(tmp_path / "ckpt"))
+        revived = type(cluster).load(SPEC, str(tmp_path / "ckpt"))
+        try:
+            for tenant in tenants:
+                row = rng.normal(size=(1, CHANNELS))
+                for target in (cluster, revived):
+                    with pytest.raises(ValueError, match="not after"):
+                        target.ingest(tenant, row, timestamp=10)
+                    target.ingest(tenant, row, timestamp=11)
+            assert_same(forecasts(revived), forecasts(cluster))
+        finally:
+            close(revived)
+
+
+class TestCensus:
+    def test_census_counts_accepted_rows_before_any_frame(self, cluster):
+        rng = np.random.default_rng(9)
+        cluster.drop("tenant-3")
+        cluster.ingest("tenant-3", rng.normal(size=(2, CHANNELS)))
+        cluster.ingest("tenant-4", rng.normal(size=(3, CHANNELS)))
+        cluster.ingest("newcomer", rng.normal(size=(1, CHANNELS)))
+        accepted = censuses(cluster)
+        assert accepted[cluster.shard_for("tenant-3")]["tenant-3"] == (2, 1)
+        assert accepted[cluster.shard_for("tenant-4")]["tenant-4"] == (INPUT_LENGTH + 5, 0)
+        assert accepted[cluster.shard_for("newcomer")]["newcomer"] == (1, 0)
+        cluster.flush()  # one frame per shard: the replicas now hold every row
+        assert censuses(cluster) == accepted

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.cluster import process as process_module
 from repro.cluster import (
     ProcessCoordinator,
     ServiceSpec,
@@ -136,6 +137,28 @@ class TestRoutedTraffic:
         for handle in handles.values():
             handle.result()
         assert sent == ["forecast_many"] * len(cluster.shard_ids())
+
+    def test_buffer_cap_ships_rows_on_a_frame_of_their_own(self, spec, monkeypatch):
+        """Ingest is write-behind: rows wait for the next frame, unless a
+        shard's buffer reaches the cap, which ships it on a ping."""
+        monkeypatch.setattr(process_module, "BUFFER_ROWS", 6)
+        with ProcessCoordinator(spec, n_shards=1, warmup=False) as cluster:
+            shard = cluster._shards["shard-0"]
+            sent = []
+
+            def counted(command, _send=shard.send, **fields):
+                sent.append((command, bool(shard._buffer)))  # rows ride this frame?
+                return _send(command, **fields)
+
+            monkeypatch.setattr(shard, "send", counted)
+            assert cluster.ingest("a", np.zeros((4, CHANNELS), dtype=np.float32)) == 4
+            assert sent == []
+            assert cluster.ingest("b", np.ones((2, CHANNELS), dtype=np.float32)) == 2
+            assert sent == [("ping", True)]
+            assert cluster.ingest("a", np.ones((1, CHANNELS), dtype=np.float32)) == 5
+            assert sent == [("ping", True)]
+            census = shard.request("census")["census"]
+            assert {t: e["observed"] for t, e in census.items()} == {"a": 5, "b": 2}
 
     def test_implicit_sweep_matches_explicit_list(self, spec):
         with ProcessCoordinator(spec, n_shards=2, warmup=False) as cluster:

@@ -60,6 +60,49 @@ class TestWelfordMatchesOfflineFit:
         assert np.all(np.isfinite(rolling.transform(data)))
 
 
+def _chunk_update(count, mean, m2, values):
+    """The chunk (Chan et al.) update as ``update`` runs it for T >= 2 rows —
+    the reference the single-row fast path must match bit for bit."""
+    chunk_count = len(values)
+    chunk_mean = values.mean(axis=0)
+    chunk_m2 = ((values - chunk_mean) ** 2).sum(axis=0)
+    total = count + chunk_count
+    delta = chunk_mean - mean
+    mean = mean + delta * (chunk_count / total)
+    m2 = m2 + chunk_m2 + delta**2 * (count * chunk_count / total)
+    return total, mean, m2
+
+
+class TestSingleRowFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 7]),
+        prefix_rows=st.integers(0, 40),
+        magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+    )
+    def test_single_rows_match_the_chunk_formula_bitwise(
+        self, channels, prefix_rows, magnitude, seed, rows
+    ):
+        rng = np.random.default_rng(seed)
+        prefix = rng.standard_normal((prefix_rows, channels)) * magnitude + magnitude
+        scaler = RollingScaler()
+        count, mean, m2 = 0, np.zeros(channels), np.zeros(channels)
+        if prefix_rows:
+            scaler.update(prefix)
+            count, mean, m2 = _chunk_update(count, mean, m2, prefix)
+        for _ in range(rows):
+            row = rng.standard_normal(channels) * magnitude
+            # Alternate the two single-row shapes update() accepts.
+            scaler.update(row if rng.integers(2) else row[None, :])
+            count, mean, m2 = _chunk_update(count, mean, m2, row[None, :])
+        state = scaler.to_state()
+        assert state["count"] == count
+        assert np.array_equal(state["mean"], mean)
+        assert np.array_equal(state["m2"], m2)
+
+
 class TestTransformContract:
     def test_transform_matches_standard_scaler(self, rng):
         data = rng.standard_normal((200, 3)) * 11 + 2

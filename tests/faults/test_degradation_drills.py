@@ -20,7 +20,7 @@ from repro.cluster import (
     replay_cluster,
 )
 from repro.config import ModelConfig
-from repro.errors import DeadlineExceeded, Overloaded, TransientWireError
+from repro.errors import CircuitOpen, DeadlineExceeded, Overloaded, TransientWireError
 from repro.serving import AdmissionPolicy, ForecastService
 from repro.streaming import StreamingForecaster
 from repro.testing import faults
@@ -269,3 +269,102 @@ class TestAdmittedTrafficParity:
         expected = replay_cluster(reference, streams, warmup=INPUT_LENGTH)
         report = compare_cluster_to_unsharded(produced, expected)
         assert report.bit_identical, report
+
+
+class TestBufferedRows:
+    """Write-behind ingest: a row accepted by ``ingest()`` waits on the
+    coordinator for the next frame to its worker.  Unsent frames keep it
+    buffered; only the worker's death loses it, and failover says so."""
+
+    @pytest.fixture
+    def pair(self):
+        """A process cluster and a thread cluster with the same history."""
+        process = build_cluster(SPEC, cluster=FAST_CLUSTER)
+        thread = build_cluster(SPEC, n_shards=2, backend="thread")
+        for tenant, values in make_streams(6, INPUT_LENGTH, seed=31).items():
+            process.ingest(tenant, values)
+            thread.ingest(tenant, values)
+        yield process, thread
+        process.close()
+
+    @staticmethod
+    def ingest_both(pair, tenants, rows, seed):
+        rng = np.random.default_rng(seed)
+        for tenant in tenants:
+            block = rng.normal(size=(rows, CHANNELS)).astype(np.float32)
+            for cluster in pair:
+                cluster.ingest(tenant, block)
+
+    @staticmethod
+    def assert_parity(pair):
+        process, thread = pair
+        expected = {t: h.result() for t, h in thread.forecast_all().items()}
+        produced = {t: h.result() for t, h in process.forecast_all().items()}
+        assert sorted(produced) == sorted(expected)
+        for tenant in expected:
+            np.testing.assert_array_equal(produced[tenant], expected[tenant])
+
+    def test_exhausted_transients_leave_rows_for_the_next_frame(self, pair):
+        process, _ = pair
+        tenants = [f"tenant-{i}" for i in range(6)]
+        victim, on_victim, _ = split_by_shard(process, tenants)
+        self.ingest_both(pair, tenants, rows=3, seed=1)
+        schedule = faults.FaultSchedule(seed=2).add(
+            "shard.send", "transient_eof", match={"shard": victim},
+            times=FAST_CLUSTER.retry_attempts,
+        )
+        with faults.inject(schedule):
+            with pytest.raises(TransientWireError):
+                process.forecast(on_victim[0])
+        assert schedule.pending() == 0
+        self.assert_parity(pair)
+
+    def test_open_breaker_refuses_new_rows_and_keeps_buffered_ones(self, pair):
+        process, thread = pair
+        tenants = [f"tenant-{i}" for i in range(6)]
+        victim, on_victim, elsewhere = split_by_shard(process, tenants)
+        self.ingest_both(pair, tenants, rows=2, seed=2)
+        breaker = process._shards[victim].breaker
+        for _ in range(FAST_CLUSTER.breaker_threshold):
+            breaker.record_failure()
+        # The sweep sheds the victim's rows typed; its frame never left.
+        handles = process.forecast_all(tenants, timeout=5.0)
+        assert all(outcome(handles[t]) == "Overloaded" for t in on_victim)
+        assert all(outcome(handles[t]) == "ok" for t in elsewhere)
+        with pytest.raises(CircuitOpen):
+            process.ingest(on_victim[0], np.zeros((1, CHANNELS), dtype=np.float32))
+        time.sleep(FAST_CLUSTER.breaker_reset + 0.05)
+        # Past the reset window ingest accepts rows again without taking
+        # the half-open probe: the next frame is the probe.
+        self.ingest_both(pair, on_victim, rows=1, seed=3)
+        assert breaker.state == "open"
+        self.assert_parity(pair)
+        assert breaker.state == "closed"
+
+    def test_kill_with_rows_buffered_reports_them_stale_or_lost(self, pair, tmp_path):
+        process, _ = pair
+        tenants = [f"tenant-{i}" for i in range(6)]
+        victim, on_victim, _ = split_by_shard(process, tenants)
+        process.save(str(tmp_path / "ckpt"))
+        shard = process._shards[victim]
+        sent = []
+        send = shard.send
+
+        def counted(command, **fields):
+            sent.append(command)
+            return send(command, **fields)
+
+        shard.send = counted
+        rng = np.random.default_rng(4)
+        process.ingest(on_victim[0], rng.normal(size=(3, CHANNELS)))
+        process.ingest(on_victim[0], rng.normal(size=(2, CHANNELS)))
+        newborn = next(
+            f"late-{i}" for i in range(1000) if process.shard_for(f"late-{i}") == victim
+        )
+        process.ingest(newborn, rng.normal(size=(4, CHANNELS)))
+        assert sent == [], "the drill needs every post-checkpoint row still buffered"
+        process.kill_worker(victim)
+        report = process.failover(victim)
+        assert report.stale == {on_victim[0]: 5}
+        assert report.lost == [newborn]
+        assert sorted(report.restored) == sorted(on_victim)
