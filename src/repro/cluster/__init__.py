@@ -14,7 +14,8 @@ past both limits:
   :class:`FailoverReport`, merged stats, full and O(churn) delta
   checkpoints chained under :func:`resolve_chain`, and one split-phase
   fan-out (start every shard, then collect every shard) behind
-  ``forecast_all`` / ``flush`` / ``warmup`` / checkpoint collection;
+  ``forecast`` (a one-tenant sweep) / ``forecast_all`` / ``flush`` /
+  ``warmup`` / checkpoint collection;
 * two shard transports behind that coordinator:
   :class:`LocalShard` (an in-process
   :class:`~repro.streaming.forecaster.StreamingForecaster`, fan-outs

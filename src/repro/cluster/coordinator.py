@@ -81,17 +81,18 @@ class Shard(Protocol):
     still answer after the shard died: failover reads it to account for
     every tenant the dead replica held, so a row that died undelivered
     shows up as ``stale`` (or its tenant as ``lost``) like any row
-    ingested after the last checkpoint.  ``start(op, **fields)`` / ``collect()`` are the two
-    halves of :func:`fan_out`, for the ops ``forecast_all``, ``flush``,
-    ``warmup``, ``to_state``, ``delta_state``, ``clear_dirty`` and
-    ``restore``.
+    ingested after the last checkpoint.  ``start(op, **fields)`` /
+    ``collect()`` are the two halves of :func:`fan_out`, for the ops
+    ``forecast_all``, ``flush``, ``warmup``, ``to_state``,
+    ``delta_state``, ``clear_dirty`` and ``restore``.  There is no
+    single-forecast call: a forecast is a ``forecast_all`` job of one
+    tenant, whose handles expose ``admission_error``.
     """
 
     shard_id: str
     lock: TrackedRLock
 
     def ingest(self, tenant: str, values: np.ndarray, timestamp) -> int: ...
-    def forecast(self, tenant, future_numerical, future_categorical, priority, timeout, deadline): ...
     def drop(self, tenant: str) -> None: ...
     def tenants(self) -> List[str]: ...
     def census(self) -> Dict[str, Tuple[int, int]]: ...
@@ -516,16 +517,27 @@ class Coordinator:
     ):
         """Queue a forecast on the tenant's shard; non-blocking handle.
 
-        ``priority`` / ``timeout`` / ``deadline`` pass through to the
-        shard service's admission control (see
-        :mod:`repro.serving.admission`).
+        A one-tenant :meth:`forecast_all` job that leaves the queue
+        unflushed.  ``timeout`` / ``deadline`` resolve to one absolute
+        deadline here, and ``priority`` passes through to the shard
+        service's admission control (see :mod:`repro.serving.admission`).
+        A refusal — by admission control, or by a process shard shedding
+        the frame before dispatch — raises here, typed.
         """
+        job = dict(
+            tenants=[tenant], flush=False, priority=priority, skip_missing=False,
+            future_numerical={tenant: future_numerical},
+            future_categorical={tenant: future_categorical},
+            deadline=resolve_deadline(obs.now(), timeout, deadline),
+        )
         with self._topology.read():
-            shard = self._shards[self._assign_locked(tenant)]
-            with shard.lock:
-                return shard.forecast(
-                    tenant, future_numerical, future_categorical, priority, timeout, deadline
-                )
+            shard_id = self._assign_locked(tenant)
+            with obs.span("cluster.forecast_all", tenants=1, shards=1, backend=self.BACKEND):
+                handle = self._fan_out("forecast_all", {shard_id: job})[shard_id][tenant]
+        refused = handle.admission_error
+        if refused is not None:
+            raise refused
+        return handle
 
     def forecast_all(
         self,

@@ -336,11 +336,6 @@ class ProcessShard:
         self._dead = reason
         raise WorkerDied(self.shard_id, reason)
 
-    def _request_ids(self, count: int) -> range:
-        first = self._next_request
-        self._next_request += count
-        return range(first, first + count)
-
     # ------------------------------------------------------------------ #
     # Routed traffic
     # ------------------------------------------------------------------ #
@@ -389,26 +384,6 @@ class ProcessShard:
                 # reports it at failover.
                 pass
         return total
-
-    def forecast(self, tenant, future_numerical, future_categorical, priority, timeout, deadline):
-        """Queue one forecast in the worker.  The deadline crosses the wire
-        as a *relative* budget — each process has its own monotonic clock,
-        so the worker re-anchors it at admission."""
-        if timeout is not None and deadline is not None:
-            raise ValueError("pass either timeout (relative) or deadline (absolute), not both")
-        (request_id,) = self._request_ids(1)
-        self.request(
-            "submit",
-            id=request_id,
-            tenant=tenant,
-            future_numerical=future_numerical,
-            future_categorical=future_categorical,
-            priority=priority,
-            budget=timeout if deadline is None else deadline - obs.now(),
-        )
-        handle = PendingForecast(self, request_id, tenant)
-        self._pending[request_id] = handle
-        return handle
 
     def drop(self, tenant: str) -> None:
         with self.lock:
@@ -489,7 +464,8 @@ class ProcessShard:
             # a tenant dropped since the caller enumerated it drops out.
             tenants = [tenant for tenant in tenants if tenant in self._census]
         budget = None if deadline is None else deadline - obs.now()
-        ids = self._request_ids(len(tenants))
+        ids = range(self._next_request, self._next_request + len(tenants))
+        self._next_request = ids.stop
         handles = {}
         for request_id, tenant in zip(ids, tenants):
             handle = self._pending[request_id] = PendingForecast(self, request_id, tenant)
@@ -508,7 +484,8 @@ class ProcessShard:
             # The deadline burned before this frame went out: shed
             # locally, typed, without any wire I/O.
             self._fail_pending(
-                "fan-out deadline exhausted before dispatch", "DeadlineExceeded", handles
+                "fan-out deadline exhausted before dispatch", "DeadlineExceeded", handles,
+                refused=True,
             )
             return
         try:
@@ -519,13 +496,18 @@ class ProcessShard:
                 raise
             # Under a deadline a tripped breaker is typed load-shedding:
             # this shard's handles fail Overloaded, the fan-out proceeds.
-            self._fail_pending(str(error), "Overloaded", handles)
+            self._fail_pending(str(error), "Overloaded", handles, refused=True)
             return
         except DeadlineExceeded as error:
-            self._fail_pending(str(error), "DeadlineExceeded", handles)
+            self._fail_pending(str(error), "DeadlineExceeded", handles, refused=True)
             return
         except WorkerDied as error:
             self._fail_pending(str(error))
+            raise
+        except Exception as error:
+            # The frame never went out (e.g. exhausted transients): no
+            # reply will ever resolve this sweep's handles.
+            self._fail_pending(str(error), type(error).__name__, handles)
             raise
         self._leg = ("forecast_all", handles, deadline)
 
@@ -596,9 +578,11 @@ class ProcessShard:
         return int(reply["flushed"])
 
     def _fail_pending(
-        self, reason: str, error_type: str = "RuntimeError", only: Optional[dict] = None
+        self, reason: str, error_type: str = "RuntimeError", only: Optional[dict] = None,
+        refused: bool = False,
     ) -> None:
-        """Fail every pending handle (or just ``only``'s) with a typed error."""
+        """Fail every pending handle (or just ``only``'s) with a typed error;
+        ``refused`` marks a shed at dispatch (the handles' ``admission_error``)."""
         verb = {
             "DeadlineExceeded": "missed its deadline",
             "Overloaded": "shed its queue",
@@ -608,15 +592,16 @@ class ProcessShard:
         for handle in victims:
             if self._pending.pop(handle._request_id, None) is None:
                 continue
-            handle._fail(
-                {
-                    "type": error_type,
-                    "message": (
-                        f"shard {self.shard_id!r} {verb} before the forecast for "
-                        f"{handle.tenant!r} resolved: {reason}"
-                    ),
-                }
-            )
+            payload = {
+                "type": error_type,
+                "message": (
+                    f"shard {self.shard_id!r} {verb} before the forecast for "
+                    f"{handle.tenant!r} resolved: {reason}"
+                ),
+            }
+            if refused:
+                payload["refused"] = True
+            handle._fail(payload)
 
     def resolve_pending(self) -> None:
         """Flush the worker so pending handles resolve (``result()`` pulls this)."""
@@ -665,12 +650,14 @@ class ProcessShard:
 
 
 class PendingForecast:
-    """Coordinator-side handle for a forecast queued on a process shard.
+    """Coordinator-side handle for one row of a sweep on a process shard.
 
     Mirrors :class:`~repro.streaming.forecaster.StreamingForecast`:
     ``result()`` flushes the owning shard if the value has not arrived
     yet, then returns the forecast (already denormalised worker-side) or
-    re-raises the worker's error for this request.
+    re-raises the worker's error for this request, and
+    ``admission_error`` reports a refusal — by the worker's admission
+    control, or by the shard shedding the frame before dispatch.
     """
 
     __slots__ = ("tenant", "_shard", "_request_id", "_value", "_error", "_resolved")
@@ -694,6 +681,14 @@ class PendingForecast:
         if self._error is not None:
             wire.raise_remote(self._error)
         return self._value
+
+    @property
+    def admission_error(self) -> Optional[BaseException]:
+        """The typed error this forecast was refused with, if any."""
+        error = self._error
+        if error is None or not error.get("refused"):
+            return None
+        return wire.remote_error(error)
 
     def _resolve(self, value: np.ndarray) -> None:
         self._value = value

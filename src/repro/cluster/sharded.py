@@ -63,16 +63,6 @@ class LocalShard:
     def ingest(self, tenant: str, values: np.ndarray, timestamp) -> int:
         return self.forecaster.ingest(tenant, values, timestamp=timestamp)
 
-    def forecast(self, tenant, future_numerical, future_categorical, priority, timeout, deadline):
-        return self.forecaster.forecast(
-            tenant,
-            future_numerical=future_numerical,
-            future_categorical=future_categorical,
-            priority=priority,
-            timeout=timeout,
-            deadline=deadline,
-        )
-
     def drop(self, tenant: str) -> None:
         self.forecaster.drop(tenant)
 

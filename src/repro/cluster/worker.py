@@ -18,8 +18,10 @@ The command set mirrors the :class:`StreamingForecaster` surface plus
 the persistence hooks the coordinator needs (full state, delta state,
 census, tenant export/import), so the coordinator can drive checkpoint
 chains and failover with exactly the thread-backend semantics.  Every
-command runs under a broad handler that ships the error back as a typed
-payload — a bad request must never kill the worker, only that request.
+forecast, a single one included, arrives as a columnar
+``forecast_many`` frame.  Every command runs under a broad handler
+that ships the error back as a typed payload — a bad request must never
+kill the worker, only that request.
 
 Tracing crosses the boundary explicitly: a request carrying
 ``"trace": true`` runs under a ``worker.<cmd>`` span with tracing forced
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import obs, wire
-from ..serving.admission import DEFAULT_PRIORITY, DeadlineExceeded
+from ..serving.admission import DEFAULT_PRIORITY
 from ..streaming.forecaster import StreamingForecast, StreamingForecaster
 from .spec import ServiceSpec
 
@@ -183,33 +185,6 @@ class ShardWorker:
         return {"ok": True}
 
     # ------------------------------------------------------------------ #
-    def _cmd_submit(self, message: dict) -> dict:
-        forecaster = self._require()
-        handle = forecaster.forecast(
-            str(message["tenant"]),
-            future_numerical=message.get("future_numerical"),
-            future_categorical=message.get("future_categorical"),
-            priority=str(message.get("priority", DEFAULT_PRIORITY)),
-            # The budget is relative: re-anchored on this process's
-            # monotonic clock at admission (a coordinator-side absolute
-            # deadline would be meaningless here).
-            timeout=self._entry_budget(message.get("budget")),
-        )
-        self._pending[int(message["id"])] = handle
-        return {"ok": True, "queued": len(self._pending)}
-
-    @staticmethod
-    def _entry_budget(budget) -> Optional[float]:
-        """Normalise a wire budget: a spent one raises typed, not ValueError."""
-        if budget is None:
-            return None
-        budget = float(budget)
-        if budget <= 0:
-            raise DeadlineExceeded(
-                f"deadline budget spent before worker admission ({budget:.3f}s left)"
-            )
-        return budget
-
     def _cmd_flush(self, message: dict) -> dict:
         flushed = self._require().flush()
         return self._resolve_pending(flushed)
@@ -218,29 +193,25 @@ class ShardWorker:
         """One columnar sweep: ids, tenants, optional per-row covariates,
         and one priority and budget for the whole frame."""
         forecaster = self._require()
-        ids = message["ids"].tolist()
+        rows = forecaster.forecast_many(
+            message["tenants"],
+            future_numerical=message.get("fn"),
+            future_categorical=message.get("fc"),
+            priority=str(message.get("priority", DEFAULT_PRIORITY)),
+            # The budget is relative: re-anchored on this process's
+            # monotonic clock at admission.
+            timeout=message.get("budget"),
+        )
         admission_errors: Dict[str, dict] = {}
-        try:
-            budget = self._entry_budget(message.get("budget"))
-        except DeadlineExceeded as error:
-            admission_errors = {str(request_id): wire.error_payload(error) for request_id in ids}
-        else:
-            rows = forecaster.forecast_many(
-                message["tenants"],
-                future_numerical=message.get("fn"),
-                future_categorical=message.get("fc"),
-                priority=str(message.get("priority", DEFAULT_PRIORITY)),
-                timeout=budget,
-            )
-            for request_id, (_, handle) in zip(ids, rows):
-                refused = handle.admission_error
-                if refused is not None:
-                    # A shed entry fails alone — the rest of the batch (and
-                    # the worker) keeps serving.  The coordinator
-                    # rematerialises the typed error on that entry's handle.
-                    admission_errors[str(request_id)] = wire.error_payload(refused)
-                else:
-                    self._pending[request_id] = handle
+        for request_id, (_, handle) in zip(message["ids"].tolist(), rows):
+            refused = handle.admission_error
+            if refused is not None:
+                # A shed entry fails alone — the rest of the batch (and the
+                # worker) keeps serving.  The coordinator rematerialises the
+                # typed error on that entry's handle, as its admission_error.
+                admission_errors[str(request_id)] = dict(wire.error_payload(refused), refused=True)
+            else:
+                self._pending[request_id] = handle
         if not message.get("flush", True):
             return {
                 "flushed": 0,

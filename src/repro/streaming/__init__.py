@@ -10,11 +10,11 @@ continuously for many independent tenants, each wanting fresh forecasts:
 * :class:`~repro.data.incremental.RollingScaler` (in ``repro.data``) —
   incremental per-channel Welford statistics, so new tenants never need an
   offline fit;
-* :class:`StreamingForecaster` — assembles each tenant's latest
-  ``input_length`` window, routes it through
-  :meth:`ForecastService.submit` so concurrent tenants coalesce into
-  micro-batches, and denormalises per tenant (rolling stats or the paper's
-  last-value scheme);
+* :class:`StreamingForecaster` — gathers the tenants' latest
+  ``input_length`` windows as one columnar block (a single forecast is a
+  block of one), routes it through :meth:`ForecastService.submit_many`
+  so concurrent tenants coalesce into micro-batches, and denormalises per
+  tenant (rolling stats or the paper's last-value scheme);
 * :func:`replay` / :func:`compare_to_backfill` — a harness that drives N
   synthetic tenants tick-by-tick and proves streaming output bit-identical
   to offline :meth:`ForecastService.backfill` over the same series.

@@ -2,16 +2,14 @@
 
 :class:`StreamingForecaster` is the glue between arrivals and forecasts:
 observations stream into a :class:`~repro.streaming.store.SeriesStore`
-(``ingest``), and ``forecast`` assembles the tenant's latest
-``input_length`` window and routes it through
-:meth:`~repro.serving.service.ForecastService.submit` — so forecasts for
-concurrent tenants queue on the service and coalesce into one padded
-forward pass, exactly like any other submit-path traffic.  Short histories
-(cold-start tenants) lean on the service's left-padding.  A sweep over
-many tenants (``forecast_all`` / ``forecast_many``) takes the columnar
-route instead: one store gather, one vectorised normalisation and one
-:meth:`~repro.serving.service.ForecastService.submit_many` per block, with
-outputs bit-identical to the per-tenant ``forecast`` loop.
+(``ingest``), and every forecast is a columnar sweep
+(``forecast_many``): one store gather of the tenants' latest
+``input_length`` windows, one vectorised normalisation and one
+:meth:`~repro.serving.service.ForecastService.submit_many` per block, so
+forecasts for concurrent tenants queue on the service and coalesce into
+one padded forward pass.  Short histories (cold-start tenants) lean on
+the service's left-padding.  ``forecast`` is a sweep of one tenant, and
+``forecast_all`` a sweep of many plus a flush.
 
 Per-tenant normalisation modes handle the distribution-shift story at the
 serving boundary:
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,43 +40,13 @@ from ..data.incremental import RollingScaler
 from ..runtime.annotations import guarded_by, requires_lock
 from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
-from ..serving.batching import Forecast, ForecastRows
+from ..serving.batching import ForecastRows
 from ..serving.service import ForecastService
 from .store import SeriesStore
 
 __all__ = ["StreamingForecast", "StreamingStats", "StreamingForecaster"]
 
 _NORMALIZATIONS = ("none", "rolling", "last_value")
-
-
-class StreamingForecast:
-    """A :class:`~repro.serving.batching.Forecast` handle plus the tenant's
-    denormalisation.
-
-    The wrapped handle resolves in *model space* when the service flushes;
-    :meth:`result` applies the per-tenant inverse mapping captured at
-    submit time (identity, rolling inverse-standardise, or last-value
-    add-back), so callers always receive original-scale forecasts.
-    """
-
-    __slots__ = ("tenant", "_inner", "_denormalize")
-
-    def __init__(
-        self,
-        tenant: str,
-        inner: Forecast,
-        denormalize: Callable[[np.ndarray], np.ndarray],
-    ) -> None:
-        self.tenant = tenant
-        self._inner = inner
-        self._denormalize = denormalize
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def result(self) -> np.ndarray:
-        """The ``[horizon, channels]`` forecast in the tenant's scale."""
-        return self._denormalize(self._inner.result())
 
 
 @dataclass
@@ -224,16 +192,17 @@ class StreamingForecaster:
     ) -> StreamingForecast:
         """Queue a forecast from the tenant's latest window; non-blocking.
 
-        The returned handle resolves when the service flushes (queue full,
-        explicit :meth:`flush`, or ``result()`` on any handle) — submitting
-        for many tenants before flushing is what turns concurrent-tenant
+        A :meth:`forecast_many` sweep of one tenant.  The returned handle
+        resolves when the service flushes (queue full, explicit
+        :meth:`flush`, or ``result()`` on any handle) — submitting for
+        many tenants before flushing is what turns concurrent-tenant
         traffic into micro-batches.
 
         ``future_numerical`` / ``future_categorical`` are this tenant's
-        known-future covariates over the model horizon (``[horizon, c]``);
-        they ride through :meth:`ForecastService.submit` untouched by the
-        tenant's normalisation mode (covariates live in their own scale —
-        only the history window and the returned forecast are mapped).
+        known-future covariates over the model horizon (``[horizon, c]``),
+        untouched by the tenant's normalisation mode (covariates live in
+        their own scale — only the history window and the returned
+        forecast are mapped).
 
         ``priority`` / ``timeout`` / ``deadline`` ride through to the
         service's admission control unchanged — an over-capacity or
@@ -241,23 +210,14 @@ class StreamingForecaster:
         :class:`~repro.serving.DeadlineExceeded` here, before any
         streaming counters move.
         """
-        window = self.store.latest(tenant, self.config.input_length)
-        if len(window) == 0:
-            raise ValueError(f"tenant {tenant!r} has no observations to forecast from")
-        normalized, denormalize = self._normalize(tenant, window)
-        handle = self.service.submit(
-            normalized,
-            future_numerical=future_numerical,
-            future_categorical=future_categorical,
-            priority=priority,
-            timeout=timeout,
-            deadline=deadline,
+        ((_, handle),) = self.forecast_many(
+            [tenant], [future_numerical], [future_categorical],
+            priority=priority, timeout=timeout, deadline=deadline,
         )
-        with self._lock:
-            self.stats.forecasts += 1
-            if len(window) < self.config.input_length:
-                self.stats.cold_start_forecasts += 1
-        return StreamingForecast(tenant, handle, denormalize)
+        refused = handle.admission_error
+        if refused is not None:
+            raise refused
+        return handle
 
     def forecast_many(
         self,
@@ -271,15 +231,14 @@ class StreamingForecaster:
     ) -> List[Tuple[str, StreamingForecast]]:
         """Queue one forecast per listed tenant as one columnar block.
 
-        The columnar twin of calling :meth:`forecast` per tenant: one
-        store gather for every window, one vectorised normalisation, one
-        :meth:`~repro.serving.service.ForecastService.submit_many` for the
-        block, and one vectorised denormalisation the first time any
+        One store gather for every window, one vectorised normalisation,
+        one :meth:`~repro.serving.service.ForecastService.submit_many` for
+        the block, and one vectorised denormalisation the first time any
         handle's ``result()`` needs it.  Returns ``(tenant, handle)`` per
         row, in order (a listed-twice tenant gets two rows).
 
-        Outputs are bit-identical to the per-tenant loop, and every row
-        gets the same admission outcome — except that a row refused by
+        Every row gets the admission outcome one ``submit`` per row would
+        give it — except that a row refused by
         admission control does not raise here: its handle raises the
         typed :class:`~repro.serving.Overloaded` /
         :class:`~repro.serving.DeadlineExceeded` from ``result()`` (and
@@ -319,7 +278,7 @@ class StreamingForecaster:
         with self._lock:
             self.stats.forecasts += len(keys) - len(rows.refused)
             self.stats.cold_start_forecasts += int(np.count_nonzero(cold))
-        return [(tenant, _SweepForecast(tenant, sweep, row)) for row, tenant in enumerate(keys)]
+        return [(tenant, StreamingForecast(tenant, sweep, row)) for row, tenant in enumerate(keys)]
 
     def forecast_all(
         self,
@@ -491,36 +450,18 @@ class StreamingForecaster:
         return forecaster
 
     # ------------------------------------------------------------------ #
-    def _normalize(self, tenant: str, window: np.ndarray):
-        """Map a raw window into model space; return it plus the inverse."""
-        if self.normalization == "none":
-            return window, _identity
-        if self.normalization == "rolling":
-            # Freeze this window's statistics under the lock (a concurrent
-            # ingest mutates count/mean/M2 across several statements), so
-            # later ingests cannot change how an already-queued forecast is
-            # denormalised.
-            with self._lock:
-                scaler = self._scalers.get(tenant)
-                if scaler is None:  # pragma: no cover - forecast() requires ingest first
-                    raise RuntimeError(f"tenant {tenant!r} has no rolling statistics yet")
-                frozen = scaler.to_standard_scaler()
-            return frozen.transform(window), frozen.inverse_transform
-        # last_value: the paper's x' = x - x_T / ŷ = ŷ' + x_T, per tenant.
-        anchor = window[-1:].astype(np.float32)
-        return window - anchor, _AddAnchor(anchor)
-
     def _normalize_many(self, keys: List[str], windows: np.ndarray):
         """Map a gathered ``[N, L, C]`` block into model space, vectorised.
 
-        Row for row the same arithmetic :meth:`_normalize` does (rolling
-        statistics frozen under the lock at this moment); returns the
-        float32 model input plus the stacked ``[N, C]`` shift and scale
-        (see :class:`_Sweep`) that map the block's forecasts back.
+        Returns the float32 model input plus the stacked ``[N, C]`` shift
+        and scale (see :class:`_Sweep`) that map the block's forecasts back.
         """
         if self.normalization == "none":
             return windows.astype(np.float32, copy=False), None, None
         if self.normalization == "rolling":
+            # Freeze the statistics under the lock (a concurrent ingest
+            # mutates count/mean/M2 across several statements), so later
+            # ingests cannot change how a queued forecast is denormalised.
             with self._lock:
                 scalers = []
                 for tenant in keys:
@@ -533,15 +474,11 @@ class StreamingForecaster:
                 (windows.astype(np.float64) - mean[:, None, :]) / std[:, None, :]
             ).astype(np.float32)
             return normalized, mean, std
-        # last_value: windows are right-aligned, so row i's last observed
-        # value is windows[i, -1].
+        # last_value: the paper's x' = x - x_T / ŷ = ŷ' + x_T, per tenant.
+        # Windows are right-aligned, so row i's x_T is windows[i, -1].
         anchor = windows[:, -1, :].astype(np.float32)
         normalized = (windows - anchor[:, None, :]).astype(np.float32, copy=False)
         return normalized, anchor, None
-
-
-def _identity(prediction: np.ndarray) -> np.ndarray:
-    return prediction
 
 
 def _per_row(mapping: Optional[Mapping[str, np.ndarray]], keys: List[str]):
@@ -600,10 +537,16 @@ class _Sweep:
         return self._values[index]
 
 
-class _SweepForecast(StreamingForecast):
-    """A :class:`StreamingForecast` on one row of a columnar sweep."""
+class StreamingForecast:
+    """One row of a :meth:`StreamingForecaster.forecast_many` block.
 
-    __slots__ = ("_sweep", "_index")
+    ``result()`` flushes the service if the row is still queued, then
+    returns the row's forecast mapped back through the tenant's
+    normalisation (identity, rolling inverse-standardise, or last-value
+    add-back), so callers always receive original-scale forecasts.
+    """
+
+    __slots__ = ("tenant", "_sweep", "_index")
 
     def __init__(self, tenant: str, sweep: _Sweep, index: int) -> None:
         self.tenant = tenant
@@ -621,15 +564,3 @@ class _SweepForecast(StreamingForecast):
     def admission_error(self) -> Optional[Exception]:
         """The typed error admission control refused this row with, if any."""
         return self._sweep.rows.refused.get(self._index)
-
-
-class _AddAnchor:
-    """Picklable closure adding a tenant's last observed value back."""
-
-    __slots__ = ("anchor",)
-
-    def __init__(self, anchor: np.ndarray) -> None:
-        self.anchor = anchor
-
-    def __call__(self, prediction: np.ndarray) -> np.ndarray:
-        return prediction + self.anchor

@@ -60,6 +60,7 @@ __all__ = [
     "pack_message",
     "raise_remote",
     "recv_message",
+    "remote_error",
     "register_raiseable",
     "send_message",
     "spawn_worker",
@@ -334,12 +335,18 @@ def register_raiseable(exc_type: Type[BaseException]) -> None:
 
 
 def error_payload(error: BaseException) -> dict:
-    """Describe an exception for the wire (type name + message only)."""
-    return {"type": type(error).__name__, "message": str(error)}
+    """Describe an exception for the wire (type name + message only).
+
+    A one-argument ``KeyError`` travels as its argument: its ``str()``
+    is quoted, and re-raising that would quote the message twice.
+    """
+    args = error.args
+    message = str(args[0]) if isinstance(error, KeyError) and len(args) == 1 else str(error)
+    return {"type": type(error).__name__, "message": message}
 
 
-def raise_remote(payload: dict) -> None:
-    """Re-raise a worker-side error coordinator-side.
+def remote_error(payload: dict) -> BaseException:
+    """Rebuild a worker-side error coordinator-side.
 
     Known builtins come back as themselves; anything else becomes a
     ``RuntimeError`` tagged with the original type name.
@@ -348,8 +355,13 @@ def raise_remote(payload: dict) -> None:
     message = payload.get("message", "")
     exc_type = _RAISEABLE.get(name)
     if exc_type is not None:
-        raise exc_type(message)
-    raise RuntimeError(f"worker raised {name}: {message}")
+        return exc_type(message)
+    return RuntimeError(f"worker raised {name}: {message}")
+
+
+def raise_remote(payload: dict) -> None:
+    """Re-raise a worker-side error coordinator-side (see :func:`remote_error`)."""
+    raise remote_error(payload)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,16 +5,18 @@ transports — :class:`~repro.cluster.sharded.LocalShard` and
 :class:`~repro.cluster.process.ProcessShard` — so each control-plane
 contract is checked once here, parametrized over the backend: migration
 sets and their unwind, failover accounting, checkpoint round trips,
-retired-stat folding and sweep equivalence.  On the process backend a
-shard "dies" by a real ``kill -9``; on the thread backend the dead
-replica is simply abandoned.
+retired-stat folding, sweep equivalence and single forecasts (a sweep
+of one).  On the process backend a shard "dies" by a real ``kill -9``;
+on the thread backend the dead replica is simply abandoned.
 """
 
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.cluster import ServiceSpec, build_cluster
 from repro.config import ModelConfig
+from repro.errors import DeadlineExceeded, Overloaded
 
 INPUT_LENGTH = 16
 HORIZON = 4
@@ -246,6 +248,81 @@ class TestSweeps:
         with pytest.raises(KeyError):
             cluster.forecast_all(["tenant-0", "never-ingested"])
         assert handle.result().shape == (HORIZON, CHANNELS)
+
+
+BOUNDED = ServiceSpec(config=SPEC.config, max_batch_size=16, queue_limit=2)
+QUEUE_FULL = "pending queue full (2) with no lower-priority work to displace for a 'batch' arrival"
+
+
+def bounded_cluster(backend):
+    """A cluster whose replicas queue at most two rows."""
+    built = build_cluster(BOUNDED, n_shards=2, backend=backend)
+    rng = np.random.default_rng(8)
+    for i in range(4):
+        built.ingest(f"tenant-{i}", rng.normal(size=(INPUT_LENGTH, CHANNELS)))
+    return built
+
+
+def single_forecast_calls(cluster):
+    """Single forecasts that serve, overflow the queue or fail validation.
+
+    Returns the two served values, in order.
+    """
+    served = [cluster.forecast("tenant-0"), cluster.forecast("tenant-0")]
+    with pytest.raises(Overloaded) as refused:
+        cluster.forecast("tenant-0")
+    assert str(refused.value) == QUEUE_FULL
+    with pytest.raises(KeyError) as unknown:
+        cluster.forecast("ghost")
+    assert str(unknown.value) == str(KeyError("unknown tenant 'ghost'"))
+    for timeout in (0, -1):
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            cluster.forecast("tenant-1", timeout=timeout)
+    with pytest.raises(ValueError, match="not both"):
+        cluster.forecast("tenant-1", timeout=1.0, deadline=obs.now() + 1.0)
+    assert not any(handle.done() for handle in served)
+    cluster.flush()
+    return [handle.result() for handle in served]
+
+
+class TestSingleForecast:
+    """A single forecast is a one-tenant sweep that leaves the queue unflushed."""
+
+    def test_bits_equal_the_one_tenant_sweep(self, cluster):
+        for tenant in ("tenant-0", "tenant-7"):
+            handle = cluster.forecast(tenant)
+            assert not handle.done()
+            value = handle.result()
+            np.testing.assert_array_equal(value, forecasts(cluster, [tenant])[tenant])
+
+    def test_refusals_and_bad_calls_raise_at_the_call(self, backend):
+        cluster = bounded_cluster(backend)
+        try:
+            single_forecast_calls(cluster)
+            with pytest.raises(DeadlineExceeded):
+                cluster.forecast("tenant-1", deadline=obs.now() - 1.0)
+            # Nothing queued is left behind by the refused calls.
+            assert cluster.flush() == 0
+        finally:
+            close(cluster)
+
+    def test_stats_and_bits_agree_across_backends(self):
+        """An already-expired deadline stays out: a process shard sheds
+        that frame before dispatch, so its worker counts no ``shed_expired``."""
+        outcomes = {}
+        for backend in BACKENDS:
+            cluster = bounded_cluster(backend)
+            try:
+                values = single_forecast_calls(cluster)
+                outcomes[backend] = (values, cluster.service_stats(), cluster.streaming_stats())
+            finally:
+                close(cluster)
+        (thread_values, *thread_stats), (process_values, *process_stats) = outcomes.values()
+        for thread_value, process_value in zip(thread_values, process_values):
+            np.testing.assert_array_equal(thread_value, process_value)
+        assert thread_stats == process_stats
+        assert thread_stats[0].shed_overloaded == 1
+        assert thread_stats[1].forecasts == 2
 
 
 def censuses(cluster):

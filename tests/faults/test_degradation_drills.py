@@ -238,6 +238,25 @@ class TestRetryMasksTransients:
         # The stream itself was never touched: traffic flows afterwards.
         assert cluster.forecast("tenant-0").result().shape == (HORIZON, CHANNELS)
 
+    def test_exhausted_send_retries_leave_no_pending_handles(self, cluster):
+        """A sweep frame that never went out fails its handles at once:
+        none waits in the shard for a reply that cannot come."""
+        tenants = [f"tenant-{i}" for i in range(6)]
+        victim, on_victim, _ = split_by_shard(cluster, tenants)
+        expected = {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+        schedule = faults.FaultSchedule(seed=2).add(
+            "shard.send", "transient_eof", match={"shard": victim},
+            times=FAST_CLUSTER.retry_attempts,
+        )
+        with faults.inject(schedule):
+            with pytest.raises(TransientWireError):
+                cluster.forecast_all(tenants)
+        assert schedule.pending() == 0
+        assert cluster._shards[victim]._pending == {}
+        handles = cluster.forecast_all(tenants)
+        for tenant in tenants:
+            np.testing.assert_array_equal(handles[tenant].result(), expected[tenant])
+
     def test_workers_keep_bit_parity_after_masked_transients(self, cluster):
         rng = np.random.default_rng(9)
         history_row = rng.normal(size=(1, CHANNELS)).astype(np.float32)

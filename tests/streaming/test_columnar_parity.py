@@ -1,10 +1,13 @@
-"""Columnar sweep parity: ``forecast_all`` against a per-tenant loop.
+"""Forecast parity: ``forecast_all`` and ``forecast()`` against a per-tenant reference.
 
 ``StreamingForecaster.forecast_all`` gathers, normalises and admits a
-whole sweep as one block.  The per-tenant ``forecast()`` path is kept as
-the reference: for any mix of queue bound, batch size, normalisation,
-padding, covariates and already-queued work, every row must come back
-with the same bits or the same typed error, and every counter must match.
+whole sweep as one block, and ``forecast()`` is a sweep of one tenant.
+Both are checked against :class:`PerTenantReference`, the per-tenant
+path rebuilt from public pieces: ``store.latest``, the tenant's
+normalisation, ``service.submit`` and the inverse mapping.  For any mix
+of queue bound, batch size, normalisation, padding, covariates and
+already-queued work, every row must come back with the same bits or the
+same typed error, and every counter must match.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import repro.obs as obs
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import PRIORITIES, AdmissionPolicy, DeadlineExceeded, ForecastService, Overloaded
-from repro.streaming import StreamingForecaster
+from repro.streaming import StreamingForecaster, StreamingStats
 
 CONFIG = ModelConfig(
     input_length=12, horizon=4, n_channels=2, patch_length=4, hidden_dim=8,
@@ -113,9 +116,53 @@ def assert_same(expected, actual):
         assert expected == actual
 
 
+class PerTenantReference:
+    """One forecast at a time, from the forecaster's public pieces only.
+
+    ``store.latest`` → the tenant's normalisation (its rolling scaler
+    frozen by ``to_standard_scaler()``, or the last-value anchor) →
+    ``service.submit`` → the inverse mapping on ``result()``.  It keeps
+    the :class:`StreamingStats` the forecaster should keep: a refused
+    submit raises before any counter moves.
+    """
+
+    def __init__(self, forecaster):
+        self.forecaster = forecaster
+        self.stats = StreamingStats()
+
+    def forecast(self, tenant, **request):
+        forecaster = self.forecaster
+        input_length = forecaster.config.input_length
+        window = forecaster.store.latest(tenant, input_length)
+        if forecaster.normalization == "none":
+            normalized, inverse = window, None
+        elif forecaster.normalization == "rolling":
+            frozen = forecaster.scaler(tenant).to_standard_scaler()
+            normalized, inverse = frozen.transform(window), frozen.inverse_transform
+        else:
+            anchor = window[-1:].astype(np.float32)
+            normalized, inverse = window - anchor, lambda values: values + anchor
+        handle = forecaster.service.submit(normalized, **request)
+        self.stats.forecasts += 1
+        self.stats.cold_start_forecasts += int(len(window) < input_length)
+        return Mapped(handle, inverse)
+
+
+class Mapped:
+    """A service handle whose result goes back through a tenant's inverse."""
+
+    def __init__(self, handle, inverse):
+        self.handle, self.inverse = handle, inverse
+
+    def result(self):
+        value = self.handle.result()
+        return value if self.inverse is None else self.inverse(value)
+
+
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=sweeps())
 def test_columnar_sweep_matches_per_tenant_loop(case):
+    """Both ``forecast_all`` and a ``forecast()`` per tenant match the reference."""
     numerical, categorical = covariates(case)
     deadline = {
         None: None,
@@ -124,40 +171,54 @@ def test_columnar_sweep_matches_per_tenant_loop(case):
     }[case["deadline"]]
     tenants = [f"t{i}" for i in np.random.default_rng(case["seed"]).permutation(case["n_tenants"])]
 
-    ref_service, reference, ref_queued = build(case)
-    expected = {}
-    for tenant in tenants:
-        try:
-            expected[tenant] = reference.forecast(
-                tenant,
-                future_numerical=numerical.get(tenant),
-                future_categorical=categorical.get(tenant),
-                priority=case["priority"],
-                deadline=deadline,
-            )
-        except (Overloaded, DeadlineExceeded) as error:
-            expected[tenant] = error
+    def single_forecasts(forecaster):
+        """``forecast()`` per tenant, a refusal recorded in the tenant's place."""
+        handles = {}
+        for tenant in tenants:
+            try:
+                handles[tenant] = forecaster.forecast(
+                    tenant,
+                    future_numerical=numerical.get(tenant),
+                    future_categorical=categorical.get(tenant),
+                    priority=case["priority"],
+                    deadline=deadline,
+                )
+            except (Overloaded, DeadlineExceeded) as error:
+                handles[tenant] = error
+        return handles
+
+    ref_service, ref_forecaster, ref_queued = build(case)
+    reference = PerTenantReference(ref_forecaster)
+    expected = single_forecasts(reference)
     ref_service.flush()
+    expected_stats = ref_service.stats_snapshot()
 
     service, columnar, queued = build(case)
-    actual = columnar.forecast_all(
+    swept = columnar.forecast_all(
         tenants,
         future_numerical=numerical,
         future_categorical=categorical,
         priority=case["priority"],
         deadline=deadline,
     )
-
-    assert list(actual) == tenants
-    for tenant in tenants:
-        assert_same(outcome(expected[tenant]), outcome(actual[tenant]))
-    for before, after in zip(ref_queued, queued):
-        assert_same(outcome(before), outcome(after))
-    assert service.stats_snapshot() == ref_service.stats_snapshot()
-    assert columnar.stats_snapshot() == reference.stats_snapshot()
-    assert service.pending == ref_service.pending == 0
+    service_single, single, queued_single = build(case)
+    singles = single_forecasts(single)
+    service_single.flush()
+    runs = [
+        (service, columnar, queued, swept),
+        (service_single, single, queued_single, singles),
+    ]
+    for service, forecaster, queued, handles in runs:
+        assert list(handles) == tenants
+        for tenant in tenants:
+            assert_same(outcome(expected[tenant]), outcome(handles[tenant]))
+        for before, after in zip(ref_queued, queued):
+            assert_same(outcome(before), outcome(after))
+        assert service.stats_snapshot() == expected_stats
+        assert forecaster.stats_snapshot() == reference.stats
+        assert service.pending == ref_service.pending == 0
+        service.close()
     ref_service.close()
-    service.close()
 
 
 def test_sweep_refusal_is_per_row_not_raised():
@@ -186,7 +247,8 @@ def test_unflushed_sweep_split_by_a_mid_block_flush():
     """Rows a mid-block flush resolved answer without flushing the rest."""
     case = fixed_case(3, history=[20, 5, 20], max_batch_size=2, normalization="last_value")
     tenants = ["t0", "t1", "t2"]
-    ref_service, reference, _ = build(case)
+    ref_service, ref_forecaster, _ = build(case)
+    reference = PerTenantReference(ref_forecaster)
     expected = {tenant: reference.forecast(tenant) for tenant in tenants}
     ref_service.flush()
     service, columnar, _ = build(case)
