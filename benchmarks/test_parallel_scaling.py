@@ -30,6 +30,7 @@ N_CHANNELS = 8
 INPUT_LENGTH = 96
 HORIZON = 24
 TICKS = 6
+REPEATS = 7
 
 
 def _service_factory():
@@ -60,23 +61,38 @@ def _drive(cluster, ticks):
 
 
 def test_pool_executor_speedup_over_serial():
-    """Parallel forecast_all throughput vs the serial fan-out baseline."""
-    elapsed = {}
-    for name, executor in (("serial", SerialExecutor()), ("pool", PoolExecutor(N_SHARDS))):
-        with executor:
-            cluster = _build_cluster(executor)
-            _drive(cluster, 2)                     # warm caches and the pool
-            cluster.reset_service_stats()
-            start = time.perf_counter()
-            _drive(cluster, TICKS)
-            elapsed[name] = time.perf_counter() - start
+    """Parallel forecast_all throughput vs the serial fan-out baseline.
+
+    Serial and pool blocks of ``TICKS`` ticks alternate (swapping order
+    every repeat) and the gate reads the median per-pair ratio, so a load
+    spike on a shared host lands on both sides of a pair instead of
+    deciding the verdict from one block.
+    """
+    executors = {"serial": SerialExecutor(), "pool": PoolExecutor(N_SHARDS)}
+    elapsed = {name: 0.0 for name in executors}
+    ratios = []
+    with executors["serial"], executors["pool"]:
+        clusters = {}
+        for name, executor in executors.items():
+            clusters[name] = _build_cluster(executor)
+            _drive(clusters[name], 2)              # warm caches and the pool
+            clusters[name].reset_service_stats()
+        for i in range(REPEATS):
+            block = {}
+            for name in ("serial", "pool") if i % 2 == 0 else ("pool", "serial"):
+                start = time.perf_counter()
+                _drive(clusters[name], TICKS)
+                block[name] = time.perf_counter() - start
+                elapsed[name] += block[name]
+            ratios.append(block["serial"] / block["pool"])
+        for cluster in clusters.values():
             stats = cluster.service_stats()
-            assert stats.requests == N_TENANTS * TICKS
+            assert stats.requests == N_TENANTS * TICKS * REPEATS
             # Parallelism must not change batching: tenants still coalesce
             # per shard into one flush per fan-out.
             assert stats.mean_batch_size >= 0.8 * N_TENANTS / N_SHARDS
 
-    speedup = elapsed["serial"] / elapsed["pool"]
+    speedup = float(np.median(ratios))
     cores = os.cpu_count() or 1
     # The bar the host can actually clear: with one core a thread pool can
     # only tie (the assert guards against fan-out *overhead*), and real
@@ -97,9 +113,9 @@ def test_pool_executor_speedup_over_serial():
         required = 0.6
     print(
         f"\nparallel scaling ({cores} cores, {N_SHARDS} shards): serial "
-        f"{N_TENANTS * TICKS / elapsed['serial']:,.0f} forecasts/s, pool "
-        f"{N_TENANTS * TICKS / elapsed['pool']:,.0f} forecasts/s "
-        f"(speedup {speedup:.2f}x, required {required:.2f}x)"
+        f"{N_TENANTS * TICKS * REPEATS / elapsed['serial']:,.0f} forecasts/s, pool "
+        f"{N_TENANTS * TICKS * REPEATS / elapsed['pool']:,.0f} forecasts/s "
+        f"(median paired speedup {speedup:.2f}x, required {required:.2f}x)"
     )
     assert speedup >= required, (
         f"PoolExecutor gave {speedup:.2f}x over SerialExecutor on {cores} "

@@ -91,9 +91,5 @@ class InterPatchAttention(Module):
             raise ValueError(
                 f"expected hidden dimension {self.hidden_dim}, got {tokens.shape[-1]}"
             )
-        queries = self.query(tokens)
-        keys = self.key(tokens)
-        scores = (queries @ keys.swapaxes(-1, -2)) / float(np.sqrt(self.attention_dim))
-        weights = F.softmax(scores, axis=-1)
-        attended = self.dropout(weights @ tokens)
-        return attended + tokens
+        attended = F.scaled_dot_product_attention(self.query(tokens), self.key(tokens), tokens)
+        return self.dropout(attended) + tokens

@@ -6,11 +6,22 @@ fully differentiable through the autograd engine.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, _trace_state, _unbroadcast, as_tensor, concatenate, is_grad_enabled, stack, where_mask
+from .tensor import (
+    MacCounter,
+    Tensor,
+    _trace_state,
+    _unbroadcast,
+    as_tensor,
+    concatenate,
+    is_grad_enabled,
+    stack,
+    where_mask,
+)
 
 __all__ = [
     "relu",
@@ -23,6 +34,8 @@ __all__ = [
     "log_softmax_kernel",
     "layer_norm_kernel",
     "gelu_kernel",
+    "attention_scores_kernel",
+    "attention_output_kernel",
     "dropout",
     "manual_seed",
     "default_generator",
@@ -282,11 +295,21 @@ def dropout(
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``."""
+    """Affine map ``x @ weight.T + bias`` matching ``torch.nn.functional.linear``.
+
+    A C-contiguous input with more than two dims runs as one 2-D GEMM
+    over its flattened leading dims instead of one GEMM per leading
+    index; both reshapes are views, so a plan records no extra step.
+    """
+    x = as_tensor(x)
+    lead = x.shape[:-1]
+    flat = x.ndim > 2 and x.data.flags.c_contiguous
+    if flat:
+        x = x.reshape(-1, x.shape[-1])
     out = x @ weight.swapaxes(-1, -2)
     if bias is not None:
         out = out + bias
-    return out
+    return out.reshape(lead + out.shape[-1:]) if flat else out
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -331,21 +354,104 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return Tensor._wrap(out_data)
 
 
-def scaled_dot_product_attention(
-    query: Tensor,
-    key: Tensor,
-    value: Tensor,
-    dropout_p: float = 0.0,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Standard scaled dot-product attention ``softmax(QK^T / sqrt(d)) V``."""
-    d_k = query.shape[-1]
-    scores = (query @ key.swapaxes(-1, -2)) / float(np.sqrt(d_k))
-    weights = softmax(scores, axis=-1)
-    if dropout_p > 0.0:
-        weights = dropout(weights, dropout_p, training, rng=rng)
-    return weights @ value
+def _query_major(scores: np.ndarray, n_key: int, lead: tuple, n_query: int) -> np.ndarray:
+    """The flat key-major ``[Lk, rows]`` scores as a ``lead + (Lq, Lk)`` view."""
+    by_key = scores.reshape((n_key,) + lead + (n_query,))
+    return by_key.transpose(tuple(range(1, len(lead) + 2)) + (0,))
+
+
+def attention_scores_kernel(query: np.ndarray, key: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Scaled scores ``Q K^T / sqrt(d)`` written key-major into ``out``.
+
+    ``out`` is a flat buffer of ``Lk * rows`` entries, ``rows =
+    prod(lead) * Lq``, read as ``[Lk, rows]``: every query row is a
+    column, so the softmax that follows reduces over axis 0 with
+    whole-row vector ops instead of one short inner loop per query.  The
+    matmul ``K Q^T`` writes straight into that layout through a
+    transposed view.  Shared by the eager op and plan replay; a plan
+    rebinds ``out`` to a leading prefix, which is this same layout for
+    the smaller batch.
+    """
+    by_query = _query_major(out, key.shape[-2], query.shape[:-2], query.shape[-2])
+    np.matmul(key, np.swapaxes(query, -1, -2), out=np.swapaxes(by_query, -1, -2))
+    np.divide(out, math.sqrt(query.shape[-1]), out=out)
+    return out
+
+
+def attention_output_kernel(
+    value: np.ndarray,
+    scores: np.ndarray,
+    reduce_buf: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Softmax over the keys of the key-major ``scores``, then ``weights @ V``.
+
+    ``scores`` comes from :func:`attention_scores_kernel` and is turned
+    into the attention weights in place; ``reduce_buf`` (``rows``
+    entries) holds the column maximum and then the normalising sum.  The
+    matmul reads the weights through a transposed view, so nothing is
+    copied.
+    """
+    weights = scores.reshape(value.shape[-2], reduce_buf.shape[0])
+    np.amax(weights, axis=0, out=reduce_buf)
+    np.subtract(weights, reduce_buf, out=weights)
+    np.exp(weights, out=weights)
+    np.sum(weights, axis=0, out=reduce_buf)
+    np.divide(weights, reduce_buf, out=weights)
+    by_query = _query_major(scores, value.shape[-2], out.shape[:-2], out.shape[-2])
+    return np.matmul(by_query, value, out=out)
+
+
+def scaled_dot_product_attention(query: Tensor, key: Tensor, value: Tensor) -> Tensor:
+    """``softmax(Q K^T / sqrt(d)) V`` as one primitive autograd op.
+
+    ``query``/``key``/``value`` share their leading dims; ``Lq`` may differ
+    from ``Lk`` and ``d`` from ``dv``.  A plan records two steps — the
+    scores, then softmax and ``weights @ V`` — so ``query`` and ``key``
+    die before the softmax and the arena can reuse their storage.
+    """
+    query, key, value = as_tensor(query), as_tensor(key), as_tensor(value)
+    q, k, v = query.data, key.data, value.data
+    lead, (n_query, d), n_key = q.shape[:-2], q.shape[-2:], k.shape[-2]
+    if (k.shape[:-2], v.shape[:-2], k.shape[-1], v.shape[-2]) != (lead, lead, d, n_key):
+        raise ValueError(
+            f"attention shapes do not match: query {q.shape}, key {k.shape}, value {v.shape}"
+        )
+    rows = math.prod(lead) * n_query
+    if MacCounter.active is not None:
+        MacCounter.active.add(rows * n_key * (d + v.shape[-1]))
+    scores = np.empty(n_key * rows, dtype=np.result_type(q, k))
+    reduce_buf = np.empty(rows, dtype=scores.dtype)
+    out_data = np.empty(lead + (n_query, v.shape[-1]), dtype=np.result_type(scores, v))
+    attention_scores_kernel(q, k, scores)
+    attention_output_kernel(v, scores, reduce_buf, out_data)
+    if is_grad_enabled() and (query.requires_grad or key.requires_grad or value.requires_grad):
+        weights = _query_major(scores, n_key, lead, n_query)
+        scale = math.sqrt(d)
+
+        def backward(grad: np.ndarray) -> None:
+            if value.requires_grad:
+                value._accumulate(np.swapaxes(weights, -1, -2) @ grad)
+            if query.requires_grad or key.requires_grad:
+                grad_weights = grad @ np.swapaxes(v, -1, -2)
+                inner = np.sum(grad_weights * weights, axis=-1, keepdims=True)
+                grad_scores = weights * (grad_weights - inner) / scale
+                if query.requires_grad:
+                    query._accumulate(grad_scores @ k)
+                if key.requires_grad:
+                    key._accumulate(np.swapaxes(grad_scores, -1, -2) @ q)
+
+        return Tensor._node(out_data, (query, key, value), backward)
+    rec = _trace_state.recorder
+    if rec is not None:
+        rec.add(attention_scores_kernel, (q, k, scores), scores)
+        rec.add(
+            attention_output_kernel,
+            (v, scores, reduce_buf, out_data),
+            out_data,
+            scratch=(reduce_buf,),
+        )
+    return Tensor._wrap(out_data)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

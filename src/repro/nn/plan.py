@@ -38,9 +38,19 @@ with the batch, a view with no prefix slice, a replay that differs from
 eager at the full batch or at a prefix probe — raises
 :class:`PlanUnsupported`, and the caller serves that signature eager.
 
+Primitives: besides the elementwise, matmul, reduction and copying
+reshape/slice ops of :class:`~repro.nn.tensor.Tensor`, ``repro.nn.functional``
+records composite primitives whose kernels eager and replay share —
+``softmax`` / ``log_softmax`` / ``layer_norm`` / ``gelu`` as one step each,
+and ``scaled_dot_product_attention`` as two (scores written key-major into
+a flat ``[Lk, rows]`` buffer, then softmax over its outer axis and
+``weights @ V``).  ``linear`` on a contiguous input of more than two dims
+is one 2-D GEMM between two view reshapes.  :meth:`InferencePlan.profile`
+splits a replay's time by the op kind that recorded each step.
+
 Correctness model: tracing assumes the forward's *structure* depends only
 on input shapes, never on input values.  All ``repro.nn`` tensor ops and
-the ``softmax`` / ``layer_norm`` / ``gelu`` primitives satisfy this; models
+the functional primitives above satisfy this; models
 computing raw-NumPy, value-dependent constants inside ``forward`` must not
 enable ``supports_compiled_plan``.  Every freshly traced plan is
 self-checked by replaying it on the traced inputs (and on prefixes of
@@ -51,6 +61,7 @@ it may serve traffic.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -592,6 +603,52 @@ class InferencePlan:
             kernel(*arrays)
         out = self._out_slot.bind(batch)
         return out.copy() if copy else out
+
+    def profile(self, repeats: int = 20) -> Dict[str, float]:
+        """Mean µs per full-batch replay, split by op kind.
+
+        Re-runs the steps ``repeats`` times on whatever the input buffers
+        hold and times each kernel on its own, in :meth:`_replay_timed`,
+        so ``_replay`` stays untimed.  A step's kind is the name of the op
+        that recorded it (``matmul``, ``add``, ``attention_scores``,
+        ``gelu``, ...).  Like :meth:`run`, it must not overlap another
+        call on the same plan.
+        """
+        if repeats < 1:
+            raise ValueError(f"repeats must be positive, got {repeats}")
+        bound = self._bound.get(self.max_batch)
+        if bound is None:
+            bound = self._bind(self.max_batch)
+        kinds = [_op_kind(kernel) for kernel in self._kernels]
+        totals = dict.fromkeys(kinds, 0.0)
+        for _ in range(repeats):
+            self._replay_timed(bound, kinds, totals)
+        return {
+            kind: total * 1e6 / repeats
+            for kind, total in sorted(totals.items(), key=lambda item: -item[1])
+        }
+
+    def _replay_timed(self, bound, kinds: List[str], totals: Dict[str, float]) -> None:
+        """One replay of ``bound`` adding each kernel's seconds to its kind."""
+        clock = time.perf_counter
+        for kind, kernel, arrays in zip(kinds, self._kernels, bound):
+            start = clock()
+            kernel(*arrays)
+            totals[kind] += clock() - start
+
+
+def _op_kind(kernel: Callable[..., object]) -> str:
+    """The op a replay kernel belongs to, read off its recording site.
+
+    ``Tensor.__matmul__.<locals>.<lambda>`` is ``matmul``,
+    ``Embedding.forward.<locals>.<lambda>`` is ``Embedding.forward`` and a
+    kernel registered by name, such as ``attention_scores_kernel``, is
+    ``attention_scores``.
+    """
+    site = kernel.__qualname__.split(".<locals>")[0]
+    if site.startswith("Tensor."):
+        site = site[len("Tensor."):].strip("_")
+    return site[: -len("_kernel")] if site.endswith("_kernel") else site
 
 
 @guarded_by(

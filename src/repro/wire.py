@@ -367,6 +367,9 @@ def raise_remote(payload: dict) -> None:
 # ---------------------------------------------------------------------- #
 # Worker spawning.
 # ---------------------------------------------------------------------- #
+_WORKER_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def spawn_worker(module: str, *args: str) -> Tuple[socket.socket, subprocess.Popen]:
     """Launch ``python -m module <fd> [args...]`` over one socketpair end.
 
@@ -375,10 +378,18 @@ def spawn_worker(module: str, *args: str) -> Tuple[socket.socket, subprocess.Pop
     marks it inheritable), and ``PYTHONPATH`` is prefixed with this
     package's ``src`` root so the worker imports the same ``repro`` the
     coordinator is running — regardless of the caller's cwd.
+
+    BLAS and OpenMP default to one thread per worker unless the caller's
+    environment sets them: a cluster runs one worker per shard for its
+    parallelism, and a BLAS thread pool inside each worker only
+    oversubscribes the cores once a GEMM crosses the library's threading
+    threshold.
     """
     parent, child = socket.socketpair()
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
+    for name in _WORKER_THREAD_VARS:
+        env.setdefault(name, "1")
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
     try:

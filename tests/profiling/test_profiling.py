@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import DLinear, PatchTST, VanillaTransformer, create_model
+from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.profiling import (
     count_parameters,
@@ -61,6 +62,48 @@ class TestMacs:
     def test_macs_with_covariates(self, small_config, rng):
         model = LiPFormer(small_config, rng=rng)
         assert measure_macs(model, batch_size=2) > 0
+
+    @pytest.mark.parametrize(
+        "model_cls, config, batch, expected",
+        [
+            pytest.param(
+                LiPFormer,
+                ModelConfig(
+                    input_length=48, horizon=12, n_channels=1, patch_length=12,
+                    hidden_dim=32, dropout=0.0,
+                ),
+                8,
+                60_416,
+                id="lipformer-fleet",
+            ),
+            pytest.param(
+                LiPFormer,
+                ModelConfig(
+                    input_length=96, horizon=24, n_channels=7, patch_length=24,
+                    hidden_dim=64, dropout=0.0, covariate_numerical_dim=4,
+                    covariate_categorical_cardinalities=(7, 24),
+                ),
+                8,
+                5_028_352,
+                id="lipformer-enriched",
+            ),
+            pytest.param(
+                VanillaTransformer,
+                ModelConfig(
+                    input_length=192, horizon=24, n_channels=3, patch_length=24,
+                    hidden_dim=32, dropout=0.0, n_heads=2, n_layers=2,
+                ),
+                4,
+                37_831_680,
+                id="vanilla-transformer",
+            ),
+        ],
+    )
+    def test_macs_are_pinned(self, model_cls, config, batch, expected, rng):
+        """Fused attention counts exactly the MACs of the two matmuls it
+        replaced (``rows * Lk * (d + dv)``) and one-GEMM linear maps count
+        the same products, so the efficiency tables keep their numbers."""
+        assert measure_macs(model_cls(config, rng=rng), batch_size=batch) == expected
 
 
 class TestTiming:
