@@ -45,13 +45,12 @@ from ..runtime.annotations import guarded_by, requires_lock, unguarded
 from ..runtime.locks import RWLock, TrackedRLock
 from ..serving.admission import DEFAULT_PRIORITY, resolve_deadline
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import StreamingStats
+from ..streaming.forecaster import StreamingStats, payload_census
 from ..streaming.store import StoreStats
 from .ring import HashRing
 from .snapshot import (
     _npz_path,
     compact_chain,
-    read_snapshot,
     resolve_chain,
     resolve_tenant_payloads,
     write_snapshot,
@@ -83,8 +82,9 @@ class Shard(Protocol):
     shows up as ``stale`` (or its tenant as ``lost``) like any row
     ingested after the last checkpoint.  ``start(op, **fields)`` /
     ``collect()`` are the two halves of :func:`fan_out`, for the ops
-    ``forecast_all``, ``flush``, ``warmup``, ``to_state``,
-    ``delta_state``, ``clear_dirty`` and ``restore``.  There is no
+    ``forecast_all``, ``flush``, ``warmup``, ``to_state`` (full, or
+    with ``delta``), ``clear_dirty`` and ``restore``; states and tenant
+    payloads are opaque to the coordinator.  There is no
     single-forecast call: a forecast is a ``forecast_all`` job of one
     tenant, whose handles expose ``admission_error``.
     """
@@ -451,10 +451,10 @@ class Coordinator:
                     # Born after the last checkpoint, died with the replica.
                     report.lost.append(tenant)
                     continue
-                checkpoint_rows = int(payload["series"]["buffer"]["total_appended"])
+                checkpoint_rows, checkpoint_generation = payload_census(payload)
                 if (
                     tenant in self._dropped_since_checkpoint
-                    or generation != int(payload["series"].get("generation", 0))
+                    or generation != checkpoint_generation
                     or live_rows < checkpoint_rows
                 ):
                     # The payload belongs to a different incarnation of this
@@ -695,14 +695,17 @@ class Coordinator:
         backends write this one format.
         """
         with self._topology.write():
-            return self._to_state_locked()
+            return self._state_locked(self._seq)
 
     @requires_lock("_topology")
-    def _header_locked(self, kind: str) -> dict:
-        """The fields full and delta snapshots share."""
-        return {
-            "kind": kind,
+    def _state_locked(self, seq: int, delta: bool = False) -> dict:
+        """A full checkpoint, or with ``delta`` one chained to the current
+        link, whose shard states map each clean tenant to ``None``."""
+        self._topology.assert_held("write")
+        state = {
+            "kind": "delta" if delta else "full",
             "chain_id": self._chain_id,
+            "seq": int(seq),
             "vnodes": int(self.ring.vnodes),
             "normalization": self.normalization,
             "rebalances": int(self.rebalances),
@@ -715,34 +718,10 @@ class Coordinator:
                 "store": asdict(self._retired_store),
                 "streaming": asdict(self._retired_streaming),
             },
+            "shards": self._fan_out("to_state", self._all(delta=delta)),
         }
-
-    @requires_lock("_topology")
-    def _to_state_locked(self) -> dict:
-        self._topology.assert_held("write")
-        state = self._header_locked("full")
-        state["seq"] = int(self._seq)
-        state["shards"] = self._fan_out("to_state", self._all())
-        return state
-
-    @requires_lock("_topology")
-    def _delta_state_locked(self, seq: int) -> dict:
-        """A delta checkpoint: churned tenants' payloads + each shard's order.
-
-        Per shard the delta records the full tenant key list (which
-        doubles as the deletion record) and full payloads only for
-        tenants dirtied since the last checkpoint.
-        """
-        self._topology.assert_held("write")
-        collected = self._fan_out("delta_state", self._all())
-        state = self._header_locked("delta")
-        state["seq"] = int(seq)
-        state["parent_seq"] = int(self._seq)
-        state["store"] = next(iter(collected.values()))["store"]
-        state["shards"] = {
-            shard_id: {key: entry[key] for key in ("order", "dirty", "stats", "store_stats")}
-            for shard_id, entry in collected.items()
-        }
+        if delta:
+            state["parent_seq"] = int(self._seq)
         return state
 
     @requires_lock("_topology")
@@ -763,7 +742,7 @@ class Coordinator:
             self._chain_id = uuid.uuid4().hex
             self._seq = 0
             try:
-                write_snapshot(self._to_state_locked(), path)
+                write_snapshot(self._state_locked(0), path)
             except BaseException:
                 # A failed write must not orphan the in-memory chain head.
                 self._chain_id, self._seq = previous
@@ -791,7 +770,7 @@ class Coordinator:
                     f"{path!r} is already a link of the current checkpoint "
                     "chain; each incremental snapshot needs a fresh path"
                 )
-            write_snapshot(self._delta_state_locked(seq=self._seq + 1), path)
+            write_snapshot(self._state_locked(self._seq + 1, delta=True), path)
             self._mark_checkpointed_locked()
             self._seq += 1
             self._chain.append(path)
@@ -869,9 +848,9 @@ class Coordinator:
 
     @classmethod
     def load(cls, replica, path: str, **transport) -> "Coordinator":
-        """Restore a :meth:`save` archive; shards come back pre-warmed."""
-        cluster = cls.from_state(replica, read_snapshot(path), **transport)
-        return cluster._resume([path])
+        """Restore a :meth:`save` archive (a one-link chain); shards come
+        back pre-warmed."""
+        return cls.load_chain(replica, [path], **transport)
 
     @classmethod
     def load_chain(cls, replica, paths: Sequence[str], **transport) -> "Coordinator":
@@ -884,16 +863,13 @@ class Coordinator:
         """
         paths = list(paths)
         cluster = cls.from_state(replica, resolve_chain(paths), **transport)
-        return cluster._resume(paths)
-
-    def _resume(self, paths: List[str]) -> "Coordinator":
-        with self._topology.write():
-            if self._chain_id is not None:
+        with cluster._topology.write():
+            if cluster._chain_id is not None:
                 # The revived cluster can keep extending the chain (and
                 # fail over) without re-writing a full base first.
-                self._chain = paths
-        self.warmup()
-        return self
+                cluster._chain = paths
+        cluster.warmup()
+        return cluster
 
 
 def _snapshot_file(path: str) -> str:

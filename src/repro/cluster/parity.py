@@ -14,55 +14,18 @@ mid-replay.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from ..streaming.replay import ParityReport
+from ..streaming.replay import ParityReport, parity_report, replay_ticks
 
 __all__ = ["replay_cluster", "compare_cluster_to_unsharded"]
 
 
-def replay_cluster(
-    target,
-    streams: Mapping[str, np.ndarray],
-    warmup: int,
-    on_tick: Optional[Callable[[int], None]] = None,
-) -> Dict[str, np.ndarray]:
-    """Drive per-tenant streams through any ingest/forecast/flush target.
-
-    Every global tick ingests one row per live tenant, then forecasts all
-    tenants past ``warmup`` through one fan-out flush.  ``on_tick(step)``
-    runs *before* the tick's ingests — the hook used to trigger a
-    rebalance (or snapshot/restore) mid-stream in parity tests.  Returns
-    ``tenant -> [n_forecasts, horizon, channels]``.
-    """
-    if warmup < 1:
-        raise ValueError(f"warmup must be positive, got {warmup}")
-    arrays = {
-        tenant: np.asarray(values, dtype=np.float32) for tenant, values in streams.items()
-    }
-    steps = max((len(values) for values in arrays.values()), default=0)
-    collected: Dict[str, List[np.ndarray]] = {tenant: [] for tenant in arrays}
-    for step in range(steps):
-        if on_tick is not None:
-            on_tick(step)
-        pending = []
-        for tenant, values in arrays.items():
-            if step >= len(values):
-                continue
-            target.ingest(tenant, values[step])
-            if step + 1 >= warmup:
-                pending.append((tenant, target.forecast(tenant)))
-        target.flush()
-        for tenant, handle in pending:
-            collected[tenant].append(handle.result())
-    return {
-        tenant: np.stack(rows)
-        if rows
-        else np.zeros((0,), dtype=np.float32)
-        for tenant, rows in collected.items()
-    }
+#: Drive per-tenant streams through a cluster (or any ingest/forecast/flush
+#: target) tick by tick, with an ``on_tick`` hook for mid-stream rebalances.
+replay_cluster = replay_ticks
 
 
 def compare_cluster_to_unsharded(
@@ -75,25 +38,15 @@ def compare_cluster_to_unsharded(
             "cluster and reference replays cover different tenants: "
             f"{sorted(set(cluster_forecasts) ^ set(reference_forecasts))}"
         )
-    compared = 0
-    identical = True
-    max_abs = 0.0
-    for tenant, produced in cluster_forecasts.items():
-        expected = reference_forecasts[tenant]
-        if produced.shape != expected.shape:
-            raise ValueError(
-                f"tenant {tenant!r}: cluster produced {produced.shape}, "
-                f"reference {expected.shape}"
-            )
-        compared += len(produced)
-        if len(produced) == 0:
-            continue
-        diff = np.abs(produced.astype(np.float64) - expected.astype(np.float64))
-        max_abs = max(max_abs, float(diff.max()))
-        identical = identical and np.array_equal(produced, expected)
-    return ParityReport(
-        tenants=len(cluster_forecasts),
-        windows_compared=compared,
-        bit_identical=identical and compared > 0,
-        max_abs_error=max_abs,
-    )
+
+    def pairs():
+        for tenant, produced in cluster_forecasts.items():
+            expected = reference_forecasts[tenant]
+            if produced.shape != expected.shape:
+                raise ValueError(
+                    f"tenant {tenant!r}: cluster produced {produced.shape}, "
+                    f"reference {expected.shape}"
+                )
+            yield produced, expected
+
+    return parity_report(pairs(), tenants=len(cluster_forecasts))

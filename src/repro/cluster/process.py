@@ -82,9 +82,8 @@ _SHARD_RETRIES = obs.counter(
     labels=("shard",),
 )
 
-# Fan-out ops whose worker command is named differently, and how replies
-# decode into the op's result (others return the reply itself).
-_COMMANDS = {"to_state": "state", "delta_state": "delta"}
+# How replies decode into a fan-out op's result (others return the reply
+# itself).  Every op is the worker command of the same name.
 _DECODE = {"warmup": lambda reply: int(reply["traced"]), "to_state": lambda reply: reply["state"]}
 
 #: write-behind cap: once a shard holds this many buffered rows, the
@@ -95,7 +94,7 @@ BUFFER_ROWS = 4096
 
 @guarded_by(
     "_buffer", "_buffered_rows", "_in_flight", "_census", "_watermarks", "_tombstones",
-    lock="lock",
+    "_shed_expired", lock="lock",
 )
 class ProcessShard:
     """One worker process plus its request/reply socket.
@@ -179,6 +178,10 @@ class ProcessShard:
         self._next_request = 1
         # Last stats poll: the fold-in source when the worker dies.
         self._last_stats: Optional[Stats] = None
+        # Sweep rows shed here because their deadline had passed before
+        # dispatch: the worker never sees them, so stats() adds them to
+        # its shed_expired, as the thread backend's service counts them.
+        self._shed_expired = 0
         # The fan-out leg in flight: (op, sweep handles, deadline); op is
         # None when start() already settled the leg without sending.
         self._leg: Tuple[Optional[str], Optional[dict], Optional[float]] = (None, None, None)
@@ -409,29 +412,38 @@ class ProcessShard:
 
     def import_tenant(self, tenant: str, payload: dict) -> None:
         with self.lock:
-            reply = self.request("import_tenant", tenant=tenant, payload=payload)
-            self._census[tenant] = (int(reply["observed"]), int(reply["generation"]))
-            watermark = payload["series"].get("last_timestamp")
-            if watermark is not None:
-                self._watermarks[tenant] = watermark
+            self._adopt(tenant, self.request("import_tenant", tenant=tenant, payload=payload))
+
+    @requires_lock("lock")
+    def _adopt(self, tenant: str, entry: dict) -> None:
+        """Mirror one worker census entry: rows, generation and the
+        watermark new rows must follow."""
+        self._census[tenant] = (int(entry["observed"]), int(entry["generation"]))
+        if entry["watermark"] is not None:
+            self._watermarks[tenant] = entry["watermark"]
 
     def stats(self) -> Optional[Stats]:
         """Poll the worker's counters; a sick worker contributes its last
         polled snapshot instead, so stats reads keep working during an
         incident (counters accrued after that poll died with it)."""
-        try:
-            reply = self.request("stats")
-        except (WorkerDied, CircuitOpen):
+        with self.lock:
+            try:
+                reply = self.request("stats")
+            except (WorkerDied, CircuitOpen):
+                return self._last_stats
+            service = ServiceStats(**reply["service"])
+            service.shed_expired += self._shed_expired
+            self._last_stats = (
+                service,
+                StreamingStats(**reply["streaming"]),
+                StoreStats(**reply["store"]),
+            )
             return self._last_stats
-        self._last_stats = (
-            ServiceStats(**reply["service"]),
-            StreamingStats(**reply["streaming"]),
-            StoreStats(**reply["store"]),
-        )
-        return self._last_stats
 
     def reset_stats(self) -> None:
-        self.request("reset_stats")
+        with self.lock:
+            self.request("reset_stats")
+            self._shed_expired = 0
 
     # ------------------------------------------------------------------ #
     # Split-phase fan-out legs
@@ -442,14 +454,9 @@ class ProcessShard:
         if op == "forecast_all":
             self._start_sweep(**fields)
             return
-        if op == "restore":
-            # The replaced store's watermarks, which new rows must follow;
-            # its tombstones are in-memory only and do not survive.
-            self._watermarks = dict(fields["state"]["store"]["last_timestamps"])
-            self._tombstones = {}
         self._leg = (op, None, None)
         try:
-            self._retrying(lambda: self.send(_COMMANDS.get(op, op), **fields))
+            self._retrying(lambda: self.send(op, **fields))
         except WorkerDied as error:
             self._fail_pending(str(error))
             raise
@@ -483,6 +490,7 @@ class ProcessShard:
         if budget is not None and budget <= 0:
             # The deadline burned before this frame went out: shed
             # locally, typed, without any wire I/O.
+            self._shed_expired += len(tenants)
             self._fail_pending(
                 "fan-out deadline exhausted before dispatch", "DeadlineExceeded", handles,
                 refused=True,
@@ -552,10 +560,11 @@ class ProcessShard:
         if op == "flush":
             return self._apply(reply)
         if op == "restore":
-            self._census = {
-                tenant: (int(entry["observed"]), int(entry["generation"]))
-                for tenant, entry in reply["census"].items()
-            }
+            # The restored store's census and watermarks replace the old
+            # ones; tombstones are in-memory only and do not survive.
+            self._census, self._watermarks, self._tombstones = {}, {}, {}
+            for tenant, entry in reply["census"].items():
+                self._adopt(tenant, entry)
             return None
         decode = _DECODE.get(op)
         return reply if decode is None else decode(reply)

@@ -22,10 +22,14 @@ module provides the lossless bridge:
 * :func:`resolve_chain` — replay an incremental checkpoint chain (one
   full snapshot plus zero or more delta snapshots written by
   ``ShardedForecaster.save_incremental``) into the equivalent full state
-  dict, validating chain identity and sequence linkage.  Deltas carry
-  per-tenant payloads only for tenants that churned, plus each shard's
-  full tenant *order* — so a resolved chain reproduces tenant placement,
-  iteration order and contents exactly.
+  dict, validating chain identity and sequence linkage.  Full and delta
+  links share one shard layout, ``{"normalization", "store": geometry,
+  "stats", "store_stats", "tenants": {tenant: payload}}``, where a
+  payload is what ``StreamingForecaster.export_tenant`` yields.  A full
+  link has every payload; a delta maps each tenant clean since its
+  parent link to ``None``, filled from the earlier links — so a resolved
+  chain reproduces tenant placement, iteration order and contents
+  exactly.  Archives written before this layout raise ``ValueError``.
 * :func:`save_forecaster` / :func:`load_forecaster` — one-call
   persistence for a :class:`~repro.streaming.forecaster.StreamingForecaster`:
   a restored process keeps forecasting bit-identically to one that never
@@ -43,7 +47,7 @@ import numpy as np
 
 from ..nn.serialization import load_state, save_state
 from ..serving.service import ForecastService
-from ..streaming.forecaster import StreamingForecaster
+from ..streaming.forecaster import StreamingForecaster, state_tenants
 from ..wire import decode_state, encode_state
 
 __all__ = [
@@ -182,28 +186,19 @@ def resolve_chain(paths: Sequence[str]):
 
 
 def resolve_tenant_payloads(state: dict) -> Dict[str, dict]:
-    """Flatten a (resolved) cluster state into per-tenant codec payloads.
+    """Merge a (resolved) cluster state's shard ``tenants`` maps into one.
 
-    Returns ``tenant -> {"series": {...}, "scaler": ...}`` in exactly the
-    shape ``StreamingForecaster.export_tenant`` produces, wherever the
-    tenant lives — the one extraction both the chain replay (clean-tenant
-    lookup) and ``ShardedForecaster.failover`` (checkpoint restore) share,
-    so a new per-tenant field only has to be threaded through here.
+    Returns ``tenant -> payload`` (the
+    :meth:`~repro.streaming.forecaster.StreamingForecaster.export_tenant`
+    layout) wherever the tenant lives: the lookup both the chain replay
+    (clean tenants) and ``Coordinator.failover`` (checkpoint restore)
+    read from.
     """
-    payloads: Dict[str, dict] = {}
-    for shard_state in state["shards"].values():
-        store = shard_state["store"]
-        generations = store.get("generations", {})
-        for tenant, buffer_state in store["buffers"].items():
-            payloads[tenant] = {
-                "series": {
-                    "buffer": buffer_state,
-                    "last_timestamp": store["last_timestamps"].get(tenant),
-                    "generation": int(generations.get(tenant, 0)),
-                },
-                "scaler": shard_state["scalers"].get(tenant),
-            }
-    return payloads
+    return {
+        tenant: payload
+        for shard_state in state["shards"].values()
+        for tenant, payload in state_tenants(shard_state).items()
+    }
 
 
 def compact_chain(paths: Sequence[str], output: str = None, remove: bool = True) -> str:
@@ -241,67 +236,31 @@ def compact_chain(paths: Sequence[str], output: str = None, remove: bool = True)
 
 
 def _apply_delta(state: dict, delta: dict) -> dict:
-    """One chain step: rebuild every shard's state from base + churn.
+    """One chain step: fill each clean tenant's payload from the state so far.
 
-    Deltas record, per shard, the full tenant *order* (cheap — names only)
-    and per-tenant payloads for *dirty* tenants only.  A clean tenant's
-    payload is looked up in the state resolved so far — wherever it lived
-    (migrations move tenants between shards without touching their data).
-    Tenants absent from every order list were dropped.  Rebuilding the
-    dicts in recorded order keeps ``forecast_all`` batch composition (and
-    any later re-snapshot) identical to the live cluster's.
+    A delta is a full state whose clean tenants map to ``None``.  Each
+    ``None`` is filled from the state resolved so far, wherever the tenant
+    lived there (migrations move tenants between shards without touching
+    their data).  Tenants absent from every shard's map were dropped, and
+    each map keeps its recorded order, so ``forecast_all`` batch
+    composition (and any later re-snapshot) matches the live cluster's.
     """
     lookup = resolve_tenant_payloads(state)
-    geometry = delta["store"]
     shards: Dict[str, dict] = {}
-    for shard_id, entry in delta["shards"].items():
-        buffers: Dict[str, dict] = {}
-        timestamps: Dict[str, object] = {}
-        scalers: Dict[str, object] = {}
-        generations: Dict[str, int] = {}
-        dirty = entry["dirty"]
-        for tenant in entry["order"]:
-            if tenant in dirty:
-                export = dirty[tenant]
-            elif tenant in lookup:
-                export = lookup[tenant]
-            else:
-                raise ValueError(
-                    f"chain corruption: shard {shard_id!r} lists clean tenant "
-                    f"{tenant!r} but no earlier checkpoint holds its state"
-                )
-            buffers[tenant] = export["series"]["buffer"]
-            timestamp = export["series"].get("last_timestamp")
-            if timestamp is not None:
-                timestamps[tenant] = timestamp
-            if export.get("scaler") is not None:
-                scalers[tenant] = export["scaler"]
-            generations[tenant] = int(export["series"].get("generation", 0))
-        shards[shard_id] = {
-            "normalization": delta["normalization"],
-            "store": {
-                "capacity": int(geometry["capacity"]),
-                "n_channels": int(geometry["n_channels"]),
-                "dtype": str(geometry["dtype"]),
-                "buffers": buffers,
-                "last_timestamps": timestamps,
-                "generations": generations,
-                "stats": dict(entry["store_stats"]),
-            },
-            "scalers": scalers,
-            "stats": dict(entry["stats"]),
-        }
-    return {
-        "kind": "full",
-        "chain_id": delta["chain_id"],
-        "seq": int(delta["seq"]),
-        "vnodes": int(delta["vnodes"]),
-        "normalization": delta["normalization"],
-        "rebalances": int(delta["rebalances"]),
-        "tenants_migrated": int(delta["tenants_migrated"]),
-        "retired": delta["retired"],
-        "shards": shards,
-    }
+    for shard_id, shard_state in delta["shards"].items():
+        tenants = dict(state_tenants(shard_state))
+        for tenant, payload in tenants.items():
+            if payload is None:
+                if tenant not in lookup:
+                    raise ValueError(
+                        f"chain corruption: shard {shard_id!r} lists clean tenant "
+                        f"{tenant!r} but no earlier checkpoint holds its state"
+                    )
+                tenants[tenant] = lookup[tenant]
+        shards[shard_id] = dict(shard_state, tenants=tenants)
+    resolved = {key: value for key, value in delta.items() if key != "parent_seq"}
+    resolved.update(kind="full", shards=shards)
+    return resolved
 
 
 # ---------------------------------------------------------------------- #

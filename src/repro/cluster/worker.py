@@ -15,7 +15,7 @@ ingest buffer — which is applied through
 reply then acks each entry's (observed, generation).
 
 The command set mirrors the :class:`StreamingForecaster` surface plus
-the persistence hooks the coordinator needs (full state, delta state,
+the persistence hooks the coordinator needs (full or delta state,
 census, tenant export/import), so the coordinator can drive checkpoint
 chains and failover with exactly the thread-backend semantics.  Every
 forecast, a single one included, arrives as a columnar
@@ -154,14 +154,16 @@ class ShardWorker:
         return self._forecaster
 
     def _census(self) -> Dict[str, dict]:
-        """Per-tenant ingest watermarks: what the coordinator mirrors."""
+        """Every tenant's census entry: what the coordinator mirrors."""
+        return {tenant: self._entry(tenant) for tenant in self._require().store.tenants()}
+
+    def _entry(self, tenant: str) -> dict:
+        """One tenant's observed rows, generation and timestamp watermark."""
         store = self._require().store
         return {
-            tenant: {
-                "observed": int(store.observed(tenant)),
-                "generation": int(store.generation(tenant)),
-            }
-            for tenant in store.tenants()
+            "observed": int(store.observed(tenant)),
+            "generation": int(store.generation(tenant)),
+            "watermark": store.last_timestamp(tenant),
         }
 
     # ------------------------------------------------------------------ #
@@ -275,17 +277,13 @@ class ShardWorker:
         return {"payload": self._require().export_tenant(str(message["tenant"]))}
 
     def _cmd_import_tenant(self, message: dict) -> dict:
-        forecaster = self._require()
         tenant = str(message["tenant"])
-        forecaster.import_tenant(tenant, message["payload"])
-        return {
-            "observed": int(forecaster.store.observed(tenant)),
-            "generation": int(forecaster.store.generation(tenant)),
-        }
+        self._require().import_tenant(tenant, message["payload"])
+        return self._entry(tenant)
 
     # ------------------------------------------------------------------ #
-    def _cmd_state(self, message: dict) -> dict:
-        return {"state": self._require().to_state()}
+    def _cmd_to_state(self, message: dict) -> dict:
+        return {"state": self._require().to_state(delta=bool(message.get("delta", False)))}
 
     def _cmd_restore(self, message: dict) -> dict:
         """Replace the streaming state, keeping the already-built replica."""
@@ -295,9 +293,6 @@ class ShardWorker:
         )
         self._pending.clear()
         return {"census": self._census()}
-
-    def _cmd_delta(self, message: dict) -> dict:
-        return self._require().delta_state()
 
     def _cmd_clear_dirty(self, message: dict) -> dict:
         self._require().clear_dirty()

@@ -42,9 +42,15 @@ from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
 from ..serving.batching import ForecastRows
 from ..serving.service import ForecastService
-from .store import SeriesStore
+from .store import SeriesStore, StoreStats
 
-__all__ = ["StreamingForecast", "StreamingStats", "StreamingForecaster"]
+__all__ = [
+    "StreamingForecast",
+    "StreamingStats",
+    "StreamingForecaster",
+    "payload_census",
+    "state_tenants",
+]
 
 _NORMALIZATIONS = ("none", "rolling", "last_value")
 
@@ -354,52 +360,19 @@ class StreamingForecaster:
             self._scalers.pop(tenant, None)
 
     # ------------------------------------------------------------------ #
-    # Checkpoint bookkeeping and consistent stat reads.
+    # State codec.  One tenant's state is one payload (export_tenant), and
+    # a forecaster's state is a map of payloads: migration, failover,
+    # snapshots and full or delta checkpoints all carry that one layout.
     # ------------------------------------------------------------------ #
-    def dirty_tenants(self) -> List[str]:
-        """Tenants whose state changed since the last checkpoint.
-
-        Scaler statistics only ever move on ``ingest`` (which also dirties
-        the store entry) or tenant adoption (likewise), so the store's
-        churn set covers the whole per-tenant state — no separate scaler
-        tracking needed.
-        """
-        return self.store.dirty_tenants()
-
     def clear_dirty(self) -> None:
         """Reset churn tracking after a checkpoint captured this shard."""
         self.store.mark_clean()
-
-    def delta_state(self) -> dict:
-        """This forecaster's share of a delta checkpoint.
-
-        The full tenant key list (which doubles as the deletion record),
-        full payloads only for tenants dirtied since the last checkpoint,
-        the (tiny) stats, and the store geometry.
-        """
-        dirty = set(self.dirty_tenants())
-        order = self.store.tenants()
-        return {
-            "order": order,
-            "dirty": {tenant: self.export_tenant(tenant) for tenant in order if tenant in dirty},
-            "stats": asdict(self.stats_snapshot()),
-            "store_stats": asdict(self.store.stats_snapshot()),
-            "store": {
-                "capacity": int(self.store.capacity),
-                "n_channels": int(self.store.n_channels),
-                "dtype": self.store.dtype.name,
-            },
-        }
 
     def stats_snapshot(self) -> StreamingStats:
         """A consistent copy of the forecast counters."""
         with self._lock:
             return StreamingStats(**asdict(self.stats))
 
-    # ------------------------------------------------------------------ #
-    # State codec — process restarts (snapshot/restore) and shard
-    # rebalancing (per-tenant migration) both ride on it.
-    # ------------------------------------------------------------------ #
     def export_tenant(self, tenant: str) -> dict:
         """One tenant's complete streaming state (window + scaler), portable."""
         with self._lock:
@@ -414,38 +387,62 @@ class StreamingForecaster:
             with self._lock:
                 self._scalers[tenant] = RollingScaler.from_state(state["scaler"])
 
-    def to_state(self) -> dict:
-        """Serialisable snapshot of all per-tenant streaming state.
+    def to_state(self, delta: bool = False) -> dict:
+        """Serialisable snapshot: every tenant's payload, in store order.
 
         Covers everything a restarted process needs to keep forecasting
         bit-identically: ring contents in logical order, timestamp
-        watermarks, Welford moments and the normalisation mode.  The model
-        itself is *not* included — weights already have a persistence story
+        watermarks, generations, Welford moments, counters and the
+        normalisation mode.  With ``delta`` a tenant that is clean since
+        the last :meth:`clear_dirty` maps to ``None`` instead of its
+        payload; the key list stays complete, so it doubles as the
+        deletion record.  The store's churn set covers the scaler too:
+        scaler statistics only move on ingest or adoption, which also
+        dirty the store entry.  The model itself is *not* included —
+        weights already have a persistence story
         (:mod:`repro.nn.serialization` / the registry spill path).
         """
-        with self._lock:
-            scalers = {tenant: scaler.to_state() for tenant, scaler in self._scalers.items()}
-            stats = {
-                "forecasts": self.stats.forecasts,
-                "cold_start_forecasts": self.stats.cold_start_forecasts,
-            }
+        dirty = set(self.store.dirty_tenants()) if delta else None
         return {
             "normalization": self.normalization,
-            "store": self.store.to_state(),
-            "scalers": scalers,
-            "stats": stats,
+            "store": {
+                "capacity": int(self.store.capacity),
+                "n_channels": int(self.store.n_channels),
+                "dtype": self.store.dtype.name,
+            },
+            "stats": asdict(self.stats_snapshot()),
+            "store_stats": asdict(self.store.stats_snapshot()),
+            "tenants": {
+                tenant: self.export_tenant(tenant) if dirty is None or tenant in dirty else None
+                for tenant in self.store.tenants()
+            },
         }
 
     @classmethod
     def from_state(cls, service: ForecastService, state: dict) -> "StreamingForecaster":
-        """Rebuild a forecaster around ``service`` from :meth:`to_state` output."""
-        forecaster = cls(
-            service,
-            store=SeriesStore.from_state(state["store"]),
-            normalization=str(state["normalization"]),
+        """Rebuild a forecaster around ``service`` from full :meth:`to_state` output.
+
+        Every tenant comes back through :meth:`import_tenant`; the store
+        then starts clean (its next delta is O(churn), not O(fleet)), with
+        the saved :class:`~repro.streaming.store.StoreStats`.
+        """
+        tenants = state_tenants(state)
+        geometry = state["store"]
+        store = SeriesStore(
+            int(geometry["capacity"]),
+            int(geometry["n_channels"]),
+            dtype=np.dtype(str(geometry["dtype"])),
         )
-        for tenant, scaler_state in state["scalers"].items():
-            forecaster._scalers[tenant] = RollingScaler.from_state(scaler_state)
+        forecaster = cls(service, store=store, normalization=str(state["normalization"]))
+        for tenant, payload in tenants.items():
+            if payload is None:
+                raise ValueError(
+                    f"tenant {tenant!r} has no payload: a delta state loads only "
+                    "once its chain is resolved"
+                )
+            forecaster.import_tenant(tenant, payload)
+        store.mark_clean()
+        store.stats = StoreStats(**state["store_stats"])
         forecaster.stats = StreamingStats(**state["stats"])
         return forecaster
 
@@ -490,6 +487,27 @@ def _per_row(mapping: Optional[Mapping[str, np.ndarray]], keys: List[str]):
 
 def _take(rows: Optional[Sequence], positions: List[int]):
     return None if rows is None else [rows[position] for position in positions]
+
+
+def state_tenants(state: dict) -> Dict[str, Optional[dict]]:
+    """A forecaster state's ``tenant -> payload | None`` map.
+
+    States from before the one-payload format kept each field in its own
+    per-tenant dict and have no ``tenants`` map; they raise ``ValueError``.
+    """
+    tenants = state.get("tenants") if isinstance(state, dict) else None
+    if not isinstance(tenants, dict):
+        raise ValueError(
+            "streaming state has no per-tenant payload map: it predates the "
+            "format change to one payload per tenant, and cannot be loaded"
+        )
+    return tenants
+
+
+def payload_census(payload: dict) -> Tuple[int, int]:
+    """A tenant payload's (observed rows, generation), for census checks."""
+    series = payload["series"]
+    return int(series["buffer"]["total_appended"]), int(series.get("generation", 0))
 
 
 class _Sweep:

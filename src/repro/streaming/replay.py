@@ -15,7 +15,7 @@ batch composition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,14 @@ from ..data.timefeatures import make_timestamps
 from ..data.windows import SlidingWindowDataset
 from .forecaster import StreamingForecaster
 
-__all__ = ["ReplayResult", "ParityReport", "replay", "compare_to_backfill"]
+__all__ = [
+    "ReplayResult",
+    "ParityReport",
+    "replay",
+    "replay_ticks",
+    "compare_to_backfill",
+    "parity_report",
+]
 
 
 @dataclass
@@ -41,6 +48,45 @@ class ReplayResult:
     def mean_batch_size(self) -> float:
         """Requests per forward pass — > 1 means tenants actually coalesced."""
         return self.requests / self.forward_passes if self.forward_passes else 0.0
+
+
+def replay_ticks(
+    target,
+    streams: Mapping[str, np.ndarray],
+    warmup: int,
+    on_tick: Optional[Callable[[int], None]] = None,
+    empty: Optional[np.ndarray] = None,
+) -> Dict[str, np.ndarray]:
+    """The tick loop every replay shares, over any ingest/forecast/flush target.
+
+    Every global tick ingests one row per live tenant, then forecasts
+    every tenant past ``warmup`` through one flush.  ``on_tick(step)``
+    runs *before* the tick's ingests — the hook parity tests use to
+    rebalance (or snapshot/restore) mid-stream.  Returns ``tenant ->
+    [n_forecasts, horizon, channels]``, or ``empty`` (default: a
+    zero-length 1-D array) for a tenant that never forecast.
+    """
+    if warmup < 1:
+        raise ValueError(f"warmup must be positive, got {warmup}")
+    arrays = {tenant: np.asarray(values, dtype=np.float32) for tenant, values in streams.items()}
+    steps = max((len(values) for values in arrays.values()), default=0)
+    collected: Dict[str, List[np.ndarray]] = {tenant: [] for tenant in arrays}
+    for step in range(steps):
+        if on_tick is not None:
+            on_tick(step)
+        pending = []
+        for tenant, values in arrays.items():
+            if step >= len(values):
+                continue
+            target.ingest(tenant, values[step])
+            if step + 1 >= warmup:
+                pending.append((tenant, target.forecast(tenant)))
+        target.flush()
+        for tenant, handle in pending:
+            collected[tenant].append(handle.result())
+    if empty is None:
+        empty = np.zeros((0,), dtype=np.float32)
+    return {tenant: np.stack(rows) if rows else empty for tenant, rows in collected.items()}
 
 
 def replay(
@@ -65,40 +111,20 @@ def replay(
         windows of the same series.
     """
     warmup = forecaster.config.input_length if warmup is None else warmup
-    if warmup < 1:
-        raise ValueError(f"warmup must be positive, got {warmup}")
-    arrays = {tenant: np.asarray(values, dtype=np.float32) for tenant, values in streams.items()}
-    for tenant, values in arrays.items():
-        if values.ndim != 2:
-            raise ValueError(f"stream {tenant!r} must be [T, C], got shape {values.shape}")
-    horizon_steps = max((len(v) for v in arrays.values()), default=0)
-    collected: Dict[str, List[np.ndarray]] = {tenant: [] for tenant in arrays}
-
+    for tenant, values in streams.items():
+        if np.ndim(values) != 2:
+            raise ValueError(f"stream {tenant!r} must be [T, C], got shape {np.shape(values)}")
+    config = forecaster.config
     stats = forecaster.service.stats
     requests_before = stats.requests
     passes_before = stats.forward_passes
-
-    for step in range(horizon_steps):
-        pending = []
-        for tenant, values in arrays.items():
-            if step >= len(values):
-                continue
-            forecaster.ingest(tenant, values[step])
-            if step + 1 >= warmup:
-                pending.append((tenant, forecaster.forecast(tenant)))
-        forecaster.flush()
-        for tenant, handle in pending:
-            collected[tenant].append(handle.result())
-
-    forecasts = {
-        tenant: np.stack(rows) if rows else np.zeros(
-            (0, forecaster.config.horizon, forecaster.config.n_channels), dtype=np.float32
-        )
-        for tenant, rows in collected.items()
-    }
+    forecasts = replay_ticks(
+        forecaster, streams, warmup,
+        empty=np.zeros((0, config.horizon, config.n_channels), dtype=np.float32),
+    )
     return ReplayResult(
         forecasts=forecasts,
-        steps=horizon_steps,
+        steps=max((len(values) for values in streams.values()), default=0),
         requests=stats.requests - requests_before,
         forward_passes=stats.forward_passes - passes_before,
         warmup=warmup,
@@ -153,32 +179,45 @@ def compare_to_backfill(
     # Forecasts issued before a full window accumulated are cold-start
     # (left-padded) and have no offline counterpart; skip past them.
     offset = max(0, config.input_length - result.warmup)
+
+    def pairs():
+        for tenant, values in streams.items():
+            values = np.asarray(values, dtype=np.float32)
+            if len(values) < config.input_length + config.horizon:
+                continue  # too short for any offline window
+            series = MultivariateTimeSeries(
+                values=values,
+                timestamps=make_timestamps(len(values), freq_minutes=60),
+                name=f"replay-{tenant}",
+            )
+            dataset = SlidingWindowDataset(series, config.input_length, config.horizon)
+            offline = forecaster.service.backfill(dataset)
+            produced = result.forecasts[tenant][offset:]
+            n = min(len(offline), len(produced))
+            yield produced[:n], offline[:n]
+
+    return parity_report(pairs(), tenants=len(result.forecasts))
+
+
+def parity_report(
+    pairs: Iterable[Tuple[np.ndarray, np.ndarray]], tenants: int
+) -> ParityReport:
+    """The one bitwise diff: ``(produced, expected)`` forecast stacks, pair
+    by pair.  Vacuous truth is not parity: with nothing compared, the
+    report does not claim it."""
     compared = 0
     identical = True
     max_abs = 0.0
-    for tenant, values in streams.items():
-        values = np.asarray(values, dtype=np.float32)
-        produced = result.forecasts[tenant][offset:]
-        if len(values) < config.input_length + config.horizon:
-            continue  # too short for any offline window
-        series = MultivariateTimeSeries(
-            values=values,
-            timestamps=make_timestamps(len(values), freq_minutes=60),
-            name=f"replay-{tenant}",
-        )
-        dataset = SlidingWindowDataset(series, config.input_length, config.horizon)
-        offline = forecaster.service.backfill(dataset)
-        n = min(len(offline), len(produced))
-        compared += n
-        if n == 0:
+    for produced, expected in pairs:
+        compared += len(produced)
+        if len(produced) == 0:
             continue
-        diff = np.abs(offline[:n] - produced[:n])
+        diff = np.abs(produced.astype(np.float64) - expected.astype(np.float64))
         max_abs = max(max_abs, float(diff.max()))
-        identical = identical and np.array_equal(offline[:n], produced[:n])
+        identical = identical and np.array_equal(produced, expected)
     return ParityReport(
-        tenants=len(result.forecasts),
+        tenants=tenants,
         windows_compared=compared,
-        # Vacuous truth is not parity: with nothing compared, don't claim it.
         bit_identical=identical and compared > 0,
         max_abs_error=max_abs,
     )

@@ -8,6 +8,15 @@ point of online serving.  :class:`RingBuffer` keeps a fixed-capacity
 assignments — O(rows) per ingest, O(1) amortised per observation, zero
 reallocation after construction.  :class:`SeriesStore` maps tenant keys to
 ring buffers and enforces per-tenant timestamp monotonicity.
+
+The store has no whole-store codec.  One tenant's series travels as
+:meth:`SeriesStore.tenant_state` (ring rows in logical order, watermark,
+generation), which
+:meth:`~repro.streaming.forecaster.StreamingForecaster.export_tenant`
+wraps with the tenant's scaler.  That payload is the only layout of a
+tenant's streaming state, on the wire and on disk: migration, failover
+and full and delta checkpoints all carry it.  The store's part in
+checkpoints is the churn set (:meth:`SeriesStore.dirty_tenants`).
 """
 
 from __future__ import annotations
@@ -486,51 +495,3 @@ class SeriesStore:
             # Adoption is churn: the next incremental checkpoint must record
             # this tenant's new placement and contents.
             self._dirty.add(tenant)
-
-    def to_state(self) -> dict:
-        """Serialisable snapshot of every tenant.
-
-        The ``buffers`` dict carries tenant order implicitly — dicts, the
-        JSON manifest and the snapshot codec all preserve insertion order,
-        so first-seen order survives without a redundant key list.
-        """
-        with self._lock:
-            return {
-                "capacity": int(self.capacity),
-                "n_channels": int(self.n_channels),
-                "dtype": np.dtype(self._dtype).name,
-                "buffers": {
-                    tenant: buffer.to_state() for tenant, buffer in self._buffers.items()
-                },
-                "last_timestamps": dict(self._last_timestamp),
-                "generations": dict(self._generations),
-                "stats": {
-                    "tenants": self.stats.tenants,
-                    "ingests": self.stats.ingests,
-                    "observations": self.stats.observations,
-                    "evicted": self.stats.evicted,
-                },
-            }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SeriesStore":
-        """Rebuild a store from :meth:`to_state` output, bit-identically.
-
-        Tenant iteration order (and therefore ``forecast_all`` batch
-        composition after restore) is preserved via the snapshot's ordered
-        tenant list.
-        """
-        store = cls(
-            int(state["capacity"]),
-            int(state["n_channels"]),
-            dtype=np.dtype(str(state["dtype"])),
-        )
-        generations = state.get("generations", {})
-        for tenant, buffer_state in state["buffers"].items():
-            store._buffers[tenant] = RingBuffer.from_state(buffer_state)
-            timestamp = state["last_timestamps"].get(tenant)
-            if timestamp is not None:
-                store._last_timestamp[tenant] = timestamp
-            store._generations[tenant] = int(generations.get(tenant, 0))
-        store.stats = StoreStats(**state["stats"])
-        return store

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.cluster import ServiceSpec, build_cluster
+from repro.cluster import ServiceSpec, build_cluster, write_snapshot
 from repro.config import ModelConfig
 from repro.errors import DeadlineExceeded, Overloaded
 
@@ -205,6 +205,27 @@ class TestCheckpoints:
         finally:
             close(revived)
 
+    def test_parent_layout_archive_is_refused_typed(self, cluster, tmp_path):
+        """An archive from before the one-payload format raises ValueError,
+        and failover against it leaves the topology alone."""
+        old = str(tmp_path / "old.npz")
+        shard = {
+            "normalization": "none",
+            "store": {
+                "capacity": 4 * INPUT_LENGTH, "n_channels": CHANNELS, "dtype": "float32",
+                "buffers": {}, "last_timestamps": {}, "generations": {}, "stats": {},
+            },
+            "scalers": {},
+            "stats": {},
+        }
+        write_snapshot(dict(cluster.to_state(), shards={"shard-0": shard}), old)
+        with pytest.raises(ValueError, match="predates the format change"):
+            type(cluster).load(SPEC, old)
+        with pytest.raises(ValueError, match="predates the format change"):
+            cluster.failover("shard-0", checkpoint_paths=[old])
+        assert cluster.shard_ids() == ["shard-0", "shard-1"]
+        assert len(cluster.tenants()) == 12
+
     def test_incremental_needs_a_base(self, cluster, tmp_path):
         with pytest.raises(RuntimeError, match="call save"):
             cluster.save_incremental(str(tmp_path / "orphan"))
@@ -254,12 +275,15 @@ BOUNDED = ServiceSpec(config=SPEC.config, max_batch_size=16, queue_limit=2)
 QUEUE_FULL = "pending queue full (2) with no lower-priority work to displace for a 'batch' arrival"
 
 
+TENANTS = [f"tenant-{i}" for i in range(4)]
+
+
 def bounded_cluster(backend):
     """A cluster whose replicas queue at most two rows."""
     built = build_cluster(BOUNDED, n_shards=2, backend=backend)
     rng = np.random.default_rng(8)
-    for i in range(4):
-        built.ingest(f"tenant-{i}", rng.normal(size=(INPUT_LENGTH, CHANNELS)))
+    for tenant in TENANTS:
+        built.ingest(tenant, rng.normal(size=(INPUT_LENGTH, CHANNELS)))
     return built
 
 
@@ -307,13 +331,19 @@ class TestSingleForecast:
             close(cluster)
 
     def test_stats_and_bits_agree_across_backends(self):
-        """An already-expired deadline stays out: a process shard sheds
-        that frame before dispatch, so its worker counts no ``shed_expired``."""
         outcomes = {}
         for backend in BACKENDS:
             cluster = bounded_cluster(backend)
             try:
                 values = single_forecast_calls(cluster)
+                with pytest.raises(DeadlineExceeded):
+                    cluster.forecast("tenant-1", deadline=obs.now() - 1.0)
+                # A one-nanosecond budget is spent before any shard admits.
+                expired = cluster.forecast_all(TENANTS, timeout=1e-9)
+                assert list(expired) == TENANTS
+                for handle in expired.values():
+                    with pytest.raises(DeadlineExceeded):
+                        handle.result()
                 outcomes[backend] = (values, cluster.service_stats(), cluster.streaming_stats())
             finally:
                 close(cluster)
@@ -322,6 +352,7 @@ class TestSingleForecast:
             np.testing.assert_array_equal(thread_value, process_value)
         assert thread_stats == process_stats
         assert thread_stats[0].shed_overloaded == 1
+        assert thread_stats[0].shed_expired == 1 + len(TENANTS)
         assert thread_stats[1].forecasts == 2
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import ShardedForecaster, read_snapshot, resolve_chain
+from repro.cluster import ShardedForecaster, read_snapshot, resolve_chain, write_snapshot
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import ForecastService
@@ -50,11 +50,12 @@ class TestDeltaContents:
         cluster.save_incremental(str(tmp_path / "d1"))
         delta = read_snapshot(str(tmp_path / "d1"))
         assert delta["kind"] == "delta"
-        dirty = [t for shard in delta["shards"].values() for t in shard["dirty"]]
+        tenants = [shard["tenants"] for shard in delta["shards"].values()]
+        dirty = [t for shard in tenants for t, payload in shard.items() if payload is not None]
         assert sorted(dirty) == sorted(churned)
-        # ... while the order lists still cover the whole fleet (names are
+        # ... while the tenant maps still cover the whole fleet (names are
         # the deletion record, so they must be complete).
-        listed = [t for shard in delta["shards"].values() for t in shard["order"]]
+        listed = [t for shard in tenants for t in shard]
         assert sorted(listed) == sorted(cluster.tenants())
 
     def test_delta_is_much_smaller_than_full_at_low_churn(self, cluster, rng, tmp_path):
@@ -77,7 +78,11 @@ class TestDeltaContents:
         # Nothing churned since d1 → the next delta carries no payloads.
         cluster.save_incremental(str(tmp_path / "d2"))
         delta = read_snapshot(str(tmp_path / "d2"))
-        assert all(not shard["dirty"] for shard in delta["shards"].values())
+        assert all(
+            payload is None
+            for shard in delta["shards"].values()
+            for payload in shard["tenants"].values()
+        )
 
     def test_save_incremental_requires_a_base(self, cluster, tmp_path):
         with pytest.raises(RuntimeError, match="full"):
@@ -210,6 +215,16 @@ class TestChainValidation:
         base, _, _ = self.make_chain(cluster, rng, tmp_path)
         with pytest.raises(ValueError, match="not a delta"):
             resolve_chain([base, base])
+
+    def test_clean_tenant_no_earlier_link_holds_is_chain_corruption(
+        self, cluster, rng, tmp_path
+    ):
+        base, d1 = self.make_chain(cluster, rng, tmp_path, deltas=1)
+        tampered = read_snapshot(d1)
+        next(iter(tampered["shards"].values()))["tenants"]["ghost"] = None
+        write_snapshot(tampered, d1)
+        with pytest.raises(ValueError, match="chain corruption.*'ghost'"):
+            resolve_chain([base, d1])
 
     def test_empty_chain_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):

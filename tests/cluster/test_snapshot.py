@@ -1,11 +1,13 @@
 """Tests for the pickle-free nested-state ↔ .npz snapshot codec."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
+    ShardedForecaster,
     decode_state,
     encode_state,
     load_forecaster,
@@ -15,8 +17,8 @@ from repro.cluster import (
 )
 from repro.config import ModelConfig
 from repro.core import LiPFormer
-from repro.serving import ForecastService
-from repro.streaming import StreamingForecaster
+from repro.serving import ForecastService, ServiceStats
+from repro.streaming import StoreStats, StreamingForecaster, StreamingStats
 
 
 @pytest.fixture
@@ -201,6 +203,74 @@ class TestForecasterPersistence:
         np.testing.assert_array_equal(
             restored.forecast("a").result(), original.forecast("a").result()
         )
+
+
+def parent_shard_state():
+    """One shard as archives were written before the per-tenant payload
+    format: each field in its own tenant-keyed dict."""
+    ring = {
+        "capacity": 128, "n_channels": 2, "dtype": "float32",
+        "data": np.ones((40, 2), dtype=np.float32), "total_appended": 40,
+    }
+    return {
+        "normalization": "none",
+        "store": {
+            "capacity": 128, "n_channels": 2, "dtype": "float32",
+            "buffers": {"a": ring},
+            "last_timestamps": {"a": 7},
+            "generations": {"a": 0},
+            "stats": {"tenants": 1, "ingests": 1, "observations": 40, "evicted": 0},
+        },
+        "scalers": {},
+        "stats": {"forecasts": 0, "cold_start_forecasts": 0},
+    }
+
+
+def parent_cluster_state(kind="full", seq=0):
+    state = {
+        "kind": kind, "chain_id": "c0ffee", "seq": seq, "vnodes": 64,
+        "normalization": "none", "rebalances": 0, "tenants_migrated": 0,
+        "retired": {
+            "service": asdict(ServiceStats()),
+            "store": asdict(StoreStats()),
+            "streaming": asdict(StreamingStats()),
+        },
+    }
+    if kind == "full":
+        state["shards"] = {"shard-0": parent_shard_state(), "shard-1": parent_shard_state()}
+    else:
+        shard = parent_shard_state()
+        state.update(parent_seq=seq - 1, store={"capacity": 128, "n_channels": 2, "dtype": "float32"})
+        state["shards"] = {
+            "shard-0": {
+                "order": ["a"], "dirty": {},
+                "stats": shard["stats"], "store_stats": shard["store"]["stats"],
+            }
+        }
+    return state
+
+
+class TestParentLayoutArchives:
+    """Archives from before the one-payload format raise a ``ValueError``
+    naming the format change — never a ``KeyError`` from deep inside."""
+
+    def test_load_forecaster(self, service_factory, tmp_path):
+        path = str(tmp_path / "forecaster.npz")
+        write_snapshot(parent_shard_state(), path)
+        with pytest.raises(ValueError, match="predates the format change"):
+            load_forecaster(service_factory(), path)
+
+    def test_cluster_load_and_load_chain(self, service_factory, tmp_path):
+        base, delta = str(tmp_path / "base.npz"), str(tmp_path / "d1.npz")
+        write_snapshot(parent_cluster_state(), base)
+        write_snapshot(parent_cluster_state("delta", seq=1), delta)
+        for load in (
+            lambda: ShardedForecaster.load(service_factory, base),
+            lambda: ShardedForecaster.load_chain(service_factory, [base]),
+            lambda: ShardedForecaster.load_chain(service_factory, [base, delta]),
+        ):
+            with pytest.raises(ValueError, match="predates the format change"):
+                load()
 
 
 class TestAtomicWrites:

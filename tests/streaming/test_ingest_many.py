@@ -40,20 +40,20 @@ def batches(draw):
 
 def assert_same_state(left, right):
     a, b = left.to_state(), right.to_state()
-    assert a["store"]["stats"] == b["store"]["stats"]
-    assert list(a["store"]["buffers"]) == list(b["store"]["buffers"])
-    for tenant, buffer in a["store"]["buffers"].items():
-        other = b["store"]["buffers"][tenant]
-        assert buffer["total_appended"] == other["total_appended"]
-        assert np.array_equal(buffer["data"], other["data"])
-    assert a["store"]["last_timestamps"] == b["store"]["last_timestamps"]
-    assert a["store"]["generations"] == b["store"]["generations"]
-    assert list(a["scalers"]) == list(b["scalers"])
-    for tenant, scaler in a["scalers"].items():
-        other = b["scalers"][tenant]
-        assert scaler["count"] == other["count"]
-        assert np.array_equal(scaler["mean"], other["mean"])
-        assert np.array_equal(scaler["m2"], other["m2"])
+    assert a["store_stats"] == b["store_stats"]
+    assert list(a["tenants"]) == list(b["tenants"])
+    for tenant, payload in a["tenants"].items():
+        series, other = payload["series"], b["tenants"][tenant]["series"]
+        assert series["buffer"]["total_appended"] == other["buffer"]["total_appended"]
+        assert np.array_equal(series["buffer"]["data"], other["buffer"]["data"])
+        assert series["last_timestamp"] == other["last_timestamp"]
+        assert series["generation"] == other["generation"]
+        scaler, other = payload["scaler"], b["tenants"][tenant]["scaler"]
+        assert (scaler is None) == (other is None)
+        if scaler is not None:
+            assert scaler["count"] == other["count"]
+            assert np.array_equal(scaler["mean"], other["mean"])
+            assert np.array_equal(scaler["m2"], other["m2"])
 
 
 class TestParityWithPerCallIngest:

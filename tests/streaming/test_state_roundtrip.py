@@ -123,17 +123,6 @@ class TestRollingScalerRoundTrip:
 
 
 class TestSeriesStoreRoundTrip:
-    def test_store_roundtrip_preserves_tenant_order_stats_and_watermarks(self, rng):
-        store = SeriesStore(capacity=8, n_channels=2)
-        for i, tenant in enumerate(["b", "a", "c"]):   # deliberately not sorted
-            store.ingest(tenant, rng.normal(size=(3 * i + 1, 2)), timestamp=i)
-        clone = SeriesStore.from_state(store.to_state())
-        assert clone.tenants() == store.tenants()
-        assert clone.stats == store.stats
-        for tenant in store.tenants():
-            np.testing.assert_array_equal(clone.latest(tenant, 8), store.latest(tenant, 8))
-            assert clone.last_timestamp(tenant) == store.last_timestamp(tenant)
-
     def test_restore_tenant_rejects_geometry_mismatch_and_duplicates(self, rng):
         source = SeriesStore(capacity=8, n_channels=2)
         source.ingest("a", rng.normal(size=(4, 2)))
@@ -177,6 +166,47 @@ class TestForecasterRoundTrip:
         assert set(got) == set(want)
         for tenant in want:
             np.testing.assert_array_equal(got[tenant], want[tenant])
+
+    def test_roundtrip_preserves_order_stats_watermarks_and_generations(
+        self, service_factory, rng
+    ):
+        original = StreamingForecaster(service_factory(), normalization="rolling")
+        for i, tenant in enumerate(["b", "a", "c"]):   # deliberately not sorted
+            original.ingest(tenant, rng.normal(size=(3 * i + 1, 2)), timestamp=i)
+        original.drop("a")
+        original.ingest("a", rng.normal(size=(2, 2)), timestamp=9)   # generation 1
+        original.forecast_all()
+        clone = StreamingForecaster.from_state(service_factory(), original.to_state())
+        store, restored = original.store, clone.store
+        assert restored.tenants() == store.tenants() == ["b", "c", "a"]
+        assert restored.stats == store.stats
+        assert clone.stats == original.stats
+        assert restored.generation("a") == 1
+        for tenant in store.tenants():
+            np.testing.assert_array_equal(restored.latest(tenant, 64), store.latest(tenant, 64))
+            assert restored.last_timestamp(tenant) == store.last_timestamp(tenant)
+            assert restored.generation(tenant) == store.generation(tenant)
+
+    def test_restored_forecaster_starts_clean(self, service_factory, rng):
+        original = StreamingForecaster(service_factory())
+        original.ingest("a", rng.normal(size=(2, 2)))
+        clone = StreamingForecaster.from_state(service_factory(), original.to_state())
+        assert clone.store.dirty_tenants() == []
+        assert clone.to_state(delta=True)["tenants"] == {"a": None}
+
+    def test_delta_state_lists_every_tenant_and_carries_only_churn(self, service_factory, rng):
+        original = StreamingForecaster(service_factory(), normalization="rolling")
+        for tenant in ("a", "b", "c"):
+            original.ingest(tenant, rng.normal(size=(3, 2)))
+        original.clear_dirty()
+        original.ingest("b", rng.normal(size=(1, 2)))
+        original.drop("c")
+        delta = original.to_state(delta=True)
+        assert list(delta["tenants"]) == ["a", "b"]
+        assert delta["tenants"]["a"] is None
+        assert delta["tenants"]["b"]["series"]["buffer"]["total_appended"] == 4
+        with pytest.raises(ValueError, match="no payload"):
+            StreamingForecaster.from_state(service_factory(), delta)
 
     def test_export_import_moves_one_tenant_exactly(self, service_factory, rng):
         source = StreamingForecaster(service_factory(), normalization="rolling")
