@@ -618,7 +618,7 @@ class Coordinator:
             return sum(self._fan_out("warmup", self._all()).values())
 
     def drop(self, tenant: str) -> None:
-        """Forget a tenant cluster-wide (buffer, watermark and scaler)."""
+        """Forget a tenant cluster-wide (ring, watermark and rolling moments)."""
         with self._topology.read():
             shard = self._shards[self._assign_locked(tenant)]
             with shard.lock:

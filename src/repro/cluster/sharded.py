@@ -2,8 +2,9 @@
 
 :class:`LocalShard` is the in-process shard transport: it wraps one
 :class:`~repro.streaming.forecaster.StreamingForecaster` (its own
-:class:`~repro.serving.service.ForecastService` replica, ring-buffer store
-and per-tenant scalers) plus the shard's lock, and calls them directly.
+:class:`~repro.serving.service.ForecastService` replica and slab store,
+rings and rolling moments per tenant) plus the shard's lock, and calls
+them directly.
 :class:`ShardedForecaster` is the :class:`~repro.cluster.coordinator.Coordinator`
 over local shards; routing, rebalancing, failover and persistence all
 live in the coordinator.

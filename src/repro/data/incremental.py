@@ -4,9 +4,10 @@
 :class:`~repro.data.scalers.StandardScaler`: it maintains per-channel mean
 and (population) standard deviation with Welford's algorithm, so statistics
 can be grown one observation — or one chunk — at a time without keeping the
-history around.  The streaming serving layer uses one instance per tenant,
-which means a brand-new tenant never needs an offline ``fit`` pass before
-its first forecast.
+history around.  The streaming store keeps these accumulators per tenant
+(in its slab slots, bit for bit this recurrence) and hands out a
+``RollingScaler`` snapshot of them, so a brand-new tenant never needs an
+offline ``fit`` pass before its first forecast.
 
 After ingesting the same data, ``mean_`` / ``std_`` agree with
 ``StandardScaler.fit`` to float64 round-off (the batch formula and the
@@ -18,7 +19,7 @@ out of ``transform`` (model input), float64 out of ``inverse_transform``
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -140,25 +141,6 @@ class RollingScaler:
             scaler._mean = np.asarray(state["mean"], dtype=np.float64).copy()
             scaler._m2 = np.asarray(state["m2"], dtype=np.float64).copy()
         return scaler
-
-    @staticmethod
-    def frozen_moments(scalers: Sequence["RollingScaler"]) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(mean, std)``, each ``[N, C]``, of many fitted scalers.
-
-        Row ``i`` holds exactly the ``mean_`` / ``std_`` that
-        ``scalers[i].to_standard_scaler()`` would freeze, computed in one
-        vectorised pass.
-        """
-        counts, means, m2s, epss = [], [], [], []
-        for scaler in scalers:
-            scaler._check_fitted()
-            counts.append(scaler._count)
-            means.append(scaler._mean)
-            m2s.append(scaler._m2)
-            epss.append(scaler.eps)
-        mean = np.array(means)
-        std = np.sqrt(np.array(m2s) / np.array(counts, dtype=np.float64)[:, None])
-        return mean, np.where(std < np.array(epss, dtype=np.float64)[:, None], 1.0, std)
 
     def to_standard_scaler(self) -> StandardScaler:
         """Freeze the current statistics into an offline ``StandardScaler``."""

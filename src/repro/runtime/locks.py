@@ -252,14 +252,97 @@ class TrackedRLock:
             _monitor.released(self.name)
 
     def __enter__(self) -> "TrackedRLock":
-        self.acquire()
+        # acquire() inlined: a blocking acquisition cannot fail, and the
+        # uncontended path is one non-blocking try.
+        if _monitor.enabled:
+            _monitor.acquiring(self.name)
+        inner = self._inner
+        if not inner.acquire(False):
+            waited_from = _obs_now() if _obs_metrics_enabled() else 0.0
+            inner.acquire()
+            if waited_from:
+                _LOCK_WAIT_SECONDS.labels(lock=self.name, mode="mutex").observe(
+                    _obs_now() - waited_from
+                )
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
+        self._inner.release()
+        if _monitor.enabled:
+            _monitor.released(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TrackedRLock({self.name!r})"
+
+
+class _ReadGuard:
+    """The context manager :meth:`RWLock.read` returns, one per lock.
+
+    It keeps no per-section state (that lives on the lock and in the
+    calling thread's read depth), so one instance serves every reader.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "RWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> "RWLock":
+        lock = self._lock
+        me = threading.get_ident()
+        track = _monitor.enabled
+        if track:
+            _monitor.acquiring(lock.name)
+        try:
+            with lock._mutex:
+                if lock._writer == me:
+                    # Reading inside one's own write section: already
+                    # exclusive, just extend the write hold.
+                    lock._writer_depth += 1
+                    return lock
+                local = lock._local
+                depth = getattr(local, "depth", 0)
+                if depth == 0:
+                    # New readers queue behind waiting writers (preference),
+                    # but re-entrant readers pass — they already hold the
+                    # lock, and parking them behind the writer they block
+                    # would deadlock both.  The clock is read only when
+                    # this reader will actually wait.
+                    if lock._writer is not None or lock._waiting_writers:
+                        waited_from = _obs_now() if _obs_metrics_enabled() else 0.0
+                        while lock._writer is not None or lock._waiting_writers:
+                            lock._cond.wait()
+                        if waited_from:
+                            _LOCK_WAIT_SECONDS.labels(lock=lock.name, mode="read").observe(
+                                _obs_now() - waited_from
+                            )
+                    lock._active_readers += 1
+                local.depth = depth + 1
+        except BaseException:
+            if track:
+                _monitor.released(lock.name)
+            raise
+        return lock
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        lock = self._lock
+        with lock._mutex:
+            if lock._writer == threading.get_ident():
+                # The read section nested in this thread's write section
+                # (a thread holding only a read lock can never be the writer).
+                lock._writer_depth -= 1
+            else:
+                local = lock._local
+                depth = local.depth - 1
+                local.depth = depth
+                if depth == 0:
+                    lock._active_readers -= 1
+                    # Only writers wait for readers to leave; queued
+                    # readers wait on writers, who notify when they go.
+                    if lock._active_readers == 0 and lock._waiting_writers:
+                        lock._cond.notify_all()
+        if _monitor.enabled:
+            _monitor.released(lock.name)
 
 
 class RWLock:
@@ -279,12 +362,19 @@ class RWLock:
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name if name is not None else f"rwlock-{next(_anonymous)}"
-        self._cond = threading.Condition()
+        # A plain mutex under the condition: nothing re-enters it, and a
+        # Lock is cheaper to take than an RLock on every routed call.  The
+        # read path takes the mutex directly (entering the condition only
+        # takes it, one Python frame later); waits and notifies go through
+        # the condition with the mutex held.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._active_readers = 0      # threads currently inside read()
         self._waiting_writers = 0     # threads blocked entering write()
         self._writer: int | None = None   # ident of the thread holding write
         self._writer_depth = 0
         self._local = threading.local()   # per-thread read re-entrancy depth
+        self._read_guard = _ReadGuard(self)
 
     def _read_depth(self) -> int:
         return getattr(self._local, "depth", 0)
@@ -336,60 +426,14 @@ class RWLock:
             )
 
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def read(self):
-        """Shared access; blocks while a writer holds or waits for the lock."""
-        me = threading.get_ident()
-        track = _monitor.enabled
-        if track:
-            _monitor.acquiring(self.name)
-        try:
-            with self._cond:
-                if self._writer == me:
-                    # Reading inside one's own write section: already
-                    # exclusive, just extend the write hold.
-                    self._writer_depth += 1
-                    nested_write = True
-                else:
-                    nested_write = False
-                    depth = self._read_depth()
-                    if depth == 0:
-                        # New readers queue behind waiting writers
-                        # (preference), but re-entrant readers pass — they
-                        # already hold the lock, and parking them behind the
-                        # writer they block would deadlock both.  The clock
-                        # is read only when this reader will actually wait.
-                        waited_from = 0.0
-                        if (
-                            self._writer is not None or self._waiting_writers
-                        ) and _obs_metrics_enabled():
-                            waited_from = _obs_now()
-                        while self._writer is not None or self._waiting_writers:
-                            self._cond.wait()
-                        if waited_from:
-                            _LOCK_WAIT_SECONDS.labels(lock=self.name, mode="read").observe(
-                                _obs_now() - waited_from
-                            )
-                        self._active_readers += 1
-                    self._local.depth = depth + 1
-        except BaseException:
-            if track:
-                _monitor.released(self.name)
-            raise
-        try:
-            yield self
-        finally:
-            with self._cond:
-                if nested_write:
-                    self._writer_depth -= 1
-                else:
-                    self._local.depth -= 1
-                    if self._local.depth == 0:
-                        self._active_readers -= 1
-                        if self._active_readers == 0:
-                            self._cond.notify_all()
-            if track:
-                _monitor.released(self.name)
+    def read(self) -> "_ReadGuard":
+        """Shared access; blocks while a writer holds or waits for the lock.
+
+        Returns the lock's one reusable guard (``with lock.read():``): all
+        per-section state lives on the lock and the calling thread, so a
+        routed call pays no generator or context-manager allocation.
+        """
+        return self._read_guard
 
     @contextmanager
     def write(self):
@@ -417,6 +461,10 @@ class RWLock:
                     try:
                         while self._writer is not None or self._active_readers:
                             self._cond.wait()
+                    except BaseException:
+                        # Readers queued behind this writer may go now.
+                        self._cond.notify_all()
+                        raise
                     finally:
                         self._waiting_writers -= 1
                     if waited_from:

@@ -4,12 +4,13 @@ PR 1's serving layer answers *"forecast this array"*; this subsystem
 answers the workload the roadmap actually describes — observations arriving
 continuously for many independent tenants, each wanting fresh forecasts:
 
-* :class:`SeriesStore` / :class:`RingBuffer` — one bounded ring buffer per
-  tenant (O(1) amortised append, no per-append reallocation) holding just
-  enough history to assemble forecast windows;
-* :class:`~repro.data.incremental.RollingScaler` (in ``repro.data``) —
-  incremental per-channel Welford statistics, so new tenants never need an
-  offline fit;
+* :class:`SeriesStore` — one ``[slots, capacity, channels]`` slab per
+  store, a bounded ring per tenant slot (O(1) amortised append, no
+  reallocation for a known tenant) holding just enough history to
+  assemble forecast windows, plus, for rolling normalisation, the
+  tenant's incremental per-channel Welford moments (the accumulators of a
+  :class:`~repro.data.incremental.RollingScaler`), so new tenants never
+  need an offline fit;
 * :class:`StreamingForecaster` — gathers the tenants' latest
   ``input_length`` windows as one columnar block (a single forecast is a
   block of one), routes it through :meth:`ForecastService.submit_many`
@@ -26,10 +27,9 @@ over per-tenant sequential prediction.
 
 from .forecaster import StreamingForecast, StreamingForecaster, StreamingStats
 from .replay import ParityReport, ReplayResult, compare_to_backfill, replay
-from .store import RingBuffer, SeriesStore, StoreStats
+from .store import SeriesStore, StoreStats
 
 __all__ = [
-    "RingBuffer",
     "SeriesStore",
     "StoreStats",
     "StreamingForecast",

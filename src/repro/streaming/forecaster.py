@@ -17,10 +17,12 @@ serving boundary:
 * ``"none"``      — values are already in model space (e.g. replaying an
   offline-scaled series); forecasts come back untouched.  This is the mode
   under which streaming output is bit-identical to offline ``backfill``.
-* ``"rolling"``   — a per-tenant :class:`~repro.data.incremental.RollingScaler`
-  is updated on every ingest (Welford), the window is standardised with the
-  tenant's current statistics, and the forecast is mapped back through the
-  same statistics.  New tenants never need an offline fit.
+* ``"rolling"``   — the store keeps per-tenant Welford moments (the
+  accumulators of a :class:`~repro.data.incremental.RollingScaler`),
+  updated in the same locked call that appends the rows; the window is
+  standardised with the tenant's current statistics, read under the same
+  lock as the window, and the forecast is mapped back through the same
+  statistics.  New tenants never need an offline fit.
 * ``"last_value"`` — the paper's Section III-C1 normalisation applied per
   tenant at the serving boundary: subtract the window's last observed value,
   add it back to the forecast (denormalisation).  Useful for models without
@@ -37,7 +39,7 @@ import numpy as np
 
 from .. import obs
 from ..data.incremental import RollingScaler
-from ..runtime.annotations import guarded_by, requires_lock
+from ..runtime.annotations import guarded_by
 from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
 from ..serving.batching import ForecastRows
@@ -70,7 +72,7 @@ class StreamingStats(CounterStats):
     cold_start_forecasts: int = 0    # windows shorter than input_length
 
 
-@guarded_by("_scalers", "stats", lock="_lock")
+@guarded_by("stats", lock="_lock")
 class StreamingForecaster:
     """Append observations per tenant; serve micro-batched fresh forecasts.
 
@@ -83,6 +85,8 @@ class StreamingForecaster:
     store:
         optional pre-built :class:`SeriesStore`; by default a store sized at
         ``window_capacity`` (default ``4 * input_length``) windows is built.
+        It must keep moments exactly when ``normalization`` is
+        ``"rolling"``.
     normalization:
         ``"none"`` | ``"rolling"`` | ``"last_value"`` (see module docstring).
     """
@@ -120,35 +124,37 @@ class StreamingForecaster:
                     f"store capacity {store.capacity} cannot hold one input "
                     f"window of {self.config.input_length} steps"
                 )
-        self.store = store if store is not None else SeriesStore(capacity, self.config.n_channels)
+        rolling = normalization == "rolling"
+        if store is None:
+            store = SeriesStore(capacity, self.config.n_channels, moments=rolling)
+        elif store.moments != rolling:
+            raise ValueError(
+                f"a {normalization!r} forecaster needs a store that keeps "
+                f"{'' if rolling else 'no '}rolling moments"
+            )
+        self.store = store
         self.normalization = normalization
         self.stats = StreamingStats()
-        self._scalers: Dict[str, RollingScaler] = {}
         self._lock = threading.Lock()
         # Weakly bound metrics-registry view over the forecast counters.
         obs.register_stats("repro_streaming", self.stats_snapshot)
 
     # ------------------------------------------------------------------ #
     def scaler(self, tenant: str) -> Optional[RollingScaler]:
-        """The tenant's rolling scaler (``None`` outside ``"rolling"`` mode)."""
-        with self._lock:
-            return self._scalers.get(tenant)
+        """A snapshot of the tenant's rolling statistics as a
+        :class:`RollingScaler` (``None`` outside ``"rolling"`` mode or for
+        an unknown tenant).  Updating the snapshot changes nothing here."""
+        state = self.store.scaler_state(tenant)
+        return None if state is None else RollingScaler.from_state(state)
 
     def ingest(self, tenant: str, values: np.ndarray, timestamp=None) -> int:
         """Append raw observations for a tenant; returns its total observed.
 
-        In ``"rolling"`` mode the tenant's scaler statistics fold in the new
-        rows before they can influence any forecast, so a window and the
-        statistics it is normalised with always agree.
+        One store call: in ``"rolling"`` mode the store folds the new rows
+        into the tenant's moments under the same lock as the ring append,
+        so no forecast can see a window and statistics that disagree.
         """
-        values = np.asarray(values, dtype=np.float32)
-        if values.ndim == 1:
-            values = values[None, :]
-        total = self.store.ingest(tenant, values, timestamp=timestamp)
-        if self.normalization == "rolling":
-            with self._lock:
-                self._fold_locked(tenant, values)
-        return total
+        return self.store.ingest(tenant, values, timestamp=timestamp)
 
     def ingest_many(
         self,
@@ -157,34 +163,15 @@ class StreamingForecaster:
         values: np.ndarray,
         timestamps: Optional[Sequence] = None,
     ) -> np.ndarray:
-        """Append a columnar batch: one lock acquisition per layer.
+        """Append a columnar batch under one store-lock acquisition.
 
         The batch layout is :meth:`SeriesStore.ingest_many`'s (entry ``i``
         is ``counts[i]`` rows of ``values`` for ``tenants[i]``).  Each
-        entry updates the ring and, in ``"rolling"`` mode, folds into the
-        tenant's scaler on its own, so the state is bit-identical to one
+        entry updates the ring and, in ``"rolling"`` mode, the tenant's
+        moments on its own, so the state is bit-identical to one
         :meth:`ingest` call per entry.  Returns each entry's total.
         """
-        values = np.asarray(values, dtype=np.float32)
-        if values.ndim == 1:
-            values = values[None, :]
-        totals = self.store.ingest_many(tenants, counts, values, timestamps)
-        if self.normalization == "rolling":
-            with self._lock:
-                start = 0
-                for tenant, count in zip(tenants, counts):
-                    stop = start + int(count)
-                    self._fold_locked(tenant, values[start:stop])
-                    start = stop
-        return totals
-
-    @requires_lock("_lock")
-    def _fold_locked(self, tenant: str, values: np.ndarray) -> None:
-        """Fold one append into the tenant's rolling statistics."""
-        scaler = self._scalers.get(tenant)
-        if scaler is None:
-            scaler = self._scalers[tenant] = RollingScaler()
-        scaler.update(values)
+        return self.store.ingest_many(tenants, counts, values, timestamps)
 
     # ------------------------------------------------------------------ #
     def forecast(
@@ -255,7 +242,7 @@ class StreamingForecaster:
         ``skip_missing``, drops out of the result), and a tenant with no
         observations raises ``ValueError``, before any row is queued.
         """
-        positions, windows, lengths = self.store.gather(
+        positions, windows, lengths, moments = self.store.gather(
             tenants, self.config.input_length, skip_missing=skip_missing
         )
         if not positions:
@@ -267,7 +254,7 @@ class StreamingForecaster:
         empty = np.flatnonzero(lengths == 0)
         if len(empty):
             raise ValueError(f"tenant {keys[empty[0]]!r} has no observations to forecast from")
-        normalized, shift, scale = self._normalize_many(keys, windows)
+        normalized, shift, scale = self._normalize_many(windows, moments)
         rows = self.service.submit_many(
             normalized,
             lengths,
@@ -349,15 +336,10 @@ class StreamingForecaster:
         return self.service.warmup()
 
     def drop(self, tenant: str) -> None:
-        """Forget a tenant entirely: ring buffer, timestamp AND scaler.
-
-        Dropping only the store entry would leak the tenant's rolling
-        statistics — a re-ingested tenant of the same name would then be
-        normalised with a dead tenant's history.
-        """
+        """Forget a tenant entirely: ring, timestamp watermark AND moments
+        (one store slot), so a re-ingested tenant of the same name is never
+        normalised with a dead tenant's history."""
         self.store.drop(tenant)
-        with self._lock:
-            self._scalers.pop(tenant, None)
 
     # ------------------------------------------------------------------ #
     # State codec.  One tenant's state is one payload (export_tenant), and
@@ -374,18 +356,13 @@ class StreamingForecaster:
             return StreamingStats(**asdict(self.stats))
 
     def export_tenant(self, tenant: str) -> dict:
-        """One tenant's complete streaming state (window + scaler), portable."""
-        with self._lock:
-            scaler = self._scalers.get(tenant)
-            scaler_state = None if scaler is None else scaler.to_state()
-        return {"series": self.store.tenant_state(tenant), "scaler": scaler_state}
+        """One tenant's complete streaming state (window + scaler), portable
+        (:meth:`SeriesStore.tenant_state`)."""
+        return self.store.tenant_state(tenant)
 
     def import_tenant(self, tenant: str, state: dict) -> None:
         """Adopt a tenant exported from another forecaster (same geometry)."""
-        self.store.restore_tenant(tenant, state["series"])
-        if state.get("scaler") is not None:
-            with self._lock:
-                self._scalers[tenant] = RollingScaler.from_state(state["scaler"])
+        self.store.restore_tenant(tenant, state)
 
     def to_state(self, delta: bool = False) -> dict:
         """Serialisable snapshot: every tenant's payload, in store order.
@@ -396,9 +373,9 @@ class StreamingForecaster:
         normalisation mode.  With ``delta`` a tenant that is clean since
         the last :meth:`clear_dirty` maps to ``None`` instead of its
         payload; the key list stays complete, so it doubles as the
-        deletion record.  The store's churn set covers the scaler too:
-        scaler statistics only move on ingest or adoption, which also
-        dirty the store entry.  The model itself is *not* included —
+        deletion record.  The store's churn set covers the moments too:
+        they live in the tenant's slot and only move on ingest or
+        adoption.  The model itself is *not* included —
         weights already have a persistence story
         (:mod:`repro.nn.serialization` / the registry spill path).
         """
@@ -428,12 +405,14 @@ class StreamingForecaster:
         """
         tenants = state_tenants(state)
         geometry = state["store"]
+        normalization = str(state["normalization"])
         store = SeriesStore(
             int(geometry["capacity"]),
             int(geometry["n_channels"]),
             dtype=np.dtype(str(geometry["dtype"])),
+            moments=normalization == "rolling",
         )
-        forecaster = cls(service, store=store, normalization=str(state["normalization"]))
+        forecaster = cls(service, store=store, normalization=normalization)
         for tenant, payload in tenants.items():
             if payload is None:
                 raise ValueError(
@@ -447,26 +426,19 @@ class StreamingForecaster:
         return forecaster
 
     # ------------------------------------------------------------------ #
-    def _normalize_many(self, keys: List[str], windows: np.ndarray):
+    def _normalize_many(self, windows: np.ndarray, moments):
         """Map a gathered ``[N, L, C]`` block into model space, vectorised.
 
-        Returns the float32 model input plus the stacked ``[N, C]`` shift
-        and scale (see :class:`_Sweep`) that map the block's forecasts back.
+        ``moments`` is the gather's frozen ``(mean, std)`` in ``"rolling"``
+        mode: read under the store lock with the windows, so later ingests
+        cannot change how a queued forecast is denormalised.  Returns the
+        float32 model input plus the stacked ``[N, C]`` shift and scale
+        (see :class:`_Sweep`) that map the block's forecasts back.
         """
         if self.normalization == "none":
             return windows.astype(np.float32, copy=False), None, None
         if self.normalization == "rolling":
-            # Freeze the statistics under the lock (a concurrent ingest
-            # mutates count/mean/M2 across several statements), so later
-            # ingests cannot change how a queued forecast is denormalised.
-            with self._lock:
-                scalers = []
-                for tenant in keys:
-                    scaler = self._scalers.get(tenant)
-                    if scaler is None:
-                        raise RuntimeError(f"tenant {tenant!r} has no rolling statistics yet")
-                    scalers.append(scaler)
-                mean, std = RollingScaler.frozen_moments(scalers)
+            mean, std = moments
             normalized = (
                 (windows.astype(np.float64) - mean[:, None, :]) / std[:, None, :]
             ).astype(np.float32)

@@ -3,27 +3,39 @@
 A streaming forecaster only ever needs the most recent ``input_length``
 steps per tenant, so holding full histories (or calling ``np.append``,
 which reallocates the whole array on every arrival) would defeat the
-point of online serving.  :class:`RingBuffer` keeps a fixed-capacity
-``[capacity, channels]`` array and writes arrivals with at most two slice
-assignments — O(rows) per ingest, O(1) amortised per observation, zero
-reallocation after construction.  :class:`SeriesStore` maps tenant keys to
-ring buffers and enforces per-tenant timestamp monotonicity.
+point of online serving.  :class:`SeriesStore` keeps one
+``[slots, capacity, channels]`` slab for all of its tenants: each tenant
+owns one slot, a fixed-capacity ring written at a wrapping cursor with at
+most two slice assignments — O(rows) per ingest, O(1) amortised per
+observation, and no reallocation for a known tenant (the slab only grows,
+by doubling, when a new tenant finds no free slot).
 
-The store has no whole-store codec.  One tenant's series travels as
-:meth:`SeriesStore.tenant_state` (ring rows in logical order, watermark,
-generation), which
+A store built with ``moments=True`` (what a ``"rolling"``
+:class:`~repro.streaming.forecaster.StreamingForecaster` builds) also
+keeps each tenant's Welford count/mean/M2 in its slot, folded in the same
+locked call that writes the ring, so a window and the statistics it is
+normalised with can never disagree.  The moments are per-channel Python
+floats: updating a ``[C]`` NumPy view costs an order of magnitude more
+than the scalar arithmetic, and the scalar recurrence is, term for term,
+what :meth:`~repro.data.incremental.RollingScaler.update` computes, so the
+moments come out bit-identical to a per-tenant ``RollingScaler``.
+
+The store has no whole-store codec.  One tenant's state travels as
+:meth:`SeriesStore.tenant_state` — ``{series: {buffer, last_timestamp,
+generation}, scaler}``, ring rows in logical order plus the
+``RollingScaler`` state of its moments — which
 :meth:`~repro.streaming.forecaster.StreamingForecaster.export_tenant`
-wraps with the tenant's scaler.  That payload is the only layout of a
-tenant's streaming state, on the wire and on disk: migration, failover
-and full and delta checkpoints all carry it.  The store's part in
-checkpoints is the churn set (:meth:`SeriesStore.dirty_tenants`).
+returns as is.  That payload is the only layout of a tenant's streaming
+state, on the wire and on disk: migration, failover and full and delta
+checkpoints all carry it.  The store's part in checkpoints is the churn
+set (:meth:`SeriesStore.dirty_tenants`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,133 +43,12 @@ from .. import obs
 from ..runtime.annotations import guarded_by, requires_lock
 from ..stats import CounterStats
 
-__all__ = ["RingBuffer", "SeriesStore", "StoreStats", "check_timestamp_order"]
+__all__ = ["SeriesStore", "StoreStats", "check_timestamp_order"]
 
-
-class RingBuffer:
-    """Fixed-capacity chronological buffer of ``[capacity, channels]`` rows.
-
-    ``extend`` never reallocates: rows are written into the preallocated
-    array at a wrapping cursor, and chunks longer than the capacity keep
-    only their most recent ``capacity`` rows (the older ones could never be
-    read back anyway).
-
-    Not thread-safe on its own — :class:`SeriesStore` serialises ``extend``
-    and ``latest`` under its lock.
-    """
-
-    def __init__(self, capacity: int, n_channels: int, dtype=np.float32) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if n_channels < 1:
-            raise ValueError(f"n_channels must be positive, got {n_channels}")
-        self.capacity = capacity
-        self.n_channels = n_channels
-        self._data = np.zeros((capacity, n_channels), dtype=dtype)
-        self._write = 0          # next write position
-        self._size = 0           # rows currently held (<= capacity)
-        self._total = 0          # rows ever appended
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def total_appended(self) -> int:
-        """Rows ever appended, including those already overwritten."""
-        return self._total
-
-    def extend(self, values: np.ndarray) -> None:
-        """Append ``[T, C]`` rows (or one ``[C]`` row), oldest first."""
-        values = np.asarray(values, dtype=self._data.dtype)
-        if values.ndim == 1:
-            values = values[None, :]
-        if values.ndim != 2 or values.shape[1] != self.n_channels:
-            raise ValueError(
-                f"expected [T, {self.n_channels}] rows, got shape {values.shape}"
-            )
-        rows = len(values)
-        if rows == 0:
-            return
-        self._total += rows
-        if rows >= self.capacity:
-            # Only the newest `capacity` rows survive; restart the cursor.
-            self._data[:] = values[-self.capacity:]
-            self._write = 0
-            self._size = self.capacity
-            return
-        first = min(rows, self.capacity - self._write)
-        self._data[self._write:self._write + first] = values[:first]
-        if rows > first:
-            self._data[:rows - first] = values[first:]
-        self._write = (self._write + rows) % self.capacity
-        self._size = min(self._size + rows, self.capacity)
-
-    def latest(self, n: int) -> np.ndarray:
-        """The most recent ``min(n, len(self))`` rows, oldest→newest, as a copy."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        out = np.empty((min(n, self._size), self.n_channels), dtype=self._data.dtype)
-        self.copy_latest(out)
-        return out
-
-    def copy_latest(self, out: np.ndarray) -> int:
-        """Copy the most recent ``min(len(out), len(self))`` rows into the
-        *tail* of ``out`` (oldest→newest); returns how many were copied."""
-        want = len(out)
-        n = want if want < self._size else self._size
-        if n == 0:
-            return 0
-        head = want - n
-        start = self._write - n
-        if start >= 0:
-            out[head:] = self._data[start:self._write]
-        else:
-            # Wrapped: the oldest -start rows sit at the end of the array.
-            out[head:head - start] = self._data[start:]
-            out[head - start:] = self._data[:self._write]
-        return n
-
-    # ------------------------------------------------------------------ #
-    def to_state(self) -> dict:
-        """Serialisable snapshot: held rows in logical (oldest→newest) order.
-
-        The cursor position is *not* part of the state — a ring holding rows
-        ``[a, b, c]`` answers every ``latest`` query identically wherever
-        its write head happens to sit, so the snapshot normalises to
-        logical order and restore re-seats the cursor at ``size``.
-        """
-        return {
-            "capacity": int(self.capacity),
-            "n_channels": int(self.n_channels),
-            "dtype": self._data.dtype.name,
-            "data": self.latest(self._size),
-            "total_appended": int(self._total),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RingBuffer":
-        """Rebuild a buffer from :meth:`to_state` output (logical order)."""
-        buffer = cls(
-            int(state["capacity"]),
-            int(state["n_channels"]),
-            dtype=np.dtype(str(state["dtype"])),
-        )
-        data = np.asarray(state["data"], dtype=buffer._data.dtype)
-        size = len(data)
-        total = int(state["total_appended"])
-        if size > buffer.capacity:
-            raise ValueError(
-                f"state holds {size} rows but capacity is {buffer.capacity}"
-            )
-        if total < size:
-            raise ValueError(
-                f"total_appended {total} is smaller than held rows {size}"
-            )
-        buffer._data[:size] = data
-        buffer._write = size % buffer.capacity
-        buffer._size = size
-        buffer._total = total
-        return buffer
+#: slots in a new store's slab (it doubles when a new tenant finds none free)
+_INITIAL_SLOTS = 8
+#: the ``eps`` of a fresh ``RollingScaler``: std below it is floored to 1.0
+_EPS = 1e-8
 
 
 @dataclass
@@ -183,41 +74,123 @@ def check_timestamp_order(tenant: str, timestamp, last) -> None:
         )
 
 
-@guarded_by(
-    "_buffers", "_last_timestamp", "stats", "_dirty", "_generations",
-    "_tombstones", lock="_lock",
-)
-class SeriesStore:
-    """One bounded :class:`RingBuffer` per tenant/series.
+class _Slot:
+    """Everything the store keeps for one tenant, reached only under its lock.
 
-    ``ingest`` lazily creates the tenant's buffer on first sight, so new
-    tenants need no registration step.  When timestamps are supplied they
-    must be strictly increasing per tenant — out-of-order arrivals would
-    silently corrupt the window a forecast is assembled from.
+    ``head`` is the next write position in slab row ``index``, ``size``
+    the rows held (``<= capacity``) and ``total`` the rows ever appended.
+    ``mean``/``m2`` are per-channel Welford accumulators over ``count``
+    rows, or ``None`` for a tenant that keeps no moments.  ``last`` is the
+    timestamp watermark, ``generation`` the incarnation of the key and
+    ``dirty`` the churn mark incremental checkpoints read.
     """
 
-    def __init__(self, capacity: int, n_channels: int, dtype=np.float32) -> None:
+    __slots__ = (
+        "index", "head", "size", "total", "count", "mean", "m2", "eps",
+        "last", "generation", "dirty",
+    )
+
+    def __init__(self, index: int, n_channels: int, moments: bool, generation: int) -> None:
+        self.index = index
+        self.head = 0
+        self.size = 0
+        self.total = 0
+        self.count = 0
+        self.mean: Optional[List[float]] = [0.0] * n_channels if moments else None
+        self.m2: Optional[List[float]] = [0.0] * n_channels if moments else None
+        self.eps = _EPS
+        self.last = None
+        self.generation = generation
+        self.dirty = True
+
+    # The two folds are ``RollingScaler.update`` term for term, in Python
+    # floats (``d * d`` is what its ``delta**2`` computes), so the moments
+    # come out bit-identical to a per-tenant scaler's.
+    def fold_row(self, row: List[float]) -> None:
+        """Fold one row: the chunk formula with ``chunk_mean = row`` and
+        ``chunk_m2 = 0``, which is what the scaler's one-row path runs."""
+        count = self.count
+        total = count + 1
+        step, weight = 1 / total, count / total
+        mean, m2 = self.mean, self.m2
+        channel = 0
+        for value in row:
+            delta = value - mean[channel]
+            mean[channel] += delta * step
+            m2[channel] += delta * delta * weight
+            channel += 1
+        self.count = total
+
+    def fold_chunk(self, values: np.ndarray) -> None:
+        """Fold ``[T, C]`` rows, ``T > 1``: the chunk's mean and M2 come
+        from NumPy exactly as the scaler computes them."""
+        rows = len(values)
+        count = self.count
+        total = count + rows
+        chunk = values.astype(np.float64)
+        chunk_mean = chunk.mean(axis=0)
+        chunk_m2 = ((chunk - chunk_mean) ** 2).sum(axis=0)
+        step, weight = rows / total, count * rows / total
+        mean, m2 = self.mean, self.m2
+        for channel, (part_mean, part_m2) in enumerate(zip(chunk_mean.tolist(), chunk_m2.tolist())):
+            delta = part_mean - mean[channel]
+            mean[channel] += delta * step
+            m2[channel] = m2[channel] + part_m2 + delta * delta * weight
+        self.count = total
+
+    def scaler_state(self) -> Optional[dict]:
+        """The moments as :meth:`RollingScaler.to_state` lays them out."""
+        if self.mean is None:
+            return None
+        fitted = self.count > 0
+        return {
+            "eps": float(self.eps),
+            "count": int(self.count),
+            "mean": np.array(self.mean, dtype=np.float64) if fitted else None,
+            "m2": np.array(self.m2, dtype=np.float64) if fitted else None,
+        }
+
+
+@guarded_by("_slots", "_slab", "_free", "stats", "_tombstones", lock="_lock")
+class SeriesStore:
+    """Bounded per-tenant rings in one slab, plus optional rolling moments.
+
+    ``ingest`` lazily gives a new tenant a slot on first sight, so tenants
+    need no registration step.  When timestamps are supplied they must be
+    strictly increasing per tenant — out-of-order arrivals would silently
+    corrupt the window a forecast is assembled from.  With ``moments``
+    every tenant also keeps Welford moments of everything it ingested,
+    updated under the same lock acquisition as its ring.
+    """
+
+    def __init__(
+        self, capacity: int, n_channels: int, dtype=np.float32, moments: bool = False
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        if n_channels < 1:
+            raise ValueError(f"n_channels must be positive, got {n_channels}")
         self.capacity = capacity
         self.n_channels = n_channels
-        self._dtype = dtype
-        self._buffers: Dict[str, RingBuffer] = {}
-        self._last_timestamp: Dict[str, object] = {}
+        self.moments = bool(moments)
+        self._dtype = np.dtype(dtype)
+        # Tenant -> slot, in first-seen order; freed slab rows are reused.
+        self._slots: Dict[str, _Slot] = {}
+        self._slab = np.zeros((_INITIAL_SLOTS, capacity, n_channels), dtype=self._dtype)
+        self._free: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
         self._lock = threading.Lock()
         self.stats = StoreStats()
         # Checkpoint bookkeeping.  An incremental snapshot is O(churn) only
         # if someone remembers the churn: every mutation a delta would need
-        # to re-capture (ingest, adoption) marks the tenant dirty; drop
-        # unmarks it (absence from the next checkpoint's tenant list is the
-        # deletion record).  Generations disambiguate incarnations of a
-        # reused tenant key: a drop tombstones the key so a re-created
-        # tenant gets generation + 1, and failover can refuse to resurrect
-        # a deleted incarnation from an older checkpoint.  Tombstones are
-        # in-memory only — they bridge drop → re-create within a process
-        # lifetime, which is the window checkpoints can confuse.
-        self._dirty: Set[str] = set()
-        self._generations: Dict[str, int] = {}
+        # to re-capture (ingest, adoption) marks the tenant's slot dirty; a
+        # dropped tenant has no slot (absence from the next checkpoint's
+        # tenant list is the deletion record).  Generations disambiguate
+        # incarnations of a reused tenant key: a drop tombstones the key so
+        # a re-created tenant gets generation + 1, and failover can refuse
+        # to resurrect a deleted incarnation from an older checkpoint.
+        # Tombstones are in-memory only — they bridge drop → re-create
+        # within a process lifetime, which is the window checkpoints can
+        # confuse.
         self._tombstones: Dict[str, int] = {}
         # Weakly bound metrics-registry view over the ingest counters.
         obs.register_stats("repro_store", self.stats_snapshot)
@@ -225,43 +198,34 @@ class SeriesStore:
     # ------------------------------------------------------------------ #
     def __contains__(self, tenant: str) -> bool:
         with self._lock:
-            return tenant in self._buffers
+            return tenant in self._slots
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._buffers)
+            return len(self._slots)
 
     def tenants(self) -> List[str]:
         """Tenant keys in first-seen order."""
         with self._lock:
-            return list(self._buffers)
+            return list(self._slots)
 
     @property
     def dtype(self) -> np.dtype:
-        """The stored row dtype (every tenant buffer shares it)."""
-        return np.dtype(self._dtype)
-
-    def buffer(self, tenant: str) -> RingBuffer:
-        """The tenant's ring (the lookup is locked; the ring itself is
-        not thread-safe — callers mutating it hold no protection)."""
-        with self._lock:
-            return self._buffer_locked(tenant)
+        """The stored row dtype (every slot shares the slab's)."""
+        return self._dtype
 
     @requires_lock("_lock")
-    def _buffer_locked(self, tenant: str) -> RingBuffer:
-        # The store's internal locked paths (latest, tenant_state) resolve
-        # buffers through this: self._lock is a plain non-reentrant mutex,
-        # so calling the public buffer() from under it would self-deadlock.
+    def _slot_locked(self, tenant: str) -> _Slot:
         try:
-            return self._buffers[tenant]
+            return self._slots[tenant]
         except KeyError:
             raise KeyError(f"unknown tenant {tenant!r}") from None
 
     def observed(self, tenant: str) -> int:
         """Total observations ever ingested for a tenant (0 if unknown)."""
         with self._lock:
-            buffer = self._buffers.get(tenant)
-        return 0 if buffer is None else buffer.total_appended
+            slot = self._slots.get(tenant)
+            return 0 if slot is None else slot.total
 
     # ------------------------------------------------------------------ #
     def ingest(self, tenant: str, values: np.ndarray, timestamp=None) -> int:
@@ -271,9 +235,10 @@ class SeriesStore:
         # store.tenants() would then fail every healthy tenant's tick).
         values = self._rows(values)
         with self._lock:
-            if timestamp is not None:
-                check_timestamp_order(tenant, timestamp, self._last_timestamp.get(tenant))
-            return self._append_locked(tenant, values, timestamp)
+            slot = self._slots.get(tenant)
+            if timestamp is not None and slot is not None:
+                check_timestamp_order(tenant, timestamp, slot.last)
+            return self._append_locked(tenant, slot, values, timestamp)
 
     def ingest_many(
         self,
@@ -303,12 +268,17 @@ class SeriesStore:
         totals = np.empty(len(tenants), dtype=np.int64)
         stops = np.cumsum(counts).tolist()
         with self._lock:
+            slots = self._slots
             if timestamps is not None:
                 watermarks: Dict[str, object] = {}
                 for tenant, timestamp in zip(tenants, timestamps):
                     if timestamp is None:
                         continue
-                    last = watermarks.get(tenant, self._last_timestamp.get(tenant))
+                    if tenant in watermarks:
+                        last = watermarks[tenant]
+                    else:
+                        slot = slots.get(tenant)
+                        last = None if slot is None else slot.last
                     check_timestamp_order(tenant, timestamp, last)
                     watermarks[tenant] = timestamp
             start = 0
@@ -316,6 +286,7 @@ class SeriesStore:
                 stop = stops[index]
                 totals[index] = self._append_locked(
                     tenant,
+                    slots.get(tenant),
                     values[start:stop],
                     None if timestamps is None else timestamps[index],
                 )
@@ -334,25 +305,81 @@ class SeriesStore:
         return values
 
     @requires_lock("_lock")
-    def _append_locked(self, tenant: str, values: np.ndarray, timestamp) -> int:
-        """One validated append: ring, watermark, counters and churn mark."""
-        buffer = self._buffers.get(tenant)
-        if buffer is None:
-            buffer = RingBuffer(self.capacity, self.n_channels, dtype=self._dtype)
-            self._buffers[tenant] = buffer
-            self._generations[tenant] = self._tombstones.pop(tenant, 0)
+    def _new_slot_locked(self, tenant: str, generation: int) -> _Slot:
+        """Give ``tenant`` a free slab row, doubling the slab if none is left."""
+        if not self._free:
+            slots = len(self._slab)
+            grown = np.zeros((2 * slots,) + self._slab.shape[1:], dtype=self._dtype)
+            grown[:slots] = self._slab
+            self._slab = grown
+            self._free = list(range(2 * slots - 1, slots - 1, -1))
+        slot = _Slot(self._free.pop(), self.n_channels, self.moments, generation)
+        self._slots[tenant] = slot
+        return slot
+
+    @requires_lock("_lock")
+    def _append_locked(
+        self, tenant: str, slot: Optional[_Slot], values: np.ndarray, timestamp
+    ) -> int:
+        """One validated append to ``tenant`` (whose slot, if any, is
+        ``slot``): ring, moments, watermark, counters, churn mark."""
+        if slot is None:
+            slot = self._new_slot_locked(tenant, self._tombstones.pop(tenant, 0))
             self.stats.tenants += 1
-        rows, held_before = len(values), buffer._size
-        buffer.extend(values)
+        rows, held_before, head = len(values), slot.size, slot.head
+        capacity = self.capacity
+        if rows == 1:
+            self._slab[slot.index, head] = values
+            slot.head = head + 1 if head + 1 < capacity else 0
+            if held_before < capacity:
+                slot.size = held_before + 1
+        elif rows >= capacity:
+            # Only the newest `capacity` rows survive; restart the cursor.
+            self._slab[slot.index] = values[-capacity:]
+            slot.head = 0
+            slot.size = capacity
+        elif rows:
+            ring = self._slab[slot.index]
+            first = min(rows, capacity - head)
+            ring[head:head + first] = values[:first]
+            if rows > first:
+                ring[:rows - first] = values[first:]
+            slot.head = (head + rows) % capacity
+            slot.size = min(held_before + rows, capacity)
+        slot.total += rows
+        if slot.mean is not None:
+            if rows == 1:
+                slot.fold_row(values.tolist()[0])
+            elif rows:
+                slot.fold_chunk(values)
         if timestamp is not None:
-            self._last_timestamp[tenant] = timestamp
+            slot.last = timestamp
+        slot.dirty = True
         stats = self.stats
         stats.ingests += 1
         stats.observations += rows
         # Every appended row is held, or pushed an older one off the ring.
-        stats.evicted += rows - (buffer._size - held_before)
-        self._dirty.add(tenant)
-        return buffer._total
+        stats.evicted += rows - (slot.size - held_before)
+        return slot.total
+
+    @requires_lock("_lock")
+    def _copy_latest_locked(self, slot: _Slot, out: np.ndarray) -> int:
+        """Copy the slot's most recent ``min(len(out), size)`` rows into the
+        *tail* of ``out`` (oldest→newest); returns how many were copied."""
+        want = len(out)
+        n = want if want < slot.size else slot.size
+        if n == 0:
+            return 0
+        slab, index, head = self._slab, slot.index, slot.head
+        skip = want - n
+        start = head - n
+        if start >= 0:
+            out[skip:] = slab[index, start:head]
+        else:
+            # Wrapped: the oldest -start rows sit at the end of the ring.
+            out[skip:skip - start] = slab[index, start:]
+            out[skip - start:] = slab[index, :head]
+        return n
 
     def latest(self, tenant: str, n: int) -> np.ndarray:
         """The tenant's most recent ``min(n, held)`` rows, chronological.
@@ -361,60 +388,100 @@ class SeriesStore:
         ``ingest`` is mid-way through its (up to two) slice writes could
         otherwise mix old and new rows out of order.
         """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
         with self._lock:
-            return self._buffer_locked(tenant).latest(n)
+            slot = self._slot_locked(tenant)
+            out = np.empty((min(n, slot.size), self.n_channels), dtype=self._dtype)
+            self._copy_latest_locked(slot, out)
+            return out
 
     def gather(
         self, tenants: Sequence[str], n: int, skip_missing: bool = False
-    ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    ) -> Tuple[List[int], np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
         """Every tenant's latest window, stacked, under one lock acquisition.
 
-        Returns ``(found, windows, lengths)``: ``found`` lists the
+        Returns ``(found, windows, lengths, moments)``: ``found`` lists the
         positions in ``tenants`` that were gathered, and ``windows[i]`` is
         the ``[n, channels]`` window of ``tenants[found[i]]`` — its most
         recent ``lengths[i] = min(n, held)`` rows right-aligned (what
         :meth:`latest` returns, at the end of the row), zeros before them.
         An unknown tenant raises ``KeyError``, or with ``skip_missing`` is
         left out.
+
+        ``moments`` is ``None`` unless the store keeps moments; then it is
+        the float64 ``(mean, std)``, each ``[len(found), channels]``, that
+        ``RollingScaler.to_standard_scaler()`` would freeze for each row,
+        read under the same lock as the windows, so every window is
+        normalised with statistics over exactly the rows it has seen.  A
+        tenant with no moments raises ``RuntimeError`` (``ValueError`` if
+        it holds no rows either).
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         windows = np.empty((len(tenants), n, self.n_channels), dtype=self._dtype)
         lengths = np.empty(len(tenants), dtype=np.int64)
         found: List[int] = []
+        # Moments are copied out under the lock (folds update them in
+        # place) as flat Python lists: one np.array per list afterwards.
+        counts: List[int] = []
+        epss: List[float] = []
+        means: List[float] = []
+        m2s: List[float] = []
+        moments = self.moments
         with self._lock:
-            buffers = self._buffers
+            slots = self._slots
             for position, tenant in enumerate(tenants):
-                buffer = buffers.get(tenant)
-                if buffer is None:
+                slot = slots.get(tenant)
+                if slot is None:
                     if skip_missing:
                         continue
                     raise KeyError(f"unknown tenant {tenant!r}")
                 row = len(found)
                 window = windows[row]
-                copied = buffer.copy_latest(window)
+                copied = self._copy_latest_locked(slot, window)
                 if copied < n:
                     window[:n - copied] = 0
                 lengths[row] = copied
                 found.append(position)
-        return found, windows[:len(found)], lengths[:len(found)]
+                if moments:
+                    if not slot.count:
+                        if not slot.size:
+                            raise ValueError(
+                                f"tenant {tenant!r} has no observations to forecast from"
+                            )
+                        raise RuntimeError(f"tenant {tenant!r} has no rolling statistics yet")
+                    counts.append(slot.count)
+                    epss.append(slot.eps)
+                    means += slot.mean
+                    m2s += slot.m2
+        rows = len(found)
+        if not moments:
+            return found, windows[:rows], lengths[:rows], None
+        # Exactly the mean_ / std_ each slot's RollingScaler would freeze:
+        # population std, floored to 1.0 below eps.
+        shape = (rows, self.n_channels)
+        mean = np.array(means, dtype=np.float64).reshape(shape)
+        std = np.sqrt(
+            np.array(m2s, dtype=np.float64).reshape(shape)
+            / np.array(counts, dtype=np.float64)[:, None]
+        )
+        std = np.where(std < np.array(epss, dtype=np.float64)[:, None], 1.0, std)
+        return found, windows[:rows], lengths[:rows], (mean, std)
 
     def last_timestamp(self, tenant: str):
         """The last ingested timestamp for a tenant, or ``None``."""
         with self._lock:
-            return self._last_timestamp.get(tenant)
+            slot = self._slots.get(tenant)
+            return None if slot is None else slot.last
 
     def drop(self, tenant: str) -> None:
-        """Forget a tenant entirely (buffer and timestamp watermark)."""
+        """Forget a tenant entirely (ring, moments and timestamp watermark)."""
         with self._lock:
-            self._buffers.pop(tenant, None)
-            self._last_timestamp.pop(tenant, None)
-            # A dropped tenant needs no delta payload — its absence from the
-            # next checkpoint's tenant list is the deletion record.
-            self._dirty.discard(tenant)
-            generation = self._generations.pop(tenant, None)
-            if generation is not None:
-                self._tombstones[tenant] = generation + 1
+            slot = self._slots.pop(tenant, None)
+            if slot is not None:
+                self._free.append(slot.index)
+                self._tombstones[tenant] = slot.generation + 1
 
     def generation(self, tenant: str) -> int:
         """Which incarnation of the key this tenant is (0 for the first).
@@ -425,7 +492,15 @@ class SeriesStore:
         either has.
         """
         with self._lock:
-            return self._generations.get(tenant, 0)
+            slot = self._slots.get(tenant)
+            return 0 if slot is None else slot.generation
+
+    def scaler_state(self, tenant: str) -> Optional[dict]:
+        """The tenant's moments as ``RollingScaler`` state (``None`` if the
+        tenant is unknown or keeps no moments)."""
+        with self._lock:
+            slot = self._slots.get(tenant)
+            return None if slot is None else slot.scaler_state()
 
     # ------------------------------------------------------------------ #
     # Checkpoint bookkeeping — incremental snapshots ride on it.
@@ -433,17 +508,18 @@ class SeriesStore:
     def dirty_tenants(self) -> List[str]:
         """Tenants mutated since :meth:`mark_clean`, in first-seen order."""
         with self._lock:
-            return [tenant for tenant in self._buffers if tenant in self._dirty]
+            return [tenant for tenant, slot in self._slots.items() if slot.dirty]
 
     def mark_clean(self) -> None:
         """Reset churn tracking (called when a checkpoint captures state)."""
         with self._lock:
-            self._dirty.clear()
+            for slot in self._slots.values():
+                slot.dirty = False
 
     def generations(self) -> Dict[str, int]:
         """Per-tenant incarnation numbers (live tenants only)."""
         with self._lock:
-            return dict(self._generations)
+            return {tenant: slot.generation for tenant, slot in self._slots.items()}
 
     def stats_snapshot(self) -> StoreStats:
         """A consistent copy of the counters, taken under the store lock.
@@ -456,42 +532,109 @@ class SeriesStore:
             return StoreStats(**asdict(self.stats))
 
     # ------------------------------------------------------------------ #
-    # State codec — snapshot/restore and shard migration both ride on it.
+    # Tenant codec — snapshot/restore and shard migration all ride on it.
     # ------------------------------------------------------------------ #
     def tenant_state(self, tenant: str) -> dict:
-        """One tenant's full state (ring contents, watermark, incarnation)."""
+        """One tenant's portable payload, read under one lock acquisition.
+
+        ``{"series": {"buffer", "last_timestamp", "generation"},
+        "scaler"}``: the ring's held rows in logical (oldest→newest)
+        order with the lifetime row count, the watermark, the incarnation
+        and the moments as ``RollingScaler`` state (``None`` without
+        moments).  The cursor position is *not* part of the state — a
+        ring holding rows ``[a, b, c]`` answers every window query the
+        same wherever its head sits, so restore re-seats it at ``size``.
+        """
         with self._lock:
+            slot = self._slot_locked(tenant)
+            data = np.empty((slot.size, self.n_channels), dtype=self._dtype)
+            self._copy_latest_locked(slot, data)
             return {
-                "buffer": self._buffer_locked(tenant).to_state(),
-                "last_timestamp": self._last_timestamp.get(tenant),
-                "generation": self._generations.get(tenant, 0),
+                "series": {
+                    "buffer": {
+                        "capacity": int(self.capacity),
+                        "n_channels": int(self.n_channels),
+                        "dtype": self._dtype.name,
+                        "data": data,
+                        "total_appended": int(slot.total),
+                    },
+                    "last_timestamp": slot.last,
+                    "generation": slot.generation,
+                },
+                "scaler": slot.scaler_state(),
             }
 
-    def restore_tenant(self, tenant: str, state: dict) -> None:
-        """Adopt a tenant exported from another store (shard migration).
+    def restore_tenant(self, tenant: str, payload: dict) -> None:
+        """Adopt a :meth:`tenant_state` payload from another store.
 
-        The tenant must not already exist here, and the incoming buffer must
-        match this store's geometry — silently re-bucketing rows across
-        capacities could drop the very window the next forecast needs.
+        The payload crosses a trust boundary (another process, a file on
+        disk), so it is checked before anything changes: the held rows
+        must fit the declared capacity, the lifetime total cannot be below
+        the held rows, the ring must match this store's geometry —
+        silently re-bucketing rows across capacities could drop the very
+        window the next forecast needs — and the moments must be
+        well-formed.  A store that keeps moments gives a payload without
+        them fresh ones; a store that keeps none refuses a payload that
+        carries them.  The tenant must not already exist here.
 
         ``StoreStats`` counters are deliberately untouched: they record what
         *this* store ingested, and the tenant's history was already counted
         once on the store that ingested it — bumping them again would
         double-count every migration in cluster-wide aggregation.
         """
-        buffer = RingBuffer.from_state(state["buffer"])
-        if buffer.capacity != self.capacity or buffer.n_channels != self.n_channels:
+        series = payload["series"]
+        buffer = series["buffer"]
+        capacity, n_channels = int(buffer["capacity"]), int(buffer["n_channels"])
+        data = np.asarray(buffer["data"], dtype=self._dtype)
+        size, total = len(data), int(buffer["total_appended"])
+        if size > capacity:
+            raise ValueError(f"state holds {size} rows but capacity is {capacity}")
+        if total < size:
+            raise ValueError(f"total_appended {total} is smaller than held rows {size}")
+        if (capacity, n_channels) != (self.capacity, self.n_channels):
             raise ValueError(
-                f"tenant state is [{buffer.capacity}, {buffer.n_channels}], "
+                f"tenant state is [{capacity}, {n_channels}], "
                 f"store is [{self.capacity}, {self.n_channels}]"
             )
+        if data.shape != (size, n_channels):
+            raise ValueError(f"tenant rows have shape {data.shape}, expected [{size}, {n_channels}]")
+        scaler = payload.get("scaler")
+        if scaler is not None and not self.moments:
+            raise ValueError(
+                f"tenant {tenant!r} carries rolling statistics, but this store keeps none"
+            )
+        moments = None if scaler is None else self._moments(scaler)
+        generation = int(series.get("generation", 0))
         with self._lock:
-            if tenant in self._buffers:
+            if tenant in self._slots:
                 raise ValueError(f"tenant {tenant!r} already exists in this store")
-            self._buffers[tenant] = buffer
-            if state.get("last_timestamp") is not None:
-                self._last_timestamp[tenant] = state["last_timestamp"]
-            self._generations[tenant] = int(state.get("generation", 0))
-            # Adoption is churn: the next incremental checkpoint must record
-            # this tenant's new placement and contents.
-            self._dirty.add(tenant)
+            # A new slot is dirty: adoption is churn, and the next
+            # incremental checkpoint must record the tenant's new placement.
+            slot = self._new_slot_locked(tenant, generation)
+            self._slab[slot.index, :size] = data
+            slot.head = size % self.capacity
+            slot.size = size
+            slot.total = total
+            slot.last = series.get("last_timestamp")
+            if moments is not None:
+                slot.count, slot.eps, slot.mean, slot.m2 = moments
+
+    def _moments(self, scaler: dict) -> Tuple[int, float, List[float], List[float]]:
+        """Checked ``(count, eps, mean, m2)`` from ``RollingScaler`` state."""
+        count, eps = int(scaler["count"]), float(scaler["eps"])
+        if count < 0:
+            raise ValueError(f"scaler count {count} is negative")
+        if count == 0:
+            return 0, eps, [0.0] * self.n_channels, [0.0] * self.n_channels
+        moments = []
+        for key in ("mean", "m2"):
+            value = scaler[key]
+            value = None if value is None else np.asarray(value, dtype=np.float64)
+            if value is None or value.shape != (self.n_channels,):
+                raise ValueError(
+                    f"scaler {key} must be [{self.n_channels}] after {count} rows, "
+                    f"got {None if value is None else value.shape}"
+                )
+            moments.append(value.tolist())
+        return count, eps, moments[0], moments[1]
+

@@ -15,20 +15,20 @@ from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.data.incremental import RollingScaler
 from repro.serving import ForecastService
-from repro.streaming import RingBuffer, SeriesStore, StreamingForecaster
+from repro.streaming import SeriesStore, StreamingForecaster
 
 _settings = settings(max_examples=40, deadline=None)
 
 
-def filled_buffer(capacity, n_rows, channels=2, seed=0):
+def filled_store(capacity, n_rows, channels=2, seed=0, moments=False):
     rng = np.random.default_rng(seed)
-    buffer = RingBuffer(capacity, channels)
+    store = SeriesStore(capacity, channels, moments=moments)
     rows = rng.normal(size=(n_rows, channels)).astype(np.float32)
-    buffer.extend(rows)
-    return buffer, rows
+    store.ingest("a", rows)
+    return store, rows
 
 
-class TestRingBufferRoundTrip:
+class TestTenantStateRoundTrip:
     @_settings
     @given(
         capacity=st.integers(min_value=1, max_value=32),
@@ -36,13 +36,12 @@ class TestRingBufferRoundTrip:
         seed=st.integers(min_value=0, max_value=999),
     )
     def test_roundtrip_identity_for_partial_full_and_wrapped(self, capacity, n_rows, seed):
-        buffer, _ = filled_buffer(capacity, n_rows, seed=seed)
-        clone = RingBuffer.from_state(buffer.to_state())
-        assert len(clone) == len(buffer)
-        assert clone.capacity == buffer.capacity
-        assert clone.total_appended == buffer.total_appended
+        store, _ = filled_store(capacity, n_rows, seed=seed)
+        clone = SeriesStore(capacity, 2)
+        clone.restore_tenant("a", store.tenant_state("a"))
+        assert clone.observed("a") == store.observed("a")
         for n in (0, 1, capacity // 2, capacity, capacity + 3):
-            np.testing.assert_array_equal(clone.latest(n), buffer.latest(n))
+            np.testing.assert_array_equal(clone.latest("a", n), store.latest("a", n))
 
     @_settings
     @given(
@@ -51,31 +50,64 @@ class TestRingBufferRoundTrip:
         extra=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=999),
     )
-    def test_restored_buffer_keeps_ingesting_identically(self, capacity, n_rows, extra, seed):
+    def test_restored_tenant_keeps_ingesting_identically(self, capacity, n_rows, extra, seed):
         """A snapshot must be invisible: append-after-restore == never-snapshotted."""
-        buffer, _ = filled_buffer(capacity, n_rows, seed=seed)
-        clone = RingBuffer.from_state(buffer.to_state())
+        store, _ = filled_store(capacity, n_rows, seed=seed, moments=True)
+        clone = SeriesStore(capacity, 2, moments=True)
+        clone.restore_tenant("a", store.tenant_state("a"))
         more = np.random.default_rng(seed + 1).normal(size=(extra, 2)).astype(np.float32)
-        buffer.extend(more)
-        clone.extend(more)
-        np.testing.assert_array_equal(clone.latest(capacity), buffer.latest(capacity))
-        assert clone.total_appended == buffer.total_appended
+        store.ingest("a", more)
+        clone.ingest("a", more)
+        np.testing.assert_array_equal(clone.latest("a", capacity), store.latest("a", capacity))
+        assert clone.observed("a") == store.observed("a")
+        want, got = store.scaler_state("a"), clone.scaler_state("a")
+        assert got["count"] == want["count"]
+        np.testing.assert_array_equal(got["mean"], want["mean"])
+        np.testing.assert_array_equal(got["m2"], want["m2"])
 
     def test_state_normalises_to_logical_order(self):
-        buffer, rows = filled_buffer(capacity=4, n_rows=7)
-        state = buffer.to_state()
-        np.testing.assert_array_equal(state["data"], rows[-4:])
-        assert state["total_appended"] == 7
+        store, rows = filled_store(capacity=4, n_rows=7)
+        buffer = store.tenant_state("a")["series"]["buffer"]
+        np.testing.assert_array_equal(buffer["data"], rows[-4:])
+        assert buffer["total_appended"] == 7
 
     def test_invalid_states_rejected(self):
-        buffer, _ = filled_buffer(capacity=4, n_rows=3)
-        state = buffer.to_state()
-        too_big = dict(state, capacity=2)
+        store, _ = filled_store(capacity=4, n_rows=3)
+        state = store.tenant_state("a")
+        buffer = state["series"]["buffer"]
+
+        def with_buffer(**changes):
+            return dict(state, series=dict(state["series"], buffer=dict(buffer, **changes)))
+
+        target = SeriesStore(capacity=4, n_channels=2)
         with pytest.raises(ValueError, match="capacity"):
-            RingBuffer.from_state(too_big)
-        negative_total = dict(state, total_appended=1)
+            target.restore_tenant("a", with_buffer(capacity=2))          # held rows > capacity
+        with pytest.raises(ValueError, match="capacity"):
+            target.restore_tenant("a", with_buffer(data=np.zeros((5, 2))))
         with pytest.raises(ValueError, match="total_appended"):
-            RingBuffer.from_state(negative_total)
+            target.restore_tenant("a", with_buffer(total_appended=1))    # total < held
+        with pytest.raises(ValueError, match="store is"):
+            target.restore_tenant("a", with_buffer(capacity=8))          # geometry mismatch
+        with pytest.raises(ValueError, match="store is"):
+            target.restore_tenant("a", with_buffer(n_channels=3))
+        with pytest.raises(ValueError, match="shape"):
+            target.restore_tenant("a", with_buffer(data=np.zeros((3, 3))))
+        assert target.tenants() == [], "a refused payload leaves nothing behind"
+
+    def test_invalid_moments_rejected(self):
+        store, _ = filled_store(capacity=4, n_rows=3, moments=True)
+        state = store.tenant_state("a")
+        target = SeriesStore(capacity=4, n_channels=2, moments=True)
+        for bad in (
+            dict(state["scaler"], count=-1),
+            dict(state["scaler"], mean=None),
+            dict(state["scaler"], m2=np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match="scaler"):
+                target.restore_tenant("a", dict(state, scaler=bad))
+        with pytest.raises(ValueError, match="keeps none"):
+            SeriesStore(capacity=4, n_channels=2).restore_tenant("a", state)
+        assert target.tenants() == []
 
 
 class TestRollingScalerRoundTrip:

@@ -1,9 +1,9 @@
-"""Tests for the ring buffer and multi-tenant series store."""
+"""Tests for the multi-tenant slab series store."""
 
 import numpy as np
 import pytest
 
-from repro.streaming import RingBuffer, SeriesStore
+from repro.streaming import SeriesStore
 
 
 def rows(start, count, channels=2):
@@ -12,57 +12,77 @@ def rows(start, count, channels=2):
     return np.stack([base + 100 * c for c in range(channels)], axis=1)
 
 
-class TestRingBuffer:
+class TestSlotRing:
+    """One tenant's ring inside the slab, through the store's public reads."""
+
     def test_fill_and_latest_chronological(self):
-        ring = RingBuffer(capacity=8, n_channels=2)
-        ring.extend(rows(0, 5))
-        assert len(ring) == 5
-        np.testing.assert_array_equal(ring.latest(3), rows(2, 3))
+        store = SeriesStore(capacity=8, n_channels=2)
+        store.ingest("a", rows(0, 5))
+        assert len(store.latest("a", 8)) == 5
+        np.testing.assert_array_equal(store.latest("a", 3), rows(2, 3))
 
     def test_wraparound_keeps_newest(self):
-        ring = RingBuffer(capacity=8, n_channels=2)
+        store = SeriesStore(capacity=8, n_channels=2)
         for start in range(0, 20, 3):          # chunks of 3 across the wrap point
-            ring.extend(rows(start, 3))
-        assert len(ring) == 8
-        assert ring.total_appended == 21
-        np.testing.assert_array_equal(ring.latest(8), rows(13, 8))
+            store.ingest("a", rows(start, 3))
+        assert len(store.latest("a", 64)) == 8
+        assert store.observed("a") == 21
+        np.testing.assert_array_equal(store.latest("a", 8), rows(13, 8))
 
     def test_chunk_larger_than_capacity_keeps_tail(self):
-        ring = RingBuffer(capacity=4, n_channels=2)
-        ring.extend(rows(0, 2))
-        ring.extend(rows(2, 10))
-        np.testing.assert_array_equal(ring.latest(4), rows(8, 4))
-        assert ring.total_appended == 12
+        store = SeriesStore(capacity=4, n_channels=2)
+        store.ingest("a", rows(0, 2))
+        store.ingest("a", rows(2, 10))
+        np.testing.assert_array_equal(store.latest("a", 4), rows(8, 4))
+        assert store.observed("a") == 12
 
     def test_no_reallocation_across_appends(self):
-        ring = RingBuffer(capacity=6, n_channels=1)
-        backing = ring._data
-        for start in range(100):
-            ring.extend(rows(start, 1, channels=1))
-        assert ring._data is backing, "ring must never reallocate its backing array"
+        store = SeriesStore(capacity=6, n_channels=1)
+        store.ingest("a", rows(0, 1, channels=1))
+        backing = store._slab
+        for start in range(1, 100):
+            store.ingest("a", rows(start, 1, channels=1))
+        assert store._slab is backing, "a known tenant's appends must never reallocate the slab"
+
+    def test_slab_grows_for_new_tenants_and_reuses_dropped_slots(self):
+        store = SeriesStore(capacity=3, n_channels=2)
+        for t in range(20):
+            store.ingest(f"t{t}", rows(10 * t, 2 + t % 3))
+        for t in range(0, 20, 2):
+            store.drop(f"t{t}")
+        backing = store._slab
+        for t in range(0, 20, 2):
+            store.ingest(f"new{t}", rows(500 + t, 1))
+        assert store._slab is backing, "re-created tenants reuse dropped slots"
+        for t in range(1, 20, 2):
+            held = min(3, 2 + t % 3)
+            np.testing.assert_array_equal(store.latest(f"t{t}", 3), rows(10 * t + 2 + t % 3 - held, held))
+        for t in range(0, 20, 2):
+            np.testing.assert_array_equal(store.latest(f"new{t}", 3), rows(500 + t, 1))
 
     def test_latest_clamps_to_size_and_copies(self):
-        ring = RingBuffer(capacity=8, n_channels=2)
-        ring.extend(rows(0, 3))
-        window = ring.latest(10)
+        store = SeriesStore(capacity=8, n_channels=2)
+        store.ingest("a", rows(0, 3))
+        window = store.latest("a", 10)
         assert window.shape == (3, 2)
         window[:] = -1                       # mutating the copy ...
-        np.testing.assert_array_equal(ring.latest(3), rows(0, 3))  # ... leaves the ring intact
+        np.testing.assert_array_equal(store.latest("a", 3), rows(0, 3))  # ... leaves the ring intact
 
     def test_single_row_and_empty_append(self):
-        ring = RingBuffer(capacity=4, n_channels=3)
-        ring.extend(np.arange(3, dtype=np.float32))     # 1-D row
-        ring.extend(np.zeros((0, 3), dtype=np.float32))
-        assert len(ring) == 1 and ring.total_appended == 1
+        store = SeriesStore(capacity=4, n_channels=3)
+        store.ingest("a", np.arange(3, dtype=np.float32))     # 1-D row
+        store.ingest("a", np.zeros((0, 3), dtype=np.float32))
+        assert len(store.latest("a", 4)) == 1 and store.observed("a") == 1
 
     def test_rejects_bad_shapes_and_sizes(self):
         with pytest.raises(ValueError):
-            RingBuffer(capacity=0, n_channels=1)
-        ring = RingBuffer(capacity=4, n_channels=2)
+            SeriesStore(capacity=0, n_channels=1)
+        store = SeriesStore(capacity=4, n_channels=2)
         with pytest.raises(ValueError):
-            ring.extend(np.zeros((3, 5)))
+            store.ingest("a", np.zeros((3, 5)))
+        store.ingest("a", rows(0, 1))
         with pytest.raises(ValueError):
-            ring.latest(-1)
+            store.latest("a", -1)
 
 
 class TestSeriesStore:
@@ -89,7 +109,8 @@ class TestSeriesStore:
         with pytest.raises(ValueError, match="not after"):
             store.ingest("a", rows(2, 1, channels=1), timestamp=11)
         assert store.last_timestamp("a") == 11
-        assert len(store.buffer("a")) == 2  # rejected rows were not appended
+        assert store.observed("a") == 2  # rejected rows were not appended
+        np.testing.assert_array_equal(store.latest("a", 4), rows(0, 2, channels=1))
 
     def test_stats_track_evictions(self):
         store = SeriesStore(capacity=4, n_channels=1)
@@ -106,8 +127,9 @@ class TestSeriesStore:
         store.drop("a")
         assert "a" not in store
         assert store.last_timestamp("a") is None
+        assert store.observed("a") == 0
         with pytest.raises(KeyError):
-            store.buffer("a")
+            store.latest("a", 1)
         store.ingest("a", rows(0, 1, channels=1), timestamp=0)  # watermark reset too
 
     def test_unknown_tenant_latest_raises(self):
@@ -180,8 +202,8 @@ class TestDirtyTracking:
 
 
 class TestGather:
-    """The batched store gather against per-tenant ``RingBuffer.latest``
-    and against the raw appended history (randomized shapes)."""
+    """The batched store gather against per-tenant ``latest`` and against
+    the raw appended history (randomized shapes)."""
 
     @pytest.mark.parametrize("channels", [1, 7])
     def test_gather_matches_latest_per_tenant(self, channels):
@@ -205,13 +227,14 @@ class TestGather:
                     store.ingest(tenant, chunk)
                 history[tenant] = np.concatenate(chunks).astype(np.float32)
             tenants = list(rng.permutation(list(history)))
-            found, windows, lengths = store.gather(tenants, n)
+            found, windows, lengths, moments = store.gather(tenants, n)
+            assert moments is None
             assert found == list(range(len(tenants)))
             assert windows.shape == (len(tenants), n, channels)
             assert windows.dtype == np.float32
             for row, tenant in enumerate(tenants):
                 expected = history[tenant][-min(n, capacity, len(history[tenant])):]
-                reference = store.buffer(tenant).latest(n)
+                reference = store.latest(tenant, n)
                 np.testing.assert_array_equal(reference, expected)
                 assert lengths[row] == len(expected)
                 np.testing.assert_array_equal(windows[row, n - len(expected):], expected)
@@ -223,7 +246,7 @@ class TestGather:
         store.ingest("b", rows(10, 5))
         with pytest.raises(KeyError, match="ghost"):
             store.gather(["a", "ghost", "b"], 4)
-        found, windows, lengths = store.gather(["a", "ghost", "b"], 4, skip_missing=True)
+        found, windows, lengths, _ = store.gather(["a", "ghost", "b"], 4, skip_missing=True)
         assert found == [0, 2]
         assert lengths.tolist() == [3, 4]
         np.testing.assert_array_equal(windows[1], rows(11, 4))
@@ -231,6 +254,6 @@ class TestGather:
     def test_duplicate_tenants_get_one_row_each(self):
         store = SeriesStore(capacity=4, n_channels=2)
         store.ingest("a", rows(0, 2))
-        _, windows, lengths = store.gather(["a", "a"], 3)
+        _, windows, lengths, _ = store.gather(["a", "a"], 3)
         assert lengths.tolist() == [2, 2]
         np.testing.assert_array_equal(windows[0], windows[1])
