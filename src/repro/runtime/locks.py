@@ -228,20 +228,12 @@ class TrackedRLock:
         self._inner = threading.RLock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        if blocking and timeout == -1:
+            self.__enter__()
+            return True
         if _monitor.enabled:
             _monitor.acquiring(self.name)
-        if blocking and timeout == -1 and _obs_metrics_enabled():
-            # Try without blocking first so the uncontended path never
-            # reads the clock; only an actual wait is timed.
-            acquired = self._inner.acquire(False)
-            if not acquired:
-                waited_from = _obs_now()
-                acquired = self._inner.acquire()
-                _LOCK_WAIT_SECONDS.labels(lock=self.name, mode="mutex").observe(
-                    _obs_now() - waited_from
-                )
-        else:
-            acquired = self._inner.acquire(blocking, timeout)
+        acquired = self._inner.acquire(blocking, timeout)
         if not acquired and _monitor.enabled:
             _monitor.released(self.name)
         return acquired
@@ -252,8 +244,9 @@ class TrackedRLock:
             _monitor.released(self.name)
 
     def __enter__(self) -> "TrackedRLock":
-        # acquire() inlined: a blocking acquisition cannot fail, and the
-        # uncontended path is one non-blocking try.
+        # A blocking acquisition, which cannot fail.  Try without blocking
+        # first so the uncontended path never reads the clock; only an
+        # actual wait is timed.
         if _monitor.enabled:
             _monitor.acquiring(self.name)
         inner = self._inner
