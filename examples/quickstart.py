@@ -13,10 +13,12 @@ Serving
 Training produces a model; serving it is a separate concern handled by
 ``repro.serving``.  Wrap any trained :class:`~repro.core.base.ForecastModel`
 in a :class:`~repro.serving.ForecastService` to get a request-level API —
-``service.submit(history, covariates)`` returns a ``Forecast`` handle, and
-pending requests are coalesced into a single padded batched forward pass
-under ``no_grad``.  A :class:`~repro.serving.ModelRegistry` LRU-caches the
-models for several scenarios (datasets / horizons) in one process.  See
+``service.submit(history, covariates)`` returns a ``Forecast`` handle (and
+``service.submit_many`` queues a whole block of rows), and pending requests
+are coalesced into a single padded batched forward pass under ``no_grad``.
+Save the trained weights with :func:`repro.nn.save_module` and a
+:class:`~repro.cluster.spec.ServiceSpec` with ``weights_path`` builds
+bit-identical replicas of the model anywhere.  See
 ``examples/serving_quickstart.py`` for the end-to-end serving tour.
 """
 

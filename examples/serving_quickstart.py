@@ -8,15 +8,15 @@ The script walks the full serving story introduced by ``repro.serving``:
 
 1. train a small LiPFormer on a synthetic ETTh1 replica (two-stage:
    contrastive pre-training of the Covariate Encoder, freeze, then fit);
-2. put the trained model in a :class:`ModelRegistry` and stand up a
-   :class:`ForecastService` in front of it;
+2. stand up a :class:`ForecastService` in front of the trained model;
 3. submit single requests — including a short "cold start" history that the
    service left-pads — and show how the micro-batching queue coalesces them
    into one padded forward pass;
 4. backfill forecasts over every test window through the vectorised window
    fast path, and score them;
-5. serve a second scenario (another horizon) from the same process and show
-   the registry's LRU accounting.
+5. save the trained weights, serve them again as a deployment replica
+   (:class:`~repro.cluster.spec.ServiceSpec` with ``weights_path``) and
+   show that its forecasts are bit-identical.
 
 For the *online* continuation of this story — observations streaming in
 per tenant instead of pre-materialised arrays — see
@@ -25,12 +25,16 @@ per tenant instead of pre-materialised arrays — see
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from repro import ModelConfig, TrainingConfig, create_model, prepare_forecasting_data
-from repro.serving import ForecastService, ModelRegistry
+from repro.cluster.spec import ServiceSpec
+from repro.nn import save_module
+from repro.serving import ForecastService
 from repro.training import Trainer, pretrain_covariate_encoder
 
 
@@ -67,12 +71,9 @@ def main() -> None:
     print(f"trained LiPFormer: test mse={trainer.test(data)['mse']:.4f}")
 
     # ------------------------------------------------------------------ #
-    # 2. Register the trained model and stand up the service.
+    # 2. Stand up the service in front of the trained model.
     # ------------------------------------------------------------------ #
-    registry = ModelRegistry(capacity=2)
-    registry.register("LiPFormer", config, model=model)
-    service = ForecastService.from_registry(registry, "LiPFormer", config,
-                                            max_batch_size=32)
+    service = ForecastService(model, max_batch_size=32)
 
     # ------------------------------------------------------------------ #
     # 3. Request-level inference: submit returns a Forecast handle; the
@@ -108,17 +109,26 @@ def main() -> None:
           f"({len(predictions) / elapsed:,.0f} windows/s), mse={mse:.4f}")
 
     # ------------------------------------------------------------------ #
-    # 5. A second scenario in the same process: the registry builds and
-    #    caches a model per (model_name, config_hash) key.
+    # 5. Serve the same weights as a deployment replica: save them, then
+    #    let a ServiceSpec build a fresh model and load the file, the way
+    #    every cluster shard (thread or process) builds its replica.
     # ------------------------------------------------------------------ #
-    data48 = prepare_forecasting_data("ETTh1", input_length=96, horizon=48,
-                                      n_timestamps=3000, stride=2, seed=2021)
-    config48 = make_config(data48, horizon=48)
-    service48 = ForecastService.from_registry(registry, "DLinear", config48)
-    forecast48 = service48.submit(data48.test[0].x).result()
-    print(f"second scenario (DLinear, horizon 48): forecast shape={forecast48.shape}")
-    print(f"registry keys={registry.keys()}")
-    print(f"registry stats: {registry.stats}")
+    with tempfile.TemporaryDirectory() as directory:
+        weights_path = os.path.join(directory, "lipformer_etth1_h24.npz")
+        save_module(model, weights_path)
+        replica = ServiceSpec("LiPFormer", config, max_batch_size=32,
+                              weights_path=weights_path).build()
+    covariates = {
+        "future_numerical": test_batch["future_numerical"],
+        "future_categorical": test_batch["future_categorical"],
+    }
+    served = service.predict_many(test_batch["x"], **covariates)
+    replayed = replica.predict_many(test_batch["x"], **covariates)
+    identical = np.array_equal(served, replayed)
+    print(f"replica from {os.path.basename(weights_path)}: "
+          f"{len(replayed)} forecasts bit-identical to the trained model's: {identical}")
+    if not identical:
+        raise SystemExit("the replica's forecasts differ from the trained model's")
 
 
 if __name__ == "__main__":

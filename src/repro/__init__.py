@@ -11,7 +11,7 @@ API groups into:
 * ``repro.baselines``   — DLinear, PatchTST, TiDE, iTransformer, TimeMixer,
                           FGNN, Transformer/Informer/Autoformer
 * ``repro.training``    — trainers, metrics, experiment runner
-* ``repro.serving``     — micro-batched inference service + model registry
+* ``repro.serving``     — micro-batched inference service + admission control
 * ``repro.streaming``   — multi-tenant online ingestion + streaming forecasts
 * ``repro.cluster``     — sharded multi-replica serving with consistent-hash
                           tenant partitioning, incremental checkpoints,
@@ -28,7 +28,7 @@ from .baselines import available_models, create_model
 from .cluster import HashRing, ShardedForecaster
 from .data import load_dataset, prepare_forecasting_data
 from .runtime import PoolExecutor, SerialExecutor
-from .serving import ForecastService, ModelRegistry
+from .serving import ForecastService
 from .streaming import SeriesStore, StreamingForecaster
 from .training import Trainer, run_experiment
 
@@ -43,7 +43,6 @@ __all__ = [
     "load_dataset",
     "prepare_forecasting_data",
     "ForecastService",
-    "ModelRegistry",
     "SeriesStore",
     "StreamingForecaster",
     "HashRing",

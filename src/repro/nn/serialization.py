@@ -18,7 +18,7 @@ def save_state(state: Dict[str, np.ndarray], path: str, compressed: bool = False
     ``compressed=True`` trades write time for zipped entries — the right
     default for snapshot archives that hold many small per-tenant arrays
     (cluster/streaming state), while model weights stay uncompressed for
-    fast registry spill/reload.
+    fast replica loads (``ServiceSpec(weights_path=...)``).
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

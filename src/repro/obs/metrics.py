@@ -111,17 +111,19 @@ def log_buckets(lo: float, hi: float, per_decade: int = 5) -> Tuple[float, ...]:
     Consecutive bounds grow by ``10 ** (1 / per_decade)``; that growth
     factor is exactly the worst-case relative error of
     :meth:`Histogram.percentile` (see the hypothesis property test).
+    Each bound is the previous one times the rounded growth factor, so
+    ``bounds[i] <= x * growth`` holds in floating point for every ``x``
+    above ``bounds[i - 1]``.  Computing each bound as
+    ``lo * 10 ** (i / per_decade)`` instead rounds the pair independently,
+    and a bucket can then span a few ulp more than the growth factor.
     """
     if lo <= 0 or hi <= lo or per_decade < 1:
         raise ValueError("log_buckets needs 0 < lo < hi and per_decade >= 1")
-    bounds: List[float] = []
-    exponent = 0
-    while True:
-        bound = lo * 10.0 ** (exponent / per_decade)
-        bounds.append(bound)
-        if bound >= hi:
-            return tuple(bounds)
-        exponent += 1
+    growth = 10.0 ** (1 / per_decade)
+    bounds: List[float] = [float(lo)]
+    while bounds[-1] < hi:
+        bounds.append(bounds[-1] * growth)
+    return tuple(bounds)
 
 
 # 1 microsecond .. 1 minute, ~58% growth per bucket: covers everything from a

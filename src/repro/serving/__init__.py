@@ -3,16 +3,12 @@
 The serving subsystem turns the repo's train-time models into a
 request-level inference stack:
 
-* :class:`ForecastService` — ``submit(history, covariates) -> Forecast``
-  (or ``submit_many`` for a whole sweep) with a micro-batching queue that
-  coalesces pending requests into single padded forward passes under
-  ``no_grad``;
-* :class:`ModelRegistry` — an LRU cache of live models keyed on
-  ``(model_name, config_hash)``, spilling evicted weights through
-  :mod:`repro.nn.serialization` so multiple scenarios share one process;
-* batching helpers (:func:`pad_history`, :func:`group_requests`,
-  :class:`BatchAssembler`) and stats
-  objects for observing cache and batching behaviour;
+* :class:`ForecastService` — ``submit_many`` for a whole sweep's block of
+  rows (or ``submit(history, covariates) -> Forecast``, a one-row block on
+  the same path) with a micro-batching queue that coalesces pending rows
+  into single padded forward passes under ``no_grad``;
+* batching helpers (:func:`group_requests`, :class:`BatchAssembler`) and
+  :class:`ServiceStats` for observing batching behaviour;
 * :mod:`repro.serving.admission` — overload protection: priority classes
   (:data:`PRIORITIES`), per-request deadlines, and an
   :class:`AdmissionPolicy` that sheds over-capacity or expired work with
@@ -22,9 +18,9 @@ request-level inference stack:
 See ``examples/serving_quickstart.py`` for an end-to-end tour and
 ``benchmarks/test_serving_throughput.py`` for the measured batched-vs-
 sequential speedup.  The streaming subsystem (:mod:`repro.streaming`)
-layers multi-tenant online ingestion on top of this request API — its
-per-tenant forecasts are ordinary ``submit`` traffic, so they coalesce
-with each other (and with any direct callers) in the same queue.
+layers multi-tenant online ingestion on top of this request API — a
+sweep's forecasts are one ``submit_many`` block, so they coalesce with
+each other (and with any direct callers) in the same queue.
 """
 
 from .admission import (
@@ -40,21 +36,15 @@ from .batching import (
     ForecastRequest,
     ForecastRows,
     group_requests,
-    pad_history,
 )
-from .registry import ModelRegistry, RegistryStats, config_hash
 from .service import ForecastService, ServiceStats
 
 __all__ = [
     "Forecast",
     "ForecastRows",
     "ForecastRequest",
-    "pad_history",
     "group_requests",
     "BatchAssembler",
-    "ModelRegistry",
-    "RegistryStats",
-    "config_hash",
     "ForecastService",
     "ServiceStats",
     "PRIORITIES",

@@ -10,8 +10,6 @@ that are independent of any model:
   queued, and :class:`Forecast`, the handle on one of those rows;
 * :class:`ForecastRequest` — a run of queued rows sharing one submit
   call's timing, priority and covariate signature;
-* :func:`pad_history` — left-pads (or truncates) a single ``[T, C]``
-  history to the model's ``input_length``;
 * :func:`group_requests` / :class:`BatchAssembler` — split queued runs by
   covariate signature and copy each group into one rectangular batch.
 """
@@ -29,7 +27,6 @@ __all__ = [
     "Forecast",
     "ForecastRows",
     "ForecastRequest",
-    "pad_history",
     "group_requests",
     "BatchAssembler",
 ]
@@ -174,40 +171,6 @@ class ForecastRequest:
         self.forecast._fail(self.offset, len(self), error, refused)
 
 
-def pad_history(
-    history: np.ndarray,
-    input_length: int,
-    n_channels: int,
-    pad_mode: str = "edge",
-) -> Tuple[np.ndarray, int]:
-    """Normalise a single request history to ``[input_length, n_channels]``.
-
-    Histories longer than ``input_length`` keep their most recent steps;
-    shorter ones are left-padded so every queued request shares one
-    rectangular shape and the whole micro-batch runs as one forward pass.
-    Returns the padded history and the number of observed (un-padded) steps.
-    """
-    history = np.asarray(history, dtype=np.float32)
-    if history.ndim == 1:
-        history = history[:, None]
-    if history.ndim != 2:
-        raise ValueError(f"history must be [time, channels], got shape {history.shape}")
-    if history.shape[1] != n_channels:
-        raise ValueError(f"expected {n_channels} channels, got {history.shape[1]}")
-    observed = history.shape[0]
-    if observed == 0:
-        raise ValueError("history must contain at least one time step")
-    if observed >= input_length:
-        return history[-input_length:], input_length
-    if pad_mode == "edge":
-        pad = np.repeat(history[:1], input_length - observed, axis=0)
-    elif pad_mode == "zeros":
-        pad = np.zeros((input_length - observed, n_channels), dtype=np.float32)
-    else:
-        raise ValueError(f"unknown pad_mode {pad_mode!r}; use 'edge' or 'zeros'")
-    return np.concatenate([pad, history], axis=0), observed
-
-
 def _signature(request: ForecastRequest) -> Tuple:
     """Covariate signature; only identically-shaped rows can share a pass."""
     return (
@@ -238,8 +201,8 @@ class BatchAssembler:
     input kind — history, numerical covariates, categorical covariates —
     already in the model's dtype, and copies each run's rows straight in
     with one slice assignment.  Steady-state flushing therefore performs
-    no batch-sized allocations and no dtype casts (``pad_history`` /
-    submit-time validation normalised dtypes already).
+    no batch-sized allocations and no dtype casts (submit already copied
+    every history into a float32 block).
 
     The returned batch views alias the scratch buffers: they are valid
     until the next :meth:`assemble` call, which is exactly the flush loop's

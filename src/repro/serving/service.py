@@ -1,21 +1,18 @@
 """Micro-batched forecast serving.
 
 :class:`ForecastService` is the request-level inference entry point the
-scaling roadmap builds on.  Callers submit one history at a time
-(:meth:`ForecastService.submit`) and get back a :class:`Forecast` handle;
-the service queues pending requests and coalesces them into a single padded
-forward pass under ``no_grad`` once the micro-batch fills (or on an
-explicit / handle-triggered :meth:`flush`).  Amortising the per-call Python
-and dispatch overhead across the batch is what makes the paper's
-lightweight-inference story (Table VII) hold up under request-at-a-time
-traffic rather than pre-shaped arrays.
+scaling roadmap builds on.  Callers queue rows — a whole sweep's block at
+once (:meth:`ForecastService.submit_many`) or one history at a time
+(:meth:`ForecastService.submit`, a one-row block on the same path) — and
+get back deferred handles; the service coalesces pending rows into a
+single padded forward pass under ``no_grad`` once the micro-batch fills
+(or on an explicit / handle-triggered :meth:`flush`).  Amortising the
+per-call Python and dispatch overhead across the batch is what makes the
+paper's lightweight-inference story (Table VII) hold up under
+request-at-a-time traffic rather than pre-shaped arrays.
 
 The service also exposes:
 
-* :meth:`submit_many` — the columnar twin of ``submit`` for a whole sweep:
-  one covariate validation, one clock read, one deadline and one lock
-  acquisition for N rows, with the same per-row admission outcomes as N
-  ``submit`` calls;
 * :meth:`predict_many` — synchronous convenience over submit+flush;
 * :meth:`backfill` — batched inference over every window of a historical
   series, using the vectorised ``SlidingWindowDataset.as_arrays`` fast path.
@@ -49,9 +46,7 @@ from .batching import (
     ForecastRequest,
     ForecastRows,
     group_requests,
-    pad_history,
 )
-from .registry import ModelRegistry
 
 __all__ = ["ServiceStats", "ForecastService"]
 
@@ -116,16 +111,15 @@ class ServiceStats(CounterStats):
 class ForecastService:
     """Serve a forecasting model behind a micro-batching request API.
 
-    Construct either around a live model::
+    Construct around a live model::
 
         service = ForecastService(model)
 
-    or around a registry scenario, letting the :class:`ModelRegistry`
-    resolve / cache the weights::
+    (a deployment builds its replicas from a
+    :class:`~repro.cluster.spec.ServiceSpec`, whose ``weights_path``
+    serves trained weights).
 
-        service = ForecastService.from_registry(registry, "LiPFormer", config)
-
-    ``submit`` never runs the model immediately: requests accumulate until
+    Submitting never runs the model immediately: rows accumulate until
     ``max_batch_size`` of them are pending, then one padded batch is pushed
     through ``ForecastModel.predict`` (eval mode + ``no_grad``, training
     flag restored).  ``Forecast.result()`` flushes on demand, so a
@@ -142,6 +136,8 @@ class ForecastService:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+        if pad_mode not in ("edge", "zeros"):
+            raise ValueError(f"unknown pad_mode {pad_mode!r}; use 'edge' or 'zeros'")
         self.model = model
         self.config: ModelConfig = model.config
         self.max_batch_size = max_batch_size
@@ -173,28 +169,6 @@ class ForecastService:
         # the view holds the service weakly and dies with it.
         obs.register_stats("repro_serving", self.stats_snapshot, maxed=ServiceStats.MAXED)
 
-    @classmethod
-    def from_registry(
-        cls,
-        registry: ModelRegistry,
-        model_name: str,
-        config: ModelConfig,
-        max_batch_size: int = 32,
-        pad_mode: str = "edge",
-        compiled: bool = True,
-        admission: Optional[AdmissionPolicy] = None,
-        **factory_kwargs,
-    ) -> "ForecastService":
-        """Build a service for a registry scenario (loading on cache miss)."""
-        model = registry.get(model_name, config, **factory_kwargs)
-        return cls(
-            model,
-            max_batch_size=max_batch_size,
-            pad_mode=pad_mode,
-            compiled=compiled,
-            admission=admission,
-        )
-
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
@@ -213,10 +187,13 @@ class ForecastService:
     ) -> Forecast:
         """Queue one request; returns a handle that resolves on flush.
 
-        ``history`` is a single ``[time, channels]`` series tail.  Shorter
-        histories than the model's ``input_length`` are left-padded
-        (``pad_mode``), longer ones keep their most recent steps.  Future
-        covariates, when given, must cover the model horizon.
+        ``history`` is a single ``[time, channels]`` series tail (``[time]``
+        for one channel).  It is copied at submit time — changing the
+        caller's array afterwards does not change the forecast — into a
+        one-row :meth:`submit_many` block: the most recent ``input_length``
+        steps, right-aligned, with shorter histories left-padded
+        (``pad_mode``).  Future covariates, when given, must cover the
+        model horizon.
 
         ``priority`` is one of :data:`~repro.serving.admission.PRIORITIES`;
         ``timeout`` (relative seconds) or ``deadline`` (absolute, on the
@@ -228,28 +205,23 @@ class ForecastService:
         handle with :class:`DeadlineExceeded`.
         """
         rank = priority_rank(priority)
-        padded, observed = pad_history(
-            history, self.config.input_length, self.config.n_channels, pad_mode=self.pad_mode
-        )
-        ((_, _, numerical, categorical),) = self._covariate_runs(
-            1, [future_numerical], [future_categorical]
-        )
-        # The scheduling clock is unconditional: deadlines and the flush
-        # timer need real timestamps whether or not metrics are recording.
-        now = obs.now()
-        rows = ForecastRows(self, 1)
-        request = ForecastRequest(
-            history=padded[None],
-            observed_length=np.array([observed]),
-            future_numerical=numerical,
-            future_categorical=categorical,
-            forecast=rows,
-            submitted_at=now,
-            priority=priority,
-            deadline=resolve_deadline(now, timeout, deadline, self.admission),
-        )
-        with self._lock:
-            self._admit_locked(request, rank, now)
+        input_length, n_channels = self.config.input_length, self.config.n_channels
+        history = np.asarray(history)
+        if history.ndim == 1:
+            history = history[:, None]
+        if history.ndim != 2:
+            raise ValueError(f"history must be [time, channels], got shape {history.shape}")
+        if history.shape[1] != n_channels:
+            raise ValueError(f"expected {n_channels} channels, got {history.shape[1]}")
+        observed = min(len(history), input_length)
+        if observed == 0:
+            raise ValueError("history must contain at least one time step")
+        block = np.empty((1, input_length, n_channels), dtype=np.float32)
+        block[0, input_length - observed:] = history[len(history) - observed:]
+        observed_lengths = np.array([observed])
+        self._pad_block(block, observed_lengths)
+        runs = self._covariate_runs(1, [future_numerical], [future_categorical])
+        rows = self._enqueue(block, observed_lengths, runs, priority, rank, timeout, deadline)
         refused = rows.refused.get(0)
         if refused is not None:
             raise refused
@@ -270,7 +242,7 @@ class ForecastService:
         ``histories`` is ``[n, input_length, channels]`` float32 with each
         row's ``observed_lengths[i]`` observed steps right-aligned; the
         service takes ownership and left-pads the rest in place
-        (``pad_mode``), exactly as :func:`pad_history` would.
+        (``pad_mode``).
         ``future_numerical`` / ``future_categorical`` are per-row sequences
         (``None`` entries, or ``None`` altogether, for rows without).
 
@@ -303,9 +275,35 @@ class ForecastService:
             )
         self._pad_block(histories, observed)
         runs = self._covariate_runs(n, future_numerical, future_categorical)
+        return self._enqueue(histories, observed, runs, priority, rank, timeout, deadline)
+
+    def _pad_block(self, histories: np.ndarray, observed: np.ndarray) -> None:
+        """Left-pad short rows of a right-aligned block in place (``pad_mode``).
+
+        The one padding routine: ``submit`` and ``submit_many`` both pad here.
+        """
+        input_length = self.config.input_length
+        for row, length in enumerate(observed.tolist()):
+            if length < input_length:
+                pad = input_length - length
+                histories[row, :pad] = histories[row, pad] if self.pad_mode == "edge" else 0.0
+
+    def _enqueue(
+        self,
+        histories: np.ndarray,
+        observed: np.ndarray,
+        runs: List[Tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]],
+        priority: str,
+        rank: int,
+        timeout: Optional[float],
+        deadline: Optional[float],
+    ) -> ForecastRows:
+        """Stamp a padded block and admit its covariate runs in row order."""
+        # The scheduling clock is unconditional: deadlines and the flush
+        # timer need real timestamps whether or not metrics are recording.
         now = obs.now()
         deadline = resolve_deadline(now, timeout, deadline, self.admission)
-        rows = ForecastRows(self, n)
+        rows = ForecastRows(self, len(histories))
         requests = [
             ForecastRequest(
                 histories[start:stop], observed[start:stop], numerical, categorical,
@@ -317,18 +315,6 @@ class ForecastService:
             for request in requests:
                 self._admit_locked(request, rank, now)
         return rows
-
-    def _pad_block(self, histories: np.ndarray, observed: np.ndarray) -> None:
-        """Left-pad short rows of a right-aligned block in place."""
-        input_length = self.config.input_length
-        short = np.flatnonzero(observed < input_length)
-        if not len(short):
-            return
-        if self.pad_mode not in ("edge", "zeros"):
-            raise ValueError(f"unknown pad_mode {self.pad_mode!r}; use 'edge' or 'zeros'")
-        for row in short:
-            pad = input_length - int(observed[row])
-            histories[row, :pad] = histories[row, pad] if self.pad_mode == "edge" else 0.0
 
     @requires_lock("_lock")
     def _admit_locked(self, request: ForecastRequest, rank: int, now: float) -> None:

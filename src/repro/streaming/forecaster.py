@@ -377,7 +377,7 @@ class StreamingForecaster:
         they live in the tenant's slot and only move on ingest or
         adoption.  The model itself is *not* included —
         weights already have a persistence story
-        (:mod:`repro.nn.serialization` / the registry spill path).
+        (:mod:`repro.nn.serialization` / ``ServiceSpec(weights_path=...)``).
         """
         dirty = set(self.store.dirty_tenants()) if delta else None
         return {

@@ -1,15 +1,65 @@
-"""Tests for ClusterSpec validation and its build_cluster integration."""
+"""Tests for ServiceSpec replicas, ClusterSpec validation and build_cluster."""
 
+import numpy as np
 import pytest
 
+from repro import wire
+from repro.baselines import create_model
 from repro.cluster import ClusterSpec, build_cluster, validate_cluster_timeouts
 from repro.cluster.spec import ServiceSpec
 from repro.config import ModelConfig
+from repro.nn import save_module
+from repro.serving import ForecastService
 
 CONFIG = ModelConfig(
     input_length=16, horizon=4, n_channels=1, patch_length=4,
     hidden_dim=8, dropout=0.0, n_heads=2, n_layers=1, seed=1,
 )
+
+
+class TestServiceSpecReplica:
+    @pytest.fixture
+    def trained(self, tmp_path):
+        """A model whose weights differ from a fresh build, saved to a file."""
+        model = create_model("LiPFormer", CONFIG)
+        rng = np.random.default_rng(11)
+        for param in model.parameters():
+            param.data = param.data + rng.normal(scale=0.5, size=param.data.shape).astype(
+                param.data.dtype
+            )
+        path = tmp_path / "weights.npz"
+        save_module(model, str(path))
+        return model, str(path)
+
+    def test_weights_path_reproduces_state_and_forecasts_bit_for_bit(self, trained):
+        model, path = trained
+        replica = ServiceSpec(config=CONFIG, weights_path=path).build()
+        expected = model.state_dict()
+        actual = replica.model.state_dict()
+        assert actual.keys() == expected.keys()
+        for name, value in actual.items():
+            assert value.dtype == expected[name].dtype, name
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+        histories = np.random.default_rng(12).normal(
+            size=(3, CONFIG.input_length, CONFIG.n_channels)
+        ).astype(np.float32)
+        forecasts = replica.predict_many(histories)
+        np.testing.assert_array_equal(forecasts, ForecastService(model).predict_many(histories))
+        untrained = ServiceSpec(config=CONFIG).build().predict_many(histories)
+        assert not np.array_equal(forecasts, untrained)
+
+    def test_weights_path_survives_state_round_trip(self, trained):
+        _, path = trained
+        spec = ServiceSpec(config=CONFIG, compiled=False, weights_path=path, queue_limit=3)
+        assert ServiceSpec.from_state(spec.to_state()) == spec
+        over_wire = wire.unpack_message(wire.pack_message(spec.to_state()))
+        restored = ServiceSpec.from_state(over_wire)
+        assert restored == spec
+        assert restored.weights_path == path
+
+    def test_unknown_pad_mode_rejected_at_build(self):
+        with pytest.raises(ValueError, match="pad_mode"):
+            ServiceSpec(config=CONFIG, pad_mode="wrap").build()
 
 
 class TestTimeoutValidation:

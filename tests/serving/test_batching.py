@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.baselines import DLinear
+from repro.config import ModelConfig
+from repro.serving import ForecastService
 from repro.serving.batching import (
     BatchAssembler,
     ForecastRequest,
     ForecastRows,
     group_requests,
-    pad_history,
 )
+
+from padding_oracle import reference_pad
 
 
 def _request(history, fn=None, fc=None):
@@ -30,52 +34,84 @@ def _assembled(requests):
     return [(BatchAssembler().assemble(members), members) for members in group_requests(requests)]
 
 
-class TestPadHistory:
+def _service(input_length, n_channels, pad_mode="edge"):
+    config = ModelConfig(
+        input_length=input_length, horizon=2, n_channels=n_channels,
+        patch_length=1, hidden_dim=4, dropout=0.0,
+    )
+    return ForecastService(DLinear(config), pad_mode=pad_mode, compiled=False)
+
+
+def _assert_submit_matches_reference(service, history):
+    """``submit`` queues the row and observed length ``reference_pad`` gives."""
+    config = service.config
+    expected, observed = reference_pad(
+        history, config.input_length, config.n_channels, service.pad_mode
+    )
+    service.submit(history)
+    (request,) = service._pending
+    assert request.history.dtype == np.float32
+    np.testing.assert_array_equal(request.history[0], expected)
+    assert request.observed_length.tolist() == [observed]
+    assert service.stats.padded_requests == int(observed < config.input_length)
+    return expected
+
+
+class TestSubmitPadding:
+    """``submit``'s truncation and padding, checked against ``reference_pad``."""
+
     def test_exact_length_passthrough(self):
         history = np.arange(12, dtype=np.float32).reshape(6, 2)
-        padded, observed = pad_history(history, input_length=6, n_channels=2)
+        padded = _assert_submit_matches_reference(_service(6, 2), history)
         np.testing.assert_array_equal(padded, history)
-        assert observed == 6
 
     def test_long_history_keeps_most_recent_steps(self):
         history = np.arange(20, dtype=np.float32).reshape(10, 2)
-        padded, observed = pad_history(history, input_length=4, n_channels=2)
+        padded = _assert_submit_matches_reference(_service(4, 2), history)
         np.testing.assert_array_equal(padded, history[-4:])
-        assert observed == 4
+
+    def test_float64_history_is_cast_like_the_reference(self):
+        history = np.random.default_rng(0).normal(size=(7, 2))
+        _assert_submit_matches_reference(_service(4, 2), history)
+        _assert_submit_matches_reference(_service(8, 2), history)
 
     def test_short_history_edge_padded_on_left(self):
         history = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.float32)
-        padded, observed = pad_history(history, input_length=5, n_channels=2)
-        assert padded.shape == (5, 2)
-        assert observed == 2
+        padded = _assert_submit_matches_reference(_service(5, 2), history)
         np.testing.assert_array_equal(padded[:3], np.repeat(history[:1], 3, axis=0))
         np.testing.assert_array_equal(padded[3:], history)
 
     def test_zeros_pad_mode(self):
         history = np.ones((2, 3), dtype=np.float32)
-        padded, _ = pad_history(history, input_length=4, n_channels=3, pad_mode="zeros")
+        padded = _assert_submit_matches_reference(_service(4, 3, pad_mode="zeros"), history)
         np.testing.assert_array_equal(padded[:2], np.zeros((2, 3)))
 
     def test_one_dimensional_history_promoted_to_single_channel(self):
-        padded, observed = pad_history(np.arange(6.0), input_length=6, n_channels=1)
+        padded = _assert_submit_matches_reference(_service(6, 1), np.arange(6.0))
         assert padded.shape == (6, 1)
-        assert observed == 6
 
     @pytest.mark.parametrize(
-        "history, kwargs",
+        "history, input_length, n_channels",
         [
-            (np.ones((4, 3)), {"input_length": 4, "n_channels": 2}),   # channel mismatch
-            (np.ones((0, 2)), {"input_length": 4, "n_channels": 2}),   # empty
-            (np.ones((2, 2, 2)), {"input_length": 4, "n_channels": 2}),  # bad rank
+            (np.ones((4, 3)), 4, 2),      # channel mismatch
+            (np.ones((0, 2)), 4, 2),      # empty
+            (np.ones((2, 2, 2)), 4, 2),   # bad rank
         ],
     )
-    def test_invalid_inputs_raise(self, history, kwargs):
+    def test_invalid_inputs_raise(self, history, input_length, n_channels):
         with pytest.raises(ValueError):
-            pad_history(history, **kwargs)
+            reference_pad(history, input_length, n_channels)
+        service = _service(input_length, n_channels)
+        with pytest.raises(ValueError):
+            service.submit(history)
+        assert service.pending == 0
+        assert service.stats.requests == 0
 
     def test_unknown_pad_mode_raises(self):
         with pytest.raises(ValueError):
-            pad_history(np.ones((2, 1)), input_length=4, n_channels=1, pad_mode="wrap")
+            reference_pad(np.ones((2, 1)), input_length=4, n_channels=1, pad_mode="wrap")
+        with pytest.raises(ValueError, match="pad_mode"):
+            _service(4, 1, pad_mode="wrap")
 
 
 class TestCoalesce:

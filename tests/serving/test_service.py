@@ -7,7 +7,7 @@ from repro.baselines import DLinear
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.data.windows import SlidingWindowDataset
-from repro.serving import ForecastService, ModelRegistry, ServiceStats
+from repro.serving import ForecastService, ServiceStats
 
 
 def _config_for(data, hidden=16):
@@ -63,6 +63,14 @@ class TestSubmitAndFlush:
         for h, handle in zip(histories, handles):
             expected = service.model.predict(h[None])[0]
             np.testing.assert_allclose(handle.result(), expected, atol=1e-5)
+
+    def test_history_is_copied_at_submit(self, service, history):
+        """Writing the caller's array after submit does not change the forecast."""
+        owned = history.copy()
+        expected = service.submit(history.copy()).result()
+        handle = service.submit(owned)
+        owned[:] = 0.0
+        np.testing.assert_array_equal(handle.result(), expected)
 
     def test_short_history_is_padded_and_served(self, service, history):
         forecast = service.submit(history[-10:]).result()
@@ -249,13 +257,12 @@ class TestStats:
         assert a.requests == 10
 
 
-class TestFromRegistry:
-    def test_from_registry_resolves_model(self, cycle_smoke_data):
-        config = _config_for(cycle_smoke_data)
-        registry = ModelRegistry(capacity=2)
-        service = ForecastService.from_registry(registry, "DLinear", config)
-        assert registry.get("DLinear", config) is service.model
-
+class TestConstruction:
     def test_invalid_max_batch_size(self, cycle_smoke_data):
         with pytest.raises(ValueError):
             ForecastService(DLinear(_config_for(cycle_smoke_data)), max_batch_size=0)
+
+    def test_unknown_pad_mode_rejected_at_construction(self, cycle_smoke_data):
+        """A bad pad mode fails the constructor, not the first short request."""
+        with pytest.raises(ValueError, match="pad_mode"):
+            ForecastService(DLinear(_config_for(cycle_smoke_data)), pad_mode="wrap")

@@ -4,11 +4,14 @@
 whole sweep as one block, and ``forecast()`` is a sweep of one tenant.
 Both are checked against :class:`PerTenantReference`, the per-tenant
 path rebuilt from public pieces: ``store.latest``, the tenant's
-normalisation, ``service.submit`` and the inverse mapping.  For any mix
-of queue bound, batch size, normalisation, padding, covariates and
-already-queued work, every row must come back with the same bits or the
-same typed error, and every counter must match.
+normalisation, padding by :func:`padding_oracle.reference_pad` (not the
+service's own padding code), ``service.submit`` and the inverse mapping.
+For any mix of queue bound, batch size, normalisation, padding,
+covariates and already-queued work, every row must come back with the
+same bits or the same typed error, and every counter must match.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import PRIORITIES, AdmissionPolicy, DeadlineExceeded, ForecastService, Overloaded
 from repro.streaming import StreamingForecaster, StreamingStats
+
+from padding_oracle import reference_pad
 
 CONFIG = ModelConfig(
     input_length=12, horizon=4, n_channels=2, patch_length=4, hidden_dim=8,
@@ -121,14 +126,23 @@ class PerTenantReference:
 
     ``store.latest`` → the tenant's normalisation (its rolling scaler
     frozen by ``to_standard_scaler()``, or the last-value anchor) →
-    ``service.submit`` → the inverse mapping on ``result()``.  It keeps
-    the :class:`StreamingStats` the forecaster should keep: a refused
-    submit raises before any counter moves.
+    ``reference_pad`` → ``service.submit`` → the inverse mapping on
+    ``result()``.  It keeps the :class:`StreamingStats` the forecaster
+    should keep: a refused submit raises before any counter moves.  Its
+    service only ever sees full-length windows, so the reference counts
+    the admitted rows it padded itself (:meth:`service_stats`).
     """
 
     def __init__(self, forecaster):
         self.forecaster = forecaster
         self.stats = StreamingStats()
+        self.padded_requests = 0
+
+    def service_stats(self):
+        """The reference service's counters, with the rows padded here."""
+        return dataclasses.replace(
+            self.forecaster.service.stats_snapshot(), padded_requests=self.padded_requests
+        )
 
     def forecast(self, tenant, **request):
         forecaster = self.forecaster
@@ -142,7 +156,12 @@ class PerTenantReference:
         else:
             anchor = window[-1:].astype(np.float32)
             normalized, inverse = window - anchor, lambda values: values + anchor
-        handle = forecaster.service.submit(normalized, **request)
+        service = forecaster.service
+        padded, observed = reference_pad(
+            normalized, input_length, forecaster.config.n_channels, service.pad_mode
+        )
+        handle = service.submit(padded, **request)
+        self.padded_requests += int(observed < input_length)
         self.stats.forecasts += 1
         self.stats.cold_start_forecasts += int(len(window) < input_length)
         return Mapped(handle, inverse)
@@ -191,7 +210,7 @@ def test_columnar_sweep_matches_per_tenant_loop(case):
     reference = PerTenantReference(ref_forecaster)
     expected = single_forecasts(reference)
     ref_service.flush()
-    expected_stats = ref_service.stats_snapshot()
+    expected_stats = reference.service_stats()
 
     service, columnar, queued = build(case)
     swept = columnar.forecast_all(
@@ -260,4 +279,4 @@ def test_unflushed_sweep_split_by_a_mid_block_flush():
     assert service.pending == 0
     for tenant in tenants:
         np.testing.assert_array_equal(handles[tenant].result(), expected[tenant].result())
-    assert service.stats_snapshot() == ref_service.stats_snapshot()
+    assert service.stats_snapshot() == reference.service_stats()
