@@ -8,10 +8,11 @@ Two gates protect the compiled single-request serving path:
   histograms, gauges, spans) must stay under 3% of the measured
   per-request latency.
 * **enabled ratio**: turning metrics on may not blow up the serving
-  path either — best-of-N enabled/disabled latency ratio stays small.
+  path either — the enabled/disabled ratio of best-of-N latencies,
+  measured in alternating pairs, stays small.
 
-The per-op cost is measured directly (million-iteration loops on the
-real instruments) rather than by diffing two noisy end-to-end runs, so
+The per-op cost is measured directly (best of several 50k-iteration
+loops on the real instruments) rather than by diffing two noisy end-to-end runs, so
 the 3% gate is stable on shared CI runners.
 """
 
@@ -42,11 +43,29 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def _per_op_seconds(fn, iterations: int = 200_000) -> float:
-    start = time.perf_counter()
-    for _ in range(iterations):
-        fn()
-    return (time.perf_counter() - start) / iterations
+def _per_op_seconds(fn, iterations: int = 50_000, repeats: int = 5) -> float:
+    # Best of several loops, like the request latency it is divided by: a
+    # single long loop also times whatever preempted it, so on a loaded
+    # runner the share rose with the load rather than with the instruments.
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(iterations):
+            fn()
+        best = min(best, (time.perf_counter() - start) / iterations)
+    return best
+
+
+def _enabled_and_disabled_latency(one_request, repeats: int = 100):
+    """Best-of latency with metrics on and off, measured in alternating
+    pairs so a change in runner load between two phases cannot land on
+    one side of the ratio only."""
+    enabled = disabled = float("inf")
+    for _ in range(repeats):
+        enabled = min(enabled, _best_of(one_request, repeats=1))
+        with obs.observability(metrics=False, tracing=False):
+            disabled = min(disabled, _best_of(one_request, repeats=1))
+    return enabled, disabled
 
 
 def _single_request_latency(service, history) -> float:
@@ -77,8 +96,9 @@ def test_disabled_observability_is_near_free(bench_record_serving):
             _per_op_seconds(lambda: gauge.set(3.0)),
             _per_op_seconds(lambda: obs.span("bench").__enter__()),
         )
-        disabled_latency = _best_of(lambda: service.submit(history).result(), repeats=20)
-    enabled_latency = _best_of(lambda: service.submit(history).result(), repeats=20)
+    enabled_latency, disabled_latency = _enabled_and_disabled_latency(
+        lambda: service.submit(history).result()
+    )
 
     budget = per_op * TOUCHPOINTS
     share = budget / request_latency

@@ -57,6 +57,12 @@ class TestServiceSpecReplica:
         assert restored == spec
         assert restored.weights_path == path
 
+    def test_weights_of_another_config_fail_the_build(self, tmp_path):
+        path = tmp_path / "wider.npz"
+        save_module(create_model("LiPFormer", CONFIG.with_overrides(hidden_dim=16)), str(path))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ServiceSpec(config=CONFIG, weights_path=str(path)).build()
+
     def test_unknown_pad_mode_rejected_at_build(self):
         with pytest.raises(ValueError, match="pad_mode"):
             ServiceSpec(config=CONFIG, pad_mode="wrap").build()

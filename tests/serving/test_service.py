@@ -7,7 +7,7 @@ from repro.baselines import DLinear
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.data.windows import SlidingWindowDataset
-from repro.serving import ForecastService, ServiceStats
+from repro.serving import AdmissionPolicy, ForecastService, Overloaded, ServiceStats
 
 
 def _config_for(data, hidden=16):
@@ -266,3 +266,45 @@ class TestConstruction:
         """A bad pad mode fails the constructor, not the first short request."""
         with pytest.raises(ValueError, match="pad_mode"):
             ForecastService(DLinear(_config_for(cycle_smoke_data)), pad_mode="wrap")
+
+
+class TestSubmitIsOneRowSubmitMany:
+    """``submit`` gives what a one-row ``submit_many`` block of its tail gives."""
+
+    @staticmethod
+    def _pair(data, **kwargs):
+        model = LiPFormer(_config_for(data))
+        return ForecastService(model, **kwargs), ForecastService(model, **kwargs)
+
+    @staticmethod
+    def _block(history, input_length):
+        observed = min(len(history), input_length)
+        block = np.zeros((1, input_length, history.shape[1]), dtype=np.float32)
+        block[0, input_length - observed:] = history[len(history) - observed:]
+        return block, np.array([observed])
+
+    @pytest.mark.parametrize("pad_mode", ["edge", "zeros"])
+    @pytest.mark.parametrize("extra_steps", [-7, 0, 5], ids=["short", "full", "long"])
+    def test_forecast_and_counters_match(self, cycle_smoke_data, rng, pad_mode, extra_steps):
+        data = cycle_smoke_data
+        single, many = self._pair(data, pad_mode=pad_mode)
+        history = rng.normal(size=(data.input_length + extra_steps, data.n_channels))
+        history = history.astype(np.float32)
+        forecast = single.submit(history).result()
+        rows = many.submit_many(*self._block(history, data.input_length))
+        np.testing.assert_array_equal(forecast, rows.result(0))
+        assert single.stats.as_dict() == many.stats.as_dict()
+        assert single.stats.padded_requests == int(extra_steps < 0)
+
+    def test_full_queue_refusal_matches_refused_row(self, cycle_smoke_data, history):
+        data = cycle_smoke_data
+        single, many = self._pair(data, admission=AdmissionPolicy(queue_limit=1))
+        single.submit(history)
+        with pytest.raises(Overloaded, match="pending queue full"):
+            single.submit(history)
+        block, observed = self._block(history, data.input_length)
+        rows = many.submit_many(np.concatenate([block, block]), np.concatenate([observed] * 2))
+        assert list(rows.refused) == [1]
+        assert isinstance(rows.refused[1], Overloaded)
+        assert single.stats.as_dict() == many.stats.as_dict()
+        assert single.pending == many.pending == 1
