@@ -51,6 +51,7 @@ from .. import obs, wire
 from ..errors import (
     CircuitOpen,
     DeadlineExceeded,
+    EndOfStream,
     TransientWireError,
     WorkerDied,
     WorkerStalled,
@@ -273,7 +274,7 @@ class ProcessShard:
                 raise WorkerStalled(self.shard_id, f"no reply within {budget:.1f}s")
             try:
                 reply = wire.recv_message(self._sock, timeout=remaining)
-            except wire.EndOfStream:
+            except EndOfStream:
                 self.breaker.record_failure()
                 self._mark_dead("pipe EOF (worker process exited)")
             except TransientWireError:

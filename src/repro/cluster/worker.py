@@ -12,16 +12,20 @@ wire codec until the stream closes.
 A request may carry a ``rows`` batch — the coordinator's write-behind
 ingest buffer — which is applied through
 :meth:`StreamingForecaster.ingest_many` before the command runs; the
-reply then acks each entry's (observed, generation).
+reply then acks each entry's (observed, generation), both read under the
+store lock that applied the entry.
 
 The command set mirrors the :class:`StreamingForecaster` surface plus
 the persistence hooks the coordinator needs (full or delta state,
 census, tenant export/import), so the coordinator can drive checkpoint
 chains and failover with exactly the thread-backend semantics.  Every
 forecast, a single one included, arrives as a columnar
-``forecast_many`` frame.  Every command runs under a broad handler
-that ships the error back as a typed payload — a bad request must never
-kill the worker, only that request.
+``forecast_many`` frame.  The worker queues it as one block
+(:meth:`StreamingForecaster.forecast_block`) and keeps it pending as
+that block, never as per-row handles; a flush reply takes each block's
+denormalised forecasts with one index per block.  Every command runs
+under a broad handler that ships the error back as a typed payload — a
+bad request must never kill the worker, only that request.
 
 Tracing crosses the boundary explicitly: a request carrying
 ``"trace": true`` runs under a ``worker.<cmd>`` span with tracing forced
@@ -39,13 +43,14 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs, wire
+from ..errors import EndOfStream
 from ..serving.admission import DEFAULT_PRIORITY
-from ..streaming.forecaster import StreamingForecast, StreamingForecaster
+from ..streaming.forecaster import StreamingForecaster, _Sweep
 from .spec import ServiceSpec
 
 __all__ = ["ShardWorker", "main"]
@@ -57,7 +62,9 @@ class ShardWorker:
     def __init__(self, channel) -> None:
         self._channel = channel
         self._forecaster: Optional[StreamingForecaster] = None
-        self._pending: Dict[int, StreamingForecast] = {}
+        # One entry per queued forecast_many block still awaiting a flush:
+        # (request ids, block rows, sweep), the ids aligned with the rows.
+        self._pending: List[Tuple[np.ndarray, np.ndarray, _Sweep]] = []
         self._shard_id = "?"
         # Armed by the "fault" command: the next _stall_count commands
         # sleep _stall_seconds before dispatch — a deterministic wedged
@@ -71,7 +78,7 @@ class ShardWorker:
         while True:
             try:
                 message = wire.recv_message(self._channel)
-            except wire.EndOfStream:
+            except EndOfStream:
                 return
             if not isinstance(message, dict) or "cmd" not in message:
                 wire.send_message(
@@ -119,16 +126,10 @@ class ShardWorker:
 
     def _ingest_rows(self, rows: dict) -> dict:
         """Apply one columnar batch; ack each entry's census watermark."""
-        forecaster = self._require()
-        tenants = rows["tenants"]
-        observed = forecaster.ingest_many(
-            tenants, rows["counts"], rows["values"], rows["timestamps"]
+        observed, generation = self._require().ingest_many(
+            rows["tenants"], rows["counts"], rows["values"], rows["timestamps"]
         )
-        generations = forecaster.store.generations()
-        return {
-            "observed": observed,
-            "generation": np.array([generations[t] for t in tenants], dtype=np.int64),
-        }
+        return {"observed": observed, "generation": generation}
 
     def _traced(self, command: str, handler, message: dict) -> dict:
         """Run one command under a span tree and ship the tree back.
@@ -195,7 +196,8 @@ class ShardWorker:
         """One columnar sweep: ids, tenants, optional per-row covariates,
         and one priority and budget for the whole frame."""
         forecaster = self._require()
-        rows = forecaster.forecast_many(
+        ids = message["ids"]
+        _, sweep = forecaster.forecast_block(
             message["tenants"],
             future_numerical=message.get("fn"),
             future_categorical=message.get("fc"),
@@ -205,15 +207,22 @@ class ShardWorker:
             timeout=message.get("budget"),
         )
         admission_errors: Dict[str, dict] = {}
-        for request_id, (_, handle) in zip(message["ids"].tolist(), rows):
-            refused = handle.admission_error
-            if refused is not None:
+        if sweep is not None:
+            # Without skip_missing the block holds every listed tenant, so
+            # block row i carries request ids[i].
+            rows = np.arange(len(ids))
+            refused = sweep.rows.refused
+            if refused:
                 # A shed entry fails alone — the rest of the batch (and the
                 # worker) keeps serving.  The coordinator rematerialises the
                 # typed error on that entry's handle, as its admission_error.
-                admission_errors[str(request_id)] = dict(wire.error_payload(refused), refused=True)
-            else:
-                self._pending[request_id] = handle
+                for row, error in refused.items():
+                    admission_errors[str(int(ids[row]))] = dict(
+                        wire.error_payload(error), refused=True
+                    )
+                rows = np.delete(rows, list(refused))
+            if len(rows):
+                self._pending.append((ids[rows], rows, sweep))
         if not message.get("flush", True):
             return {
                 "flushed": 0,
@@ -226,23 +235,31 @@ class ShardWorker:
         return reply
 
     def _resolve_pending(self, flushed: int) -> dict:
-        """Every pending result, columnar: ids plus one stacked array."""
-        ids: List[int] = []
+        """Every pending block's results, columnar: ids plus one array.
+
+        Each block contributes its settled, denormalised forecasts through
+        one index; a row whose forward pass failed is reported by id
+        instead, and re-raised when the coordinator resolves that handle
+        while its siblings still succeed.
+        """
+        ids: List[np.ndarray] = []
         values: List[np.ndarray] = []
         errors: Dict[str, dict] = {}
-        for request_id, handle in self._pending.items():
-            try:
-                values.append(np.asarray(handle.result()))
-                ids.append(request_id)
-            except Exception as error:
-                # Recorded per-request and re-raised when the coordinator
-                # resolves that handle; sibling requests still succeed.
-                errors[str(request_id)] = wire.error_payload(error)
+        for request_ids, rows, sweep in self._pending:
+            failed = sweep.rows.errors
+            if failed:
+                bad = np.isin(rows, list(failed))
+                for request_id, row in zip(request_ids[bad].tolist(), rows[bad].tolist()):
+                    errors[str(request_id)] = wire.error_payload(failed[row])
+                request_ids, rows = request_ids[~bad], rows[~bad]
+            if len(rows):
+                ids.append(request_ids)
+                values.append(sweep.settled()[rows])
         self._pending.clear()
         return {
             "flushed": int(flushed),
-            "ids": np.array(ids, dtype=np.int64),
-            "values": np.stack(values) if values else None,
+            "ids": np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
+            "values": np.concatenate(values) if values else None,
             "errors": errors,
         }
 

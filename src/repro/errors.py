@@ -17,10 +17,11 @@ Base classes are chosen so existing narrow handlers keep working:
 * :class:`Overloaded` *is a* ``RuntimeError`` — a capacity decision, not
   a transport failure;
 * :class:`CircuitOpen`, :class:`TransientWireError`,
-  :class:`WorkerDied` and :class:`WorkerStalled` are ``ConnectionError``
-  subclasses — all describe the health of a connection to a worker: one
-  synthesised locally (fail-fast), one a retryable transport hiccup, one
-  a worker gone for good and one a worker past its reply budget.
+  :class:`EndOfStream`, :class:`WorkerDied` and :class:`WorkerStalled`
+  are ``ConnectionError`` subclasses — all describe the health of a
+  connection to a worker: one synthesised locally (fail-fast), one a
+  retryable transport hiccup, one a stream the peer closed, one a worker
+  gone for good and one a worker past its reply budget.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "DeadlineExceeded",
     "CircuitOpen",
     "TransientWireError",
+    "EndOfStream",
     "WorkerDied",
     "WorkerStalled",
 ]
@@ -76,10 +78,18 @@ class CircuitOpen(ConnectionError):
 class TransientWireError(ConnectionError):
     """A retryable transport hiccup: the stream itself is still usable.
 
-    Distinct from :class:`repro.wire.EndOfStream` (peer gone for good):
+    Distinct from :class:`EndOfStream` (peer gone for good):
     a transient error is raised *before* any frame bytes were consumed,
     so a retry over the same socket is sound.  The fault-injection
     harness raises it to exercise retry paths deterministically.
+    """
+
+
+class EndOfStream(ConnectionError):
+    """The peer closed its end of the stream (process exit or crash).
+
+    Raised by :func:`repro.wire.recv_message` when the socket reaches EOF
+    mid-frame or before one: the stream cannot carry another message.
     """
 
 

@@ -162,14 +162,15 @@ class StreamingForecaster:
         counts: Sequence[int],
         values: np.ndarray,
         timestamps: Optional[Sequence] = None,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Append a columnar batch under one store-lock acquisition.
 
         The batch layout is :meth:`SeriesStore.ingest_many`'s (entry ``i``
         is ``counts[i]`` rows of ``values`` for ``tenants[i]``).  Each
         entry updates the ring and, in ``"rolling"`` mode, the tenant's
         moments on its own, so the state is bit-identical to one
-        :meth:`ingest` call per entry.  Returns each entry's total.
+        :meth:`ingest` call per entry.  Returns each entry's total and
+        its tenant's generation, as two arrays.
         """
         return self.store.ingest_many(tenants, counts, values, timestamps)
 
@@ -224,11 +225,9 @@ class StreamingForecaster:
     ) -> List[Tuple[str, StreamingForecast]]:
         """Queue one forecast per listed tenant as one columnar block.
 
-        One store gather for every window, one vectorised normalisation,
-        one :meth:`~repro.serving.service.ForecastService.submit_many` for
-        the block, and one vectorised denormalisation the first time any
-        handle's ``result()`` needs it.  Returns ``(tenant, handle)`` per
-        row, in order (a listed-twice tenant gets two rows).
+        :meth:`forecast_block` queues the block; this wraps each of its
+        rows in a handle.  Returns ``(tenant, handle)`` per row, in order
+        (a listed-twice tenant gets two rows).
 
         Every row gets the admission outcome one ``submit`` per row would
         give it — except that a row refused by
@@ -236,24 +235,62 @@ class StreamingForecaster:
         typed :class:`~repro.serving.Overloaded` /
         :class:`~repro.serving.DeadlineExceeded` from ``result()`` (and
         reports it as ``admission_error``), and the rest of the block
-        proceeds.  ``timeout`` is anchored once, so the block shares one
-        deadline.  Covariates are per-row sequences aligned with
-        ``tenants``.  An unknown tenant raises ``KeyError`` (or, with
-        ``skip_missing``, drops out of the result), and a tenant with no
-        observations raises ``ValueError``, before any row is queued.
+        proceeds.
+        """
+        positions, sweep = self.forecast_block(
+            tenants,
+            future_numerical=future_numerical,
+            future_categorical=future_categorical,
+            priority=priority,
+            timeout=timeout,
+            deadline=deadline,
+            skip_missing=skip_missing,
+        )
+        return [
+            (tenants[position], StreamingForecast(tenants[position], sweep, row))
+            for row, position in enumerate(positions)
+        ]
+
+    def forecast_block(
+        self,
+        tenants: Sequence[str],
+        future_numerical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        future_categorical: Optional[Sequence[Optional[np.ndarray]]] = None,
+        priority: str = DEFAULT_PRIORITY,
+        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
+        skip_missing: bool = False,
+    ) -> Tuple[List[int], Optional[_Sweep]]:
+        """Queue one forecast per listed tenant; return the block, no handles.
+
+        One store gather for every window, one vectorised normalisation and
+        one :meth:`~repro.serving.service.ForecastService.submit_many` for
+        the block.  Returns ``(positions, sweep)``: block row ``i`` is the
+        tenant at ``tenants[positions[i]]``, and ``sweep.rows.refused``
+        maps each row admission control refused to its typed error.  Once
+        every row has settled, :meth:`_Sweep.settled` is the whole block
+        denormalised in one vectorised pass.  ``(positions, sweep)`` is
+        ``([], None)`` when no tenant was gathered.
+
+        ``timeout`` is anchored once, so the block shares one deadline.
+        Covariates are per-row sequences aligned with ``tenants``.  An
+        unknown tenant raises ``KeyError`` (or, with ``skip_missing``,
+        drops out of the block), and a tenant with no observations raises
+        ``ValueError``, before any row is queued.
         """
         positions, windows, lengths, moments = self.store.gather(
             tenants, self.config.input_length, skip_missing=skip_missing
         )
         if not positions:
-            return []
-        keys = [tenants[position] for position in positions]
-        if len(keys) != len(tenants):
+            return [], None
+        if len(positions) != len(tenants):
             future_numerical = _take(future_numerical, positions)
             future_categorical = _take(future_categorical, positions)
         empty = np.flatnonzero(lengths == 0)
         if len(empty):
-            raise ValueError(f"tenant {keys[empty[0]]!r} has no observations to forecast from")
+            raise ValueError(
+                f"tenant {tenants[positions[empty[0]]]!r} has no observations to forecast from"
+            )
         normalized, shift, scale = self._normalize_many(windows, moments)
         rows = self.service.submit_many(
             normalized,
@@ -264,14 +301,13 @@ class StreamingForecaster:
             timeout=timeout,
             deadline=deadline,
         )
-        sweep = _Sweep(rows, self.normalization, shift, scale)
         cold = lengths < self.config.input_length
         if rows.refused:
             cold[list(rows.refused)] = False
         with self._lock:
-            self.stats.forecasts += len(keys) - len(rows.refused)
+            self.stats.forecasts += len(positions) - len(rows.refused)
             self.stats.cold_start_forecasts += int(np.count_nonzero(cold))
-        return [(tenant, StreamingForecast(tenant, sweep, row)) for row, tenant in enumerate(keys)]
+        return positions, _Sweep(rows, self.normalization, shift, scale)
 
     def forecast_all(
         self,
@@ -483,11 +519,11 @@ def payload_census(payload: dict) -> Tuple[int, int]:
 
 
 class _Sweep:
-    """One :meth:`StreamingForecaster.forecast_many` block's way back out.
+    """One :meth:`StreamingForecaster.forecast_block` block's way back out.
 
     Holds the block's service rows and the stacked inverse mapping, and
-    denormalises the whole ``[N, H, C]`` block once, when the first
-    handle asks for a result after every row has settled.
+    denormalises the whole ``[N, H, C]`` block once (:meth:`settled`),
+    when it is first read after every row has settled.
     """
 
     __slots__ = ("rows", "mode", "shift", "scale", "_values")
@@ -513,6 +549,20 @@ class _Sweep:
             return values.astype(np.float64) * self.scale[index, None, :] + self.shift[index, None, :]
         return values + self.shift[index, None, :]
 
+    def settled(self) -> np.ndarray:
+        """The whole ``[N, horizon, C]`` block in the tenants' scale.
+
+        Denormalised once, the first time it is asked for; every row must
+        have settled by then, and at least one must have a forecast.  A
+        failed row's entry holds no forecast: its error is in
+        ``rows.errors``.
+        """
+        if self._values is None:
+            if not self.rows.all_done():
+                raise RuntimeError("sweep block read before every row settled")
+            self._values = self.denormalize(self.rows.values)
+        return self._values
+
     def result(self, index: int) -> np.ndarray:
         rows = self.rows
         if self._values is None:
@@ -521,8 +571,8 @@ class _Sweep:
                 # A sibling row is still queued (a flush=False sweep that a
                 # mid-block flush split): map this row alone, flush nothing.
                 return self.denormalize(value, index)
-            self._values = self.denormalize(rows.values)
-        elif index in rows.errors:
+            return self.settled()[index]
+        if index in rows.errors:
             raise rows.errors[index]
         return self._values[index]
 

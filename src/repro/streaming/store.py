@@ -238,7 +238,7 @@ class SeriesStore:
             slot = self._slots.get(tenant)
             if timestamp is not None and slot is not None:
                 check_timestamp_order(tenant, timestamp, slot.last)
-            return self._append_locked(tenant, slot, values, timestamp)
+            return self._append_locked(tenant, slot, values, timestamp).total
 
     def ingest_many(
         self,
@@ -246,7 +246,7 @@ class SeriesStore:
         counts: Sequence[int],
         values: np.ndarray,
         timestamps: Optional[Sequence] = None,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Append a columnar batch under one lock acquisition.
 
         Entry ``i`` is ``counts[i]`` consecutive rows of the ``[sum(counts),
@@ -255,7 +255,9 @@ class SeriesStore:
         order, each exactly as one :meth:`ingest` call would, so a tenant
         listed twice sees both appends.  Every entry is validated before
         any is applied: a batch that raises leaves the store untouched.
-        Returns each entry's total observed rows after it applied.
+        Returns ``(totals, generations)``: each entry's total observed rows
+        and its tenant's generation right after it applied, read under the
+        same lock.
         """
         values = self._rows(values)
         counts = np.asarray(counts, dtype=np.int64)
@@ -266,6 +268,7 @@ class SeriesStore:
         if timestamps is not None and len(timestamps) != len(tenants):
             raise ValueError(f"expected {len(tenants)} timestamps, got {len(timestamps)}")
         totals = np.empty(len(tenants), dtype=np.int64)
+        generations = np.empty(len(tenants), dtype=np.int64)
         stops = np.cumsum(counts).tolist()
         with self._lock:
             slots = self._slots
@@ -284,14 +287,16 @@ class SeriesStore:
             start = 0
             for index, tenant in enumerate(tenants):
                 stop = stops[index]
-                totals[index] = self._append_locked(
+                slot = self._append_locked(
                     tenant,
                     slots.get(tenant),
                     values[start:stop],
                     None if timestamps is None else timestamps[index],
                 )
+                totals[index] = slot.total
+                generations[index] = slot.generation
                 start = stop
-        return totals
+        return totals, generations
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """``values`` as store-dtype ``[T, C]`` rows, or ``ValueError``."""
@@ -320,9 +325,10 @@ class SeriesStore:
     @requires_lock("_lock")
     def _append_locked(
         self, tenant: str, slot: Optional[_Slot], values: np.ndarray, timestamp
-    ) -> int:
+    ) -> _Slot:
         """One validated append to ``tenant`` (whose slot, if any, is
-        ``slot``): ring, moments, watermark, counters, churn mark."""
+        ``slot``): ring, moments, watermark, counters, churn mark.
+        Returns the tenant's slot."""
         if slot is None:
             slot = self._new_slot_locked(tenant, self._tombstones.pop(tenant, 0))
             self.stats.tenants += 1
@@ -360,7 +366,7 @@ class SeriesStore:
         stats.observations += rows
         # Every appended row is held, or pushed an older one off the ring.
         stats.evicted += rows - (slot.size - held_before)
-        return slot.total
+        return slot
 
     @requires_lock("_lock")
     def _copy_latest_locked(self, slot: _Slot, out: np.ndarray) -> int:
@@ -515,11 +521,6 @@ class SeriesStore:
         with self._lock:
             for slot in self._slots.values():
                 slot.dirty = False
-
-    def generations(self) -> Dict[str, int]:
-        """Per-tenant incarnation numbers (live tenants only)."""
-        with self._lock:
-            return {tenant: slot.generation for tenant, slot in self._slots.items()}
 
     def stats_snapshot(self) -> StoreStats:
         """A consistent copy of the counters, taken under the store lock.

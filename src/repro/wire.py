@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from .errors import DeadlineExceeded, Overloaded, TransientWireError
+from .errors import DeadlineExceeded, EndOfStream, Overloaded, TransientWireError
 from .testing import faults as _faults
 
 __all__ = [
@@ -86,9 +86,9 @@ MAX_FRAME_BYTES = 1 << 40
 
 _CHUNK = 1 << 20
 
-
-class EndOfStream(ConnectionError):
-    """The peer closed its end of the stream (process exit or crash)."""
+#: item types a ``plain`` node holds as-is: JSON maps each of them back to
+#: its own type, so a list of them needs no per-item node
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 # ---------------------------------------------------------------------- #
@@ -99,7 +99,9 @@ def encode_state(state) -> Tuple[dict, Dict[str, np.ndarray]]:
 
     Arrays (and array-like scalars such as ``np.datetime64`` timestamps)
     are pulled out into numbered entries; structure, strings, numbers,
-    booleans and ``None`` live in the manifest.  Only npz-native dtypes
+    booleans and ``None`` live in the manifest.  A list or tuple holding
+    only those plain values is one ``plain`` node whose list JSON
+    encodes whole, not one node per item.  Only npz-native dtypes
     are accepted — an object array would silently require pickling, so it
     raises instead.
     """
@@ -149,6 +151,10 @@ def _encode(value, arrays: Dict[str, np.ndarray]):
                 raise TypeError(f"state dict keys must be strings, got {key!r}")
         return {"t": "dict", "v": {k: _encode(v, arrays) for k, v in value.items()}}
     if isinstance(value, (list, tuple)):
+        # Exact types only: np.float64 subclasses float, and must keep its
+        # dtype through the scalar path.
+        if set(map(type, value)) <= _PLAIN_TYPES:
+            return {"t": "plain", "v": list(value)}
         return {"t": "list", "v": [_encode(item, arrays) for item in value]}
     raise TypeError(
         f"cannot snapshot value of type {type(value).__name__}: {value!r} "
@@ -158,6 +164,11 @@ def _encode(value, arrays: Dict[str, np.ndarray]):
 
 def _decode(node, arrays: Dict[str, np.ndarray]):
     kind = node["t"]
+    if kind == "plain":
+        items = node["v"]
+        if not isinstance(items, list):
+            raise ValueError(f"plain snapshot node holds {type(items).__name__}, not a list")
+        return items
     if kind == "none":
         return None
     if kind in ("bool", "int", "float", "str"):

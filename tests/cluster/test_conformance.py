@@ -7,16 +7,22 @@ contract is checked once here, parametrized over the backend: migration
 sets and their unwind, failover accounting, checkpoint round trips,
 retired-stat folding, sweep equivalence and single forecasts (a sweep
 of one).  On the process backend a shard "dies" by a real ``kill -9``;
-on the thread backend the dead replica is simply abandoned.
+on the thread backend the dead replica is simply abandoned.  Forecasts
+from a model with seeded live weights must also agree bit for bit across
+the backends, tick after tick.
 """
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.baselines.registry import create_model
 from repro.cluster import ServiceSpec, build_cluster, write_snapshot
 from repro.config import ModelConfig
 from repro.errors import DeadlineExceeded, Overloaded
+from repro.serving import ForecastService
+
+from live_weights import perturb, write_live_weights
 
 INPUT_LENGTH = 16
 HORIZON = 4
@@ -430,3 +436,96 @@ class TestCensus:
         assert accepted[cluster.shard_for("newcomer")]["newcomer"] == (1, 0)
         cluster.flush()  # one frame per shard: the replicas now hold every row
         assert censuses(cluster) == accepted
+
+
+# ---------------------------------------------------------------------- #
+# Live-head parity: with seeded live weights every window step, every
+# covariate and the denormalisation reach the output bits.
+# ---------------------------------------------------------------------- #
+def live_config(**fields):
+    return ModelConfig(
+        input_length=24, horizon=6, patch_length=6, hidden_dim=16, dropout=0.0,
+        n_heads=2, n_layers=1, seed=11, **fields,
+    )
+
+
+#: shape -> (config, normalization): a fleet-like shape (one channel,
+#: rolling normalisation) and an enriched-like one (seven channels plus
+#: numerical and calendar covariates, no normalisation)
+LIVE_SHAPES = {
+    "fleet": (live_config(n_channels=1), "rolling"),
+    "enriched": (
+        live_config(
+            n_channels=7, covariate_numerical_dim=4, covariate_categorical_cardinalities=(7, 24)
+        ),
+        "none",
+    ),
+}
+LIVE_TENANTS = 10
+LIVE_TICKS = 4
+
+
+def live_ticks(cluster, config, seed=5):
+    """Uneven histories (cold starts included), then ticks of one row per
+    tenant and one sweep; returns every tick's forecasts."""
+    rng = np.random.default_rng(seed)
+    channels, horizon = config.n_channels, config.horizon
+    covariates = config.covariate_numerical_dim > 0
+    tenants = [f"tenant-{i}" for i in range(LIVE_TENANTS)]
+    for i, tenant in enumerate(tenants):
+        cluster.ingest(tenant, rng.normal(3.0, 2.0, size=(5 + 4 * i, channels)))
+    ticks = []
+    for _ in range(LIVE_TICKS):
+        for tenant in tenants:
+            cluster.ingest(tenant, rng.normal(3.0, 2.0, size=(1, channels)))
+        numerical = categorical = None
+        if covariates:
+            numerical = {
+                tenant: rng.normal(size=(horizon, config.covariate_numerical_dim)).astype(np.float32)
+                for tenant in tenants
+            }
+            categorical = {
+                tenant: np.stack(
+                    [rng.integers(0, cardinality, horizon)
+                     for cardinality in config.covariate_categorical_cardinalities],
+                    axis=1,
+                )
+                for tenant in tenants
+            }
+        handles = cluster.forecast_all(
+            tenants, future_numerical=numerical, future_categorical=categorical
+        )
+        ticks.append({tenant: handle.result() for tenant, handle in handles.items()})
+    return ticks
+
+
+class TestLiveHeadParity:
+    def test_live_weights_reach_the_oldest_window_step(self):
+        config, _ = LIVE_SHAPES["fleet"]
+        service = ForecastService(
+            perturb(create_model("LiPFormer", config), seed=1), compiled=False
+        )
+        window = np.random.default_rng(0).normal(size=(1, config.input_length, 1))
+        shifted = window.copy()
+        shifted[0, 0] += 1.0
+        assert not np.array_equal(service.predict_many(window), service.predict_many(shifted))
+
+    @pytest.mark.parametrize("shape", sorted(LIVE_SHAPES))
+    def test_backends_agree_bit_for_bit(self, shape, tmp_path):
+        config, normalization = LIVE_SHAPES[shape]
+        spec = ServiceSpec(
+            config=config,
+            # Smaller than a shard's share of the sweep: every tick takes
+            # more than one forward pass per shard.
+            max_batch_size=4,
+            weights_path=write_live_weights(config, tmp_path / "live.npz", seed=1),
+        )
+        outcomes = {}
+        for backend in BACKENDS:
+            cluster = build_cluster(spec, n_shards=2, backend=backend, normalization=normalization)
+            try:
+                outcomes[backend] = live_ticks(cluster, config)
+            finally:
+                close(cluster)
+        for thread_tick, process_tick in zip(outcomes["thread"], outcomes["process"]):
+            assert_same(thread_tick, process_tick)

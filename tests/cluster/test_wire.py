@@ -1,13 +1,19 @@
 """Tests for the pickle-free wire transport (:mod:`repro.wire`)."""
 
 import datetime
+import math
+import os
 import socket
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro import wire
+from repro import errors, wire
+from repro.cluster.snapshot import read_snapshot, write_snapshot
 
 
 class TestMessageCodec:
@@ -85,6 +91,188 @@ class TestMessageCodec:
             wire.unpack_message(payload + b"\x00")
 
 
+# ---------------------------------------------------------------------- #
+# Codec properties: every supported tree comes back with its exact types.
+# ---------------------------------------------------------------------- #
+def _parent_encode(value, arrays):
+    """The per-item manifest layout the codec wrote before ``plain`` nodes:
+    every list item is a node of its own.  Old frames and snapshots still
+    carry it, so the decoder must keep reading it."""
+    if value is None:
+        return {"t": "none"}
+    if isinstance(value, bool):
+        return {"t": "bool", "v": value}
+    if isinstance(value, (np.generic, np.ndarray)):
+        name = f"a{len(arrays)}"
+        arrays[name] = np.asarray(value)
+        return {"t": "scalar" if isinstance(value, np.generic) else "array", "v": name}
+    if isinstance(value, (int, float, str)):
+        return {"t": type(value).__name__, "v": value}
+    if isinstance(value, datetime.datetime):
+        return {"t": "datetime", "v": value.isoformat()}
+    if isinstance(value, datetime.date):
+        return {"t": "date", "v": value.isoformat()}
+    if isinstance(value, dict):
+        return {"t": "dict", "v": {k: _parent_encode(v, arrays) for k, v in value.items()}}
+    return {"t": "list", "v": [_parent_encode(item, arrays) for item in value]}
+
+
+def assert_same(sent, got):
+    """``got`` is ``sent`` after a round trip: same types, same values
+    (NaN as NaN, ``-0.0`` keeping its sign); a tuple comes back a list."""
+    if isinstance(sent, (list, tuple)):
+        assert type(got) is list and len(got) == len(sent)
+        for left, right in zip(sent, got):
+            assert_same(left, right)
+    elif isinstance(sent, dict):
+        assert type(got) is dict and list(got) == list(sent)
+        for key in sent:
+            assert_same(sent[key], got[key])
+    elif isinstance(sent, (np.ndarray, np.generic)):
+        assert type(got) is type(sent)
+        assert got.dtype == sent.dtype and got.shape == sent.shape
+        assert np.asarray(got).tobytes() == np.asarray(sent).tobytes()
+    elif isinstance(sent, float):
+        assert type(got) is float
+        if math.isnan(sent):
+            assert math.isnan(got)
+        else:
+            assert got == sent and math.copysign(1.0, got) == math.copysign(1.0, sent)
+    else:
+        assert type(got) is type(sent) and got == sent
+
+
+_LONE_SURROGATES = st.sampled_from(["\ud800", "a\udfffb", "\udc00\ud83d"])
+_TEXT = st.one_of(st.text(st.characters(codec=None, exclude_categories=())), _LONE_SURROGATES)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+)
+_PLAIN = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=-(2**130), max_value=2**130),
+    _FLOATS,
+    st.booleans(),
+    st.none(),
+)
+_NUMPY_DTYPES = st.sampled_from(
+    [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_, "M8[s]", "M8[ms]"]
+)
+_ARRAYS = _NUMPY_DTYPES.flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+)
+_NUMPY_SCALARS = _ARRAYS.map(lambda array: array.reshape(-1)[:1]).filter(len).map(
+    lambda array: array[0]
+)
+_DATETIMES = st.one_of(st.datetimes(), st.dates())
+_MIXED = st.one_of(_PLAIN, _NUMPY_SCALARS, _ARRAYS, _DATETIMES)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(_TEXT, children, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+#: nested dicts and lists mixing plain lists (one ``plain`` node each) with
+#: lists that hold numpy values or datetimes (one node per item)
+_STATES = st.dictionaries(
+    _TEXT,
+    st.one_of(
+        st.lists(_PLAIN, max_size=8),
+        st.lists(_PLAIN, max_size=8).map(tuple),
+        st.lists(_MIXED, max_size=6),
+        _trees(_MIXED),
+    ),
+    max_size=5,
+)
+
+
+class TestCodecProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(state=_STATES)
+    def test_messages_round_trip_exactly(self, state):
+        assert_same(state, wire.unpack_message(wire.pack_message(state)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(state=_STATES)
+    def test_snapshots_round_trip_exactly(self, state):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "state.npz")
+            write_snapshot(state, path)
+            assert_same(state, read_snapshot(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=_STATES)
+    def test_per_item_layout_still_decodes(self, state):
+        arrays = {}
+        manifest = {"version": 1, "tree": _parent_encode(state, arrays)}
+        assert_same(state, wire.decode_state(manifest, arrays))
+
+    def test_plain_list_is_one_node(self):
+        manifest, arrays = wire.encode_state(
+            {"tenants": ["a", "b"], "mixed": (1, 2.5, True, None), "empty": []}
+        )
+        tree = manifest["tree"]["v"]
+        assert tree["tenants"] == {"t": "plain", "v": ["a", "b"]}
+        assert tree["mixed"] == {"t": "plain", "v": [1, 2.5, True, None]}
+        assert tree["empty"] == {"t": "plain", "v": []}
+        assert arrays == {}
+
+    def test_numpy_items_keep_the_array_path(self):
+        # np.float64 subclasses float, and np.bool_ compares equal to
+        # bool: an exact type check must keep both out of a plain node.
+        manifest, arrays = wire.encode_state([1.0, np.float64(2.0), np.bool_(True)])
+        tree = manifest["tree"]
+        assert tree["t"] == "list"
+        assert [node["t"] for node in tree["v"]] == ["float", "scalar", "scalar"]
+        assert len(arrays) == 2
+
+    def test_hand_built_parent_manifest_decodes(self):
+        manifest = {
+            "version": 1,
+            "tree": {
+                "t": "dict",
+                "v": {
+                    "tenants": {"t": "list", "v": [{"t": "str", "v": "meter-1"}, {"t": "str", "v": "meter-2"}]},
+                    "counts": {"t": "list", "v": [{"t": "int", "v": 1}, {"t": "float", "v": -0.0}]},
+                    "flags": {"t": "list", "v": [{"t": "bool", "v": False}, {"t": "none"}]},
+                    "stamps": {"t": "list", "v": [{"t": "scalar", "v": "a0"}, {"t": "date", "v": "2026-08-08"}]},
+                },
+            },
+        }
+        arrays = {"a0": np.array(np.datetime64("2026-08-08T12:00:00"))}
+        expected = {
+            "tenants": ["meter-1", "meter-2"],
+            "counts": [1, -0.0],
+            "flags": [False, None],
+            "stamps": [np.datetime64("2026-08-08T12:00:00"), datetime.date(2026, 8, 8)],
+        }
+        decoded = wire.decode_state(manifest, arrays)
+        assert_same(expected, decoded)
+        # The same value re-encoded takes the plain layout and decodes equal.
+        assert_same(expected, wire.unpack_message(wire.pack_message(decoded)))
+
+    @pytest.mark.parametrize("items", [{"a": 1}, "ab", 3, None])
+    def test_malformed_plain_node_raises_value_error(self, items):
+        manifest = {"version": 1, "tree": {"t": "dict", "v": {"names": {"t": "plain", "v": items}}}}
+        with pytest.raises(ValueError, match="plain"):
+            wire.decode_state(manifest, {})
+
+    def test_malformed_plain_node_in_a_frame_raises_value_error(self):
+        header = b'{"manifest": {"version": 1, "tree": {"t": "plain", "v": {}}}, "arrays": []}'
+        payload = b"RPW1" + len(header).to_bytes(4, "big") + header
+        with pytest.raises(ValueError, match="plain"):
+            wire.unpack_message(payload)
+
+
 class TestFraming:
     def test_send_and_receive_over_socketpair(self):
         left, right = socket.socketpair()
@@ -136,6 +324,8 @@ class TestFraming:
         # Handlers must be able to order EndOfStream before the broader
         # (ConnectionError, OSError) net without shadowing.
         assert issubclass(wire.EndOfStream, ConnectionError)
+        # One class, homed with the other typed errors.
+        assert wire.EndOfStream is errors.EndOfStream
 
     def test_timeout_mid_silence(self):
         left, right = socket.socketpair()

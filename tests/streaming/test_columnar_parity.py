@@ -24,6 +24,7 @@ from repro.core import LiPFormer
 from repro.serving import PRIORITIES, AdmissionPolicy, DeadlineExceeded, ForecastService, Overloaded
 from repro.streaming import StreamingForecaster, StreamingStats
 
+from live_weights import perturb
 from padding_oracle import reference_pad
 
 CONFIG = ModelConfig(
@@ -31,7 +32,9 @@ CONFIG = ModelConfig(
     dropout=0.0, n_heads=2, n_layers=1, seed=5,
     covariate_numerical_dim=2, covariate_categorical_cardinalities=(5,),
 )
-MODEL = LiPFormer(CONFIG)
+# Seeded live weights: with the zero-initialised value head a forecast
+# would not depend on the padded steps, and a padding fault would pass.
+MODEL = perturb(LiPFormer(CONFIG), seed=CONFIG.seed)
 
 
 @st.composite

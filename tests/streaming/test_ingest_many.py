@@ -78,12 +78,13 @@ class TestParityWithPerCallIngest:
             if stamped:
                 timestamps = list(range(clock, clock + len(batch)))
                 clock += len(batch)
-            totals = batched.ingest_many(tenants, counts, values, timestamps)
+            totals, generations = batched.ingest_many(tenants, counts, values, timestamps)
             start = 0
             for index, (tenant, count) in enumerate(zip(tenants, counts)):
                 stamp = None if timestamps is None else timestamps[index]
                 total = looped.ingest(tenant, values[start:start + count], timestamp=stamp)
                 assert totals[index] == total
+                assert generations[index] == looped.store.generation(tenant)
                 start += count
         assert_same_state(batched, looped)
 

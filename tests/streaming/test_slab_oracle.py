@@ -13,7 +13,7 @@ windows, lengths, payloads (dtypes and key order included) and moments
 bit for bit after every step.
 """
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 import pytest
@@ -105,18 +105,19 @@ class ReferenceStore:
             check_timestamp_order(tenant, timestamp, self.last.get(tenant))
         return self._append(tenant, values, timestamp)
 
-    def ingest_many(self, tenants, counts, values, timestamps=None) -> List[int]:
+    def ingest_many(self, tenants, counts, values, timestamps=None) -> Tuple[List[int], List[int]]:
         if timestamps is not None:
             watermarks = {}
             for tenant, timestamp in zip(tenants, timestamps):
                 check_timestamp_order(tenant, timestamp, watermarks.get(tenant, self.last.get(tenant)))
                 watermarks[tenant] = timestamp
-        totals, start = [], 0
+        totals, generations, start = [], [], 0
         for index, (tenant, count) in enumerate(zip(tenants, counts)):
             stamp = None if timestamps is None else timestamps[index]
             totals.append(self._append(tenant, values[start:start + count], stamp))
+            generations.append(self.generations[tenant])
             start += count
-        return totals
+        return totals, generations
 
     def _append(self, tenant: str, values: np.ndarray, timestamp) -> int:
         buffer = self.buffers.get(tenant)
@@ -187,7 +188,7 @@ def assert_same(store: SeriesStore, reference: ReferenceStore, n: int) -> None:
     assert store.tenants() == tenants
     assert store.stats_snapshot() == reference.stats
     assert store.dirty_tenants() == [t for t in tenants if t in reference.dirty]
-    assert store.generations() == reference.generations
+    assert {t: store.generation(t) for t in tenants} == reference.generations
     for tenant in tenants:
         assert_bitwise_equal(store.tenant_state(tenant), reference.tenant_state(tenant))
         assert store.observed(tenant) == reference.buffers[tenant]._total
@@ -283,7 +284,8 @@ def test_slab_matches_per_tenant_reference(channels, moments, capacity, steps, s
             outcomes = []
             for target in (store, reference):
                 try:
-                    outcomes.append(list(target.ingest_many(keys, counts, values, stamps)))
+                    totals, generations = target.ingest_many(keys, counts, values, stamps)
+                    outcomes.append((list(totals), list(generations)))
                 except ValueError as error:
                     outcomes.append(type(error))
             assert outcomes[0] == outcomes[1]
