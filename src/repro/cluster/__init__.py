@@ -43,7 +43,7 @@ backend-vs-backend and rebalance-cost measurements.
 from ..errors import WorkerDied, WorkerStalled
 from .coordinator import Coordinator, FailoverReport, Shard
 from .parity import compare_cluster_to_unsharded, replay_cluster
-from .process import PendingForecast, ProcessCoordinator, ProcessShard, build_cluster
+from .process import ProcessCoordinator, ProcessShard, build_cluster
 from .ring import HashRing, stable_hash
 from .sharded import LocalShard, ShardedForecaster
 from .snapshot import (
@@ -71,7 +71,6 @@ __all__ = [
     "validate_cluster_timeouts",
     "ProcessCoordinator",
     "ProcessShard",
-    "PendingForecast",
     "WorkerDied",
     "WorkerStalled",
     "build_cluster",

@@ -60,6 +60,7 @@ from ..runtime import SerialExecutor
 from ..runtime.annotations import guarded_by, requires_lock
 from ..runtime.locks import TrackedRLock
 from ..runtime.resilience import CircuitBreaker, RetryPolicy
+from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ServiceStats
 from ..streaming.forecaster import StreamingStats, _per_row
 from ..streaming.store import StoreStats, check_timestamp_order
@@ -71,7 +72,6 @@ from .spec import ClusterSpec, ServiceSpec
 __all__ = [
     "ProcessShard",
     "ProcessCoordinator",
-    "PendingForecast",
     "WorkerDied",
     "WorkerStalled",
     "build_cluster",
@@ -95,7 +95,7 @@ BUFFER_ROWS = 4096
 
 @guarded_by(
     "_buffer", "_buffered_rows", "_in_flight", "_census", "_watermarks", "_tombstones",
-    "_shed_expired", lock="lock",
+    "_blocks", "_shed_expired", lock="lock",
 )
 class ProcessShard:
     """One worker process plus its request/reply socket.
@@ -174,18 +174,20 @@ class ProcessShard:
         # comes back with.
         self._watermarks: Dict[str, object] = {}
         self._tombstones: Dict[str, int] = {}
-        # Unresolved forecast handles, keyed by request id.
-        self._pending: Dict[int, PendingForecast] = {}
-        self._next_request = 1
+        # Sweep blocks awaiting their values, keyed by the seq stamp of the
+        # frame that carried them: (tenants, rows) per block.
+        self._blocks: Dict[int, Tuple[List[str], ForecastRows]] = {}
         # Last stats poll: the fold-in source when the worker dies.
         self._last_stats: Optional[Stats] = None
         # Sweep rows shed here because their deadline had passed before
         # dispatch: the worker never sees them, so stats() adds them to
         # its shed_expired, as the thread backend's service counts them.
         self._shed_expired = 0
-        # The fan-out leg in flight: (op, sweep handles, deadline); op is
-        # None when start() already settled the leg without sending.
-        self._leg: Tuple[Optional[str], Optional[dict], Optional[float]] = (None, None, None)
+        # The fan-out leg in flight: (op, sweep seq, sweep handles, deadline);
+        # op is None when start() already settled the leg without sending.
+        self._leg: Tuple[Optional[str], Optional[int], Optional[dict], Optional[float]] = (
+            None, None, None, None
+        )
 
     @property
     def pid(self) -> int:
@@ -199,12 +201,13 @@ class ProcessShard:
     # Transport
     # ------------------------------------------------------------------ #
     @requires_lock("lock")
-    def send(self, command: str, **fields) -> None:
+    def send(self, command: str, seq: Optional[int] = None, **fields) -> None:
         """Write one sequence-stamped request frame (no reply collected yet).
 
         The frame carries every buffered row ahead of the command.  Gated
         by the shard's circuit breaker: while the breaker is open this
-        raises :class:`~repro.errors.CircuitOpen` with zero I/O.
+        raises :class:`~repro.errors.CircuitOpen` with zero I/O.  A sweep
+        passes the ``seq`` stamp it keyed its block by.
         """
         if self._dead is not None:
             raise WorkerDied(self.shard_id, self._dead)
@@ -213,7 +216,8 @@ class ProcessShard:
             _faults.check("shard.send", shard=self.shard_id, cmd=command)
         message = dict(fields)
         message["cmd"] = command
-        seq = next(self._seq_ids)
+        if seq is None:
+            seq = next(self._seq_ids)
         message["seq"] = seq
         if self._buffer:
             message["rows"] = self._batch()
@@ -455,7 +459,7 @@ class ProcessShard:
         if op == "forecast_all":
             self._start_sweep(**fields)
             return
-        self._leg = (op, None, None)
+        self._leg = (op, None, None, None)
         try:
             self._retrying(lambda: self.send(op, **fields))
         except WorkerDied as error:
@@ -472,43 +476,43 @@ class ProcessShard:
             # a tenant dropped since the caller enumerated it drops out.
             tenants = [tenant for tenant in tenants if tenant in self._census]
         budget = None if deadline is None else deadline - obs.now()
-        ids = range(self._next_request, self._next_request + len(tenants))
-        self._next_request = ids.stop
-        handles = {}
-        for request_id, tenant in zip(ids, tenants):
-            handle = self._pending[request_id] = PendingForecast(self, request_id, tenant)
-            handles[tenant] = handle
+        # The frame's seq keys its block, here and in the worker; a
+        # retried send reuses it (a failed attempt never reached the worker).
+        seq = next(self._seq_ids)
+        rows = ForecastRows(self.resolve_pending, len(tenants))
+        if tenants:
+            self._blocks[seq] = (tenants, rows)
+        handles = {tenant: Forecast(rows, index) for index, tenant in enumerate(tenants)}
         frame = {
-            "ids": np.arange(ids.start, ids.stop, dtype=np.int64),
-            "tenants": list(tenants),
+            "tenants": tenants,
             "fn": _per_row(future_numerical, tenants),
             "fc": _per_row(future_categorical, tenants),
             "priority": priority,
             "budget": budget,
             "flush": flush,
         }
-        self._leg = (None, handles, deadline)
+        self._leg = (None, None, handles, deadline)
         if budget is not None and budget <= 0:
             # The deadline burned before this frame went out: shed
             # locally, typed, without any wire I/O.
             self._shed_expired += len(tenants)
             self._fail_pending(
-                "fan-out deadline exhausted before dispatch", "DeadlineExceeded", handles,
+                "fan-out deadline exhausted before dispatch", "DeadlineExceeded", seq,
                 refused=True,
             )
             return
         try:
-            self._retrying(lambda: self.send("forecast_many", **frame), deadline)
+            self._retrying(lambda: self.send("forecast_many", seq=seq, **frame), deadline)
         except CircuitOpen as error:
             if deadline is None:
-                self._fail_pending(str(error), only=handles)
+                self._fail_pending(str(error), only=seq)
                 raise
             # Under a deadline a tripped breaker is typed load-shedding:
             # this shard's handles fail Overloaded, the fan-out proceeds.
-            self._fail_pending(str(error), "Overloaded", handles, refused=True)
+            self._fail_pending(str(error), "Overloaded", seq, refused=True)
             return
         except DeadlineExceeded as error:
-            self._fail_pending(str(error), "DeadlineExceeded", handles, refused=True)
+            self._fail_pending(str(error), "DeadlineExceeded", seq, refused=True)
             return
         except WorkerDied as error:
             self._fail_pending(str(error))
@@ -516,9 +520,9 @@ class ProcessShard:
         except Exception as error:
             # The frame never went out (e.g. exhausted transients): no
             # reply will ever resolve this sweep's handles.
-            self._fail_pending(str(error), type(error).__name__, handles)
+            self._fail_pending(str(error), type(error).__name__, seq)
             raise
-        self._leg = ("forecast_all", handles, deadline)
+        self._leg = ("forecast_all", seq, handles, deadline)
 
     @requires_lock("lock")
     def collect(self):
@@ -529,8 +533,8 @@ class ProcessShard:
         healthy shards' results still return; the late reply drains as
         stale on the next receive.
         """
-        op, handles, deadline = self._leg
-        self._leg = (None, None, None)
+        op, seq, handles, deadline = self._leg
+        self._leg = (None, None, None, None)
         if op is None:
             return handles
         budget = None
@@ -552,8 +556,8 @@ class ProcessShard:
             raise
         except Exception as error:
             # A command error: nothing of this sweep was queued.
-            if handles:
-                self._fail_pending(str(error), type(error).__name__, handles)
+            if seq is not None:
+                self._fail_pending(str(error), type(error).__name__, seq)
             raise
         if op == "forecast_all":
             self._apply(reply)
@@ -570,48 +574,57 @@ class ProcessShard:
         decode = _DECODE.get(op)
         return reply if decode is None else decode(reply)
 
+    @requires_lock("lock")
     def _apply(self, reply: dict) -> int:
-        """Resolve pending handles from a flush reply; returns the count.
+        """Settle pending blocks from a flush reply; returns the count.
 
-        Results come back columnar: request ids plus one stacked
-        ``[N, horizon, channels]`` array; errors are keyed by id.
+        Errors come keyed by ``(seq, row)``, and values as one
+        ``[N, horizon, channels]`` array per settled block, which lands
+        in that block with one slice assignment.  A block this shard
+        already failed (the late block of a stalled frame) is no longer
+        pending, and its part of the reply is ignored.
         """
-        values = reply["values"]
-        for index, request_id in enumerate(reply["ids"].tolist()):
-            handle = self._pending.pop(request_id, None)
-            if handle is not None:
-                handle._resolve(values[index])
-        for request_id, payload in reply["errors"].items():
-            handle = self._pending.pop(int(request_id), None)
-            if handle is not None:
-                handle._fail(payload)
+        blocks = self._blocks
+        for seq, row, payload in reply["errors"]:
+            pending = blocks.get(seq)
+            if pending is not None:
+                rows = pending[1]
+                rows._fail(row, 1, wire.remote_error(payload), bool(payload.get("refused")))
+                if rows.all_done():
+                    del blocks[seq]
+        for seq, values in zip(reply["seqs"], reply["values"]):
+            pending = blocks.pop(seq, None)
+            if pending is not None:
+                pending[1]._resolve(0, values)
         return int(reply["flushed"])
 
+    @requires_lock("lock")
     def _fail_pending(
-        self, reason: str, error_type: str = "RuntimeError", only: Optional[dict] = None,
+        self, reason: str, error_type: str = "RuntimeError", only: Optional[int] = None,
         refused: bool = False,
     ) -> None:
-        """Fail every pending handle (or just ``only``'s) with a typed error;
-        ``refused`` marks a shed at dispatch (the handles' ``admission_error``)."""
+        """Fail the unsettled rows of every pending block (or of block
+        ``only``) with a typed error; ``refused`` marks a shed at dispatch
+        (the handles' ``admission_error``)."""
         verb = {
             "DeadlineExceeded": "missed its deadline",
             "Overloaded": "shed its queue",
             "RuntimeError": "died",
         }.get(error_type, "failed")
-        victims = list(self._pending.values()) if only is None else list(only.values())
-        for handle in victims:
-            if self._pending.pop(handle._request_id, None) is None:
-                continue
-            payload = {
-                "type": error_type,
-                "message": (
-                    f"shard {self.shard_id!r} {verb} before the forecast for "
-                    f"{handle.tenant!r} resolved: {reason}"
-                ),
-            }
-            if refused:
-                payload["refused"] = True
-            handle._fail(payload)
+        if only is None:
+            victims, self._blocks = list(self._blocks.values()), {}
+        else:
+            victim = self._blocks.pop(only, None)
+            victims = [] if victim is None else [victim]
+        for tenants, rows in victims:
+            for index, tenant in enumerate(tenants):
+                if not rows.done(index):
+                    message = (
+                        f"shard {self.shard_id!r} {verb} before the forecast for "
+                        f"{tenant!r} resolved: {reason}"
+                    )
+                    error = wire.remote_error({"type": error_type, "message": message})
+                    rows._fail(index, 1, error, refused)
 
     def resolve_pending(self) -> None:
         """Flush the worker so pending handles resolve (``result()`` pulls this)."""
@@ -657,56 +670,6 @@ class ProcessShard:
                 except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                     self.process.kill()
             self.process.wait()
-
-
-class PendingForecast:
-    """Coordinator-side handle for one row of a sweep on a process shard.
-
-    Mirrors :class:`~repro.streaming.forecaster.StreamingForecast`:
-    ``result()`` flushes the owning shard if the value has not arrived
-    yet, then returns the forecast (already denormalised worker-side) or
-    re-raises the worker's error for this request, and
-    ``admission_error`` reports a refusal — by the worker's admission
-    control, or by the shard shedding the frame before dispatch.
-    """
-
-    __slots__ = ("tenant", "_shard", "_request_id", "_value", "_error", "_resolved")
-
-    def __init__(self, shard: ProcessShard, request_id: int, tenant: str) -> None:
-        self.tenant = tenant
-        self._shard = shard
-        self._request_id = request_id
-        self._value: Optional[np.ndarray] = None
-        self._error: Optional[dict] = None
-        self._resolved = False
-
-    def done(self) -> bool:
-        return self._resolved
-
-    def result(self) -> np.ndarray:
-        if not self._resolved:
-            self._shard.resolve_pending()
-        if not self._resolved:
-            raise RuntimeError(f"forecast for {self.tenant!r} did not resolve on flush")
-        if self._error is not None:
-            wire.raise_remote(self._error)
-        return self._value
-
-    @property
-    def admission_error(self) -> Optional[BaseException]:
-        """The typed error this forecast was refused with, if any."""
-        error = self._error
-        if error is None or not error.get("refused"):
-            return None
-        return wire.remote_error(error)
-
-    def _resolve(self, value: np.ndarray) -> None:
-        self._value = value
-        self._resolved = True
-
-    def _fail(self, payload: dict) -> None:
-        self._error = payload
-        self._resolved = True
 
 
 class ProcessCoordinator(Coordinator):

@@ -22,8 +22,9 @@ chains and failover with exactly the thread-backend semantics.  Every
 forecast, a single one included, arrives as a columnar
 ``forecast_many`` frame.  The worker queues it as one block
 (:meth:`StreamingForecaster.forecast_block`) and keeps it pending as
-that block, never as per-row handles; a flush reply takes each block's
-denormalised forecasts with one index per block.  Every command runs
+that block, keyed by the frame's ``seq`` stamp, never as per-row
+handles; a flush reply names the blocks it settles by ``seq`` and
+carries each one's denormalised forecasts whole.  Every command runs
 under a broad handler that ships the error back as a typed payload — a
 bad request must never kill the worker, only that request.
 
@@ -63,8 +64,8 @@ class ShardWorker:
         self._channel = channel
         self._forecaster: Optional[StreamingForecaster] = None
         # One entry per queued forecast_many block still awaiting a flush:
-        # (request ids, block rows, sweep), the ids aligned with the rows.
-        self._pending: List[Tuple[np.ndarray, np.ndarray, _Sweep]] = []
+        # (frame seq, block rows not refused at admission, sweep).
+        self._pending: List[Tuple[int, np.ndarray, _Sweep]] = []
         self._shard_id = "?"
         # Armed by the "fault" command: the next _stall_count commands
         # sleep _stall_seconds before dispatch — a deterministic wedged
@@ -193,10 +194,10 @@ class ShardWorker:
         return self._resolve_pending(flushed)
 
     def _cmd_forecast_many(self, message: dict) -> dict:
-        """One columnar sweep: ids, tenants, optional per-row covariates,
-        and one priority and budget for the whole frame."""
+        """One columnar sweep: tenants, optional per-row covariates, and
+        one priority and budget for the whole frame, keyed by its ``seq``."""
         forecaster = self._require()
-        ids = message["ids"]
+        seq = message["seq"]
         _, sweep = forecaster.forecast_block(
             message["tenants"],
             future_numerical=message.get("fn"),
@@ -206,62 +207,48 @@ class ShardWorker:
             # monotonic clock at admission.
             timeout=message.get("budget"),
         )
-        admission_errors: Dict[str, dict] = {}
+        refusals: List[tuple] = []
         if sweep is not None:
-            # Without skip_missing the block holds every listed tenant, so
-            # block row i carries request ids[i].
-            rows = np.arange(len(ids))
-            refused = sweep.rows.refused
+            # Without skip_missing the block holds every listed tenant.  A
+            # shed row fails alone — the rest of the block (and the worker)
+            # keeps serving; the coordinator rematerialises its typed error
+            # as that row's admission_error.
+            rows = np.arange(len(message["tenants"]))
+            refused = list(sweep.rows.refused)
             if refused:
-                # A shed entry fails alone — the rest of the batch (and the
-                # worker) keeps serving.  The coordinator rematerialises the
-                # typed error on that entry's handle, as its admission_error.
-                for row, error in refused.items():
-                    admission_errors[str(int(ids[row]))] = dict(
-                        wire.error_payload(error), refused=True
-                    )
-                rows = np.delete(rows, list(refused))
+                refusals = [_row_error(seq, row, sweep) for row in refused]
+                rows = np.delete(rows, refused)
             if len(rows):
-                self._pending.append((ids[rows], rows, sweep))
+                self._pending.append((seq, rows, sweep))
         if not message.get("flush", True):
-            return {
-                "flushed": 0,
-                "ids": np.empty(0, dtype=np.int64),
-                "values": None,
-                "errors": admission_errors,
-            }
+            return {"flushed": 0, "seqs": [], "values": [], "errors": refusals}
         reply = self._resolve_pending(forecaster.flush())
-        reply["errors"].update(admission_errors)
+        reply["errors"] += refusals
         return reply
 
     def _resolve_pending(self, flushed: int) -> dict:
-        """Every pending block's results, columnar: ids plus one array.
+        """Every pending block's results: the ``seq`` list of the blocks
+        settled, and each one's whole denormalised ``[N, H, C]`` values.
 
-        Each block contributes its settled, denormalised forecasts through
-        one index; a row whose forward pass failed is reported by id
-        instead, and re-raised when the coordinator resolves that handle
-        while its siblings still succeed.
+        A row whose forward pass failed is reported as ``(seq, row,
+        error)`` instead, and re-raised when the coordinator resolves that
+        handle while its siblings still succeed; a block with no forecast
+        left sends no values.
         """
-        ids: List[np.ndarray] = []
+        seqs: List[int] = []
         values: List[np.ndarray] = []
-        errors: Dict[str, dict] = {}
-        for request_ids, rows, sweep in self._pending:
+        errors: List[tuple] = []
+        for seq, rows, sweep in self._pending:
             failed = sweep.rows.errors
             if failed:
                 bad = np.isin(rows, list(failed))
-                for request_id, row in zip(request_ids[bad].tolist(), rows[bad].tolist()):
-                    errors[str(request_id)] = wire.error_payload(failed[row])
-                request_ids, rows = request_ids[~bad], rows[~bad]
+                errors += [_row_error(seq, row, sweep) for row in rows[bad].tolist()]
+                rows = rows[~bad]
             if len(rows):
-                ids.append(request_ids)
-                values.append(sweep.settled()[rows])
+                seqs.append(seq)
+                values.append(sweep.settled())
         self._pending.clear()
-        return {
-            "flushed": int(flushed),
-            "ids": np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
-            "values": np.concatenate(values) if values else None,
-            "errors": errors,
-        }
+        return {"flushed": int(flushed), "seqs": seqs, "values": values, "errors": errors}
 
     def _cmd_fault(self, message: dict) -> dict:
         """Arm a deterministic stall: the next ``count`` commands sleep first.
@@ -329,6 +316,15 @@ class ShardWorker:
 
     def _cmd_metrics(self, message: dict) -> dict:
         return {"snapshot": obs.default_registry().snapshot()}
+
+
+def _row_error(seq: int, row: int, sweep: _Sweep) -> tuple:
+    """Block row ``row``'s error as ``(seq, row, payload)``; a row that
+    admission control refused carries ``"refused": true``."""
+    payload = wire.error_payload(sweep.rows.errors[row])
+    if row in sweep.rows.refused:
+        payload["refused"] = True
+    return (seq, row, payload)
 
 
 def main(argv=None) -> None:

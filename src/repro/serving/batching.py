@@ -7,7 +7,8 @@ coalesced into a single padded forward pass.  This module holds the pieces
 that are independent of any model:
 
 * :class:`ForecastRows` — the deferred results of the rows one submit call
-  queued, and :class:`Forecast`, the handle on one of those rows;
+  queued, and :class:`Forecast`, the one handle class on a row of a
+  block (a service's, a streaming sweep's or a process shard's);
 * :class:`ForecastRequest` — a run of queued rows sharing one submit
   call's timing, priority and covariate signature;
 * :func:`group_requests` / :class:`BatchAssembler` — split queued runs by
@@ -40,14 +41,15 @@ class ForecastRows:
     rows — but land in one ``[n, horizon, channels]`` block, so a caller
     holding the whole sweep can post-process it in one vectorised pass.
     A failed row raises its error from :meth:`result`; rows refused at
-    admission are also listed in :attr:`refused`.
+    admission are also listed in :attr:`refused`.  ``flush`` is what
+    :meth:`result` calls to settle a queued row: the owning service's
+    ``flush``, or a process shard's ``resolve_pending``.
     """
 
-    __slots__ = ("_service", "_n", "values", "errors", "refused", "_settled", "_unsettled")
+    __slots__ = ("_flush", "values", "errors", "refused", "_settled")
 
-    def __init__(self, service, n: int) -> None:
-        self._service = service
-        self._n = n
+    def __init__(self, flush, n: int) -> None:
+        self._flush = flush
         #: ``[n, horizon, channels]`` model-space forecasts, allocated on the
         #: first resolve; rows that failed stay zero
         self.values: Optional[np.ndarray] = None
@@ -56,7 +58,6 @@ class ForecastRows:
         #: row -> the typed error admission control refused it with
         self.refused: Dict[int, Exception] = {}
         self._settled = np.zeros(n, dtype=bool)
-        self._unsettled = n
 
     def done(self, index: int) -> bool:
         """Whether row ``index`` has been computed (or failed)."""
@@ -64,26 +65,25 @@ class ForecastRows:
 
     def all_done(self) -> bool:
         """Whether every row has been computed (or failed)."""
-        return self._unsettled == 0
+        return bool(self._settled.all())
 
     def result(self, index: int) -> np.ndarray:
         """Row ``index``'s ``[horizon, channels]`` forecast; flushes if needed."""
         if not self._settled[index]:
-            self._service.flush()
+            self._flush()
+            if not self._settled[index]:
+                raise RuntimeError("forecast not resolved by flush")
         error = self.errors.get(index)
         if error is not None:
             raise error
-        if not self._settled[index]:  # pragma: no cover - defensive
-            raise RuntimeError("forecast not resolved by service flush")
         return self.values[index]
 
     def _resolve(self, offset: int, values: np.ndarray) -> None:
         if self.values is None:
-            self.values = np.zeros((self._n,) + values.shape[1:], dtype=values.dtype)
+            self.values = np.zeros((len(self._settled),) + values.shape[1:], dtype=values.dtype)
         stop = offset + len(values)
         self.values[offset:stop] = values
         self._settled[offset:stop] = True
-        self._unsettled -= len(values)
 
     def _fail(self, offset: int, count: int, error: Exception, refused: bool = False) -> None:
         for index in range(offset, offset + count):
@@ -91,33 +91,36 @@ class ForecastRows:
             if refused:
                 self.refused[index] = error
         self._settled[offset:offset + count] = True
-        self._unsettled -= count
 
 
 class Forecast:
-    """Deferred result of one submitted row.
+    """Deferred result of row ``index`` of a block: the :class:`ForecastRows`
+    of a ``submit`` call or a process shard's sweep frame, or a streaming
+    sweep (which maps the row back to its tenant's scale).
 
-    The value materialises when the owning service flushes the micro-batch
-    containing the row; :meth:`result` triggers that flush on demand, so
-    callers can treat the handle as blocking without managing the queue.
-    If the row's forward pass failed, :meth:`result` re-raises that error
-    on the submitting caller rather than on whichever caller happened to
-    trigger the flush.
+    :meth:`result` flushes on demand, so callers can treat the handle as
+    blocking; a failed row re-raises its error on this handle's caller
+    rather than on whichever caller happened to trigger the flush.
     """
 
-    __slots__ = ("_rows", "_index")
+    __slots__ = ("_block", "_index")
 
-    def __init__(self, rows: ForecastRows, index: int = 0) -> None:
-        self._rows = rows
+    def __init__(self, block, index: int = 0) -> None:
+        self._block = block
         self._index = index
 
     def done(self) -> bool:
         """Whether the forecast has been computed (or failed)."""
-        return self._rows.done(self._index)
+        return self._block.done(self._index)
 
     def result(self) -> np.ndarray:
         """The ``[horizon, channels]`` forecast; flushes the queue if needed."""
-        return self._rows.result(self._index)
+        return self._block.result(self._index)
+
+    @property
+    def admission_error(self) -> Optional[Exception]:
+        """The typed error admission control refused this row with, if any."""
+        return self._block.refused.get(self._index)
 
 
 @dataclass(eq=False)

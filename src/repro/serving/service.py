@@ -303,7 +303,7 @@ class ForecastService:
         # timer need real timestamps whether or not metrics are recording.
         now = obs.now()
         deadline = resolve_deadline(now, timeout, deadline, self.admission)
-        rows = ForecastRows(self, len(histories))
+        rows = ForecastRows(self.flush, len(histories))
         requests = [
             ForecastRequest(
                 histories[start:stop], observed[start:stop], numerical, categorical,

@@ -25,14 +25,13 @@ See ``examples/streaming_quickstart.py`` for a tour and
 over per-tenant sequential prediction.
 """
 
-from .forecaster import StreamingForecast, StreamingForecaster, StreamingStats
+from .forecaster import StreamingForecaster, StreamingStats
 from .replay import ParityReport, ReplayResult, compare_to_backfill, replay
 from .store import SeriesStore, StoreStats
 
 __all__ = [
     "SeriesStore",
     "StoreStats",
-    "StreamingForecast",
     "StreamingForecaster",
     "StreamingStats",
     "ReplayResult",

@@ -42,12 +42,11 @@ from ..data.incremental import RollingScaler
 from ..runtime.annotations import guarded_by
 from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
-from ..serving.batching import ForecastRows
+from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ForecastService
 from .store import SeriesStore, StoreStats
 
 __all__ = [
-    "StreamingForecast",
     "StreamingStats",
     "StreamingForecaster",
     "payload_census",
@@ -183,7 +182,7 @@ class StreamingForecaster:
         priority: str = DEFAULT_PRIORITY,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-    ) -> StreamingForecast:
+    ) -> Forecast:
         """Queue a forecast from the tenant's latest window; non-blocking.
 
         A :meth:`forecast_many` sweep of one tenant.  The returned handle
@@ -222,12 +221,14 @@ class StreamingForecaster:
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         skip_missing: bool = False,
-    ) -> List[Tuple[str, StreamingForecast]]:
+    ) -> List[Tuple[str, Forecast]]:
         """Queue one forecast per listed tenant as one columnar block.
 
         :meth:`forecast_block` queues the block; this wraps each of its
-        rows in a handle.  Returns ``(tenant, handle)`` per row, in order
-        (a listed-twice tenant gets two rows).
+        rows in a :class:`~repro.serving.Forecast` handle whose ``result()``
+        is the row's forecast in the tenant's scale.  Returns
+        ``(tenant, handle)`` per row, in order (a listed-twice tenant gets
+        two rows).
 
         Every row gets the admission outcome one ``submit`` per row would
         give it — except that a row refused by
@@ -247,7 +248,7 @@ class StreamingForecaster:
             skip_missing=skip_missing,
         )
         return [
-            (tenants[position], StreamingForecast(tenants[position], sweep, row))
+            (tenants[position], Forecast(sweep, row))
             for row, position in enumerate(positions)
         ]
 
@@ -319,7 +320,7 @@ class StreamingForecaster:
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
         skip_missing: bool = False,
-    ) -> Dict[str, StreamingForecast]:
+    ) -> Dict[str, Forecast]:
         """Queue one forecast per tenant, then (by default) flush once.
 
         This is the steady-state serving shape: N live tenants produce one
@@ -352,7 +353,7 @@ class StreamingForecaster:
 
     def ingest_and_forecast(
         self, arrivals: Dict[str, np.ndarray], timestamp=None
-    ) -> Dict[str, StreamingForecast]:
+    ) -> Dict[str, Forecast]:
         """One streaming tick: ingest a batch of arrivals, forecast each tenant."""
         for tenant, values in arrivals.items():
             self.ingest(tenant, values, timestamp=timestamp)
@@ -523,10 +524,13 @@ class _Sweep:
 
     Holds the block's service rows and the stacked inverse mapping, and
     denormalises the whole ``[N, H, C]`` block once (:meth:`settled`),
-    when it is first read after every row has settled.
+    when it is first read after every row has settled.  It is the block
+    behind a streaming :class:`~repro.serving.Forecast` handle, so its
+    rows are returned in the tenants' scale (identity, rolling
+    inverse-standardise, or last-value add-back).
     """
 
-    __slots__ = ("rows", "mode", "shift", "scale", "_values")
+    __slots__ = ("rows", "done", "refused", "mode", "shift", "scale", "_values")
 
     def __init__(
         self,
@@ -536,6 +540,8 @@ class _Sweep:
         scale: Optional[np.ndarray],
     ) -> None:
         self.rows = rows
+        # What a Forecast handle reads besides result(), straight off the rows.
+        self.done, self.refused = rows.done, rows.refused
         self.mode = mode
         self.shift = shift      # [N, C]: rolling mean, or last-value anchor
         self.scale = scale      # [N, C]: rolling std
@@ -564,43 +570,11 @@ class _Sweep:
         return self._values
 
     def result(self, index: int) -> np.ndarray:
-        rows = self.rows
-        if self._values is None:
-            value = rows.result(index)   # flushes if queued; raises the row's error
-            if not rows.all_done():
+        if self._values is None or index in self.rows.errors:
+            value = self.rows.result(index)   # flushes if queued; raises the row's error
+            if not self.rows.all_done():
                 # A sibling row is still queued (a flush=False sweep that a
                 # mid-block flush split): map this row alone, flush nothing.
                 return self.denormalize(value, index)
-            return self.settled()[index]
-        if index in rows.errors:
-            raise rows.errors[index]
-        return self._values[index]
+        return self.settled()[index]
 
-
-class StreamingForecast:
-    """One row of a :meth:`StreamingForecaster.forecast_many` block.
-
-    ``result()`` flushes the service if the row is still queued, then
-    returns the row's forecast mapped back through the tenant's
-    normalisation (identity, rolling inverse-standardise, or last-value
-    add-back), so callers always receive original-scale forecasts.
-    """
-
-    __slots__ = ("tenant", "_sweep", "_index")
-
-    def __init__(self, tenant: str, sweep: _Sweep, index: int) -> None:
-        self.tenant = tenant
-        self._sweep = sweep
-        self._index = index
-
-    def done(self) -> bool:
-        return self._sweep.rows.done(self._index)
-
-    def result(self) -> np.ndarray:
-        """The ``[horizon, channels]`` forecast in the tenant's scale."""
-        return self._sweep.result(self._index)
-
-    @property
-    def admission_error(self) -> Optional[Exception]:
-        """The typed error admission control refused this row with, if any."""
-        return self._sweep.rows.refused.get(self._index)

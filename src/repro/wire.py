@@ -38,6 +38,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -74,6 +75,10 @@ _FORMAT_VERSION = 1
 #: before any attempt to interpret lengths out of garbage.
 _MAGIC = b"RPW1"
 
+#: what ``dtype.str`` looks like for every dtype the codec accepts (no
+#: object arrays, no comma-separated record strings)
+_DTYPE = re.compile(r"[<>|=][biufcmMSUV]\d+(\[\w+\])?")
+
 #: frame prefix: payload byte length, 8-byte big-endian
 _FRAME = struct.Struct(">Q")
 
@@ -89,6 +94,12 @@ _CHUNK = 1 << 20
 #: item types a ``plain`` node holds as-is: JSON maps each of them back to
 #: its own type, so a list of them needs no per-item node
 _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: node kind -> the type its ``v`` must have (``none`` has no ``v``)
+_NODE_VALUES = {
+    "plain": list, "bool": bool, "int": int, "float": float, "str": str, "datetime": str,
+    "date": str, "dict": dict, "list": list, "array": str, "scalar": str,
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -112,11 +123,13 @@ def encode_state(state) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 def decode_state(manifest: dict, arrays: Dict[str, np.ndarray]):
-    """Invert :func:`encode_state`."""
-    version = manifest.get("version")
+    """Invert :func:`encode_state`.  Total: a malformed manifest — a
+    node of no or unknown kind, a value of the wrong type, an array
+    entry the map lacks — raises ``ValueError``."""
+    version = manifest.get("version") if isinstance(manifest, dict) else None
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format version {version!r}")
-    return _decode(manifest["tree"], arrays)
+    return _decode(manifest.get("tree"), arrays)
 
 
 def _encode(value, arrays: Dict[str, np.ndarray]):
@@ -163,29 +176,31 @@ def _encode(value, arrays: Dict[str, np.ndarray]):
 
 
 def _decode(node, arrays: Dict[str, np.ndarray]):
-    kind = node["t"]
-    if kind == "plain":
-        items = node["v"]
-        if not isinstance(items, list):
-            raise ValueError(f"plain snapshot node holds {type(items).__name__}, not a list")
-        return items
+    kind = node.get("t") if isinstance(node, dict) else None
     if kind == "none":
         return None
-    if kind in ("bool", "int", "float", "str"):
-        return node["v"]
-    if kind == "datetime":
-        return datetime.datetime.fromisoformat(node["v"])
-    if kind == "date":
-        return datetime.date.fromisoformat(node["v"])
+    expected = _NODE_VALUES.get(kind)
+    if expected is None:
+        raise ValueError(f"unknown snapshot node type {kind!r}")
+    value = node.get("v")
+    if not isinstance(value, expected):
+        raise ValueError(
+            f"{kind} snapshot node holds {type(value).__name__}, not a {expected.__name__}"
+        )
     if kind == "dict":
-        return {key: _decode(child, arrays) for key, child in node["v"].items()}
+        return {key: _decode(child, arrays) for key, child in value.items()}
     if kind == "list":
-        return [_decode(child, arrays) for child in node["v"]]
-    if kind == "array":
-        return arrays[node["v"]]
-    if kind == "scalar":
-        return arrays[node["v"]][()]
-    raise ValueError(f"unknown snapshot node type {kind!r}")
+        return [_decode(child, arrays) for child in value]
+    if kind in ("array", "scalar"):
+        array = arrays.get(value)
+        if array is None:
+            raise ValueError(f"{kind} snapshot node names missing entry {value!r}")
+        return array if kind == "array" else array[()]
+    if kind == "datetime":
+        return datetime.datetime.fromisoformat(value)
+    if kind == "date":
+        return datetime.date.fromisoformat(value)
+    return value
 
 
 # ---------------------------------------------------------------------- #
@@ -226,28 +241,37 @@ def unpack_message(payload: bytes):
 
     Decoded arrays are copies (writable, independently owned) — a worker
     ingests the buffer straight into its ring store, so a view into the
-    receive buffer would alias every later message.
+    receive buffer would alias every later message.  Total: any payload
+    that is not a well-formed message raises ``ValueError``.
     """
     view = memoryview(payload)
     if bytes(view[: len(_MAGIC)]) != _MAGIC:
         raise ValueError("not a wire message (bad magic)")
-    offset = len(_MAGIC)
-    (header_len,) = _HEADER.unpack_from(view, offset)
-    offset += _HEADER.size
+    offset = len(_MAGIC) + _HEADER.size
+    if len(view) < offset:
+        raise ValueError("truncated wire message (header length missing)")
+    (header_len,) = _HEADER.unpack_from(view, len(_MAGIC))
     header = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
     offset += header_len
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise ValueError("wire message header is not a manifest and array list")
     arrays: Dict[str, np.ndarray] = {}
     for descriptor in header["arrays"]:
-        nbytes = int(descriptor["n"])
-        blob = view[offset : offset + nbytes]
-        if len(blob) != nbytes:
-            raise ValueError("truncated wire message (array bytes missing)")
-        offset += nbytes
-        array = np.frombuffer(blob, dtype=np.dtype(descriptor["d"]))
-        arrays[descriptor["k"]] = array.reshape(tuple(descriptor["s"])).copy()
+        try:
+            name, dtype, shape, nbytes = (descriptor[key] for key in "kdsn")
+            if not (isinstance(dtype, str) and _DTYPE.fullmatch(dtype) and isinstance(shape, list)):
+                raise TypeError(f"no {dtype!r} array of shape {shape!r} crosses the wire")
+            dtype, nbytes = np.dtype(dtype), int(nbytes)
+            blob = view[offset : offset + nbytes]
+            if len(blob) != nbytes:
+                raise ValueError("truncated wire message (array bytes missing)")
+            offset += nbytes
+            arrays[str(name)] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+        except (KeyError, TypeError, OverflowError) as error:
+            raise ValueError(f"malformed array descriptor {descriptor!r}: {error}") from error
     if offset != len(view):
         raise ValueError("trailing bytes after wire message")
-    return decode_state(header["manifest"], arrays)
+    return decode_state(header.get("manifest"), arrays)
 
 
 # ---------------------------------------------------------------------- #

@@ -529,3 +529,79 @@ class TestLiveHeadParity:
                 close(cluster)
         for thread_tick, process_tick in zip(outcomes["thread"], outcomes["process"]):
             assert_same(thread_tick, process_tick)
+
+
+# ---------------------------------------------------------------------- #
+# Handle contract: one handle class on both backends.  A row whose forward
+# pass fails raises its own error, on the process backend after crossing
+# the wire, while the rest of its block still serves.
+# ---------------------------------------------------------------------- #
+def handle_contract(cluster, config):
+    """Serve eight enriched tenants, three with an out-of-range calendar
+    covariate; returns the five good rows' forecasts, plus the first
+    tenant's single forecast as ``"single"``."""
+    by_shard = {}
+    for tenant in (f"tenant-{i}" for i in range(64)):
+        by_shard.setdefault(cluster.shard_for(tenant), []).append(tenant)
+    crowded, lone = sorted(by_shard.values(), key=len, reverse=True)
+    # Seven rows on one shard: a clean forward pass of four, then the
+    # three bad rows in a pass of their own (max_batch_size=4), so one
+    # block mixes values and errors.  One clean row on the other shard.
+    tenants = crowded[:7] + lone[:1]
+    bad = set(crowded[4:7])
+    rng = np.random.default_rng(7)
+    horizon = config.horizon
+    numerical, categorical = {}, {}
+    for tenant in tenants:
+        cluster.ingest(tenant, rng.normal(3.0, 2.0, size=(config.input_length, config.n_channels)))
+        numerical[tenant] = rng.normal(
+            size=(horizon, config.covariate_numerical_dim)
+        ).astype(np.float32)
+        categorical[tenant] = np.stack(
+            [rng.integers(0, cardinality, horizon)
+             for cardinality in config.covariate_categorical_cardinalities],
+            axis=1,
+        )
+    for tenant in bad:
+        categorical[tenant][:, 0] = 99  # cardinality 7
+    handles = cluster.forecast_all(
+        tenants, future_numerical=numerical, future_categorical=categorical
+    )
+    assert list(handles) == tenants
+    good = {}
+    for tenant, handle in handles.items():
+        assert handle.done()
+        assert handle.admission_error is None
+        if tenant in bad:
+            for _ in range(2):  # a repeated result() re-raises
+                with pytest.raises(IndexError):
+                    handle.result()
+        else:
+            good[tenant] = handle.result()
+    assert sorted(good) == sorted(set(tenants) - bad)
+    first = tenants[0]
+    single = cluster.forecast(
+        first, future_numerical=numerical[first], future_categorical=categorical[first]
+    )
+    assert not single.done()
+    good["single"] = single.result()
+    assert single.done()
+    return good
+
+
+class TestHandleContract:
+    def test_forward_errors_fail_only_their_rows(self, tmp_path):
+        config, normalization = LIVE_SHAPES["enriched"]
+        spec = ServiceSpec(
+            config=config,
+            max_batch_size=4,
+            weights_path=write_live_weights(config, tmp_path / "live.npz", seed=1),
+        )
+        outcomes = {}
+        for backend in BACKENDS:
+            cluster = build_cluster(spec, n_shards=2, backend=backend, normalization=normalization)
+            try:
+                outcomes[backend] = handle_contract(cluster, config)
+            finally:
+                close(cluster)
+        assert_same(outcomes["thread"], outcomes["process"])

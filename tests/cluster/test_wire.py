@@ -1,6 +1,7 @@
 """Tests for the pickle-free wire transport (:mod:`repro.wire`)."""
 
 import datetime
+import json
 import math
 import os
 import socket
@@ -271,6 +272,150 @@ class TestCodecProperties:
         payload = b"RPW1" + len(header).to_bytes(4, "big") + header
         with pytest.raises(ValueError, match="plain"):
             wire.unpack_message(payload)
+
+
+# ---------------------------------------------------------------------- #
+# Decoding is total: whatever the bytes, a frame decodes or raises
+# ValueError — never KeyError, TypeError or AttributeError.
+# ---------------------------------------------------------------------- #
+def _frame(header: dict, blobs: bytes = b"") -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return b"RPW1" + len(raw).to_bytes(4, "big") + raw + blobs
+
+
+def _tree(node) -> dict:
+    return {"version": 1, "tree": node}
+
+
+#: the three frame shapes the process backend exchanges every tick
+_SWEEP_REQUEST = {
+    "cmd": "forecast_many", "seq": 7, "tenants": ["meter-1", "meter-2", "meter-3"],
+    "fn": [np.ones((4, 2), dtype=np.float32), None, np.zeros((4, 2), dtype=np.float32)],
+    "fc": None, "priority": "batch", "budget": 0.25, "flush": True,
+    "rows": {
+        "tenants": ["meter-1", "meter-3"], "counts": np.array([1, 2], dtype=np.int64),
+        "values": np.arange(6, dtype=np.float32).reshape(3, 2),
+        "timestamps": [np.datetime64("2026-08-08T12:00"), np.datetime64("2026-08-08T13:00")],
+    },
+}
+_SWEEP_REPLY = {
+    "flushed": 3, "seqs": [6, 7],
+    "values": [np.zeros((1, 4, 2), dtype=np.float32), np.ones((3, 4, 2))],
+    "errors": [(7, 1, {"type": "IndexError", "message": "index 99 is out of bounds"})],
+    "acks": {"observed": np.array([17, 18]), "generation": np.array([0, 2])},
+    "seq": 7,
+}
+_INGEST = {
+    "cmd": "ping", "seq": 8,
+    "rows": {
+        "tenants": ["meter-2"], "counts": np.array([4], dtype=np.int64),
+        "values": np.ones((4, 2), dtype=np.float32), "timestamps": None,
+    },
+}
+_FRAMES = [wire.pack_message(frame) for frame in (_SWEEP_REQUEST, _SWEEP_REPLY, _INGEST)]
+
+
+def decodes_or_value_error(payload: bytes) -> None:
+    try:
+        wire.unpack_message(payload)
+    except ValueError:
+        pass
+
+
+class TestDecodingIsTotal:
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"v": 3},                                          # no kind
+            {"t": "list", "v": 3},                             # list of an int
+            {"t": "dict", "v": ["a"]},                         # dict of a list
+            {"t": "dict", "v": {"a": {"t": "int"}}},           # int with no value
+            {"t": "dict", "v": {"a": "meter-1"}},              # a bare value, not a node
+            {"t": "array", "v": "a0"},                         # entry the frame lacks
+            {"t": "scalar", "v": "a9"},
+            {"t": "array", "v": 0},                            # entry name not a string
+            {"t": "datetime", "v": 20260808},
+            "none",
+            None,
+        ],
+    )
+    def test_malformed_node_raises_value_error(self, node):
+        with pytest.raises(ValueError):
+            wire.decode_state(_tree(node), {})
+        with pytest.raises(ValueError):
+            wire.unpack_message(_frame({"manifest": _tree(node), "arrays": []}))
+
+    @pytest.mark.parametrize("manifest", [None, [], "tree", {"tree": {"t": "none"}}])
+    def test_malformed_manifest_raises_value_error(self, manifest):
+        with pytest.raises(ValueError):
+            wire.decode_state(manifest, {})
+
+    def test_manifests_that_raised_untyped_errors(self):
+        # A node with no kind raised KeyError('t'), a list node holding an
+        # int TypeError, and an array node naming an absent entry KeyError.
+        cases = [
+            ({"t": "dict", "v": {"x": {"v": 1}}}, {}),
+            ({"t": "list", "v": 5}, {}),
+            ({"t": "array", "v": "a1"}, {"a0": np.zeros(2)}),
+        ]
+        for node, arrays in cases:
+            with pytest.raises(ValueError):
+                wire.decode_state(_tree(node), arrays)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [],
+            "manifest",
+            {"manifest": _tree({"t": "none"})},                            # no array list
+            {"manifest": _tree({"t": "none"}), "arrays": {}},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0"}]},   # missing keys
+            {"manifest": _tree({"t": "none"}), "arrays": ["a0"]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "float", "s": [2], "n": 16}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8,<f8", "s": [1], "n": 16}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "|O8", "s": [2], "n": 16}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": ["2"], "n": 16}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": 2, "n": 16}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": [2], "n": "x"}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": [2], "n": None}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": [2], "n": float("inf")}]},
+            {"manifest": _tree({"t": "none"}), "arrays": [{"k": "a0", "d": "<f8", "s": [3], "n": 16}]},
+        ],
+    )
+    def test_malformed_header_raises_value_error(self, header):
+        with pytest.raises(ValueError):
+            wire.unpack_message(_frame(header, np.zeros(2).tobytes()))
+
+    def test_short_payload_raises_value_error(self):
+        with pytest.raises(ValueError, match="truncated"):
+            wire.unpack_message(b"RPW1\x00\x00")
+
+    def test_frames_round_trip(self):
+        for frame, payload in zip((_SWEEP_REQUEST, _SWEEP_REPLY, _INGEST), _FRAMES):
+            decoded = wire.unpack_message(payload)
+            assert sorted(decoded) == sorted(frame)
+            assert decoded["seq"] == frame["seq"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        frame=st.sampled_from(_FRAMES),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_mutated_frames_decode_or_raise_value_error(self, frame, edits):
+        mutated = bytearray(frame)
+        for where, byte in edits:
+            mutated[int(where * len(mutated))] = byte
+        decodes_or_value_error(bytes(mutated))
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame=st.sampled_from(_FRAMES), data=st.data())
+    def test_truncated_frames_raise_value_error(self, frame, data):
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        with pytest.raises(ValueError):
+            wire.unpack_message(frame[:cut])
 
 
 class TestFraming:

@@ -136,6 +136,31 @@ class TestStalledShard:
             with pytest.raises(DeadlineExceeded):
                 handles[tenant].result()
 
+    def test_late_block_of_a_stalled_forecast_lands_nowhere(self, cluster):
+        """A stalled flush=False frame's block outlives its deadline in the
+        worker and rides the next flush reply; the coordinator already
+        failed it, so none of its values reach another handle."""
+        tenants = [f"tenant-{i}" for i in range(6)]
+        victim, on_victim, _ = split_by_shard(cluster, tenants)
+        assert len(on_victim) >= 2, "hash ring left the victim one tenant"
+        t0, t1 = on_victim[:2]
+        expected = {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+        # Undisturbed: t0's and t1's blocks flushed together, as below.
+        first, second = cluster.forecast(t0), cluster.forecast(t1)
+        undisturbed = {t1: second.result(), t0: first.result()}
+        assert not np.array_equal(undisturbed[t0], undisturbed[t1])
+        cluster.inject_stall(victim, seconds=1.0, count=1)
+        with pytest.raises(DeadlineExceeded):
+            cluster.forecast(t0, timeout=0.2).result()
+        time.sleep(1.2)  # the stall drains; t0's block is still pending worker-side
+        late = cluster.forecast(t1).result()
+        np.testing.assert_array_equal(late, undisturbed[t1])
+        assert not np.array_equal(late, undisturbed[t0])
+        assert cluster._shards[victim]._blocks == {}
+        after = {t: h.result() for t, h in cluster.forecast_all(tenants).items()}
+        for tenant in tenants:
+            np.testing.assert_array_equal(after[tenant], expected[tenant])
+
     def test_detect_failures_timeout_override_bounds_the_probe(self, cluster):
         tenants = [f"tenant-{i}" for i in range(6)]
         victim, _, _ = split_by_shard(cluster, tenants)
@@ -252,7 +277,7 @@ class TestRetryMasksTransients:
             with pytest.raises(TransientWireError):
                 cluster.forecast_all(tenants)
         assert schedule.pending() == 0
-        assert cluster._shards[victim]._pending == {}
+        assert cluster._shards[victim]._blocks == {}
         handles = cluster.forecast_all(tenants)
         for tenant in tenants:
             np.testing.assert_array_equal(handles[tenant].result(), expected[tenant])

@@ -23,7 +23,7 @@ def _request(history, fn=None, fc=None):
         observed_length=np.array([len(history)]),
         future_numerical=None if fn is None else fn[None],
         future_categorical=None if fc is None else fc[None],
-        forecast=ForecastRows(service=None, n=1),
+        forecast=ForecastRows(flush=None, n=1),
     )
 
 
