@@ -139,17 +139,15 @@ class ProcessShard:
         self,
         shard_id: str,
         n_channels: int,
-        request_timeout: float = 120.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
+        request_timeout: float,
+        retry: RetryPolicy,
+        breaker: CircuitBreaker,
     ) -> None:
-        if request_timeout <= 0:
-            raise ValueError(f"request_timeout must be > 0, got {request_timeout}")
         self.shard_id = shard_id
         self.n_channels = n_channels
         self.request_timeout = request_timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker(shard_id)
+        self.retry = retry
+        self.breaker = breaker
         self.lock = TrackedRLock(f"shard:{shard_id}")
         self._sock, self.process = wire.spawn_worker("repro.cluster.worker")
         self._dead: Optional[str] = None
@@ -680,48 +678,20 @@ class ProcessCoordinator(Coordinator):
     spec:
         the :class:`~repro.cluster.spec.ServiceSpec` every worker builds
         its replica from (weights deterministic in ``config.seed``).
-    n_shards / normalization / window_capacity / vnodes:
-        as on the thread backend, forwarded to every worker's stack.
-    request_timeout / heartbeat_timeout / retry_* / breaker_*:
-        the :class:`~repro.cluster.spec.ClusterSpec` resilience knobs
-        (validated there); kept as ``cluster_spec``.
     warmup:
         trace compiled plans in every worker right after spawn, so the
         first fan-out replays instead of tracing on the request path.
+    knobs:
+        :class:`~repro.cluster.spec.ClusterSpec` fields (``n_shards``,
+        ``normalization``, ``window_capacity``, ``vnodes`` and the
+        timeout, retry and breaker knobs), with its defaults and its
+        validation; the spec is kept as ``cluster_spec``.
     """
 
     BACKEND = "process"
 
-    def __init__(
-        self,
-        spec: ServiceSpec,
-        n_shards: int = 2,
-        normalization: str = "none",
-        window_capacity: Optional[int] = None,
-        vnodes: int = 64,
-        request_timeout: float = 120.0,
-        heartbeat_timeout: float = 5.0,
-        retry_attempts: int = 3,
-        retry_base: float = 0.05,
-        retry_cap: float = 2.0,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 5.0,
-        warmup: bool = True,
-    ) -> None:
-        cluster = ClusterSpec(
-            n_shards=n_shards,
-            backend="process",
-            normalization=normalization,
-            window_capacity=window_capacity,
-            vnodes=vnodes,
-            request_timeout=request_timeout,
-            heartbeat_timeout=heartbeat_timeout,
-            retry_attempts=retry_attempts,
-            retry_base=retry_base,
-            retry_cap=retry_cap,
-            breaker_threshold=breaker_threshold,
-            breaker_reset=breaker_reset,
-        )
+    def __init__(self, spec: ServiceSpec, *, warmup: bool = True, **knobs) -> None:
+        cluster = ClusterSpec(backend="process", **knobs)
         self._configure(spec, cluster)
         self._start(cluster, warmup)
 

@@ -16,6 +16,8 @@ Base classes are chosen so existing narrow handlers keep working:
   budget was the *caller's*, not a transport default;
 * :class:`Overloaded` *is a* ``RuntimeError`` — a capacity decision, not
   a transport failure;
+* :class:`PlanUnsupported` *is a* ``RuntimeError`` — a model the compiled
+  tier cannot trace, served eager instead;
 * :class:`CircuitOpen`, :class:`TransientWireError`,
   :class:`EndOfStream`, :class:`WorkerDied` and :class:`WorkerStalled`
   are ``ConnectionError`` subclasses — all describe the health of a
@@ -34,6 +36,7 @@ __all__ = [
     "EndOfStream",
     "WorkerDied",
     "WorkerStalled",
+    "PlanUnsupported",
 ]
 
 
@@ -113,4 +116,11 @@ class WorkerStalled(WorkerDied):
     failed, settle and move on" handlers keep working; the shard's
     circuit breaker is what escalates *repeated* stalls into fail-fast
     rejection.
+    """
+
+
+class PlanUnsupported(RuntimeError):
+    """The model (or environment) cannot be traced into a plan.
+
+    Raised during tracing only; callers fall back to eager inference.
     """

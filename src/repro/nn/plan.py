@@ -68,6 +68,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
+from ..errors import PlanUnsupported
 from ..runtime.annotations import guarded_by, requires_lock
 from .tensor import Tensor, _trace_state, no_grad
 
@@ -90,13 +91,6 @@ def bucket_for(batch: int) -> int:
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
     return 1 << (batch - 1).bit_length()
-
-
-class PlanUnsupported(RuntimeError):
-    """The model (or environment) cannot be traced into a plan.
-
-    Raised during tracing only; callers fall back to eager inference.
-    """
 
 
 class _Step:

@@ -5,7 +5,13 @@ import pytest
 
 from repro import wire
 from repro.baselines import create_model
-from repro.cluster import ClusterSpec, build_cluster, validate_cluster_timeouts
+from repro.cluster import (
+    ClusterSpec,
+    ProcessCoordinator,
+    ShardedForecaster,
+    build_cluster,
+    validate_cluster_timeouts,
+)
 from repro.cluster.spec import ServiceSpec
 from repro.config import ModelConfig
 from repro.nn import save_module
@@ -15,6 +21,34 @@ CONFIG = ModelConfig(
     input_length=16, horizon=4, n_channels=1, patch_length=4,
     hidden_dim=8, dropout=0.0, n_heads=2, n_layers=1, seed=1,
 )
+
+
+class TestServiceSpec:
+    def test_replicas_are_bit_identical(self):
+        spec = ServiceSpec(config=CONFIG)
+        a, b = spec.build(), spec.build()
+        window = np.random.default_rng(3).normal(
+            size=(CONFIG.input_length, CONFIG.n_channels)
+        ).astype(np.float32)
+        first, second = a.submit(window), b.submit(window)
+        a.flush()
+        b.flush()
+        np.testing.assert_array_equal(first.result(), second.result())
+
+    def test_state_round_trip(self):
+        spec = ServiceSpec(config=CONFIG, max_batch_size=16)
+        assert ServiceSpec.from_state(spec.to_state()) == spec
+
+    def test_spec_is_a_service_factory(self):
+        # The thread backend takes any zero-arg callable; a spec qualifies.
+        cluster = ShardedForecaster(ServiceSpec(config=CONFIG), n_shards=2)
+        assert len(cluster) == 2
+
+    def test_coordinator_rejects_closures(self):
+        with pytest.raises(TypeError, match="ServiceSpec"):
+            ProcessCoordinator(
+                lambda: ForecastService(create_model("LiPFormer", CONFIG)), n_shards=1
+            )
 
 
 class TestServiceSpecReplica:
@@ -112,6 +146,20 @@ class TestClusterSpecValidation:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ClusterSpec(**kwargs)
+
+
+class TestBuildCluster:
+    def test_backend_selection(self):
+        thread = build_cluster(ServiceSpec(config=CONFIG), n_shards=2, backend="thread")
+        assert isinstance(thread, ShardedForecaster)
+        with pytest.raises(ValueError, match="unknown backend"):
+            build_cluster(ServiceSpec(config=CONFIG), backend="fibers")
+
+    def test_process_backend_rejects_executor(self):
+        from repro.runtime import SerialExecutor
+
+        with pytest.raises(ValueError, match="executor"):
+            build_cluster(ServiceSpec(config=CONFIG), backend="process", executor=SerialExecutor())
 
 
 class TestBuildClusterIntegration:

@@ -3,30 +3,51 @@
 One :class:`~repro.cluster.coordinator.Coordinator` drives two shard
 transports — :class:`~repro.cluster.sharded.LocalShard` and
 :class:`~repro.cluster.process.ProcessShard` — so each control-plane
-contract is checked once here, parametrized over the backend: migration
-sets and their unwind, failover accounting, checkpoint round trips,
-retired-stat folding, sweep equivalence and single forecasts (a sweep
-of one).  On the process backend a shard "dies" by a real ``kill -9``;
-on the thread backend the dead replica is simply abandoned.  Forecasts
-from a model with seeded live weights must also agree bit for bit across
-the backends, tick after tick.
+contract is checked once here, parametrized over the backend: routing,
+fan-out coalescing and stats, migration sets and their unwind, failover
+accounting and its resurrection guards, checkpoint round trips,
+retired-stat folding, replay parity, sweep equivalence and single
+forecasts (a sweep of one).  On the process backend a shard "dies" by a
+real ``kill -9``; on the thread backend the dead replica is simply
+abandoned.  Forecasts from a model with seeded live weights must also
+agree bit for bit across the backends, tick after tick.
+
+What only one transport has is tested beside it: ``test_sharded.py``
+(replica geometry, pre-built replicas, ingest racing a rebalance),
+``test_process_shard.py`` (frames, write-behind cap, spans, worker
+metrics, reaping) and ``test_crash_drill.py`` (detection and in-flight
+work around a ``kill -9``).
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.baselines.registry import create_model
-from repro.cluster import ServiceSpec, build_cluster, write_snapshot
+from repro.cluster import (
+    HashRing,
+    ProcessCoordinator,
+    ServiceSpec,
+    ShardedForecaster,
+    build_cluster,
+    compare_cluster_to_unsharded,
+    replay_cluster,
+    write_snapshot,
+)
 from repro.config import ModelConfig
 from repro.errors import DeadlineExceeded, Overloaded
 from repro.serving import ForecastService
+from repro.streaming import StreamingForecaster
 
 from live_weights import perturb, write_live_weights
 
 INPUT_LENGTH = 16
 HORIZON = 4
 CHANNELS = 2
+#: rows each of the fixture's twelve tenants holds
+TENANT_ROWS = INPUT_LENGTH + 2
 
 SPEC = ServiceSpec(
     config=ModelConfig(
@@ -39,9 +60,20 @@ SPEC = ServiceSpec(
 BACKENDS = ["thread", "process"]
 
 
-def close(cluster):
-    if cluster.BACKEND == "process":
-        cluster.close()
+@contextmanager
+def running(cluster):
+    """Yield the cluster; reap its workers on the way out."""
+    try:
+        yield cluster
+    finally:
+        if cluster.BACKEND == "process":
+            cluster.close()
+
+
+def populate(cluster):
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        cluster.ingest(f"tenant-{i}", rng.normal(size=(TENANT_ROWS, CHANNELS)))
 
 
 @pytest.fixture(params=BACKENDS)
@@ -51,12 +83,9 @@ def backend(request):
 
 @pytest.fixture
 def cluster(backend):
-    built = build_cluster(SPEC, n_shards=2, backend=backend)
-    rng = np.random.default_rng(3)
-    for i in range(12):
-        built.ingest(f"tenant-{i}", rng.normal(size=(INPUT_LENGTH + 2, CHANNELS)))
-    yield built
-    close(built)
+    with running(build_cluster(SPEC, n_shards=2, backend=backend)) as built:
+        populate(built)
+        yield built
 
 
 def forecasts(cluster, tenants=None):
@@ -79,6 +108,89 @@ def victims_of(cluster, shard_id):
     return [t for t in cluster.tenants() if cluster.shard_for(t) == shard_id]
 
 
+def censuses(cluster):
+    # The coordinator keeps no public accessor for its shard handles.
+    return {shard_id: shard.census() for shard_id, shard in cluster._shards.items()}
+
+
+def scaler_of(cluster, tenant):
+    """The tenant's rolling moments, as its owner would export them."""
+    return cluster._shards[cluster.shard_for(tenant)].export_tenant(tenant)["scaler"]
+
+
+def plan_counters(cluster, shard_id):
+    """(traces, fallbacks, hits) of one replica's compiled-plan cache."""
+    if cluster.BACKEND == "thread":
+        predictor = cluster.shard(shard_id).service.model.compiled_predictor()
+        return predictor.traces, predictor.fallbacks, predictor.hits
+    views = cluster.worker_metrics()[shard_id]["views"]
+    return tuple(
+        int(views.get(f"repro_plan_cache_{name}", 0)) for name in ("traces", "fallbacks", "hits")
+    )
+
+
+class TestRouting:
+    def test_ingest_lands_on_the_ring_assigned_shard(self, cluster):
+        ring = HashRing(cluster.shard_ids())
+        census = censuses(cluster)
+        assert sorted(cluster.tenants()) == sorted(f"tenant-{i}" for i in range(12))
+        assert cluster.tenant_count() == 12
+        for tenant in cluster.tenants():
+            owner = cluster.shard_for(tenant)
+            assert owner == ring.assign(tenant)
+            assert [sid for sid, held in census.items() if tenant in held] == [owner]
+        # ingest answers with the tenant's total observed rows
+        assert cluster.ingest("tenant-0", np.zeros((2, CHANNELS))) == TENANT_ROWS + 2
+
+    def test_forecast_matches_direct_model_predict(self, cluster):
+        values = np.random.default_rng(5).normal(size=(40, CHANNELS)).astype(np.float32)
+        cluster.ingest("direct", values)
+        reference = SPEC.build().model.predict(values[-INPUT_LENGTH:][None])[0]
+        np.testing.assert_array_equal(cluster.forecast("direct").result(), reference)
+
+    def test_drop_forgets_the_tenant(self, cluster):
+        cluster.drop("tenant-1")
+        assert "tenant-1" not in cluster.tenants()
+        assert cluster.tenant_count() == 11
+        assert all("tenant-1" not in held for held in censuses(cluster).values())
+
+
+class TestFanOut:
+    def test_forecast_all_coalesces_per_shard(self, cluster, backend):
+        handles = cluster.forecast_all()
+        assert sorted(handles) == sorted(cluster.tenants())
+        assert all(handle.done() for handle in handles.values())
+        assert all(handle.result().shape == (HORIZON, CHANNELS) for handle in handles.values())
+        service = cluster.service_stats()
+        # One flush per shard, not one pass per tenant.
+        assert service.requests == 12
+        assert service.forward_passes == len(cluster)
+        assert service.mean_batch_size == pytest.approx(12 / len(cluster))
+        assert cluster.streaming_stats().forecasts == 12
+        store = cluster.store_stats()
+        assert (store.tenants, store.observations) == (12, 12 * TENANT_ROWS)
+        payload = cluster.as_dict()
+        assert (payload["backend"], payload["shards"], payload["tenants"]) == (backend, 2, 12)
+        assert sum(payload["tenants_per_shard"].values()) == 12
+
+    def test_reset_service_stats_between_phases(self, cluster):
+        forecasts(cluster)
+        cluster.reset_service_stats()
+        stats = cluster.service_stats()
+        assert (stats.requests, stats.forward_passes) == (0, 0)
+        forecasts(cluster)
+        assert cluster.service_stats().requests == 12
+
+    def test_ingest_and_forecast_is_one_tick(self, cluster):
+        rng = np.random.default_rng(6)
+        arrivals = {f"tenant-{i}": rng.normal(size=(1, CHANNELS)) for i in range(3)}
+        arrivals["newcomer"] = rng.normal(size=(INPUT_LENGTH, CHANNELS))
+        handles = cluster.ingest_and_forecast(arrivals)
+        assert list(handles) == list(arrivals)
+        produced = {tenant: handle.result() for tenant, handle in handles.items()}
+        assert_same(produced, forecasts(cluster, list(arrivals)))
+
+
 class TestRebalance:
     def test_add_then_remove_moves_exactly_the_reassigned_tenants(self, cluster):
         before = {t: cluster.shard_for(t) for t in cluster.tenants()}
@@ -87,7 +199,9 @@ class TestRebalance:
         assert moved, "the new shard must adopt part of the ring"
         for tenant, owner in before.items():
             assert cluster.shard_for(tenant) == ("shard-2" if tenant in moved else owner)
-        assert sorted(victims_of(cluster, "shard-2")) == sorted(moved)
+        census = censuses(cluster)
+        assert sorted(census["shard-2"]) == sorted(moved)
+        assert all(tenant in census[cluster.shard_for(tenant)] for tenant in before)
         assert_same(forecasts(cluster), expected)
         assert sorted(cluster.remove_shard("shard-2")) == sorted(moved)
         assert {t: cluster.shard_for(t) for t in cluster.tenants()} == before
@@ -96,12 +210,15 @@ class TestRebalance:
         assert cluster.tenants_migrated == 2 * len(moved)
 
     def test_failed_add_shard_unwinds(self, cluster, monkeypatch):
+        """A crash after two tenants moved onto the new shard moves them
+        back: no phantom ring node, routing and forecasts unchanged."""
         before = {t: cluster.shard_for(t) for t in cluster.tenants()}
         expected = forecasts(cluster)
-        armed = {"on": True}
+        budget = {"exports": 2}
         for shard in list(cluster._shards.values()):
             def failing_export(tenant, _export=shard.export_tenant):
-                if armed["on"]:
+                budget["exports"] -= 1
+                if budget["exports"] < 0:
                     raise RuntimeError("injected migration failure")
                 return _export(tenant)
 
@@ -112,10 +229,12 @@ class TestRebalance:
         assert cluster.as_dict()["rebalance_failures"] == 1
         assert cluster.rebalances == 0
         assert cluster.shard_ids() == ["shard-0", "shard-1"]
+        assert "shard-2" not in cluster.ring
         assert {t: cluster.shard_for(t) for t in cluster.tenants()} == before
         assert_same(forecasts(cluster), expected)
-        armed["on"] = False
+        budget["exports"] = len(before)
         moved = cluster.add_shard()
+        assert len(moved) > 2, "the injected failure must have come mid-migration"
         assert all(cluster.shard_for(t) == "shard-2" for t in moved)
         assert_same(forecasts(cluster), expected)
 
@@ -135,6 +254,44 @@ class TestRebalance:
         assert cluster.tenant_count() == 12
         assert_same(forecasts(cluster), expected)
 
+    def test_migration_carries_scaler_state_without_recounting(self, backend):
+        cluster = build_cluster(SPEC, n_shards=2, backend=backend, normalization="rolling")
+        with running(cluster):
+            rng = np.random.default_rng(10)
+            for i in range(12):
+                values = rng.normal(size=(TENANT_ROWS, CHANNELS)) * (i + 1) + 100.0
+                cluster.ingest(f"tenant-{i}", values)
+            scalers = {tenant: scaler_of(cluster, tenant) for tenant in cluster.tenants()}
+            expected = forecasts(cluster)
+            moved = cluster.add_shard()
+            assert moved, "the new shard must adopt part of the ring"
+            for tenant in moved:
+                np.testing.assert_equal(scaler_of(cluster, tenant), scalers[tenant])
+            assert_same(forecasts(cluster), expected)
+            grown = cluster.store_stats()
+            assert grown.observations == 12 * TENANT_ROWS, "migration must not re-count history"
+            assert grown.tenants == 12
+            cluster.remove_shard("shard-0")
+            shrunk = cluster.store_stats()
+            assert shrunk.observations == 12 * TENANT_ROWS, "retired shard history must survive"
+            assert shrunk.ingests == grown.ingests
+
+    def test_topology_errors_change_nothing(self, backend, tmp_path):
+        with pytest.raises(ValueError, match="n_shards"):
+            build_cluster(SPEC, n_shards=0, backend=backend)
+        with running(build_cluster(SPEC, n_shards=1, backend=backend)) as cluster:
+            cluster.ingest("a", np.zeros((4, CHANNELS)))
+            cluster.save(str(tmp_path / "ckpt"))
+            with pytest.raises(ValueError, match="already exists"):
+                cluster.add_shard("shard-0")
+            for refused in (cluster.remove_shard, cluster.failover):
+                with pytest.raises(ValueError, match="last shard"):
+                    refused("shard-0")
+                with pytest.raises(KeyError, match="unknown shard"):
+                    refused("nope")
+            assert cluster.shard_ids() == ["shard-0"]
+            assert cluster.tenants() == ["a"]
+
 
 class TestFailover:
     def test_checkpointed_shard_recovers_bit_identically(self, cluster, tmp_path):
@@ -145,18 +302,28 @@ class TestFailover:
         kill(cluster, victim)
         report = cluster.failover(victim)
         assert report.complete, report
+        assert report.shard_id == victim
         assert sorted(report.restored) == sorted(victims)
         assert victim not in cluster.shard_ids()
+        assert victim not in cluster.ring
+        census = censuses(cluster)
+        for tenant, owner in report.restored.items():
+            assert cluster.shard_for(tenant) == owner
+            assert tenant in census[owner]
         assert_same(forecasts(cluster), expected)
 
     def test_report_accounts_for_lost_and_stale_rows(self, cluster, tmp_path):
+        """Rows past the checkpoint are stale.  A tenant born since it, or
+        dropped and re-created since it (with fewer or more rows than it
+        holds), is lost, never resurrected."""
         rng = np.random.default_rng(8)
         cluster.save(str(tmp_path / "ckpt"))
         victim = cluster.shard_for("tenant-0")
-        stale, recreated, *restored = victims_of(cluster, victim)
+        stale, shrunk, regrown, *restored = victims_of(cluster, victim)
         cluster.ingest(stale, rng.normal(size=(3, CHANNELS)))
-        cluster.drop(recreated)
-        cluster.ingest(recreated, rng.normal(size=(INPUT_LENGTH + 5, CHANNELS)))
+        for tenant, rows in ((shrunk, 2), (regrown, TENANT_ROWS + 3)):
+            cluster.drop(tenant)
+            cluster.ingest(tenant, rng.normal(size=(rows, CHANNELS)))
         newborn = next(
             f"late-{i}" for i in range(1000) if cluster.shard_for(f"late-{i}") == victim
         )
@@ -164,10 +331,13 @@ class TestFailover:
         kill(cluster, victim)
         report = cluster.failover(victim)
         assert report.stale == {stale: 3}
-        assert sorted(report.lost) == sorted([recreated, newborn])
+        assert sorted(report.lost) == sorted([shrunk, regrown, newborn])
         assert sorted(report.restored) == sorted([stale] + restored)
-        assert recreated not in cluster.tenants()
-        assert newborn not in cluster.tenants()
+        assert not report.complete
+        for tenant in (shrunk, regrown, newborn):
+            assert tenant not in cluster.tenants(), "deleted history resurrected"
+        # The stale tenant survives, minus exactly its rolled-back rows.
+        assert censuses(cluster)[cluster.shard_for(stale)][stale][0] == TENANT_ROWS
 
     def test_dropped_tenant_is_neither_restored_nor_lost(self, cluster, tmp_path):
         cluster.save(str(tmp_path / "ckpt"))
@@ -179,8 +349,127 @@ class TestFailover:
         assert "tenant-0" not in report.restored
         assert "tenant-0" not in cluster.tenants()
 
+    def test_recreated_tenant_on_a_different_shard_is_not_resurrected(self, cluster, tmp_path):
+        """Per-store tombstones cannot follow a key across a rebalance; the
+        cluster's dropped-since-checkpoint record must.  The tenant is one
+        the new shard adopts, so its new incarnation starts in a store that
+        never saw the old one, with the old generation and more rows."""
+        cluster.save(str(tmp_path / "ckpt"))
+        grown = HashRing([*cluster.shard_ids(), "shard-2"])
+        tenant = next(t for t in sorted(cluster.tenants()) if grown.assign(t) == "shard-2")
+        before = cluster.shard_for(tenant)
+        cluster.drop(tenant)
+        cluster.add_shard()                      # ring changes after the drop
+        assert cluster.shard_for(tenant) == "shard-2" != before
+        cluster.ingest(tenant, np.ones((TENANT_ROWS + 3, CHANNELS)))
+        kill(cluster, "shard-2")
+        report = cluster.failover("shard-2")
+        assert tenant in report.lost
+        assert tenant not in cluster.tenants(), "deleted history resurrected"
+
+    def test_failover_restores_from_the_newest_chain_link(self, cluster, tmp_path):
+        """Arrivals a delta checkpoint captured are not rolled back."""
+        cluster.save(str(tmp_path / "base"))
+        victim = cluster.shard_for("tenant-0")
+        cluster.ingest("tenant-0", np.ones((3, CHANNELS)))
+        cluster.save_incremental(str(tmp_path / "d1"))
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert report.complete, report
+        assert censuses(cluster)[cluster.shard_for("tenant-0")]["tenant-0"][0] == TENANT_ROWS + 3
+
+    def test_explicit_checkpoint_paths_override_the_chain(self, cluster, tmp_path):
+        old = str(tmp_path / "old")
+        cluster.save(old)
+        victim = cluster.shard_for("tenant-0")
+        cluster.ingest("tenant-0", np.ones((2, CHANNELS)))
+        cluster.save(str(tmp_path / "new"))     # the chain now starts at "new"
+        kill(cluster, victim)
+        report = cluster.failover(victim, checkpoint_paths=[old])
+        # Restoring from the old snapshot rolls those two rows back.
+        assert report.stale == {"tenant-0": 2}
+
+    def test_failover_without_checkpoint_refuses(self, cluster):
+        victim = cluster.shard_for("tenant-0")
+        kill(cluster, victim)
+        with pytest.raises(RuntimeError, match="checkpoint"):
+            cluster.failover(victim)
+        assert victim in cluster.shard_ids()
+
+    def test_failover_warms_the_adopting_shards(self, cluster, tmp_path):
+        """failover() runs every adopter's compiled plan before returning,
+        so the first forecast after it replays: no trace on the request
+        path, no eager fallback."""
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        before = {sid: plan_counters(cluster, sid) for sid in cluster.shard_ids() if sid != victim}
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        adopters = sorted(set(report.restored.values()))
+        assert adopters, "need adopting shards for a meaningful warmup check"
+        warmed = {sid: plan_counters(cluster, sid) for sid in adopters}
+        for sid, (traces, _, hits) in warmed.items():
+            assert traces >= 1
+            assert traces + hits > before[sid][0] + before[sid][2], f"{sid} was not warmed"
+        forecasts(cluster, sorted(report.restored))
+        for sid, (traces, fallbacks, hits) in warmed.items():
+            now = plan_counters(cluster, sid)
+            assert now[0] == traces, f"{sid} traced on the request path"
+            assert now[1] == fallbacks, f"{sid} fell back to eager"
+            assert now[2] > hits, f"{sid} never replayed its warm plan"
+
+    def test_failed_over_cluster_keeps_checkpointing(self, cluster, tmp_path):
+        """The chain survives a failover: a delta extends it and captures
+        the re-homed placement."""
+        paths = [str(tmp_path / "base"), str(tmp_path / "d1")]
+        cluster.save(paths[0])
+        victim = cluster.shard_for("tenant-0")
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        cluster.save_incremental(paths[1])
+        expected = forecasts(cluster)
+        with running(type(cluster).load_chain(SPEC, paths)) as revived:
+            assert revived.shard_ids() == cluster.shard_ids()
+            assert sorted(revived.tenants()) == sorted(cluster.tenants())
+            for tenant, owner in report.restored.items():
+                assert revived.shard_for(tenant) == owner
+            assert_same(forecasts(revived), expected)
+
 
 class TestCheckpoints:
+    def test_save_load_is_bit_identical_and_keeps_retired_stats(self, cluster, tmp_path):
+        forecasts(cluster)
+        cluster.remove_shard("shard-1")   # folds its history into retired stats
+        expected = forecasts(cluster)
+        stats = (cluster.service_stats(), cluster.store_stats(), cluster.streaming_stats())
+        cluster.save(str(tmp_path / "ckpt"))
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
+            assert (revived.service_stats(), revived.store_stats(), revived.streaming_stats()) == stats
+            assert revived.rebalances == cluster.rebalances
+            assert revived.tenants_migrated == cluster.tenants_migrated
+            assert revived.shard_ids() == cluster.shard_ids()
+            assert_same(forecasts(revived), expected)
+
+    def test_chain_restores_on_either_backend(self, backend, tmp_path):
+        """One snapshot format, two deployments: a chain saved by either
+        backend restores bit-identically on both, with the saved store
+        geometry, so the revived cluster can still rebalance."""
+        with running(build_cluster(SPEC, n_shards=2, backend=backend, window_capacity=200)) as cluster:
+            populate(cluster)
+            cluster.save(str(tmp_path / "base"))
+            cluster.ingest("tenant-0", np.ones((2, CHANNELS)))
+            cluster.save_incremental(str(tmp_path / "d1"))
+            chain = cluster.checkpoint_chain()
+            expected = forecasts(cluster)
+        for loader in (ShardedForecaster, ProcessCoordinator):
+            with running(loader.load_chain(SPEC, chain)) as revived:
+                assert revived.window_capacity == 200
+                assert_same(forecasts(revived), expected)
+                moved = revived.add_shard()
+                assert moved, "a restored cluster must accept new shards"
+                assert all(revived.shard_for(t) == "shard-2" for t in moved)
+                assert_same(forecasts(revived), expected)
+
     def test_chain_and_compaction_round_trip(self, cluster, backend, tmp_path):
         rng = np.random.default_rng(12)
         cluster.save(str(tmp_path / "base"))
@@ -193,23 +482,17 @@ class TestCheckpoints:
         assert len(chain) == 3
         expected = forecasts(cluster)
         loader = type(cluster)
-        revived = loader.load_chain(SPEC, chain)
-        try:
+        with running(loader.load_chain(SPEC, chain)) as revived:
             assert sorted(revived.tenants()) == sorted(cluster.tenants())
             assert_same(forecasts(revived), expected)
-        finally:
-            close(revived)
         compacted = cluster.compact(str(tmp_path / "compacted"))
         assert cluster.checkpoint_chain() == [compacted]
-        revived = loader.load(SPEC, compacted)
-        try:
+        with running(loader.load(SPEC, compacted)) as revived:
             assert_same(forecasts(revived), expected)
             # The compacted base keeps extending as a chain.
             revived.ingest("tenant-3", rng.normal(size=(1, CHANNELS)))
             revived.save_incremental(str(tmp_path / "d3"))
             assert len(revived.checkpoint_chain()) == 2
-        finally:
-            close(revived)
 
     def test_parent_layout_archive_is_refused_typed(self, cluster, tmp_path):
         """An archive from before the one-payload format raises ValueError,
@@ -277,6 +560,66 @@ class TestSweeps:
         assert handle.result().shape == (HORIZON, CHANNELS)
 
 
+def make_streams(n_tenants, steps, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        f"tenant-{i}": rng.normal(size=(steps, CHANNELS)).astype(np.float32)
+        for i in range(n_tenants)
+    }
+
+
+def unsharded_replay(streams):
+    return replay_cluster(StreamingForecaster(SPEC.build()), streams, warmup=INPUT_LENGTH)
+
+
+class TestParity:
+    """Sharding, rebalancing and failover never show in the forecasts:
+    replayed tick by tick, a cluster matches one unsharded forecaster."""
+
+    def test_shard_count_never_changes_forecasts(self, backend):
+        streams = make_streams(6, INPUT_LENGTH + 6, seed=42)
+        expected = unsharded_replay(streams)
+        for n_shards in (1, 3):
+            with running(build_cluster(SPEC, n_shards=n_shards, backend=backend)) as cluster:
+                produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH)
+            report = compare_cluster_to_unsharded(produced, expected)
+            assert report.bit_identical, (
+                f"{n_shards} shards diverged: max |Δ| = {report.max_abs_error}"
+            )
+            assert report.windows_compared == 6 * 7
+
+    def test_rebalance_and_failover_mid_stream_match_unsharded_replay(self, backend, tmp_path):
+        steps = INPUT_LENGTH + 16
+        streams = make_streams(9, steps, seed=7)
+        expected = unsharded_replay(streams)
+        events = {}
+        with running(build_cluster(SPEC, n_shards=2, backend=backend)) as cluster:
+            def on_tick(step):
+                if step == INPUT_LENGTH + 4:
+                    before = {t: cluster.shard_for(t) for t in streams}
+                    events["moved"] = cluster.add_shard()
+                    events["reassigned"] = [t for t in streams if cluster.shard_for(t) != before[t]]
+                elif step == INPUT_LENGTH + 10:
+                    # Checkpoint, then the shard dies before any new arrival:
+                    # nothing to lose, so recovery must be invisible.
+                    cluster.save(str(tmp_path / "ckpt"))
+                    victim = cluster.shard_for("tenant-0")
+                    kill(cluster, victim)
+                    events["failover"] = cluster.failover(victim)
+
+            produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH, on_tick=on_tick)
+        assert events["moved"], "the rebalance must move some tenants for a real test"
+        assert sorted(events["moved"]) == sorted(events["reassigned"])
+        assert events["failover"].restored and events["failover"].complete
+        report = compare_cluster_to_unsharded(produced, expected)
+        assert report.bit_identical, f"max |Δ| = {report.max_abs_error}"
+        assert report.windows_compared == 9 * (steps - INPUT_LENGTH + 1)
+
+    def test_parity_report_rejects_mismatched_tenants(self):
+        with pytest.raises(ValueError, match="different tenants"):
+            compare_cluster_to_unsharded({"a": np.zeros((1, 2, 2))}, {"b": np.zeros((1, 2, 2))})
+
+
 BOUNDED = ServiceSpec(config=SPEC.config, max_batch_size=16, queue_limit=2)
 QUEUE_FULL = "pending queue full (2) with no lower-priority work to displace for a 'batch' arrival"
 
@@ -326,21 +669,17 @@ class TestSingleForecast:
             np.testing.assert_array_equal(value, forecasts(cluster, [tenant])[tenant])
 
     def test_refusals_and_bad_calls_raise_at_the_call(self, backend):
-        cluster = bounded_cluster(backend)
-        try:
+        with running(bounded_cluster(backend)) as cluster:
             single_forecast_calls(cluster)
             with pytest.raises(DeadlineExceeded):
                 cluster.forecast("tenant-1", deadline=obs.now() - 1.0)
             # Nothing queued is left behind by the refused calls.
             assert cluster.flush() == 0
-        finally:
-            close(cluster)
 
     def test_stats_and_bits_agree_across_backends(self):
         outcomes = {}
         for backend in BACKENDS:
-            cluster = bounded_cluster(backend)
-            try:
+            with running(bounded_cluster(backend)) as cluster:
                 values = single_forecast_calls(cluster)
                 with pytest.raises(DeadlineExceeded):
                     cluster.forecast("tenant-1", deadline=obs.now() - 1.0)
@@ -351,8 +690,6 @@ class TestSingleForecast:
                     with pytest.raises(DeadlineExceeded):
                         handle.result()
                 outcomes[backend] = (values, cluster.service_stats(), cluster.streaming_stats())
-            finally:
-                close(cluster)
         (thread_values, *thread_stats), (process_values, *process_stats) = outcomes.values()
         for thread_value, process_value in zip(thread_values, process_values):
             np.testing.assert_array_equal(thread_value, process_value)
@@ -360,11 +697,6 @@ class TestSingleForecast:
         assert thread_stats[0].shed_overloaded == 1
         assert thread_stats[0].shed_expired == 1 + len(TENANTS)
         assert thread_stats[1].forecasts == 2
-
-
-def censuses(cluster):
-    # The coordinator keeps no public accessor for its shard handles.
-    return {shard_id: shard.census() for shard_id, shard in cluster._shards.items()}
 
 
 BAD_INGESTS = {
@@ -391,16 +723,13 @@ class TestIngestValidation:
         assert_same(forecasts(cluster), expected)
 
     def test_unencodable_timestamp_raises_type_error_at_ingest(self):
-        cluster = build_cluster(SPEC, n_shards=2, backend="process")
-        try:
+        with running(build_cluster(SPEC, n_shards=2, backend="process")) as cluster:
             row = np.zeros((1, CHANNELS))
             with pytest.raises(TypeError, match="cannot snapshot"):
                 cluster.ingest("t", row, timestamp=object())
             assert cluster.tenants() == []
             cluster.ingest("t", np.zeros((INPUT_LENGTH, CHANNELS)), timestamp=1)
             assert forecasts(cluster)["t"].shape == (HORIZON, CHANNELS)
-        finally:
-            close(cluster)
 
     def test_timestamp_watermarks_follow_migration_and_restore(self, cluster, tmp_path):
         rng = np.random.default_rng(7)
@@ -410,8 +739,7 @@ class TestIngestValidation:
         moved = cluster.add_shard()
         assert moved, "the new shard must adopt part of the ring"
         cluster.save(str(tmp_path / "ckpt"))
-        revived = type(cluster).load(SPEC, str(tmp_path / "ckpt"))
-        try:
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
             for tenant in tenants:
                 row = rng.normal(size=(1, CHANNELS))
                 for target in (cluster, revived):
@@ -419,8 +747,6 @@ class TestIngestValidation:
                         target.ingest(tenant, row, timestamp=10)
                     target.ingest(tenant, row, timestamp=11)
             assert_same(forecasts(revived), forecasts(cluster))
-        finally:
-            close(revived)
 
 
 class TestCensus:
@@ -523,10 +849,8 @@ class TestLiveHeadParity:
         outcomes = {}
         for backend in BACKENDS:
             cluster = build_cluster(spec, n_shards=2, backend=backend, normalization=normalization)
-            try:
+            with running(cluster):
                 outcomes[backend] = live_ticks(cluster, config)
-            finally:
-                close(cluster)
         for thread_tick, process_tick in zip(outcomes["thread"], outcomes["process"]):
             assert_same(thread_tick, process_tick)
 
@@ -600,8 +924,6 @@ class TestHandleContract:
         outcomes = {}
         for backend in BACKENDS:
             cluster = build_cluster(spec, n_shards=2, backend=backend, normalization=normalization)
-            try:
+            with running(cluster):
                 outcomes[backend] = handle_contract(cluster, config)
-            finally:
-                close(cluster)
         assert_same(outcomes["thread"], outcomes["process"])

@@ -130,6 +130,14 @@ class TestInferencePlan:
         with pytest.raises(PlanUnsupported, match="eval"):
             InferencePlan.trace(model, rng.normal(size=(2, 48, 3)).astype(np.float32))
 
+    def test_plan_unsupported_is_the_shared_typed_error(self):
+        import repro.errors
+        import repro.nn.plan
+
+        assert repro.errors.PlanUnsupported is PlanUnsupported
+        assert repro.nn.plan.PlanUnsupported is PlanUnsupported
+        assert issubclass(PlanUnsupported, RuntimeError)
+
     def test_base_predictor_traces_too(self, plain_config, rng):
         model = BasePredictor(plain_config).eval()
         x = rng.normal(size=(3, 48, 3)).astype(np.float32)
