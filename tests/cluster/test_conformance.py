@@ -16,7 +16,9 @@ What only one transport has is tested beside it: ``test_sharded.py``
 (replica geometry, pre-built replicas, ingest racing a rebalance),
 ``test_process_shard.py`` (frames, write-behind cap, spans, worker
 metrics, reaping) and ``test_crash_drill.py`` (detection and in-flight
-work around a ``kill -9``).
+work around a ``kill -9``).  Those modules, and ``test_failover.py``,
+also bind cases of this one on their own backend under the test names
+they have always reported; no case is written out twice.
 """
 
 from contextlib import contextmanager
@@ -118,6 +120,20 @@ def scaler_of(cluster, tenant):
     return cluster._shards[cluster.shard_for(tenant)].export_tenant(tenant)["scaler"]
 
 
+@contextmanager
+def lone_shard(backend, tmp_path):
+    """A checkpointed one-shard cluster holding tenant ``a``."""
+    with running(build_cluster(SPEC, n_shards=1, backend=backend)) as cluster:
+        cluster.ingest("a", np.zeros((4, CHANNELS)))
+        cluster.save(str(tmp_path / "ckpt"))
+        yield cluster
+
+
+def assert_untouched(lone):
+    assert lone.shard_ids() == ["shard-0"]
+    assert lone.tenants() == ["a"]
+
+
 def plan_counters(cluster, shard_id):
     """(traces, fallbacks, hits) of one replica's compiled-plan cache."""
     if cluster.BACKEND == "thread":
@@ -129,16 +145,57 @@ def plan_counters(cluster, shard_id):
     )
 
 
+def born_on(cluster, shard_id):
+    """A tenant name the ring places on ``shard_id``."""
+    return next(f"late-{i}" for i in range(1000) if cluster.shard_for(f"late-{i}") == shard_id)
+
+
+def lost_and_stale_drill(cluster, tmp_path):
+    """Checkpoint, then on one shard: three rows past the checkpoint for
+    one tenant, two tenants dropped and re-created (fewer and more rows
+    than the checkpoint holds) and one tenant born; kill that shard and
+    fail it over.  Returns the report and those tenants, then the rest."""
+    rng = np.random.default_rng(8)
+    cluster.save(str(tmp_path / "ckpt"))
+    victim = cluster.shard_for("tenant-0")
+    stale, shrunk, regrown, *restored = victims_of(cluster, victim)
+    cluster.ingest(stale, rng.normal(size=(3, CHANNELS)))
+    for tenant, rows in ((shrunk, 2), (regrown, TENANT_ROWS + 3)):
+        cluster.drop(tenant)
+        cluster.ingest(tenant, rng.normal(size=(rows, CHANNELS)))
+    newborn = born_on(cluster, victim)
+    cluster.ingest(newborn, rng.normal(size=(4, CHANNELS)))
+    kill(cluster, victim)
+    return cluster.failover(victim), (stale, shrunk, regrown, newborn, restored)
+
+
+def recreated_is_lost(cluster, tmp_path, rows):
+    """A checkpoint taken before a drop must not bring deleted history
+    back: the re-created incarnation was never checkpointed, so it is lost."""
+    cluster.save(str(tmp_path / "ckpt"))
+    victim = cluster.shard_for("tenant-0")
+    cluster.drop("tenant-0")
+    cluster.ingest("tenant-0", np.ones((rows, CHANNELS)))
+    kill(cluster, victim)
+    report = cluster.failover(victim)
+    assert "tenant-0" in report.lost
+    assert "tenant-0" not in report.restored
+    assert not report.complete
+    assert "tenant-0" not in cluster.tenants(), "deleted history resurrected"
+
+
 class TestRouting:
     def test_ingest_lands_on_the_ring_assigned_shard(self, cluster):
         ring = HashRing(cluster.shard_ids())
         census = censuses(cluster)
-        assert sorted(cluster.tenants()) == sorted(f"tenant-{i}" for i in range(12))
-        assert cluster.tenant_count() == 12
         for tenant in cluster.tenants():
             owner = cluster.shard_for(tenant)
             assert owner == ring.assign(tenant)
             assert [sid for sid, held in census.items() if tenant in held] == [owner]
+
+    def test_tenants_are_listed_and_counted_across_shards(self, cluster):
+        assert sorted(cluster.tenants()) == sorted(f"tenant-{i}" for i in range(12))
+        assert cluster.tenant_count() == 12
         # ingest answers with the tenant's total observed rows
         assert cluster.ingest("tenant-0", np.zeros((2, CHANNELS))) == TENANT_ROWS + 2
 
@@ -156,7 +213,7 @@ class TestRouting:
 
 
 class TestFanOut:
-    def test_forecast_all_coalesces_per_shard(self, cluster, backend):
+    def test_forecast_all_coalesces_per_shard(self, cluster):
         handles = cluster.forecast_all()
         assert sorted(handles) == sorted(cluster.tenants())
         assert all(handle.done() for handle in handles.values())
@@ -166,9 +223,15 @@ class TestFanOut:
         assert service.requests == 12
         assert service.forward_passes == len(cluster)
         assert service.mean_batch_size == pytest.approx(12 / len(cluster))
+
+    def test_stats_aggregate_cluster_wide(self, cluster):
+        forecasts(cluster)
+        assert cluster.service_stats().requests == 12
         assert cluster.streaming_stats().forecasts == 12
         store = cluster.store_stats()
         assert (store.tenants, store.observations) == (12, 12 * TENANT_ROWS)
+
+    def test_as_dict_reports_the_topology(self, cluster, backend):
         payload = cluster.as_dict()
         assert (payload["backend"], payload["shards"], payload["tenants"]) == (backend, 2, 12)
         assert sum(payload["tenants_per_shard"].values()) == 12
@@ -208,6 +271,20 @@ class TestRebalance:
         assert_same(forecasts(cluster), expected)
         assert cluster.rebalances == 2
         assert cluster.tenants_migrated == 2 * len(moved)
+
+    def test_remove_shard_rehomes_only_its_tenants(self, cluster):
+        cluster.add_shard()
+        before = {t: cluster.shard_for(t) for t in cluster.tenants()}
+        expected = forecasts(cluster)
+        victims = victims_of(cluster, "shard-0")
+        assert sorted(cluster.remove_shard("shard-0")) == sorted(victims)
+        ring = HashRing(cluster.shard_ids())
+        census = censuses(cluster)
+        for tenant, owner in before.items():
+            now = cluster.shard_for(tenant)
+            assert now == (ring.assign(tenant) if tenant in victims else owner)
+            assert tenant in census[now]
+        assert_same(forecasts(cluster), expected)
 
     def test_failed_add_shard_unwinds(self, cluster, monkeypatch):
         """A crash after two tenants moved onto the new shard moves them
@@ -254,7 +331,7 @@ class TestRebalance:
         assert cluster.tenant_count() == 12
         assert_same(forecasts(cluster), expected)
 
-    def test_migration_carries_scaler_state_without_recounting(self, backend):
+    def test_migration_carries_scaler_state(self, backend):
         cluster = build_cluster(SPEC, n_shards=2, backend=backend, normalization="rolling")
         with running(cluster):
             rng = np.random.default_rng(10)
@@ -268,29 +345,42 @@ class TestRebalance:
             for tenant in moved:
                 np.testing.assert_equal(scaler_of(cluster, tenant), scalers[tenant])
             assert_same(forecasts(cluster), expected)
-            grown = cluster.store_stats()
-            assert grown.observations == 12 * TENANT_ROWS, "migration must not re-count history"
-            assert grown.tenants == 12
-            cluster.remove_shard("shard-0")
-            shrunk = cluster.store_stats()
-            assert shrunk.observations == 12 * TENANT_ROWS, "retired shard history must survive"
-            assert shrunk.ingests == grown.ingests
 
-    def test_topology_errors_change_nothing(self, backend, tmp_path):
+    def test_migration_does_not_recount_store_stats(self, cluster):
+        assert cluster.add_shard(), "the new shard must adopt part of the ring"
+        grown = cluster.store_stats()
+        assert grown.observations == 12 * TENANT_ROWS, "migration must not re-count history"
+        assert grown.tenants == 12
+        cluster.remove_shard("shard-0")
+        shrunk = cluster.store_stats()
+        assert shrunk.observations == 12 * TENANT_ROWS, "retired shard history must survive"
+        assert shrunk.ingests == grown.ingests
+
+    def test_needs_at_least_one_shard(self, backend):
         with pytest.raises(ValueError, match="n_shards"):
             build_cluster(SPEC, n_shards=0, backend=backend)
-        with running(build_cluster(SPEC, n_shards=1, backend=backend)) as cluster:
-            cluster.ingest("a", np.zeros((4, CHANNELS)))
-            cluster.save(str(tmp_path / "ckpt"))
+
+    def test_duplicate_shard_id_changes_nothing(self, backend, tmp_path):
+        with lone_shard(backend, tmp_path) as cluster:
             with pytest.raises(ValueError, match="already exists"):
                 cluster.add_shard("shard-0")
-            for refused in (cluster.remove_shard, cluster.failover):
-                with pytest.raises(ValueError, match="last shard"):
-                    refused("shard-0")
-                with pytest.raises(KeyError, match="unknown shard"):
-                    refused("nope")
-            assert cluster.shard_ids() == ["shard-0"]
-            assert cluster.tenants() == ["a"]
+            assert_untouched(cluster)
+
+    def test_last_or_unknown_shard_cannot_be_removed(self, backend, tmp_path):
+        with lone_shard(backend, tmp_path) as cluster:
+            with pytest.raises(ValueError, match="last shard"):
+                cluster.remove_shard("shard-0")
+            with pytest.raises(KeyError, match="unknown shard"):
+                cluster.remove_shard("nope")
+            assert_untouched(cluster)
+
+    def test_last_or_unknown_shard_cannot_fail_over(self, backend, tmp_path):
+        with lone_shard(backend, tmp_path) as cluster:
+            with pytest.raises(ValueError, match="last shard"):
+                cluster.failover("shard-0")
+            with pytest.raises(KeyError, match="unknown shard"):
+                cluster.failover("nope")
+            assert_untouched(cluster)
 
 
 class TestFailover:
@@ -316,20 +406,9 @@ class TestFailover:
         """Rows past the checkpoint are stale.  A tenant born since it, or
         dropped and re-created since it (with fewer or more rows than it
         holds), is lost, never resurrected."""
-        rng = np.random.default_rng(8)
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = cluster.shard_for("tenant-0")
-        stale, shrunk, regrown, *restored = victims_of(cluster, victim)
-        cluster.ingest(stale, rng.normal(size=(3, CHANNELS)))
-        for tenant, rows in ((shrunk, 2), (regrown, TENANT_ROWS + 3)):
-            cluster.drop(tenant)
-            cluster.ingest(tenant, rng.normal(size=(rows, CHANNELS)))
-        newborn = next(
-            f"late-{i}" for i in range(1000) if cluster.shard_for(f"late-{i}") == victim
+        report, (stale, shrunk, regrown, newborn, restored) = lost_and_stale_drill(
+            cluster, tmp_path
         )
-        cluster.ingest(newborn, rng.normal(size=(4, CHANNELS)))
-        kill(cluster, victim)
-        report = cluster.failover(victim)
         assert report.stale == {stale: 3}
         assert sorted(report.lost) == sorted([shrunk, regrown, newborn])
         assert sorted(report.restored) == sorted([stale] + restored)
@@ -338,6 +417,48 @@ class TestFailover:
             assert tenant not in cluster.tenants(), "deleted history resurrected"
         # The stale tenant survives, minus exactly its rolled-back rows.
         assert censuses(cluster)[cluster.shard_for(stale)][stale][0] == TENANT_ROWS
+
+    def test_reports_agree_across_backends(self, tmp_path):
+        reports = []
+        for backend in BACKENDS:
+            with running(build_cluster(SPEC, n_shards=2, backend=backend)) as cluster:
+                populate(cluster)
+                (tmp_path / backend).mkdir()
+                report, _ = lost_and_stale_drill(cluster, tmp_path / backend)
+                survivors = forecasts(cluster)
+            reports.append((report.restored, sorted(report.lost), report.stale, survivors))
+        thread, process = reports
+        assert thread[:3] == process[:3]
+        assert_same(thread[3], process[3])
+
+    def test_uncheckpointed_arrivals_are_reported_stale(self, cluster, tmp_path):
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        cluster.ingest("tenant-0", np.ones((5, CHANNELS)))
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert report.stale == {"tenant-0": 5}
+        assert not report.lost
+        assert censuses(cluster)[cluster.shard_for("tenant-0")]["tenant-0"][0] == TENANT_ROWS
+
+    def test_never_checkpointed_tenant_is_reported_lost(self, cluster, tmp_path):
+        cluster.save(str(tmp_path / "ckpt"))
+        victim = cluster.shard_for("tenant-0")
+        newborn = born_on(cluster, victim)
+        cluster.ingest(newborn, np.ones((4, CHANNELS)))
+        kill(cluster, victim)
+        report = cluster.failover(victim)
+        assert report.lost == [newborn]
+        assert not report.complete
+        assert newborn not in cluster.tenants()
+
+    def test_recreated_tenant_with_fewer_rows_is_not_resurrected(self, cluster, tmp_path):
+        recreated_is_lost(cluster, tmp_path, rows=2)
+
+    def test_recreated_tenant_with_more_rows_is_not_resurrected(self, cluster, tmp_path):
+        """Row counts alone cannot tell the incarnations apart when the new
+        one out-ingested the deleted one; the generation can."""
+        recreated_is_lost(cluster, tmp_path, rows=TENANT_ROWS + 3)
 
     def test_dropped_tenant_is_neither_restored_nor_lost(self, cluster, tmp_path):
         cluster.save(str(tmp_path / "ckpt"))
@@ -437,7 +558,15 @@ class TestFailover:
 
 
 class TestCheckpoints:
-    def test_save_load_is_bit_identical_and_keeps_retired_stats(self, cluster, tmp_path):
+    def test_save_load_is_bit_identical(self, cluster, tmp_path):
+        expected = forecasts(cluster)
+        cluster.save(str(tmp_path / "ckpt"))
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
+            assert revived.shard_ids() == cluster.shard_ids()
+            assert sorted(revived.tenants()) == sorted(cluster.tenants())
+            assert_same(forecasts(revived), expected)
+
+    def test_retired_stats_survive_save_load(self, cluster, tmp_path):
         forecasts(cluster)
         cluster.remove_shard("shard-1")   # folds its history into retired stats
         expected = forecasts(cluster)
@@ -469,6 +598,22 @@ class TestCheckpoints:
                 assert moved, "a restored cluster must accept new shards"
                 assert all(revived.shard_for(t) == "shard-2" for t in moved)
                 assert_same(forecasts(revived), expected)
+
+    def test_restored_cluster_rebalances_both_ways(self, cluster, tmp_path):
+        """A revived cluster grows and shrinks like the one that saved it:
+        the same tenants move, and forecasts do not change."""
+        expected = forecasts(cluster)
+        cluster.save(str(tmp_path / "ckpt"))
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
+            grown = revived.add_shard()
+            assert sorted(grown) == sorted(cluster.add_shard())
+            assert_same(forecasts(revived), expected)
+            shrunk = revived.remove_shard("shard-0")
+            assert sorted(shrunk) == sorted(cluster.remove_shard("shard-0"))
+            assert {t: revived.shard_for(t) for t in expected} == {
+                t: cluster.shard_for(t) for t in expected
+            }
+            assert_same(forecasts(revived), expected)
 
     def test_chain_and_compaction_round_trip(self, cluster, backend, tmp_path):
         rng = np.random.default_rng(12)
@@ -588,8 +733,8 @@ class TestParity:
             )
             assert report.windows_compared == 6 * 7
 
-    def test_rebalance_and_failover_mid_stream_match_unsharded_replay(self, backend, tmp_path):
-        steps = INPUT_LENGTH + 16
+    def test_rebalance_mid_stream_matches_unsharded_replay(self, backend):
+        steps = INPUT_LENGTH + 8
         streams = make_streams(9, steps, seed=7)
         expected = unsharded_replay(streams)
         events = {}
@@ -599,6 +744,24 @@ class TestParity:
                     before = {t: cluster.shard_for(t) for t in streams}
                     events["moved"] = cluster.add_shard()
                     events["reassigned"] = [t for t in streams if cluster.shard_for(t) != before[t]]
+
+            produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH, on_tick=on_tick)
+        assert events["moved"], "the rebalance must move some tenants for a real test"
+        assert sorted(events["moved"]) == sorted(events["reassigned"])
+        report = compare_cluster_to_unsharded(produced, expected)
+        assert report.bit_identical, f"max |Δ| = {report.max_abs_error}"
+        assert report.windows_compared == 9 * (steps - INPUT_LENGTH + 1)
+
+    def test_failover_mid_stream_matches_unsharded_replay(self, backend, tmp_path):
+        """A rebalance, then a failover, in one stream."""
+        steps = INPUT_LENGTH + 16
+        streams = make_streams(9, steps, seed=7)
+        expected = unsharded_replay(streams)
+        events = {}
+        with running(build_cluster(SPEC, n_shards=2, backend=backend)) as cluster:
+            def on_tick(step):
+                if step == INPUT_LENGTH + 4:
+                    events["moved"] = cluster.add_shard()
                 elif step == INPUT_LENGTH + 10:
                     # Checkpoint, then the shard dies before any new arrival:
                     # nothing to lose, so recovery must be invisible.
@@ -609,7 +772,6 @@ class TestParity:
 
             produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH, on_tick=on_tick)
         assert events["moved"], "the rebalance must move some tenants for a real test"
-        assert sorted(events["moved"]) == sorted(events["reassigned"])
         assert events["failover"].restored and events["failover"].complete
         report = compare_cluster_to_unsharded(produced, expected)
         assert report.bit_identical, f"max |Δ| = {report.max_abs_error}"

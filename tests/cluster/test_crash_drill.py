@@ -7,7 +7,9 @@ detection (:meth:`detect_failures` must classify without hanging) and
 the work in flight at the crash (queued handles fail typed, healthy
 shards still settle).  Failover itself (restore, loss accounting,
 resurrection guards) is a coordinator contract, checked on both backends
-in ``test_conformance.py``.
+in ``test_conformance.py``; the other names in this module bind those
+cases on the process backend, so the names it has always reported keep
+reporting the same guarantee.
 """
 
 import os
@@ -18,6 +20,10 @@ import pytest
 
 from repro.cluster import ProcessCoordinator, ServiceSpec, WorkerDied
 from repro.config import ModelConfig
+
+import test_conformance as conformance
+from test_conformance import TestFailover as Failover
+from test_conformance import TestRetiredStats as RetiredStats
 
 INPUT_LENGTH = 16
 HORIZON = 4
@@ -45,7 +51,31 @@ def populated(spec, tmp_path):
     return cluster
 
 
+cluster = conformance.cluster
+
+
+@pytest.fixture
+def backend():
+    return "process"
+
+
 class TestKillMinusNine:
+    test_failover_restores_checkpointed_tenants_bit_identically = (
+        Failover.test_checkpointed_shard_recovers_bit_identically
+    )
+    test_report_accounts_for_every_lost_and_stale_row = (
+        Failover.test_report_accounts_for_lost_and_stale_rows
+    )
+    test_dropped_tenant_not_resurrected_by_failover = (
+        Failover.test_recreated_tenant_with_fewer_rows_is_not_resurrected
+    )
+    test_deleted_tenant_is_neither_restored_nor_lost = (
+        Failover.test_dropped_tenant_is_neither_restored_nor_lost
+    )
+    test_stats_fold_last_poll_after_crash = RetiredStats.test_history_survives_remove_and_failover
+    test_failover_without_checkpoint_refuses = Failover.test_failover_without_checkpoint_refuses
+    test_drill_matches_thread_backend_semantics = Failover.test_reports_agree_across_backends
+
     def test_sigkill_is_detected_without_hanging(self, spec, tmp_path):
         with populated(spec, tmp_path) as cluster:
             victim = cluster.shard_for("tenant-0")

@@ -1,265 +1,62 @@
-"""Tests for replica failover: a dead shard's arc re-homes to survivors."""
+"""Failover on the thread backend, under this module's test names.
 
-import numpy as np
+The failover contracts are written once, in ``test_conformance.py``, and
+run there on both backends.  Each name below binds one of them on the
+thread backend, so the names this module has always reported keep
+reporting the same guarantee.  Nothing here is a second copy of a check.
+"""
+
 import pytest
 
-from repro.cluster import (
-    ShardedForecaster,
-    compare_cluster_to_unsharded,
-    replay_cluster,
-)
-from repro.config import ModelConfig
-from repro.core import LiPFormer
-from repro.serving import ForecastService
-from repro.streaming import StreamingForecaster
+import test_conformance as conformance
+from test_conformance import TestFailover as Failover
+from test_conformance import TestParity as Parity
+from test_conformance import TestRebalance as Rebalance
+from test_conformance import TestRetiredStats as RetiredStats
 
-INPUT_LENGTH = 32
-HORIZON = 8
+cluster = conformance.cluster
 
 
 @pytest.fixture
-def config():
-    return ModelConfig(
-        input_length=INPUT_LENGTH, horizon=HORIZON, n_channels=2, patch_length=8,
-        hidden_dim=16, dropout=0.0, n_heads=2, n_layers=1,
-    )
-
-
-@pytest.fixture
-def service_factory(config):
-    def factory():
-        return ForecastService(LiPFormer(config), max_batch_size=16)
-    return factory
-
-
-@pytest.fixture
-def cluster(service_factory, rng):
-    cluster = ShardedForecaster(service_factory, n_shards=3)
-    for i in range(18):
-        cluster.ingest(f"tenant-{i}", rng.normal(size=(40, 2)).astype(np.float32))
-    return cluster
-
-
-def victims_of(cluster, shard_id):
-    return [t for t in cluster.tenants() if cluster.shard_for(t) == shard_id]
+def backend():
+    return "thread"
 
 
 class TestFailover:
-    def test_dead_shards_tenants_rehome_to_survivors(self, cluster, rng, tmp_path):
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = "shard-1"
-        victims = victims_of(cluster, victim)
-        assert victims, "need a populated shard for a meaningful failover"
-        report = cluster.failover(victim)
-        assert report.complete
-        assert report.shard_id == victim
-        assert sorted(report.restored) == sorted(victims)
-        assert victim not in cluster.ring
-        assert victim not in cluster.shard_ids()
-        # Every re-homed tenant is live on its new owner and forecastable.
-        for tenant, owner in report.restored.items():
-            assert cluster.shard_for(tenant) == owner
-            assert tenant in cluster.shard(owner).store
-        for handle in cluster.forecast_all().values():
-            assert handle.result().shape == (HORIZON, 2)
-
-    def test_failover_restores_from_newest_chain_link(
-        self, cluster, service_factory, rng, tmp_path
-    ):
-        """Arrivals captured by a delta checkpoint must not be rolled back."""
-        cluster.save(str(tmp_path / "base"))
-        victim = "shard-2"
-        tenant = victims_of(cluster, victim)[0]
-        cluster.ingest(tenant, rng.normal(size=(3, 2)).astype(np.float32))
-        cluster.save_incremental(str(tmp_path / "d1"))
-        before = cluster.shard(victim).store.observed(tenant)
-        report = cluster.failover(victim)
-        assert report.complete, f"stale={report.stale} lost={report.lost}"
-        assert cluster.shard(cluster.shard_for(tenant)).store.observed(tenant) == before
-
-    def test_uncheckpointed_arrivals_are_reported_stale(self, cluster, rng, tmp_path):
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = "shard-0"
-        tenant = victims_of(cluster, victim)[0]
-        cluster.ingest(tenant, rng.normal(size=(5, 2)).astype(np.float32))
-        report = cluster.failover(victim)
-        assert report.stale == {tenant: 5}
-        assert not report.lost
-        # The tenant survived, minus exactly the rolled-back rows.
-        owner = cluster.shard(cluster.shard_for(tenant))
-        assert owner.store.observed(tenant) == 40
-
-    def test_failover_auto_warms_adopting_shards(self, cluster, rng, tmp_path):
-        """The first post-failover forecast must replay a compiled plan —
-        no eager fallback, no on-request trace: failover() warms every
-        shard that adopted tenants before returning."""
-        cluster.save(str(tmp_path / "ckpt"))
-        report = cluster.failover("shard-1")
-        targets = sorted(set(report.restored.values()))
-        assert targets, "need adopting shards for a meaningful warmup check"
-        predictors = {
-            sid: cluster.shard(sid).service.model.compiled_predictor() for sid in targets
-        }
-        for predictor in predictors.values():
-            assert predictor.traces >= 1          # warmed inside failover()
-        before = {
-            sid: (p.traces, p.fallbacks, p.hits) for sid, p in predictors.items()
-        }
-        for tenant in report.restored:
-            cluster.forecast(tenant)
-        cluster.flush()
-        for sid, predictor in predictors.items():
-            traces, fallbacks, hits = before[sid]
-            assert predictor.traces == traces, f"{sid} traced on the request path"
-            assert predictor.fallbacks == fallbacks, f"{sid} fell back to eager"
-            assert predictor.hits > hits, f"{sid} never replayed its warm plan"
-
-    def test_dropped_then_recreated_tenant_is_not_resurrected(
-        self, cluster, rng, tmp_path
-    ):
-        """A checkpoint taken before a drop must not bring deleted history
-        back: the re-created incarnation was never checkpointed → lost."""
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = "shard-1"
-        tenant = victims_of(cluster, victim)[0]
-        cluster.drop(tenant)
-        cluster.ingest(tenant, rng.normal(size=(2, 2)).astype(np.float32))
-        report = cluster.failover(victim)
-        assert tenant in report.lost
-        assert tenant not in report.restored
-        assert not report.complete
-        assert tenant not in cluster.tenants(), "deleted history resurrected"
-
-    def test_recreated_tenant_with_more_rows_is_still_not_resurrected(
-        self, cluster, rng, tmp_path
-    ):
-        """Generation tracking catches the case row counts cannot: the new
-        incarnation out-ingested the deleted one before the crash."""
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = "shard-1"
-        tenant = victims_of(cluster, victim)[0]   # checkpointed with 40 rows
-        cluster.drop(tenant)
-        cluster.ingest(tenant, rng.normal(size=(45, 2)).astype(np.float32))
-        report = cluster.failover(victim)
-        assert tenant in report.lost
-        assert tenant not in cluster.tenants(), "deleted history resurrected"
-
-    def test_recreated_tenant_on_a_different_shard_is_not_resurrected(
-        self, cluster, rng, tmp_path
-    ):
-        """Per-store tombstones cannot follow a key across a rebalance; the
-        cluster-level dropped-since-checkpoint record must."""
-        cluster.save(str(tmp_path / "ckpt"))
-        tenant = "tenant-0"
-        cluster.drop(tenant)
-        cluster.add_shard()                      # ring changes after the drop
-        cluster.ingest(tenant, rng.normal(size=(45, 2)).astype(np.float32))
-        victim = cluster.shard_for(tenant)
-        report = cluster.failover(victim)
-        assert tenant in report.lost
-        assert tenant not in cluster.tenants(), "deleted history resurrected"
-
-    def test_never_checkpointed_tenants_are_reported_lost(self, cluster, rng, tmp_path):
-        cluster.save(str(tmp_path / "ckpt"))
-        victim = "shard-1"
-        newcomer = next(
-            f"late-{i}" for i in range(1000) if cluster.shard_for(f"late-{i}") == victim
-        )
-        cluster.ingest(newcomer, rng.normal(size=(10, 2)).astype(np.float32))
-        report = cluster.failover(victim)
-        assert report.lost == [newcomer]
-        assert not report.complete
-        assert newcomer not in cluster.tenants()
-
-    def test_failover_without_checkpoint_refuses(self, cluster):
-        with pytest.raises(RuntimeError, match="checkpoint"):
-            cluster.failover("shard-0")
-
-    def test_failover_unknown_or_last_shard(self, service_factory, rng, tmp_path):
-        cluster = ShardedForecaster(service_factory, n_shards=1)
-        cluster.ingest("a", rng.normal(size=(4, 2)))
-        cluster.save(str(tmp_path / "ckpt"))
-        with pytest.raises(KeyError, match="unknown shard"):
-            cluster.failover("nope")
-        with pytest.raises(ValueError, match="last shard"):
-            cluster.failover("shard-0")
-
-    def test_explicit_checkpoint_paths_override_the_chain(
-        self, cluster, service_factory, rng, tmp_path
-    ):
-        old = str(tmp_path / "old")
-        cluster.save(old)
-        victim = "shard-1"
-        tenant = victims_of(cluster, victim)[0]
-        cluster.ingest(tenant, rng.normal(size=(2, 2)).astype(np.float32))
-        cluster.save(str(tmp_path / "new"))   # chain now points at "new"
-        report = cluster.failover(victim, checkpoint_paths=[old])
-        # Restoring from the *old* snapshot rolls those 2 rows back.
-        assert report.stale == {tenant: 2}
-
-    def test_dead_shard_history_stays_counted(self, cluster, rng, tmp_path):
-        for handle in cluster.forecast_all().values():
-            handle.result()
-        cluster.save(str(tmp_path / "ckpt"))
-        want_store = cluster.store_stats()
-        want_service = cluster.service_stats()
-        cluster.failover("shard-1")
-        assert cluster.store_stats() == want_store
-        assert cluster.service_stats() == want_service
-
-    def test_failed_over_cluster_keeps_checkpointing(self, cluster, rng, tmp_path):
-        """The chain survives a failover: deltas keep extending it and the
-        re-homed placement is captured by the next link."""
-        paths = [str(tmp_path / "base")]
-        cluster.save(paths[0])
-        report = cluster.failover("shard-2")
-        paths.append(str(tmp_path / "d1"))
-        cluster.save_incremental(paths[-1])
-        revived = ShardedForecaster.load_chain(cluster.service_factory, paths)
-        assert revived.shard_ids() == cluster.shard_ids()
-        assert revived.tenants() == cluster.tenants()
-        for tenant, owner in report.restored.items():
-            assert revived.shard_for(tenant) == owner
+    test_dead_shards_tenants_rehome_to_survivors = (
+        Failover.test_checkpointed_shard_recovers_bit_identically
+    )
+    test_failover_restores_from_newest_chain_link = (
+        Failover.test_failover_restores_from_the_newest_chain_link
+    )
+    test_uncheckpointed_arrivals_are_reported_stale = (
+        Failover.test_uncheckpointed_arrivals_are_reported_stale
+    )
+    test_failover_auto_warms_adopting_shards = Failover.test_failover_warms_the_adopting_shards
+    test_dropped_then_recreated_tenant_is_not_resurrected = (
+        Failover.test_recreated_tenant_with_fewer_rows_is_not_resurrected
+    )
+    test_recreated_tenant_with_more_rows_is_still_not_resurrected = (
+        Failover.test_recreated_tenant_with_more_rows_is_not_resurrected
+    )
+    test_recreated_tenant_on_a_different_shard_is_not_resurrected = (
+        Failover.test_recreated_tenant_on_a_different_shard_is_not_resurrected
+    )
+    test_never_checkpointed_tenants_are_reported_lost = (
+        Failover.test_never_checkpointed_tenant_is_reported_lost
+    )
+    test_failover_without_checkpoint_refuses = Failover.test_failover_without_checkpoint_refuses
+    test_failover_unknown_or_last_shard = Rebalance.test_last_or_unknown_shard_cannot_fail_over
+    test_explicit_checkpoint_paths_override_the_chain = (
+        Failover.test_explicit_checkpoint_paths_override_the_chain
+    )
+    test_dead_shard_history_stays_counted = RetiredStats.test_history_survives_remove_and_failover
+    test_failed_over_cluster_keeps_checkpointing = (
+        Failover.test_failed_over_cluster_keeps_checkpointing
+    )
 
 
 class TestFailoverParity:
-    def test_failover_of_checkpointed_shard_is_bit_identical(
-        self, cluster, service_factory, rng, tmp_path
-    ):
-        """Acceptance: checkpoint + failover mid-stream changes nothing.
-
-        A shard that dies right after a checkpoint loses no arrivals, so
-        the cluster's forecasts — before and after the failover — must be
-        bit-identical to an uninterrupted, unsharded forecaster fed the
-        same per-tenant streams.
-        """
-        steps = INPUT_LENGTH + 16
-        t = np.arange(steps, dtype=np.float32)
-        streams = {
-            f"tenant-{i}": (
-                np.sin(2 * np.pi * (t / 24.0 + i / 9.0))[:, None].repeat(2, axis=1)
-                + rng.normal(scale=0.25, size=(steps, 2))
-            ).astype(np.float32)
-            for i in range(9)
-        }
-        reference = StreamingForecaster(service_factory())
-        expected = replay_cluster(reference, streams, warmup=INPUT_LENGTH)
-
-        cluster = ShardedForecaster(service_factory, n_shards=3)
-        events = {}
-
-        def crash(step):
-            if step == INPUT_LENGTH + 8:
-                # Checkpoint, then the shard "dies" before any new arrival:
-                # nothing to lose, so recovery must be invisible.
-                cluster.save(str(tmp_path / "ckpt"))
-                victim = cluster.shard_ids()[0]
-                events["victims"] = victims_of(cluster, victim)
-                events["report"] = cluster.failover(victim)
-
-        produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH, on_tick=crash)
-        assert events["victims"], "the dead shard must have been serving tenants"
-        assert events["report"].complete
-        report = compare_cluster_to_unsharded(produced, expected)
-        assert report.bit_identical, f"max |Δ| = {report.max_abs_error}"
-        assert report.windows_compared == 9 * (steps - INPUT_LENGTH + 1)
+    test_failover_of_checkpointed_shard_is_bit_identical = (
+        Parity.test_failover_mid_stream_matches_unsharded_replay
+    )
