@@ -62,7 +62,7 @@ from ..runtime.locks import TrackedRLock
 from ..runtime.resilience import CircuitBreaker, RetryPolicy
 from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import StreamingStats, _per_row
+from ..streaming.forecaster import StreamingStats, _per_row, payload_census, state_tenants
 from ..streaming.store import StoreStats, check_timestamp_order
 from ..testing import faults as _faults
 from .coordinator import Coordinator, Stats, fan_out
@@ -82,10 +82,6 @@ _SHARD_RETRIES = obs.counter(
     "transient-fault retries per process shard",
     labels=("shard",),
 )
-
-# How replies decode into a fan-out op's result (others return the reply
-# itself).  Every op is the worker command of the same name.
-_DECODE = {"warmup": lambda reply: int(reply["traced"]), "to_state": lambda reply: reply["state"]}
 
 #: write-behind cap: once a shard holds this many buffered rows, the
 #: ingest that reached it ships them on a frame of their own instead of
@@ -181,8 +177,8 @@ class ProcessShard:
         # dispatch: the worker never sees them, so stats() adds them to
         # its shed_expired, as the thread backend's service counts them.
         self._shed_expired = 0
-        # The fan-out leg in flight: (op, sweep seq, sweep handles, deadline);
-        # op is None when start() already settled the leg without sending.
+        # The fan-out leg in flight: (op, sweep seq, sweep handles or op fields,
+        # deadline); op is None when start() already settled it unsent.
         self._leg: Tuple[Optional[str], Optional[int], Optional[dict], Optional[float]] = (
             None, None, None, None
         )
@@ -411,19 +407,21 @@ class ProcessShard:
             return dict(self._census)
 
     def export_tenant(self, tenant: str) -> dict:
-        return self.request("export_tenant", tenant=tenant)["payload"]
+        return self.request("export_tenant", tenant=tenant)["result"]
 
     def import_tenant(self, tenant: str, payload: dict) -> None:
         with self.lock:
-            self._adopt(tenant, self.request("import_tenant", tenant=tenant, payload=payload))
+            self.request("import_tenant", tenant=tenant, payload=payload)
+            self._adopt(tenant, payload)
 
     @requires_lock("lock")
-    def _adopt(self, tenant: str, entry: dict) -> None:
-        """Mirror one worker census entry: rows, generation and the
-        watermark new rows must follow."""
-        self._census[tenant] = (int(entry["observed"]), int(entry["generation"]))
-        if entry["watermark"] is not None:
-            self._watermarks[tenant] = entry["watermark"]
+    def _adopt(self, tenant: str, payload: dict) -> None:
+        """Mirror a tenant the worker adopted from ``payload``: its rows,
+        generation and the watermark new rows must follow."""
+        self._census[tenant] = payload_census(payload)
+        watermark = payload["series"].get("last_timestamp")
+        if watermark is not None:
+            self._watermarks[tenant] = watermark
 
     def stats(self) -> Optional[Stats]:
         """Poll the worker's counters; a sick worker contributes its last
@@ -434,13 +432,10 @@ class ProcessShard:
                 reply = self.request("stats")
             except (WorkerDied, CircuitOpen):
                 return self._last_stats
-            service = ServiceStats(**reply["service"])
+            service, streaming, store = reply["result"]
+            service = ServiceStats(**service)
             service.shed_expired += self._shed_expired
-            self._last_stats = (
-                service,
-                StreamingStats(**reply["streaming"]),
-                StoreStats(**reply["store"]),
-            )
+            self._last_stats = (service, StreamingStats(**streaming), StoreStats(**store))
             return self._last_stats
 
     def reset_stats(self) -> None:
@@ -457,7 +452,7 @@ class ProcessShard:
         if op == "forecast_all":
             self._start_sweep(**fields)
             return
-        self._leg = (op, None, None, None)
+        self._leg = (op, None, fields, None)
         try:
             self._retrying(lambda: self.send(op, **fields))
         except WorkerDied as error:
@@ -531,10 +526,10 @@ class ProcessShard:
         healthy shards' results still return; the late reply drains as
         stale on the next receive.
         """
-        op, seq, handles, deadline = self._leg
+        op, seq, carried, deadline = self._leg
         self._leg = (None, None, None, None)
         if op is None:
-            return handles
+            return carried
         budget = None
         if deadline is not None:
             # Floor at a drain epsilon: replies a healthy worker already
@@ -550,7 +545,7 @@ class ProcessShard:
             if op in ("flush", "forecast_all") or self._dead is not None:
                 self._fail_pending(str(error), "DeadlineExceeded" if shed else "RuntimeError")
             if shed and op == "forecast_all":
-                return handles
+                return carried
             raise
         except Exception as error:
             # A command error: nothing of this sweep was queued.
@@ -559,18 +554,16 @@ class ProcessShard:
             raise
         if op == "forecast_all":
             self._apply(reply)
-            return handles
+            return carried
         if op == "flush":
             return self._apply(reply)
         if op == "restore":
             # The restored store's census and watermarks replace the old
             # ones; tombstones are in-memory only and do not survive.
             self._census, self._watermarks, self._tombstones = {}, {}, {}
-            for tenant, entry in reply["census"].items():
-                self._adopt(tenant, entry)
-            return None
-        decode = _DECODE.get(op)
-        return reply if decode is None else decode(reply)
+            for tenant, payload in state_tenants(carried["state"]).items():
+                self._adopt(tenant, payload)
+        return reply.get("result")
 
     @requires_lock("lock")
     def _apply(self, reply: dict) -> int:

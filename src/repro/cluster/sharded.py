@@ -51,7 +51,10 @@ class LocalShard:
 
     Every call goes straight to the forecaster.  The split-phase pair
     records the operation in :meth:`start` and runs it in :meth:`collect`,
-    so the coordinator's executor decides where the work runs.
+    so the coordinator's executor decides where the work runs; an op other
+    than ``forecast_all`` and ``flush`` is the method of that name.  A
+    process shard's worker (:mod:`repro.cluster.worker`) hosts one too and
+    serves its control-plane commands through the same methods.
     """
 
     def __init__(self, shard_id: str, forecaster: StreamingForecaster) -> None:
@@ -95,6 +98,19 @@ class LocalShard:
     def reset_stats(self) -> None:
         self.forecaster.service.reset_stats()
 
+    def warmup(self) -> int:
+        return self.forecaster.warmup()
+
+    def to_state(self, delta: bool) -> dict:
+        return self.forecaster.to_state(delta=delta)
+
+    def clear_dirty(self) -> None:
+        self.forecaster.clear_dirty()
+
+    def restore(self, state: dict) -> None:
+        """Replace the streaming state, keeping the already-built replica."""
+        self.forecaster = StreamingForecaster.from_state(self.forecaster.service, state)
+
     def close(self, graceful: bool = True) -> None:
         """Nothing to release: a retired replica is garbage once unreferenced."""
 
@@ -107,12 +123,9 @@ class LocalShard:
         self._job = None
         if op == "forecast_all":
             return self._forecast_all(**fields)
-        if op == "restore":
-            self.forecaster = StreamingForecaster.from_state(
-                self.forecaster.service, fields["state"]
-            )
-            return None
-        return getattr(self.forecaster, op)(**fields)
+        if op == "flush":
+            return self.forecaster.flush()
+        return getattr(self, op)(**fields)
 
     def _forecast_all(self, **fields):
         # The fan-out carried the cluster.forecast_all span onto this
@@ -133,16 +146,14 @@ class ShardedForecaster(Coordinator):
     service_factory:
         zero-argument callable building one :class:`ForecastService` per
         shard; replicas must share weights and configuration.
-    n_shards:
-        initial shard count (named ``shard-0 .. shard-{n-1}``).
-    normalization / window_capacity:
-        forwarded to every shard's :class:`StreamingForecaster`.
-    vnodes:
-        virtual points per shard on the :class:`HashRing`.
     executor:
         where per-shard fan-out work runs.  Defaults to
         :class:`~repro.runtime.SerialExecutor`; pass a
         :class:`~repro.runtime.PoolExecutor` to drive S shards on S cores.
+    knobs:
+        :class:`~repro.cluster.spec.ClusterSpec` fields (``n_shards``,
+        ``normalization``, ``window_capacity``, ``vnodes``), with its
+        defaults and its validation.
     """
 
     BACKEND = "thread"
@@ -150,21 +161,12 @@ class ShardedForecaster(Coordinator):
     def __init__(
         self,
         service_factory: Callable[[], ForecastService],
-        n_shards: int = 2,
-        normalization: str = "none",
-        window_capacity: Optional[int] = None,
-        vnodes: int = 64,
+        *,
         executor: Optional[Executor] = None,
+        **knobs,
     ) -> None:
         self._configure(service_factory, executor)
-        self._start(
-            ClusterSpec(
-                n_shards=n_shards,
-                normalization=normalization,
-                window_capacity=window_capacity,
-                vnodes=vnodes,
-            )
-        )
+        self._start(ClusterSpec(backend="thread", **knobs))
 
     def _configure(
         self,
@@ -175,23 +177,24 @@ class ShardedForecaster(Coordinator):
         self.executor = executor if executor is not None else SerialExecutor()
         self.config: Optional[ModelConfig] = None
 
+    def _start(self, cluster: ClusterSpec, warmup: bool = True) -> None:
+        # A new cluster's replicas trace their plans lazily: on the first
+        # sweep, or on warmup().
+        super()._start(cluster, warmup=False)
+
     def _open_shards(
         self, shard_ids: Sequence[str], warmup: bool, service: Optional[ForecastService] = None
     ) -> Dict[str, LocalShard]:
-        """Local replicas trace their plans lazily (or on :meth:`warmup`),
-        so ``warmup`` does not apply here."""
         shards = {}
         for shard_id in shard_ids:
             replica = self.service_factory() if service is None else service
             self._check_replica(replica)
-            shards[shard_id] = LocalShard(
-                shard_id,
-                StreamingForecaster(
-                    replica,
-                    normalization=self.normalization,
-                    window_capacity=self.window_capacity,
-                ),
+            forecaster = StreamingForecaster(
+                replica, normalization=self.normalization, window_capacity=self.window_capacity
             )
+            if warmup:
+                forecaster.warmup()
+            shards[shard_id] = LocalShard(shard_id, forecaster)
         return shards
 
     def shard(self, shard_id: str) -> StreamingForecaster:

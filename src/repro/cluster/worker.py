@@ -1,13 +1,13 @@
-"""Process-shard worker: one full streaming stack behind a socket.
+"""Process-shard worker: one :class:`~repro.cluster.sharded.LocalShard` behind a socket.
 
 ``python -m repro.cluster.worker <fd>`` is the child half of
 :class:`~repro.cluster.process.ProcessShard`: it adopts the inherited
-socketpair fd, builds a complete streaming stack (model replica →
-:class:`~repro.serving.service.ForecastService` micro-batching →
-:class:`~repro.streaming.forecaster.StreamingForecaster` store) from the
-:class:`~repro.cluster.spec.ServiceSpec` in the ``init`` message, and
-then serves a strict request/reply command loop over the pickle-free
-wire codec until the stream closes.
+socketpair fd, builds the thread backend's shard — a full streaming stack
+(model replica → :class:`~repro.serving.service.ForecastService`
+micro-batching → :class:`~repro.streaming.forecaster.StreamingForecaster`
+store) — from the :class:`~repro.cluster.spec.ServiceSpec` in the
+``init`` message, and then serves a strict request/reply command loop
+over the pickle-free wire codec until the stream closes.
 
 A request may carry a ``rows`` batch — the coordinator's write-behind
 ingest buffer — which is applied through
@@ -15,18 +15,19 @@ ingest buffer — which is applied through
 reply then acks each entry's (observed, generation), both read under the
 store lock that applied the entry.
 
-The command set mirrors the :class:`StreamingForecaster` surface plus
-the persistence hooks the coordinator needs (full or delta state,
-census, tenant export/import), so the coordinator can drive checkpoint
-chains and failover with exactly the thread-backend semantics.  Every
-forecast, a single one included, arrives as a columnar
-``forecast_many`` frame.  The worker queues it as one block
-(:meth:`StreamingForecaster.forecast_block`) and keeps it pending as
-that block, keyed by the frame's ``seq`` stamp, never as per-row
-handles; a flush reply names the blocks it settles by ``seq`` and
-carries each one's denormalised forecasts whole.  Every command runs
-under a broad handler that ships the error back as a typed payload — a
-bad request must never kill the worker, only that request.
+Each control-plane command in ``_CONTROL`` calls the ``LocalShard``
+method of its name with the fields listed there and replies ``{"result":
+value}``, so checkpoint chains, migration and failover run the thread
+backend's code; any other name, a ``LocalShard`` attribute included, is
+an unknown command.  The worker's own handlers are the frame-specific
+ones: ``init``, ``forecast_many``, ``flush``, ``fault``, ``metrics``,
+``ping`` and ``shutdown``.  Every forecast arrives as a columnar
+``forecast_many`` frame, queued as one block
+(:meth:`StreamingForecaster.forecast_block`) keyed by the frame's ``seq``
+stamp; a flush reply names the blocks it settles by ``seq`` and carries
+each one's denormalised forecasts whole.  Every command runs under a
+broad handler that ships the error back as a typed payload — a bad
+request must never kill the worker, only that request.
 
 Tracing crosses the boundary explicitly: a request carrying
 ``"trace": true`` runs under a ``worker.<cmd>`` span with tracing forced
@@ -44,7 +45,8 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,21 +54,36 @@ from .. import obs, wire
 from ..errors import EndOfStream
 from ..serving.admission import DEFAULT_PRIORITY
 from ..streaming.forecaster import StreamingForecaster, _Sweep
+from .sharded import LocalShard
 from .spec import ServiceSpec
 
 __all__ = ["ShardWorker", "main"]
 
+#: control-plane commands: each calls the ``LocalShard`` method of its
+#: name with these request fields (those the request carries)
+_CONTROL = {
+    "drop": ("tenant",),
+    "census": (),
+    "export_tenant": ("tenant",),
+    "import_tenant": ("tenant", "payload"),
+    "stats": (),
+    "reset_stats": (),
+    "warmup": (),
+    "to_state": ("delta",),
+    "clear_dirty": (),
+    "restore": ("state",),
+}
+
 
 class ShardWorker:
-    """The in-process state of one worker: stack, pending forecasts, loop."""
+    """The in-process state of one worker: shard, pending forecasts, loop."""
 
     def __init__(self, channel) -> None:
         self._channel = channel
-        self._forecaster: Optional[StreamingForecaster] = None
+        self._shard: Optional[LocalShard] = None
         # One entry per queued forecast_many block still awaiting a flush:
         # (frame seq, block rows not refused at admission, sweep).
         self._pending: List[Tuple[int, np.ndarray, _Sweep]] = []
-        self._shard_id = "?"
         # Armed by the "fault" command: the next _stall_count commands
         # sleep _stall_seconds before dispatch — a deterministic wedged
         # worker for degradation drills.
@@ -109,7 +126,10 @@ class ShardWorker:
                 # Write-behind rows ride ahead of the command they came
                 # with, so the command sees them.
                 acks = self._ingest_rows(rows)
-            handler = getattr(self, f"_cmd_{command}", None)
+            if command in _CONTROL:
+                handler = partial(self._control, command)
+            else:
+                handler = getattr(self, f"_cmd_{command}", None)
             if handler is None:
                 raise ValueError(f"unknown command {command!r}")
             if message.get("trace"):
@@ -127,7 +147,7 @@ class ShardWorker:
 
     def _ingest_rows(self, rows: dict) -> dict:
         """Apply one columnar batch; ack each entry's census watermark."""
-        observed, generation = self._require().ingest_many(
+        observed, generation = self._require().forecaster.ingest_many(
             rows["tenants"], rows["counts"], rows["values"], rows["timestamps"]
         )
         return {"observed": observed, "generation": generation}
@@ -142,7 +162,8 @@ class ShardWorker:
         with obs.observability(tracing=True):
             recorder = obs.default_recorder()
             recorder.clear()
-            with obs.span(f"worker.{command}", shard=self._shard_id):
+            shard_id = "?" if self._shard is None else self._shard.shard_id
+            with obs.span(f"worker.{command}", shard=shard_id):
                 reply = handler(message)
             spans = obs.export_spans(recorder.spans())
             recorder.clear()
@@ -150,36 +171,33 @@ class ShardWorker:
         return reply
 
     # ------------------------------------------------------------------ #
-    def _require(self) -> StreamingForecaster:
-        if self._forecaster is None:
+    def _require(self) -> LocalShard:
+        if self._shard is None:
             raise RuntimeError("worker not initialised: send init first")
-        return self._forecaster
+        return self._shard
 
-    def _census(self) -> Dict[str, dict]:
-        """Every tenant's census entry: what the coordinator mirrors."""
-        return {tenant: self._entry(tenant) for tenant in self._require().store.tenants()}
-
-    def _entry(self, tenant: str) -> dict:
-        """One tenant's observed rows, generation and timestamp watermark."""
-        store = self._require().store
-        return {
-            "observed": int(store.observed(tenant)),
-            "generation": int(store.generation(tenant)),
-            "watermark": store.last_timestamp(tenant),
-        }
+    def _control(self, command: str, message: dict) -> dict:
+        fields = {name: message[name] for name in _CONTROL[command] if name in message}
+        result = getattr(self._require(), command)(**fields)
+        if command == "stats":
+            # (service, streaming, store) counters as plain dicts for the wire.
+            result = [asdict(part) for part in result]
+        return {"result": result}
 
     # ------------------------------------------------------------------ #
     def _cmd_init(self, message: dict) -> dict:
         spec = ServiceSpec.from_state(message["spec"])
-        self._shard_id = str(message.get("shard_id", "?"))
         window_capacity = message.get("window_capacity")
-        self._forecaster = StreamingForecaster(
-            spec.build(),
-            normalization=str(message.get("normalization", "none")),
-            window_capacity=None if window_capacity is None else int(window_capacity),
+        self._shard = LocalShard(
+            str(message.get("shard_id", "?")),
+            StreamingForecaster(
+                spec.build(),
+                normalization=str(message.get("normalization", "none")),
+                window_capacity=None if window_capacity is None else int(window_capacity),
+            ),
         )
         if message.get("warmup", True):
-            self._forecaster.warmup()
+            self._shard.warmup()
         return {"ok": True, "pid": os.getpid()}
 
     def _cmd_ping(self, message: dict) -> dict:
@@ -190,13 +208,13 @@ class ShardWorker:
 
     # ------------------------------------------------------------------ #
     def _cmd_flush(self, message: dict) -> dict:
-        flushed = self._require().flush()
+        flushed = self._require().forecaster.flush()
         return self._resolve_pending(flushed)
 
     def _cmd_forecast_many(self, message: dict) -> dict:
         """One columnar sweep: tenants, optional per-row covariates, and
         one priority and budget for the whole frame, keyed by its ``seq``."""
-        forecaster = self._require()
+        forecaster = self._require().forecaster
         seq = message["seq"]
         _, sweep = forecaster.forecast_block(
             message["tenants"],
@@ -265,54 +283,6 @@ class ShardWorker:
         self._stall_seconds = seconds
         self._stall_count = count
         return {"ok": True, "stall": seconds, "count": count}
-
-    # ------------------------------------------------------------------ #
-    def _cmd_warmup(self, message: dict) -> dict:
-        return {"traced": int(self._require().warmup())}
-
-    def _cmd_drop(self, message: dict) -> dict:
-        self._require().drop(str(message["tenant"]))
-        return {"ok": True}
-
-    def _cmd_census(self, message: dict) -> dict:
-        return {"census": self._census()}
-
-    def _cmd_export_tenant(self, message: dict) -> dict:
-        return {"payload": self._require().export_tenant(str(message["tenant"]))}
-
-    def _cmd_import_tenant(self, message: dict) -> dict:
-        tenant = str(message["tenant"])
-        self._require().import_tenant(tenant, message["payload"])
-        return self._entry(tenant)
-
-    # ------------------------------------------------------------------ #
-    def _cmd_to_state(self, message: dict) -> dict:
-        return {"state": self._require().to_state(delta=bool(message.get("delta", False)))}
-
-    def _cmd_restore(self, message: dict) -> dict:
-        """Replace the streaming state, keeping the already-built replica."""
-        forecaster = self._require()
-        self._forecaster = StreamingForecaster.from_state(
-            forecaster.service, message["state"]
-        )
-        self._pending.clear()
-        return {"census": self._census()}
-
-    def _cmd_clear_dirty(self, message: dict) -> dict:
-        self._require().clear_dirty()
-        return {"ok": True}
-
-    def _cmd_stats(self, message: dict) -> dict:
-        forecaster = self._require()
-        return {
-            "service": asdict(forecaster.service.stats_snapshot()),
-            "streaming": asdict(forecaster.stats_snapshot()),
-            "store": asdict(forecaster.store.stats_snapshot()),
-        }
-
-    def _cmd_reset_stats(self, message: dict) -> dict:
-        self._require().service.reset_stats()
-        return {"ok": True}
 
     def _cmd_metrics(self, message: dict) -> dict:
         return {"snapshot": obs.default_registry().snapshot()}

@@ -23,6 +23,8 @@ __all__ = ["DEFAULT_DATASETS", "DEFAULT_INPUT_LENGTHS", "DEFAULT_MODELS", "run_t
 DEFAULT_DATASETS = ("ETTh1", "Weather")
 DEFAULT_INPUT_LENGTHS = (96, 192, 336, 720)
 DEFAULT_MODELS = ("Transformer", "LiPFormer")
+#: interleaved timing rounds per input length; each cell is their median
+REPEATS = 9
 
 
 def run_table7(
@@ -52,6 +54,7 @@ def run_table7(
                 base_config=base_config,
                 input_lengths=input_lengths,
                 batch_size=1,
+                repeats=REPEATS,
                 n_threads=n_threads,
                 rng=rng,
             )

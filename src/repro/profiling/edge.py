@@ -10,7 +10,7 @@ BLAS thread count to emulate a weaker device.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -64,22 +64,29 @@ def edge_inference_profile(
     """Seconds per inference for each input length (Table VII row).
 
     A fresh, untrained model is built per input length — inference cost does
-    not depend on the weights' values, only on the architecture.
+    not depend on the weights' values, only on the architecture.  The
+    ``repeats`` timings are interleaved: each round times every length
+    once, so a burst of host load lands on all lengths alike instead of on
+    one length's samples, and each length reports its median.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be positive")
     generator = rng if rng is not None else np.random.default_rng(0)
-    results: Dict[int, float] = {}
+    models: Dict[int, ForecastModel] = {}
     for input_length in input_lengths:
         patch_length = base_config.patch_length
         if input_length % patch_length != 0:
             patch_length = _largest_divisor_patch(input_length, patch_length)
         config = base_config.with_overrides(input_length=input_length, patch_length=patch_length)
-        model = model_factory(config)
-        if n_threads is not None:
-            with limit_blas_threads(n_threads):
-                results[input_length] = time_inference(model, batch_size=batch_size, repeats=repeats, rng=generator)
-        else:
-            results[input_length] = time_inference(model, batch_size=batch_size, repeats=repeats, rng=generator)
-    return results
+        models[input_length] = model_factory(config)
+    samples: Dict[int, List[float]] = {length: [] for length in models}
+    with limit_blas_threads(n_threads) if n_threads is not None else nullcontext():
+        for _ in range(repeats):
+            for length, model in models.items():
+                samples[length].append(
+                    time_inference(model, batch_size=batch_size, repeats=1, rng=generator)
+                )
+    return {length: float(np.median(times)) for length, times in samples.items()}
 
 
 def _largest_divisor_patch(input_length: int, preferred: int) -> int:

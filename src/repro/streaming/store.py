@@ -12,13 +12,10 @@ by doubling, when a new tenant finds no free slot).
 
 A store built with ``moments=True`` (what a ``"rolling"``
 :class:`~repro.streaming.forecaster.StreamingForecaster` builds) also
-keeps each tenant's Welford count/mean/M2 in its slot, folded in the same
-locked call that writes the ring, so a window and the statistics it is
-normalised with can never disagree.  The moments are per-channel Python
-floats: updating a ``[C]`` NumPy view costs an order of magnitude more
-than the scalar arithmetic, and the scalar recurrence is, term for term,
-what :meth:`~repro.data.incremental.RollingScaler.update` computes, so the
-moments come out bit-identical to a per-tenant ``RollingScaler``.
+keeps each tenant's Welford moments in its slot, as a
+:class:`~repro.data.incremental.RollingScaler` folded in the same locked
+call that writes the ring, so a window and the statistics it is
+normalised with can never disagree.
 
 The store has no whole-store codec.  One tenant's state travels as
 :meth:`SeriesStore.tenant_state` — ``{series: {buffer, last_timestamp,
@@ -40,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from ..data.incremental import RollingScaler
 from ..runtime.annotations import guarded_by, requires_lock
 from ..stats import CounterStats
 
@@ -47,8 +45,6 @@ __all__ = ["SeriesStore", "StoreStats", "check_timestamp_order"]
 
 #: slots in a new store's slab (it doubles when a new tenant finds none free)
 _INITIAL_SLOTS = 8
-#: the ``eps`` of a fresh ``RollingScaler``: std below it is floored to 1.0
-_EPS = 1e-8
 
 
 @dataclass
@@ -79,76 +75,23 @@ class _Slot:
 
     ``head`` is the next write position in slab row ``index``, ``size``
     the rows held (``<= capacity``) and ``total`` the rows ever appended.
-    ``mean``/``m2`` are per-channel Welford accumulators over ``count``
-    rows, or ``None`` for a tenant that keeps no moments.  ``last`` is the
-    timestamp watermark, ``generation`` the incarnation of the key and
-    ``dirty`` the churn mark incremental checkpoints read.
+    ``moments`` is the tenant's Welford accumulator, or ``None`` for a
+    tenant that keeps no moments.  ``last`` is the timestamp watermark,
+    ``generation`` the incarnation of the key and ``dirty`` the churn mark
+    incremental checkpoints read.
     """
 
-    __slots__ = (
-        "index", "head", "size", "total", "count", "mean", "m2", "eps",
-        "last", "generation", "dirty",
-    )
+    __slots__ = ("index", "head", "size", "total", "moments", "last", "generation", "dirty")
 
-    def __init__(self, index: int, n_channels: int, moments: bool, generation: int) -> None:
+    def __init__(self, index: int, moments: bool, generation: int) -> None:
         self.index = index
         self.head = 0
         self.size = 0
         self.total = 0
-        self.count = 0
-        self.mean: Optional[List[float]] = [0.0] * n_channels if moments else None
-        self.m2: Optional[List[float]] = [0.0] * n_channels if moments else None
-        self.eps = _EPS
+        self.moments: Optional[RollingScaler] = RollingScaler() if moments else None
         self.last = None
         self.generation = generation
         self.dirty = True
-
-    # The two folds are ``RollingScaler.update`` term for term, in Python
-    # floats (``d * d`` is what its ``delta**2`` computes), so the moments
-    # come out bit-identical to a per-tenant scaler's.
-    def fold_row(self, row: List[float]) -> None:
-        """Fold one row: the chunk formula with ``chunk_mean = row`` and
-        ``chunk_m2 = 0``, which is what the scaler's one-row path runs."""
-        count = self.count
-        total = count + 1
-        step, weight = 1 / total, count / total
-        mean, m2 = self.mean, self.m2
-        channel = 0
-        for value in row:
-            delta = value - mean[channel]
-            mean[channel] += delta * step
-            m2[channel] += delta * delta * weight
-            channel += 1
-        self.count = total
-
-    def fold_chunk(self, values: np.ndarray) -> None:
-        """Fold ``[T, C]`` rows, ``T > 1``: the chunk's mean and M2 come
-        from NumPy exactly as the scaler computes them."""
-        rows = len(values)
-        count = self.count
-        total = count + rows
-        chunk = values.astype(np.float64)
-        chunk_mean = chunk.mean(axis=0)
-        chunk_m2 = ((chunk - chunk_mean) ** 2).sum(axis=0)
-        step, weight = rows / total, count * rows / total
-        mean, m2 = self.mean, self.m2
-        for channel, (part_mean, part_m2) in enumerate(zip(chunk_mean.tolist(), chunk_m2.tolist())):
-            delta = part_mean - mean[channel]
-            mean[channel] += delta * step
-            m2[channel] = m2[channel] + part_m2 + delta * delta * weight
-        self.count = total
-
-    def scaler_state(self) -> Optional[dict]:
-        """The moments as :meth:`RollingScaler.to_state` lays them out."""
-        if self.mean is None:
-            return None
-        fitted = self.count > 0
-        return {
-            "eps": float(self.eps),
-            "count": int(self.count),
-            "mean": np.array(self.mean, dtype=np.float64) if fitted else None,
-            "m2": np.array(self.m2, dtype=np.float64) if fitted else None,
-        }
 
 
 @guarded_by("_slots", "_slab", "_free", "stats", "_tombstones", lock="_lock")
@@ -318,7 +261,7 @@ class SeriesStore:
             grown[:slots] = self._slab
             self._slab = grown
             self._free = list(range(2 * slots - 1, slots - 1, -1))
-        slot = _Slot(self._free.pop(), self.n_channels, self.moments, generation)
+        slot = _Slot(self._free.pop(), self.moments, generation)
         self._slots[tenant] = slot
         return slot
 
@@ -353,11 +296,12 @@ class SeriesStore:
             slot.head = (head + rows) % capacity
             slot.size = min(held_before + rows, capacity)
         slot.total += rows
-        if slot.mean is not None:
+        moments = slot.moments
+        if moments is not None:
             if rows == 1:
-                slot.fold_row(values.tolist()[0])
+                moments.update_row(values.tolist()[0])
             elif rows:
-                slot.fold_chunk(values)
+                moments.update_chunk(values)
         if timestamp is not None:
             slot.last = timestamp
         slot.dirty = True
@@ -451,16 +395,17 @@ class SeriesStore:
                 lengths[row] = copied
                 found.append(position)
                 if moments:
-                    if not slot.count:
+                    scaler = slot.moments
+                    if not scaler.count:
                         if not slot.size:
                             raise ValueError(
                                 f"tenant {tenant!r} has no observations to forecast from"
                             )
                         raise RuntimeError(f"tenant {tenant!r} has no rolling statistics yet")
-                    counts.append(slot.count)
-                    epss.append(slot.eps)
-                    means += slot.mean
-                    m2s += slot.m2
+                    counts.append(scaler.count)
+                    epss.append(scaler.eps)
+                    means += scaler.mean
+                    m2s += scaler.m2
         rows = len(found)
         if not moments:
             return found, windows[:rows], lengths[:rows], None
@@ -506,7 +451,7 @@ class SeriesStore:
         tenant is unknown or keeps no moments)."""
         with self._lock:
             slot = self._slots.get(tenant)
-            return None if slot is None else slot.scaler_state()
+            return None if slot is None or slot.moments is None else slot.moments.to_state()
 
     # ------------------------------------------------------------------ #
     # Checkpoint bookkeeping — incremental snapshots ride on it.
@@ -562,7 +507,7 @@ class SeriesStore:
                     "last_timestamp": slot.last,
                     "generation": slot.generation,
                 },
-                "scaler": slot.scaler_state(),
+                "scaler": None if slot.moments is None else slot.moments.to_state(),
             }
 
     def restore_tenant(self, tenant: str, payload: dict) -> None:
@@ -604,7 +549,11 @@ class SeriesStore:
             raise ValueError(
                 f"tenant {tenant!r} carries rolling statistics, but this store keeps none"
             )
-        moments = None if scaler is None else self._moments(scaler)
+        restored = None if scaler is None else RollingScaler.from_state(scaler)
+        if restored is not None and restored.n_channels not in (None, self.n_channels):
+            raise ValueError(
+                f"scaler moments are [{restored.n_channels}], store has {self.n_channels} channels"
+            )
         generation = int(series.get("generation", 0))
         with self._lock:
             if tenant in self._slots:
@@ -617,25 +566,5 @@ class SeriesStore:
             slot.size = size
             slot.total = total
             slot.last = series.get("last_timestamp")
-            if moments is not None:
-                slot.count, slot.eps, slot.mean, slot.m2 = moments
-
-    def _moments(self, scaler: dict) -> Tuple[int, float, List[float], List[float]]:
-        """Checked ``(count, eps, mean, m2)`` from ``RollingScaler`` state."""
-        count, eps = int(scaler["count"]), float(scaler["eps"])
-        if count < 0:
-            raise ValueError(f"scaler count {count} is negative")
-        if count == 0:
-            return 0, eps, [0.0] * self.n_channels, [0.0] * self.n_channels
-        moments = []
-        for key in ("mean", "m2"):
-            value = scaler[key]
-            value = None if value is None else np.asarray(value, dtype=np.float64)
-            if value is None or value.shape != (self.n_channels,):
-                raise ValueError(
-                    f"scaler {key} must be [{self.n_channels}] after {count} rows, "
-                    f"got {None if value is None else value.shape}"
-                )
-            moments.append(value.tolist())
-        return count, eps, moments[0], moments[1]
-
+            if restored is not None:
+                slot.moments = restored

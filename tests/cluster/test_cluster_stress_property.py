@@ -135,10 +135,9 @@ def assert_census_matches_workers(cluster):
     for shard in cluster._shards.values():
         with shard.lock:
             projected = shard.census()
-            reply = shard.request("census")["census"]
+            reply = shard.request("census")["result"]
         assert list(projected.items()) == [
-            (tenant, (entry["observed"], entry["generation"]))
-            for tenant, entry in reply.items()
+            (tenant, (observed, generation)) for tenant, (observed, generation) in reply.items()
         ]
 
 

@@ -272,6 +272,20 @@ class TestRebalance:
         assert cluster.rebalances == 2
         assert cluster.tenants_migrated == 2 * len(moved)
 
+    def test_added_shard_is_warm_before_its_first_sweep(self, cluster):
+        """add_shard() traces the new replica's compiled plan before it
+        takes traffic, so the first sweep of its adopted tenants replays:
+        no trace on the request path, no eager fallback."""
+        moved = cluster.add_shard()
+        assert moved, "the new shard must adopt part of the ring"
+        traces, fallbacks, hits = plan_counters(cluster, "shard-2")
+        assert traces >= 1, "shard-2 was not warmed"
+        forecasts(cluster, moved)
+        now = plan_counters(cluster, "shard-2")
+        assert now[0] == traces, "shard-2 traced on the request path"
+        assert now[1] == fallbacks, "shard-2 fell back to eager"
+        assert now[2] > hits, "shard-2 never replayed its warm plan"
+
     def test_remove_shard_rehomes_only_its_tenants(self, cluster):
         cluster.add_shard()
         before = {t: cluster.shard_for(t) for t in cluster.tenants()}

@@ -133,8 +133,8 @@ class TestRoutedTraffic:
             assert sent == [("ping", True)]
             assert cluster.ingest("a", np.ones((1, CHANNELS), dtype=np.float32)) == 5
             assert sent == [("ping", True)]
-            census = shard.request("census")["census"]
-            assert {t: e["observed"] for t, e in census.items()} == {"a": 5, "b": 2}
+            census = shard.request("census")["result"]
+            assert {t: observed for t, (observed, _) in census.items()} == {"a": 5, "b": 2}
 
 
 class TestParity:

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import errors, wire
+from repro.cluster import ServiceSpec
 from repro.cluster.snapshot import read_snapshot, write_snapshot
+from repro.config import ModelConfig
 
 
 class TestMessageCodec:
@@ -416,6 +418,37 @@ class TestDecodingIsTotal:
         cut = data.draw(st.integers(0, len(frame) - 1))
         with pytest.raises(ValueError):
             wire.unpack_message(frame[:cut])
+
+
+class TestWorkerDispatchIsClosed:
+    """The worker's control plane is a table of ``LocalShard`` methods:
+    a request naming any other shard attribute is refused typed, and the
+    worker keeps serving."""
+
+    @pytest.mark.parametrize(
+        "command", ["start", "collect", "close", "forecaster", "lock", "__init__"]
+    )
+    def test_shard_attribute_outside_the_table_is_unknown(self, command):
+        spec = ServiceSpec(
+            config=ModelConfig(
+                input_length=16, horizon=4, n_channels=2, patch_length=4,
+                hidden_dim=16, n_heads=2, n_layers=1, dropout=0.0, seed=11,
+            )
+        )
+        sock, process = wire.spawn_worker("repro.cluster.worker")
+        try:
+            wire.send_message(sock, {"cmd": "init", "spec": spec.to_state(), "warmup": False})
+            assert wire.recv_message(sock, timeout=30.0)["ok"] is True
+            wire.send_message(sock, {"cmd": command, "seq": 1, "op": "census"})
+            reply = wire.recv_message(sock, timeout=30.0)
+            assert reply["seq"] == 1 and set(reply) == {"error", "seq"}
+            with pytest.raises(ValueError, match="unknown command"):
+                wire.raise_remote(reply["error"])
+            wire.send_message(sock, {"cmd": "census", "seq": 2})
+            assert wire.recv_message(sock, timeout=30.0) == {"result": {}, "seq": 2}
+        finally:
+            sock.close()  # worker exits on EOF
+            assert process.wait(timeout=10.0) == 0
 
 
 class TestFraming:

@@ -10,6 +10,7 @@ keep forecasting bit-identically.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import ModelConfig
 from repro.core import LiPFormer
@@ -108,6 +109,75 @@ class TestTenantStateRoundTrip:
         with pytest.raises(ValueError, match="keeps none"):
             SeriesStore(capacity=4, n_channels=2).restore_tenant("a", state)
         assert target.tenants() == []
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_VECTORS = st.one_of(
+    st.none(),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), elements=_FLOATS),
+    st.lists(_FLOATS, max_size=3),
+    st.text(max_size=2),
+)
+#: what each field of a tenant's scaler state may be replaced with
+_SCALER_FIELDS = {
+    "eps": st.one_of(_FLOATS, st.integers(-2, 2), st.none(), st.text(max_size=2)),
+    "count": st.one_of(st.integers(-3, 6), st.floats(-1, 6), st.none()),
+    "mean": _VECTORS,
+    "m2": _VECTORS,
+}
+
+
+@st.composite
+def scaler_states(draw):
+    """A well-formed two-channel scaler state with each field kept,
+    dropped or replaced by an arbitrary value."""
+    state = {"eps": 1e-8, "count": 3, "mean": np.array([0.5, -1.0]), "m2": np.array([2.0, 0.25])}
+    for key, values in _SCALER_FIELDS.items():
+        choice = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if choice == "drop":
+            del state[key]
+        elif choice == "replace":
+            state[key] = draw(values)
+    return state
+
+
+def assert_same_scaler_state(got, want):
+    """Exact equality, bit for bit, of a scaler state and the one it was read from."""
+    assert (got["eps"], got["count"]) == (want["eps"], want["count"])
+    for key in ("mean", "m2"):
+        if want[key] is None:
+            assert got[key] is None
+        else:
+            expected = np.asarray(want[key], dtype=np.float64)
+            assert got[key].shape == expected.shape
+            assert got[key].tobytes() == expected.tobytes()
+
+
+class TestRestoredMomentsFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(scaler=scaler_states())
+    def test_malformed_moments_raise_or_round_trip_exactly(self, scaler):
+        """A tenant payload's scaler state crosses a trust boundary: the
+        accumulator and the store each refuse it with ValueError, or
+        restore exactly the moments it carries, and only well-formed ones."""
+        try:
+            accepted = RollingScaler.from_state(scaler)
+        except ValueError:
+            accepted = None
+        else:
+            state = accepted.to_state()
+            assert_same_scaler_state(state, scaler)
+            assert state["count"] >= 0 and 0 <= state["eps"] < float("inf")
+            assert (state["mean"] is None) == (state["count"] == 0)
+        store, _ = filled_store(capacity=4, n_rows=3, moments=True)
+        target = SeriesStore(capacity=4, n_channels=2, moments=True)
+        try:
+            target.restore_tenant("a", dict(store.tenant_state("a"), scaler=scaler))
+        except ValueError:
+            assert target.tenants() == [], "a refused payload leaves nothing behind"
+            return
+        assert accepted is not None, "the store accepted a state the accumulator refuses"
+        assert_same_scaler_state(target.scaler_state("a"), scaler)
 
 
 class TestRollingScalerRoundTrip:
