@@ -14,8 +14,9 @@ script shows the full surface on a live two-shard cluster:
 2. read latency percentiles straight from the log-bucketed histograms
    (p50/p95/p99 from bucket interpolation, O(1) memory per histogram);
 3. export the same numbers as JSON and Prometheus text — the ``*Stats``
-   counters the layers already keep are folded in as registry views, so
-   ``stats_snapshot()`` and the exports can never disagree;
+   counters the layers already keep are folded in as registry views,
+   merged by the same sum-or-max rule as ``CounterStats.merge``, so
+   ``service_stats()`` and the exports can never disagree;
 4. turn on span tracing for one ``forecast_all`` fan-out and export the
    resulting tree (cluster → shard → service flush → batch assembly →
    compiled plan replay) as Chrome trace-event JSON — load it in

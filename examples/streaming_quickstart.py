@@ -83,7 +83,7 @@ def main() -> None:
             )
             print(f"tick {step}: next-step forecasts in tenant units: {line}")
     print(f"service stats: {service.stats.as_dict()}")
-    print(f"streaming stats: {forecaster.stats.forecasts} forecasts for "
+    print(f"streaming stats: {service.stats.requests} forecasts for "
           f"{forecaster.store.stats.tenants} tenants, "
           f"{forecaster.store.stats.evicted} rows aged out of ring buffers")
 

@@ -1,7 +1,7 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the project's only packaging metadata.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools predates PEP 660 editable wheels.
+``pip install -e .`` installs the ``src/repro`` package in place;
+``pip install -e .[dev]`` adds the test dependencies.
 """
 
 from setuptools import find_packages, setup

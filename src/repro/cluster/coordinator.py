@@ -14,7 +14,7 @@ everything above the shards:
   checkpoints take the write side; the lock order is always topology
   before shard;
 * rebalancing with unwind, failover with :class:`FailoverReport`
-  accounting, and retired-shard stat folding;
+  accounting, and the one retired stats record;
 * persistence: full and delta checkpoints chained under
   :func:`~repro.cluster.snapshot.resolve_chain`, compaction, restore;
 * one split-phase fan-out (:func:`fan_out`) behind every multi-shard
@@ -35,7 +35,7 @@ import os
 import uuid
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from ..runtime.annotations import guarded_by, requires_lock, unguarded
 from ..runtime.locks import RWLock, TrackedRLock
 from ..serving.admission import DEFAULT_PRIORITY, resolve_deadline
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import StreamingStats, payload_census
+from ..streaming.forecaster import payload_census
 from ..streaming.store import StoreStats
 from .ring import HashRing
 from .snapshot import (
@@ -66,7 +66,13 @@ _REBALANCE_SECONDS = obs.histogram(
     labels=("op",),
 )
 
-Stats = Tuple[ServiceStats, StreamingStats, StoreStats]
+Stats = Tuple[ServiceStats, StoreStats]
+
+
+def merge_stats(parts: Iterable[Stats]) -> Stats:
+    """Many shards' counters as one ``Stats`` (``CounterStats.merge`` per kind)."""
+    parts = list(parts)
+    return ServiceStats.merge(p[0] for p in parts), StoreStats.merge(p[1] for p in parts)
 
 
 class Shard(Protocol):
@@ -80,7 +86,9 @@ class Shard(Protocol):
     still answer after the shard died: failover reads it to account for
     every tenant the dead replica held, so a row that died undelivered
     shows up as ``stale`` (or its tenant as ``lost``) like any row
-    ingested after the last checkpoint.  ``start(op, **fields)`` /
+    ingested after the last checkpoint.  ``stats`` is the shard's
+    (service, store) counters and also answers after a death (a process
+    shard's last poll).  ``start(op, **fields)`` /
     ``collect()`` are the two halves of :func:`fan_out`, for the ops
     ``forecast_all``, ``flush``, ``warmup``, ``to_state`` (full, or
     with ``delta``), ``clear_dirty`` and ``restore``; states and tenant
@@ -98,7 +106,7 @@ class Shard(Protocol):
     def census(self) -> Dict[str, Tuple[int, int]]: ...
     def export_tenant(self, tenant: str) -> dict: ...
     def import_tenant(self, tenant: str, payload: dict) -> None: ...
-    def stats(self) -> Optional[Stats]: ...
+    def stats(self) -> Stats: ...
     def reset_stats(self) -> None: ...
     def close(self, graceful: bool = True) -> None: ...
     def start(self, op: str, **fields) -> None: ...
@@ -166,9 +174,8 @@ class FailoverReport:
 
 
 @guarded_by(
-    "_shards", "ring", "_assign_cache", "_topology_version", "_stats_cache",
-    "_chain", "_chain_id", "_seq", "_dropped_since_checkpoint",
-    "_retired_service", "_retired_store", "_retired_streaming",
+    "_shards", "ring", "_assign_cache", "_topology_version",
+    "_chain", "_chain_id", "_seq", "_dropped_since_checkpoint", "_retired",
     "rebalances", "tenants_migrated", "rebalance_failures",
     lock="_topology",
 )
@@ -231,10 +238,13 @@ class Coordinator:
         # Rebalances that failed and rolled back.  Runtime-only: a
         # restored cluster starts with a clean failure ledger.
         self.rebalance_failures = 0
-        self._retired_service = ServiceStats()
-        self._retired_store = StoreStats()
-        self._retired_streaming = StreamingStats()
-        self._stats_cache: Stats = (ServiceStats(), StreamingStats(), StoreStats())
+        # Counters of shards retired by remove_shard / failover; the
+        # registry views beside the live replicas' (or, on the process
+        # backend, the live workers' last polls) make an export count
+        # them exactly as service_stats() / store_stats() do.
+        self._retired: Stats = (ServiceStats(), StoreStats())
+        obs.register_stats("repro_serving", self._retired_service)
+        obs.register_stats("repro_store", self._retired_store)
         # The checkpoint chain this cluster would restore from (one full
         # save + following deltas).
         self._chain: List[str] = []
@@ -424,7 +434,7 @@ class Coordinator:
         * otherwise restored, with ``live − checkpoint`` rows reported
           **stale** (rolled back).
 
-        The dead shard's counters fold into the retired accumulators, and
+        The dead shard's counters fold into the retired record, and
         every shard that adopted tenants is re-warmed before returning.
         """
         with self._topology.write():
@@ -478,15 +488,10 @@ class Coordinator:
 
     @requires_lock("_topology")
     def _retire_locked(self, shard: Shard, graceful: bool) -> None:
-        """Fold a departing shard's counters into the retired accumulators
+        """Fold a departing shard's counters into the retired record
         (its traffic was served and stays counted), then close it."""
         self._topology.assert_held("write")
-        stats = shard.stats()
-        if stats is not None:
-            service, streaming, store = stats
-            self._retired_service = ServiceStats.merge([self._retired_service, service])
-            self._retired_streaming = StreamingStats.merge([self._retired_streaming, streaming])
-            self._retired_store = StoreStats.merge([self._retired_store, store])
+        self._retired = merge_stats([self._retired, shard.stats()])
         shard.close(graceful=graceful)
 
     # ------------------------------------------------------------------ #
@@ -631,39 +636,37 @@ class Coordinator:
     # Observability
     # ------------------------------------------------------------------ #
     def _collect_stats(self) -> Stats:
-        """Merge live shard counters with the retired accumulators."""
+        """Merge live shard counters with the retired record."""
         with self._topology.read():
-            live = []
+            live = [self._retired]
             for shard in self._shards.values():
                 with shard.lock:
-                    stats = shard.stats()
-                if stats is not None:
-                    live.append(stats)
-            merged = (
-                ServiceStats.merge([self._retired_service] + [s[0] for s in live]),
-                StreamingStats.merge([self._retired_streaming] + [s[1] for s in live]),
-                StoreStats.merge([self._retired_store] + [s[2] for s in live]),
-            )
-            self._stats_cache = merged
-            return merged
+                    live.append(shard.stats())
+            return merge_stats(live)
 
     def service_stats(self) -> ServiceStats:
         """Cluster-wide serving counters, including the history of shards
         retired by :meth:`remove_shard` / :meth:`failover`."""
         return self._collect_stats()[0]
 
-    def streaming_stats(self) -> StreamingStats:
+    def store_stats(self) -> StoreStats:
         return self._collect_stats()[1]
 
-    def store_stats(self) -> StoreStats:
-        return self._collect_stats()[2]
+    @unguarded("registry view: reads one tuple reference, never blocks an export")
+    def _retired_service(self) -> ServiceStats:
+        return self._retired[0]
+
+    @unguarded("registry view: reads one tuple reference, never blocks an export")
+    def _retired_store(self) -> StoreStats:
+        return self._retired[1]
 
     def reset_service_stats(self) -> None:
         """Zero every shard's serving counters (between benchmark phases)."""
         with self._topology.write():
-            self._retired_service.reset()
+            self._retired = (ServiceStats(), self._retired[1])
             for shard in self._shards.values():
                 shard.reset_stats()
+            # Re-poll, so a process cluster's registry views read zeros too.
             self._collect_stats()
 
     def as_dict(self) -> dict:
@@ -690,7 +693,7 @@ class Coordinator:
         """Serialisable snapshot of the whole cluster (ring + every shard).
 
         Taken under the exclusive topology lock so the cut is consistent.
-        Rebalance counters and the retired-shard stat accumulators travel
+        Rebalance counters and the retired stats record travel
         too, so retired traffic stays counted across a restart.  Both
         backends write this one format.
         """
@@ -715,8 +718,7 @@ class Coordinator:
                 # so the cluster-wide total becomes the revived cluster's
                 # retired baseline.
                 "service": asdict(self.service_stats()),
-                "store": asdict(self._retired_store),
-                "streaming": asdict(self._retired_streaming),
+                "store": asdict(self._retired[1]),
             },
             "shards": self._fan_out("to_state", self._all(delta=delta)),
         }
@@ -824,9 +826,8 @@ class Coordinator:
         )
         self.rebalances = int(state["rebalances"])
         self.tenants_migrated = int(state["tenants_migrated"])
-        self._retired_service = ServiceStats(**state["retired"]["service"])
-        self._retired_store = StoreStats(**state["retired"]["store"])
-        self._retired_streaming = StreamingStats(**state["retired"]["streaming"])
+        retired = state["retired"]
+        self._retired = (ServiceStats(**retired["service"]), StoreStats(**retired["store"]))
         chain_id = state.get("chain_id")
         self._chain_id = None if chain_id is None else str(chain_id)
         self._seq = int(state.get("seq", 0))

@@ -30,7 +30,7 @@ What is genuinely different about real processes:
   exact.
 * **Serving counters die with the replica.**  Stats polled from workers
   are cached per shard; at failover the last-polled snapshot folds into
-  the retired accumulators.
+  the retired record.
 * **Spans cross the boundary explicitly.**  When tracing is on, each
   request carries a trace flag; the worker returns its span subtree and
   the shard grafts it under the live span via
@@ -62,10 +62,10 @@ from ..runtime.locks import TrackedRLock
 from ..runtime.resilience import CircuitBreaker, RetryPolicy
 from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import StreamingStats, _per_row, payload_census, state_tenants
+from ..streaming.forecaster import _per_row, payload_census, state_tenants
 from ..streaming.store import StoreStats, check_timestamp_order
 from ..testing import faults as _faults
-from .coordinator import Coordinator, Stats, fan_out
+from .coordinator import Coordinator, Stats, fan_out, merge_stats
 from .sharded import ShardedForecaster
 from .spec import ClusterSpec, ServiceSpec
 
@@ -171,8 +171,9 @@ class ProcessShard:
         # Sweep blocks awaiting their values, keyed by the seq stamp of the
         # frame that carried them: (tenants, rows) per block.
         self._blocks: Dict[int, Tuple[List[str], ForecastRows]] = {}
-        # Last stats poll: the fold-in source when the worker dies.
-        self._last_stats: Optional[Stats] = None
+        # Last stats poll: the fold-in source when the worker dies, and
+        # what the coordinator's registry views read.
+        self.last_stats: Stats = (ServiceStats(), StoreStats())
         # Sweep rows shed here because their deadline had passed before
         # dispatch: the worker never sees them, so stats() adds them to
         # its shed_expired, as the thread backend's service counts them.
@@ -423,7 +424,7 @@ class ProcessShard:
         if watermark is not None:
             self._watermarks[tenant] = watermark
 
-    def stats(self) -> Optional[Stats]:
+    def stats(self) -> Stats:
         """Poll the worker's counters; a sick worker contributes its last
         polled snapshot instead, so stats reads keep working during an
         incident (counters accrued after that poll died with it)."""
@@ -431,12 +432,12 @@ class ProcessShard:
             try:
                 reply = self.request("stats")
             except (WorkerDied, CircuitOpen):
-                return self._last_stats
-            service, streaming, store = reply["result"]
+                return self.last_stats
+            service, store = reply["result"]
             service = ServiceStats(**service)
             service.shed_expired += self._shed_expired
-            self._last_stats = (service, StreamingStats(**streaming), StoreStats(**store))
-            return self._last_stats
+            self.last_stats = (service, StoreStats(**store))
+            return self.last_stats
 
     def reset_stats(self) -> None:
         with self.lock:
@@ -697,21 +698,21 @@ class ProcessCoordinator(Coordinator):
         self.spec = spec
         self.cluster_spec = cluster if cluster is not None else ClusterSpec(backend="process")
         self.executor = SerialExecutor()
-        # Merged per-worker counters as registry views over the cached
-        # stats (weakly bound: they die with the coordinator).  Cache-backed,
-        # not RPC-backed, so a metrics export never hangs on a dead worker.
-        obs.register_stats("repro_serving", self._cached_service_stats, maxed=ServiceStats.MAXED)
-        obs.register_stats("repro_streaming", self._cached_streaming_stats)
-        obs.register_stats("repro_store", self._cached_store_stats)
+        # The live workers' last polls as registry views, beside the
+        # retired record's (weakly bound: they die with the coordinator).
+        # Poll-backed, not RPC-backed, so a metrics export never hangs on
+        # a dead worker; every stats call re-polls.
+        obs.register_stats("repro_serving", self._polled_service_stats)
+        obs.register_stats("repro_store", self._polled_store_stats)
 
-    def _cached_service_stats(self) -> ServiceStats:
-        return self._stats_cache[0]
+    def _polled_stats(self) -> Stats:
+        return merge_stats(shard.last_stats for shard in list(self._shards.values()))
 
-    def _cached_streaming_stats(self) -> StreamingStats:
-        return self._stats_cache[1]
+    def _polled_service_stats(self) -> ServiceStats:
+        return self._polled_stats()[0]
 
-    def _cached_store_stats(self) -> StoreStats:
-        return self._stats_cache[2]
+    def _polled_store_stats(self) -> StoreStats:
+        return self._polled_stats()[1]
 
     @property
     def request_timeout(self) -> float:

@@ -88,12 +88,7 @@ class LocalShard:
         self.forecaster.import_tenant(tenant, payload)
 
     def stats(self) -> Stats:
-        forecaster = self.forecaster
-        return (
-            forecaster.service.stats_snapshot(),
-            forecaster.stats_snapshot(),
-            forecaster.store.stats_snapshot(),
-        )
+        return self.forecaster.service.stats_snapshot(), self.forecaster.store.stats_snapshot()
 
     def reset_stats(self) -> None:
         self.forecaster.service.reset_stats()

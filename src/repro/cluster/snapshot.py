@@ -24,7 +24,7 @@ module provides the lossless bridge:
   ``ShardedForecaster.save_incremental``) into the equivalent full state
   dict, validating chain identity and sequence linkage.  Full and delta
   links share one shard layout, ``{"normalization", "store": geometry,
-  "stats", "store_stats", "tenants": {tenant: payload}}``, where a
+  "store_stats", "tenants": {tenant: payload}}``, where a
   payload is what ``StreamingForecaster.export_tenant`` yields.  A full
   link has every payload; a delta maps each tenant clean since its
   parent link to ``None``, filled from the earlier links — so a resolved

@@ -180,7 +180,7 @@ class ShardWorker:
         fields = {name: message[name] for name in _CONTROL[command] if name in message}
         result = getattr(self._require(), command)(**fields)
         if command == "stats":
-            # (service, streaming, store) counters as plain dicts for the wire.
+            # (service, store) counters as plain dicts for the wire.
             result = [asdict(part) for part in result]
         return {"result": result}
 

@@ -5,7 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-__all__ = ["ModelConfig", "TrainingConfig"]
+__all__ = ["ModelConfig", "TrainingConfig", "fit_patch_length"]
+
+
+def fit_patch_length(input_length: int, preferred: int) -> int:
+    """Largest patch length <= ``preferred`` that divides ``input_length``
+    (``preferred`` itself when it does)."""
+    for candidate in range(min(preferred, input_length), 0, -1):
+        if input_length % candidate == 0:
+            return candidate
+    return 1
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..config import ModelConfig, TrainingConfig
+from ..config import ModelConfig, TrainingConfig, fit_patch_length
 
 __all__ = ["ExperimentProfile", "PAPER", "QUICK", "SMOKE", "get_profile"]
 
@@ -53,13 +53,11 @@ class ExperimentProfile:
         """Build a :class:`ModelConfig` for this profile."""
         length = input_length if input_length is not None else self.input_length
         patch = patch_length if patch_length is not None else self.patch_length
-        if length % patch != 0:
-            patch = _largest_divisor(length, patch)
         return ModelConfig(
             input_length=length,
             horizon=horizon,
             n_channels=n_channels,
-            patch_length=patch,
+            patch_length=fit_patch_length(length, patch),
             hidden_dim=self.hidden_dim,
             dropout=self.dropout,
             n_heads=self.n_heads,
@@ -80,13 +78,6 @@ class ExperimentProfile:
             pretrain_epochs=self.pretrain_epochs,
             seed=self.seed,
         )
-
-
-def _largest_divisor(length: int, preferred: int) -> int:
-    for candidate in range(min(preferred, length), 0, -1):
-        if length % candidate == 0:
-            return candidate
-    return 1
 
 
 PAPER = ExperimentProfile(

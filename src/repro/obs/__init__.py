@@ -1,13 +1,15 @@
 """``repro.obs`` — metrics, tracing, and timing for the serving stack.
 
 Three small modules, importable from anywhere in ``repro`` (this package
-depends only on the standard library, so every layer — ``runtime.locks``
-included — can instrument itself without import cycles):
+depends only on the standard library and :mod:`repro.stats`, so every
+layer — ``runtime.locks`` included — can instrument itself without import
+cycles):
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry` with
   labeled ``Counter``/``Gauge``/``Histogram`` (log-spaced buckets,
   interpolated p50/p95/p99, O(1) memory), JSON + Prometheus export, and
-  registry-backed views over the legacy ``*Stats`` dataclasses.
+  registry-backed views over the per-layer ``*Stats`` counters, merged
+  by the same sum-or-max rule as ``CounterStats.merge``.
 * :mod:`repro.obs.trace` — ``span()`` contexts with thread-local
   propagation across executor fan-out, a bounded ``TraceRecorder``, and
   Chrome trace-event export.

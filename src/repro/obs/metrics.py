@@ -11,10 +11,12 @@ Design constraints, in order of priority:
 2. **O(1) memory.**  ``Histogram`` keeps only fixed log-spaced bucket
    counts (plus sum/count/min/max); percentiles come from within-bucket
    interpolation, never from retained samples.
-3. **One source of truth.**  The legacy ``*Stats`` dataclasses register
-   themselves as *views* (:meth:`MetricsRegistry.register_stats`), so
-   ``stats_snapshot()`` and the Prometheus/JSON exports read the same
-   fields through the same snapshot methods and can never disagree.
+3. **One source of truth.**  The per-layer ``*Stats`` counter
+   dataclasses register themselves as *views*
+   (:meth:`MetricsRegistry.register_stats`), so ``stats_snapshot()`` and
+   the Prometheus/JSON exports read the same fields through the same
+   snapshot methods, merged by the same sum-or-max rule
+   (:func:`repro.stats.merge_counts`), and can never disagree.
 
 Naming scheme: ``repro_<layer>_<what>_<unit>`` — e.g.
 ``repro_serving_flush_seconds``, ``repro_cluster_rebalance_seconds{op=...}``,
@@ -28,9 +30,11 @@ import threading
 import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from math import ceil, isnan
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+from ..stats import counters_dict, merge_counts
 
 __all__ = [
     "Counter",
@@ -380,12 +384,10 @@ class _Family:
 class _StatsView:
     """A registered ``*Stats`` snapshot provider, weakly bound to its owner."""
 
-    __slots__ = ("prefix", "maxed", "help", "_ref", "_fn")
+    __slots__ = ("prefix", "_ref", "_fn")
 
-    def __init__(self, prefix: str, snapshot: Callable[[], object], maxed: Sequence[str], help: str) -> None:
+    def __init__(self, prefix: str, snapshot: Callable[[], object]) -> None:
         self.prefix = prefix
-        self.maxed = tuple(maxed)
-        self.help = help
         owner = getattr(snapshot, "__self__", None)
         if owner is not None:
             # Bound method: hold the owner weakly so registering a view
@@ -399,14 +401,20 @@ class _StatsView:
     def dead(self) -> bool:
         return self._ref is not None and self._ref() is None
 
-    def read(self) -> Optional[Dict[str, float]]:
+    def read(self) -> Optional[Tuple[Dict[str, float], Tuple[str, ...]]]:
+        """``(<prefix>_<field> -> value, the keys that merge by max)``, or
+        ``None`` once the owner died.  A counter dataclass names its
+        max-merged fields in ``MAXED``; a mapping has none."""
         fn = self._ref() if self._ref is not None else self._fn
         if fn is None:
             return None
         value = fn()
         if is_dataclass(value) and not isinstance(value, type):
-            return {f.name: float(getattr(value, f.name)) for f in fields(value)}
-        return {str(k): float(v) for k, v in dict(value).items()}
+            maxed, value = getattr(type(value), "MAXED", ()), counters_dict(value)
+        else:
+            maxed = ()
+        values = {f"{self.prefix}_{k}": float(v) for k, v in dict(value).items()}
+        return values, tuple(f"{self.prefix}_{name}" for name in maxed)
 
 
 class MetricsRegistry:
@@ -456,21 +464,16 @@ class MetricsRegistry:
         family = self._family(name, "histogram", help, labels, buckets)
         return family if family.label_names else family.labels()
 
-    def register_stats(
-        self,
-        prefix: str,
-        snapshot: Callable[[], object],
-        maxed: Sequence[str] = (),
-        help: str = "",
-    ) -> None:
+    def register_stats(self, prefix: str, snapshot: Callable[[], object]) -> None:
         """Register a ``*Stats`` snapshot callable as an exported view.
 
-        ``snapshot`` returns a counter dataclass or a mapping; each field
-        exports as gauge ``<prefix>_<field>``.  Views sharing a prefix
-        aggregate like ``*Stats.merge``: summed, except ``maxed`` fields
-        which take the maximum across instances.
+        ``snapshot`` returns a :class:`~repro.stats.CounterStats` dataclass
+        or a mapping; each field exports as gauge ``<prefix>_<field>``.
+        Views sharing a prefix aggregate like ``*Stats.merge``: summed,
+        except the dataclass's ``MAXED`` fields, which take the maximum
+        across instances.
         """
-        view = _StatsView(prefix, snapshot, maxed, help)
+        view = _StatsView(prefix, snapshot)
         with self._lock:
             self._views = [v for v in self._views if not v.dead()]
             self._views.append(view)
@@ -480,20 +483,13 @@ class MetricsRegistry:
         with self._lock:
             self._views = [v for v in self._views if not v.dead()]
             views = list(self._views)
-        merged: Dict[str, float] = {}
-        maxed_keys = set()
+        rows, maxed = [], set()
         for view in views:
-            values = view.read()
-            if values is None:
-                continue
-            for field_name, value in values.items():
-                key = f"{view.prefix}_{field_name}"
-                if field_name in view.maxed:
-                    maxed_keys.add(key)
-                    merged[key] = max(merged.get(key, value), value)
-                else:
-                    merged[key] = merged.get(key, 0.0) + value
-        return merged
+            read = view.read()
+            if read is not None:
+                rows.append(read[0])
+                maxed.update(read[1])
+        return merge_counts(rows, maxed)
 
     def families(self) -> List[_Family]:
         with self._lock:
@@ -588,6 +584,6 @@ def histogram(name: str, help: str = "", labels: Sequence[str] = (), buckets: Se
     return _DEFAULT_REGISTRY.histogram(name, help, labels, buckets)
 
 
-def register_stats(prefix: str, snapshot: Callable[[], object], maxed: Sequence[str] = (), help: str = "") -> None:
+def register_stats(prefix: str, snapshot: Callable[[], object]) -> None:
     """Register a ``*Stats`` view on the default registry."""
-    _DEFAULT_REGISTRY.register_stats(prefix, snapshot, maxed, help)
+    _DEFAULT_REGISTRY.register_stats(prefix, snapshot)

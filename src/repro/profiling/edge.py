@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..config import ModelConfig
+from ..config import ModelConfig, fit_patch_length
 from ..core.base import ForecastModel
 from .timing import time_inference
 
@@ -74,9 +74,7 @@ def edge_inference_profile(
     generator = rng if rng is not None else np.random.default_rng(0)
     models: Dict[int, ForecastModel] = {}
     for input_length in input_lengths:
-        patch_length = base_config.patch_length
-        if input_length % patch_length != 0:
-            patch_length = _largest_divisor_patch(input_length, patch_length)
+        patch_length = fit_patch_length(input_length, base_config.patch_length)
         config = base_config.with_overrides(input_length=input_length, patch_length=patch_length)
         models[input_length] = model_factory(config)
     samples: Dict[int, List[float]] = {length: [] for length in models}
@@ -88,10 +86,3 @@ def edge_inference_profile(
                 )
     return {length: float(np.median(times)) for length, times in samples.items()}
 
-
-def _largest_divisor_patch(input_length: int, preferred: int) -> int:
-    """Largest patch length <= preferred that divides the input length."""
-    for candidate in range(min(preferred, input_length), 0, -1):
-        if input_length % candidate == 0:
-            return candidate
-    return 1

@@ -10,7 +10,7 @@ import numpy as np
 from ..core.base import ForecastModel
 from ..nn import Tensor, no_grad
 
-__all__ = ["time_callable", "time_inference", "time_training_step"]
+__all__ = ["time_callable", "time_forward", "time_inference", "time_training_step"]
 
 
 def time_callable(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -25,6 +25,22 @@ def time_callable(fn: Callable[[], object], repeats: int = 3) -> float:
     return float(np.median(timings))
 
 
+def time_forward(model: ForecastModel, x: Tensor, repeats: int = 3, **covariates) -> float:
+    """Median seconds for ``model(x, **covariates)`` in eval mode under
+    ``no_grad``; the model's train/eval flag is restored afterwards."""
+
+    def run() -> None:
+        with no_grad():
+            model(x, **covariates)
+
+    was_training = model.training
+    model.eval()
+    try:
+        return time_callable(run, repeats=repeats)
+    finally:
+        model.train(was_training)
+
+
 def time_inference(
     model: ForecastModel,
     batch_size: int = 32,
@@ -37,17 +53,7 @@ def time_inference(
     x = Tensor(
         generator.standard_normal((batch_size, config.input_length, config.n_channels)).astype(np.float32)
     )
-
-    def run() -> None:
-        with no_grad():
-            model(x)
-
-    was_training = model.training
-    model.eval()
-    try:
-        return time_callable(run, repeats=repeats)
-    finally:
-        model.train(was_training)
+    return time_forward(model, x, repeats=repeats)
 
 
 def time_training_step(

@@ -167,7 +167,7 @@ class ForecastService:
         self._lock = threading.RLock()
         # Export the per-instance counters through the metrics registry;
         # the view holds the service weakly and dies with it.
-        obs.register_stats("repro_serving", self.stats_snapshot, maxed=ServiceStats.MAXED)
+        obs.register_stats("repro_serving", self.stats_snapshot)
 
     # ------------------------------------------------------------------ #
     @property

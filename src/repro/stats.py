@@ -1,53 +1,47 @@
 """Shared helpers for counter dataclasses (the ``*Stats`` objects).
 
-The serving, streaming and cluster layers each expose a small dataclass of
-monotonic counters that must support the same three operations: zeroing
-between benchmark phases, summing across shards/replicas, and exporting as
-a plain dict.  Keeping the field loops in one place means a newly added
-counter field participates in ``reset``/``merge``/``as_dict`` everywhere
+The serving and store layers each expose a small dataclass of monotonic
+counters that must support the same three operations: zeroing between
+benchmark phases, summing across shards/replicas, and exporting as a plain
+dict.  Keeping the field loops in one place means a newly added counter
+field participates in ``reset``/``merge``/``as_dict`` everywhere
 automatically — the only per-class decision is which fields aggregate by
 ``max`` instead of ``+`` (gauges like ``largest_batch``), declared via
 :attr:`CounterStats.MAXED`.
 
-These same field loops back the ``repro.obs`` metrics-registry views
-(:func:`repro.obs.register_stats`): the registry reads each component's
-``stats_snapshot()`` through :func:`counters_dict`, so a Prometheus export
-and a direct ``stats_snapshot()`` can never disagree on a field.
+:func:`merge_counts` is the one sum-or-max rule: ``CounterStats.merge``
+and the ``repro.obs`` metrics-registry views
+(:func:`repro.obs.register_stats`) both fold through it, so a Prometheus
+export and a merged ``stats_snapshot()`` can never disagree on a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import ClassVar, Dict, Iterable, Sequence, Tuple, Type, TypeVar
+from typing import ClassVar, Collection, Dict, Iterable, Mapping, Tuple, Type, TypeVar
 
-__all__ = ["merge_counters", "reset_counters", "counters_dict", "CounterStats"]
+__all__ = ["merge_counts", "counters_dict", "CounterStats"]
 
 T = TypeVar("T")
 
 
-def merge_counters(cls: Type[T], stats: Iterable[T], maxed: Sequence[str] = ()) -> T:
-    """Aggregate counter dataclasses field-by-field into a new instance.
+def merge_counts(rows: Iterable[Mapping[str, T]], maxed: Collection[str] = ()) -> Dict[str, T]:
+    """Fold counter rows key by key into a new dict.
 
-    Fields named in ``maxed`` take the maximum across inputs; every other
-    field is summed.  Inputs are never mutated.
+    Keys named in ``maxed`` take the maximum across rows; every other key
+    is summed.  A key takes the value of the first row that has it, so
+    ints stay ints and floats stay floats.  Inputs are never mutated.
     """
-    merged = cls()
-    for stat in stats:
-        for field_ in fields(cls):
-            current = getattr(merged, field_.name)
-            incoming = getattr(stat, field_.name)
-            setattr(
-                merged,
-                field_.name,
-                max(current, incoming) if field_.name in maxed else current + incoming,
-            )
+    merged: Dict[str, T] = {}
+    for row in rows:
+        for key, value in row.items():
+            if key not in merged:
+                merged[key] = value
+            elif key in maxed:
+                merged[key] = max(merged[key], value)
+            else:
+                merged[key] = merged[key] + value
     return merged
-
-
-def reset_counters(stats) -> None:
-    """Zero a counter dataclass in place (back to each field's default)."""
-    for field_ in fields(stats):
-        setattr(stats, field_.name, field_.default)
 
 
 def counters_dict(stats) -> Dict[str, object]:
@@ -68,12 +62,13 @@ class CounterStats:
 
     def reset(self) -> None:
         """Zero every counter (e.g. between benchmark phases)."""
-        reset_counters(self)
+        for field_ in fields(self):
+            setattr(self, field_.name, field_.default)
 
     @classmethod
     def merge(cls: Type[T], stats: Iterable[T]) -> T:
         """Aggregate many instances: counters add, ``MAXED`` fields max."""
-        return merge_counters(cls, stats, maxed=cls.MAXED)
+        return cls(**merge_counts(map(counters_dict, stats), cls.MAXED))
 
     def as_dict(self) -> Dict[str, object]:
         """Raw counters as a plain dict (see :func:`counters_dict`)."""

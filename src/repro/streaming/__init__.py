@@ -25,7 +25,7 @@ See ``examples/streaming_quickstart.py`` for a tour and
 over per-tenant sequential prediction.
 """
 
-from .forecaster import StreamingForecaster, StreamingStats
+from .forecaster import StreamingForecaster
 from .replay import ParityReport, ReplayResult, compare_to_backfill, replay
 from .store import SeriesStore, StoreStats
 
@@ -33,7 +33,6 @@ __all__ = [
     "SeriesStore",
     "StoreStats",
     "StreamingForecaster",
-    "StreamingStats",
     "ReplayResult",
     "ParityReport",
     "replay",

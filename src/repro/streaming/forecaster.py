@@ -31,23 +31,18 @@ serving boundary:
 
 from __future__ import annotations
 
-import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..data.incremental import RollingScaler
-from ..runtime.annotations import guarded_by
-from ..stats import CounterStats
 from ..serving.admission import DEFAULT_PRIORITY
 from ..serving.batching import Forecast, ForecastRows
 from ..serving.service import ForecastService
 from .store import SeriesStore, StoreStats
 
 __all__ = [
-    "StreamingStats",
     "StreamingForecaster",
     "payload_census",
     "state_tenants",
@@ -56,22 +51,6 @@ __all__ = [
 _NORMALIZATIONS = ("none", "rolling", "last_value")
 
 
-@dataclass
-class StreamingStats(CounterStats):
-    """Forecast-side counters.
-
-    Ingest-side counters (tenants, observations, evictions) live on the
-    store's :class:`~repro.streaming.store.StoreStats`, and batching
-    efficiency on the service's stats — no duplicate bookkeeping.
-    ``reset``/``merge``/``as_dict`` come from
-    :class:`repro.stats.CounterStats` (all fields sum on merge).
-    """
-
-    forecasts: int = 0
-    cold_start_forecasts: int = 0    # windows shorter than input_length
-
-
-@guarded_by("stats", lock="_lock")
 class StreamingForecaster:
     """Append observations per tenant; serve micro-batched fresh forecasts.
 
@@ -133,10 +112,6 @@ class StreamingForecaster:
             )
         self.store = store
         self.normalization = normalization
-        self.stats = StreamingStats()
-        self._lock = threading.Lock()
-        # Weakly bound metrics-registry view over the forecast counters.
-        obs.register_stats("repro_streaming", self.stats_snapshot)
 
     # ------------------------------------------------------------------ #
     def scaler(self, tenant: str) -> Optional[RollingScaler]:
@@ -200,8 +175,8 @@ class StreamingForecaster:
         ``priority`` / ``timeout`` / ``deadline`` ride through to the
         service's admission control unchanged — an over-capacity or
         expired submit raises :class:`~repro.serving.Overloaded` /
-        :class:`~repro.serving.DeadlineExceeded` here, before any
-        streaming counters move.
+        :class:`~repro.serving.DeadlineExceeded` here, and the refused
+        row is not counted as a request.
         """
         ((_, handle),) = self.forecast_many(
             [tenant], [future_numerical], [future_categorical],
@@ -302,12 +277,6 @@ class StreamingForecaster:
             timeout=timeout,
             deadline=deadline,
         )
-        cold = lengths < self.config.input_length
-        if rows.refused:
-            cold[list(rows.refused)] = False
-        with self._lock:
-            self.stats.forecasts += len(positions) - len(rows.refused)
-            self.stats.cold_start_forecasts += int(np.count_nonzero(cold))
         return positions, _Sweep(rows, self.normalization, shift, scale)
 
     def forecast_all(
@@ -387,11 +356,6 @@ class StreamingForecaster:
         """Reset churn tracking after a checkpoint captured this shard."""
         self.store.mark_clean()
 
-    def stats_snapshot(self) -> StreamingStats:
-        """A consistent copy of the forecast counters."""
-        with self._lock:
-            return StreamingStats(**asdict(self.stats))
-
     def export_tenant(self, tenant: str) -> dict:
         """One tenant's complete streaming state (window + scaler), portable
         (:meth:`SeriesStore.tenant_state`)."""
@@ -424,7 +388,6 @@ class StreamingForecaster:
                 "n_channels": int(self.store.n_channels),
                 "dtype": self.store.dtype.name,
             },
-            "stats": asdict(self.stats_snapshot()),
             "store_stats": asdict(self.store.stats_snapshot()),
             "tenants": {
                 tenant: self.export_tenant(tenant) if dirty is None or tenant in dirty else None
@@ -459,7 +422,6 @@ class StreamingForecaster:
             forecaster.import_tenant(tenant, payload)
         store.mark_clean()
         store.stats = StoreStats(**state["store_stats"])
-        forecaster.stats = StreamingStats(**state["stats"])
         return forecaster
 
     # ------------------------------------------------------------------ #

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
-from ..config import ModelConfig, TrainingConfig
+from ..config import TrainingConfig
 from ..core.base import ForecastModel
 from ..data.pipeline import ForecastingData
-from ..nn import Tensor, no_grad, seed_everything
+from ..nn import Tensor, seed_everything
+from ..profiling import time_forward
 from .pretrainer import pretrain_covariate_encoder
 from .trainer import Trainer, TrainingHistory
 
@@ -59,7 +57,8 @@ def measure_inference_time(
     batch_size: int = 32,
     repeats: int = 3,
 ) -> float:
-    """Median wall-clock seconds for one batched inference pass."""
+    """Median wall-clock seconds for one batched inference pass on the
+    first test batch (see :func:`repro.profiling.time_forward`)."""
     _, _, test_loader = data.loaders(batch_size, shuffle_train=False)
     batch = next(iter(test_loader))
     covariates = (
@@ -67,15 +66,7 @@ def measure_inference_time(
         if model.supports_covariates
         else {"future_numerical": None, "future_categorical": None}
     )
-    timings = []
-    model.eval()
-    with no_grad():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            model(Tensor(batch["x"]), **covariates)
-            timings.append(time.perf_counter() - start)
-    model.train()
-    return float(np.median(timings))
+    return time_forward(model, Tensor(batch["x"]), repeats=repeats, **covariates)
 
 
 def run_experiment(

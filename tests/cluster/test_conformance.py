@@ -21,12 +21,14 @@ also bind cases of this one on their own backend under the test names
 they have always reported; no case is written out twice.
 """
 
+import gc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.obs.metrics
 from repro.baselines.registry import create_model
 from repro.cluster import (
     HashRing,
@@ -41,6 +43,7 @@ from repro.cluster import (
 from repro.config import ModelConfig
 from repro.errors import DeadlineExceeded, Overloaded
 from repro.serving import ForecastService
+from repro.stats import counters_dict
 from repro.streaming import StreamingForecaster
 
 from live_weights import perturb, write_live_weights
@@ -226,8 +229,8 @@ class TestFanOut:
 
     def test_stats_aggregate_cluster_wide(self, cluster):
         forecasts(cluster)
-        assert cluster.service_stats().requests == 12
-        assert cluster.streaming_stats().forecasts == 12
+        service = cluster.service_stats()
+        assert (service.requests, service.padded_requests) == (12, 0)
         store = cluster.store_stats()
         assert (store.tenants, store.observations) == (12, 12 * TENANT_ROWS)
 
@@ -584,13 +587,30 @@ class TestCheckpoints:
         forecasts(cluster)
         cluster.remove_shard("shard-1")   # folds its history into retired stats
         expected = forecasts(cluster)
-        stats = (cluster.service_stats(), cluster.store_stats(), cluster.streaming_stats())
+        stats = (cluster.service_stats(), cluster.store_stats())
         cluster.save(str(tmp_path / "ckpt"))
         with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
-            assert (revived.service_stats(), revived.store_stats(), revived.streaming_stats()) == stats
+            assert (revived.service_stats(), revived.store_stats()) == stats
             assert revived.rebalances == cluster.rebalances
             assert revived.tenants_migrated == cluster.tenants_migrated
             assert revived.shard_ids() == cluster.shard_ids()
+            assert_same(forecasts(revived), expected)
+
+    def test_state_with_streaming_counters_still_loads(self, cluster, tmp_path):
+        """States written while the forecaster kept its own forecast
+        counters carry them per shard (``stats``) and in the retired record
+        (``retired.streaming``); they load, and those keys are ignored."""
+        forecasts(cluster)
+        cluster.remove_shard("shard-1")
+        expected = forecasts(cluster)
+        state = cluster.to_state()
+        state["retired"]["streaming"] = {"forecasts": 12, "cold_start_forecasts": 0}
+        for shard_state in state["shards"].values():
+            shard_state["stats"] = {"forecasts": 12, "cold_start_forecasts": 0}
+        write_snapshot(state, str(tmp_path / "ckpt"))
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
+            assert revived.service_stats() == cluster.service_stats()
+            assert revived.store_stats() == cluster.store_stats()
             assert_same(forecasts(revived), expected)
 
     def test_chain_restores_on_either_backend(self, backend, tmp_path):
@@ -699,6 +719,43 @@ class TestRetiredStats:
         cluster.failover(victim)
         assert cluster.service_stats() == want_service
         assert cluster.store_stats() == want_store
+
+
+class TestRegistryViews:
+    """The metrics registry exports what ``service_stats()`` and
+    ``store_stats()`` return: the live replicas' counters (a process
+    cluster's as of its last poll) plus the retired record."""
+
+    @staticmethod
+    def assert_views_match(cluster, registry):
+        # A stats call polls the workers; a retired thread replica's own
+        # views go when it is collected.
+        stats = {"repro_serving": cluster.service_stats(), "repro_store": cluster.store_stats()}
+        gc.collect()
+        views = registry.views_snapshot()
+        for prefix, counters in stats.items():
+            for name, value in counters_dict(counters).items():
+                assert views[f"{prefix}_{name}"] == value, f"{prefix}_{name}"
+
+    def test_views_match_stats_through_remove_and_failover(self, backend, tmp_path, monkeypatch):
+        registry = obs.MetricsRegistry()
+        monkeypatch.setattr(repro.obs.metrics, "_DEFAULT_REGISTRY", registry)
+        with running(build_cluster(SPEC, n_shards=3, backend=backend)) as cluster:
+            populate(cluster)
+            forecasts(cluster)
+            self.assert_views_match(cluster, registry)
+            cluster.remove_shard("shard-1")
+            self.assert_views_match(cluster, registry)
+            forecasts(cluster)
+            cluster.save(str(tmp_path / "ckpt"))
+            victim = cluster.shard_for("tenant-0")
+            kill(cluster, victim)
+            cluster.failover(victim)
+            self.assert_views_match(cluster, registry)
+            forecasts(cluster)
+            cluster.reset_service_stats()
+            self.assert_views_match(cluster, registry)
+            assert registry.views_snapshot()["repro_store_observations"] == 12 * TENANT_ROWS
 
 
 class TestSweeps:
@@ -865,14 +922,14 @@ class TestSingleForecast:
                 for handle in expired.values():
                     with pytest.raises(DeadlineExceeded):
                         handle.result()
-                outcomes[backend] = (values, cluster.service_stats(), cluster.streaming_stats())
-        (thread_values, *thread_stats), (process_values, *process_stats) = outcomes.values()
+                outcomes[backend] = (values, cluster.service_stats())
+        (thread_values, thread_stats), (process_values, process_stats) = outcomes.values()
         for thread_value, process_value in zip(thread_values, process_values):
             np.testing.assert_array_equal(thread_value, process_value)
         assert thread_stats == process_stats
-        assert thread_stats[0].shed_overloaded == 1
-        assert thread_stats[0].shed_expired == 1 + len(TENANTS)
-        assert thread_stats[1].forecasts == 2
+        assert thread_stats.shed_overloaded == 1
+        assert thread_stats.shed_expired == 1 + len(TENANTS)
+        assert thread_stats.requests == 2
 
 
 BAD_INGESTS = {

@@ -132,7 +132,7 @@ class TestChainRestore:
             assert revived.shard_for(tenant) == cluster.shard_for(tenant)
             assert tenant in revived.shard(revived.shard_for(tenant)).store
         assert revived.store_stats() == cluster.store_stats()
-        assert revived.streaming_stats() == cluster.streaming_stats()
+        assert revived.service_stats() == cluster.service_stats()
         assert "tenant-7" not in revived.tenants()
         want, got = forecast_map(cluster), forecast_map(revived)
         for tenant in want:

@@ -119,9 +119,7 @@ class TestStatsViews:
     def test_service_view_agrees_with_stats_snapshot(self, cluster, rng):
         registry = obs.MetricsRegistry()
         service = cluster.shard(cluster.shard_ids()[0]).service
-        registry.register_stats(
-            "repro_serving", service.stats_snapshot, maxed=type(service.stats).MAXED
-        )
+        registry.register_stats("repro_serving", service.stats_snapshot)
         _populate(cluster, rng)
         cluster.forecast_all()
         from repro.stats import counters_dict

@@ -1,5 +1,6 @@
 """Unit and property tests for the ``repro.obs`` metrics primitives."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -18,6 +19,16 @@ from repro.obs import (
     metrics_enabled,
     observability,
 )
+from repro.serving import ServiceStats
+from repro.streaming import StoreStats
+
+
+def counter_stats(kind):
+    """Random instances of a ``CounterStats`` dataclass, every field drawn."""
+    return st.builds(
+        kind, **{field.name: st.integers(0, 10**9) for field in dataclasses.fields(kind)}
+    )
+
 
 # The default serving buckets: 1µs..60s at 5 buckets per decade, so the
 # growth factor (== worst-case percentile relative error) is 10**0.2.
@@ -226,13 +237,39 @@ class TestRegistry:
 
     def test_stats_view_merges_sum_and_max(self):
         registry = MetricsRegistry()
-        first = {"requests": 3, "largest_batch": 8}
-        second = {"requests": 5, "largest_batch": 4}
-        registry.register_stats("repro_serving", lambda: first, maxed=("largest_batch",))
-        registry.register_stats("repro_serving", lambda: second, maxed=("largest_batch",))
+        first = ServiceStats(requests=3, largest_batch=8)
+        second = ServiceStats(requests=5, largest_batch=4)
+        registry.register_stats("repro_serving", lambda: first)
+        registry.register_stats("repro_serving", lambda: second)
         views = registry.views_snapshot()
         assert views["repro_serving_requests"] == 8
         assert views["repro_serving_largest_batch"] == 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        services=st.lists(counter_stats(ServiceStats), max_size=5),
+        stores=st.lists(counter_stats(StoreStats), max_size=5),
+    )
+    def test_views_merge_like_counter_stats(self, services, stores):
+        """The export's one sum-or-max rule is ``CounterStats.merge``'s."""
+        registry = MetricsRegistry()
+        for prefix, instances in (("repro_serving", services), ("repro_store", stores)):
+            for stats in instances:
+                registry.register_stats(prefix, lambda stats=stats: stats)
+        views = registry.views_snapshot()
+        for prefix, kind, instances in (
+            ("repro_serving", ServiceStats, services),
+            ("repro_store", StoreStats, stores),
+        ):
+            merged = kind.merge(instances)
+            for field in dataclasses.fields(kind):
+                key = f"{prefix}_{field.name}"
+                if instances:
+                    assert views[key] == getattr(merged, field.name)
+                else:
+                    assert key not in views
+        if services:
+            assert views["repro_serving_largest_batch"] == max(s.largest_batch for s in services)
 
     def test_dead_weakly_bound_view_is_pruned(self):
         class Owner:

@@ -22,7 +22,7 @@ import repro.obs as obs
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import PRIORITIES, AdmissionPolicy, DeadlineExceeded, ForecastService, Overloaded
-from repro.streaming import StreamingForecaster, StreamingStats
+from repro.streaming import StreamingForecaster
 
 from live_weights import perturb
 from padding_oracle import reference_pad
@@ -130,15 +130,13 @@ class PerTenantReference:
     ``store.latest`` → the tenant's normalisation (its rolling scaler
     frozen by ``to_standard_scaler()``, or the last-value anchor) →
     ``reference_pad`` → ``service.submit`` → the inverse mapping on
-    ``result()``.  It keeps the :class:`StreamingStats` the forecaster
-    should keep: a refused submit raises before any counter moves.  Its
+    ``result()``.  A refused submit raises before any counter moves.  Its
     service only ever sees full-length windows, so the reference counts
     the admitted rows it padded itself (:meth:`service_stats`).
     """
 
     def __init__(self, forecaster):
         self.forecaster = forecaster
-        self.stats = StreamingStats()
         self.padded_requests = 0
 
     def service_stats(self):
@@ -165,8 +163,6 @@ class PerTenantReference:
         )
         handle = service.submit(padded, **request)
         self.padded_requests += int(observed < input_length)
-        self.stats.forecasts += 1
-        self.stats.cold_start_forecasts += int(len(window) < input_length)
         return Mapped(handle, inverse)
 
 
@@ -237,7 +233,6 @@ def test_columnar_sweep_matches_per_tenant_loop(case):
         for before, after in zip(ref_queued, queued):
             assert_same(outcome(before), outcome(after))
         assert service.stats_snapshot() == expected_stats
-        assert forecaster.stats_snapshot() == reference.stats
         assert service.pending == ref_service.pending == 0
         service.close()
     ref_service.close()
@@ -253,7 +248,7 @@ def test_sweep_refusal_is_per_row_not_raised():
     assert handles["t4"].admission_error is not None
     assert handles["t0"].admission_error is None
     assert service.stats.shed_overloaded == 2
-    assert forecaster.stats.forecasts == 3
+    assert service.stats.requests == 3
 
 
 def test_unknown_tenant_raises_before_any_row_is_queued():
@@ -262,7 +257,6 @@ def test_unknown_tenant_raises_before_any_row_is_queued():
         forecaster.forecast_all(["t0", "ghost", "t1"])
     assert service.pending == 0
     assert service.stats.requests == 0
-    assert forecaster.stats.forecasts == 0
 
 
 def test_unflushed_sweep_split_by_a_mid_block_flush():

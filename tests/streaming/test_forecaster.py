@@ -52,7 +52,6 @@ class TestIngestAndForecast:
         forecaster.ingest("new", stream(rng, 5))
         forecast = forecaster.forecast("new")
         assert forecast.result().shape == (8, 2)
-        assert forecaster.stats.cold_start_forecasts == 1
         assert forecaster.service.stats.padded_requests == 1
 
     def test_forecast_unknown_tenant_raises(self, forecaster):

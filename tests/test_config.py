@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ModelConfig, TrainingConfig
+from repro.config import ModelConfig, TrainingConfig, fit_patch_length
 
 
 class TestModelConfig:
@@ -65,3 +65,13 @@ class TestTrainingConfig:
     def test_with_overrides(self):
         config = TrainingConfig().with_overrides(epochs=2)
         assert config.epochs == 2
+
+
+@pytest.mark.parametrize(
+    "input_length, preferred, expected",
+    [(96, 24, 24), (100, 24, 20), (48, 96, 48), (7, 4, 1), (13, 13, 13)],
+)
+def test_fit_patch_length_is_the_largest_divisor_not_above_preferred(input_length, preferred, expected):
+    patch = fit_patch_length(input_length, preferred)
+    assert patch == expected
+    ModelConfig(input_length=input_length, patch_length=patch)

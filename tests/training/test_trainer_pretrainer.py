@@ -143,3 +143,16 @@ class TestExperimentRunner:
     def test_measure_inference_time_positive(self, etth1_smoke_data):
         model = DLinear(_config_for(etth1_smoke_data))
         assert measure_inference_time(model, etth1_smoke_data, batch_size=8, repeats=2) > 0
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_measure_inference_time_keeps_the_train_flag(self, etth1_smoke_data, training):
+        model = DLinear(_config_for(etth1_smoke_data))
+        model.train(training)
+        measure_inference_time(model, etth1_smoke_data, batch_size=8, repeats=1)
+        assert model.training is training
+        assert all(module.training is training for _, module in model.named_modules())
+
+    def test_measure_inference_time_rejects_zero_repeats(self, etth1_smoke_data):
+        model = DLinear(_config_for(etth1_smoke_data))
+        with pytest.raises(ValueError, match="repeats"):
+            measure_inference_time(model, etth1_smoke_data, batch_size=8, repeats=0)
