@@ -25,12 +25,14 @@ Process/thread and crash-drill measurements are merged into
 import os
 import signal
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.cluster import ProcessCoordinator, ServiceSpec, ShardedForecaster, build_cluster
 from repro.config import ModelConfig
 from repro.core import LiPFormer
+from repro.profiling import interleave
 from repro.serving import ForecastService
 
 N_TENANTS = 24
@@ -79,21 +81,17 @@ def test_sharded_routing_overhead_is_bounded():
     for cluster in clusters.values():
         _drive(cluster, warmup)
         cluster.reset_service_stats()
-    elapsed = {n: [] for n in clusters}
-    for round_index in range(ROUNDS):
-        order = list(clusters) if round_index % 2 == 0 else list(clusters)[::-1]
-        for n_shards in order:
-            start = time.perf_counter()
-            _drive(clusters[n_shards], measured)
-            elapsed[n_shards].append(time.perf_counter() - start)
+    timings = interleave(
+        {n: partial(_drive, cluster, measured) for n, cluster in clusters.items()}, rounds=ROUNDS
+    )
     batch_sizes = {}
     for n_shards, cluster in clusters.items():
         stats = cluster.service_stats()
         batch_sizes[n_shards] = stats.mean_batch_size
         assert stats.requests == ROUNDS * N_TENANTS * TICKS
 
-    throughput = {n: N_TENANTS * TICKS / float(np.median(t)) for n, t in elapsed.items()}
-    ratio = float(np.median(np.array(elapsed[1]) / np.array(elapsed[4])))
+    throughput = {n: N_TENANTS * TICKS / samples.median for n, samples in timings.items()}
+    ratio = timings.ratios(1, 4).median
     print(
         "\ncluster scaling: "
         + ", ".join(
@@ -127,7 +125,7 @@ def _backend_spec():
     )
 
 
-def _required_process_speedup():
+def _required_process_speedup(blas_pinned: bool) -> float:
     """The bar the host can actually clear (see test_parallel_scaling).
 
     With one core, worker processes can't run concurrently and the wire
@@ -137,20 +135,20 @@ def _required_process_speedup():
     the thread baseline, turning the comparison into scheduler noise).
     """
     cores = os.cpu_count() or 1
-    single_threaded_blas = "1" in (
-        os.environ.get("OMP_NUM_THREADS"),
-        os.environ.get("OPENBLAS_NUM_THREADS"),
-    )
-    if cores >= 4 and single_threaded_blas:
+    if cores >= 4 and blas_pinned:
         return 2.0
-    if cores >= 2 and single_threaded_blas:
+    if cores >= 2 and blas_pinned:
         return 1.2
     return 0.3
 
 
-def test_process_backend_escapes_the_gil(bench_record_cluster):
-    """forecast_all throughput: 4 process workers vs 4 thread shards."""
-    n_shards, n_tenants, ticks = 4, 32, 4
+def test_process_backend_escapes_the_gil(bench_record, blas_pinned):
+    """forecast_all throughput: 4 process workers vs 4 thread shards.
+
+    Both clusters are up at once and timed in interleaved rounds of
+    ``ticks`` sweeps each; the gate reads the median per-round ratio.
+    """
+    n_shards, n_tenants, ticks, rounds = 4, 32, 4, 5
     spec = _backend_spec()
     rng = np.random.default_rng(21)
     fleet = {
@@ -158,56 +156,53 @@ def test_process_backend_escapes_the_gil(bench_record_cluster):
         for i in range(n_tenants)
     }
 
-    def drive(cluster, n_ticks):
-        for _ in range(n_ticks):
+    def drive(cluster):
+        for _ in range(ticks):
             for handle in cluster.forecast_all().values():
                 handle.result()
 
-    elapsed = {}
-    for backend in ("thread", "process"):
-        cluster = build_cluster(spec, n_shards=n_shards, backend=backend)
-        try:
+    clusters = {b: build_cluster(spec, n_shards=n_shards, backend=b) for b in ("thread", "process")}
+    try:
+        for cluster in clusters.values():
             for tenant, values in fleet.items():
                 cluster.ingest(tenant, values)
-            drive(cluster, 1)                      # warm plans on every shard
-            start = time.perf_counter()
-            drive(cluster, ticks)
-            elapsed[backend] = time.perf_counter() - start
-            stats = cluster.service_stats()
-            assert stats.requests >= n_tenants * ticks
-        finally:
-            if backend == "process":
-                cluster.close()
+            drive(cluster)                         # warm plans on every shard
+        timings = interleave({b: partial(drive, cluster) for b, cluster in clusters.items()}, rounds=rounds)
+        for cluster in clusters.values():
+            assert cluster.service_stats().requests >= n_tenants * ticks * (rounds + 1)
+    finally:
+        clusters["process"].close()
 
-    speedup = elapsed["thread"] / elapsed["process"]
-    required = _required_process_speedup()
+    speedup = timings.ratios("thread", "process")
+    required = _required_process_speedup(blas_pinned)
     cores = os.cpu_count() or 1
-    throughput = {b: n_tenants * ticks / t for b, t in elapsed.items()}
+    throughput = {b: n_tenants * ticks / samples.median for b, samples in timings.items()}
     print(
         f"\nprocess backend ({cores} cores, {n_shards} shards): thread "
         f"{throughput['thread']:,.0f} forecasts/s, process "
         f"{throughput['process']:,.0f} forecasts/s "
-        f"(speedup {speedup:.2f}x, required {required:.2f}x)"
+        f"(median paired speedup {speedup.median:.2f}x, required {required:.2f}x)"
     )
-    bench_record_cluster(
+    bench_record(
+        "cluster",
         "process_vs_thread",
         {
-            "cores": cores,
             "n_shards": n_shards,
             "n_tenants": n_tenants,
             "thread_forecasts_per_s": round(throughput["thread"], 1),
             "process_forecasts_per_s": round(throughput["process"], 1),
-            "speedup": round(speedup, 3),
+            "speedup": round(speedup.median, 3),
+            "spread": round(speedup.spread, 3),
             "required": required,
         },
     )
-    assert speedup >= required, (
-        f"process backend gave {speedup:.2f}x over threads on {cores} "
+    assert speedup.median >= required, (
+        f"process backend gave {speedup.median:.2f}x over threads on {cores} "
         f"cores; expected at least {required:.2f}x"
     )
 
 
-def test_crash_drill_recovery_time(bench_record_cluster, tmp_path):
+def test_crash_drill_recovery_time(bench_record, tmp_path):
     """kill -9 → detect → failover wall-clock, from a real checkpoint."""
     spec = _backend_spec()
     rng = np.random.default_rng(23)
@@ -237,7 +232,8 @@ def test_crash_drill_recovery_time(bench_record_cluster, tmp_path):
         f"{failover_seconds * 1e3:.0f} ms = {recovery * 1e3:.0f} ms for "
         f"{len(report.restored)} tenants restored"
     )
-    bench_record_cluster(
+    bench_record(
+        "cluster",
         "crash_drill",
         {
             "detect_seconds": round(detect_seconds, 4),

@@ -31,8 +31,6 @@ their measurements, and the enriched plan's per-op-kind replay profile, in
 """
 
 import math
-import os
-import time
 import tracemalloc
 
 import numpy as np
@@ -41,6 +39,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.nn.plan import InferencePlan
+from repro.profiling import interleave
 
 INPUT_LENGTH = 96
 HORIZON = 24
@@ -84,55 +83,19 @@ def _model(n_channels=1, hidden=64):
     return LiPFormer(config)
 
 
-def _per_call(fn, inner: int) -> float:
-    start = time.perf_counter()
-    for _ in range(inner):
-        fn()
-    return (time.perf_counter() - start) / inner
-
-
-def _interleaved(eager, compiled, repeats: int = 9, inner: int = N_RUNS // 2):
-    """Median eager and compiled per-call times and their median ratio.
-
-    Eager and compiled blocks alternate (and swap order every repeat), so
-    a load spike on a shared host lands on both sides of a pair instead
-    of on whichever path happened to be measured during it.
-    """
-    eager_times, compiled_times, ratios = [], [], []
-    for i in range(repeats):
-        if i % 2:
-            t_compiled = _per_call(compiled, inner)
-            t_eager = _per_call(eager, inner)
-        else:
-            t_eager = _per_call(eager, inner)
-            t_compiled = _per_call(compiled, inner)
-        eager_times.append(t_eager)
-        compiled_times.append(t_compiled)
-        ratios.append(t_eager / t_compiled)
-    return (
-        float(np.median(eager_times)),
-        float(np.median(compiled_times)),
-        float(np.median(ratios)),
-    )
-
-
-def _single_threaded_blas() -> bool:
-    return "1" in (
-        os.environ.get("OMP_NUM_THREADS"),
-        os.environ.get("OPENBLAS_NUM_THREADS"),
-    )
-
-
 def _measure(model, batch):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(batch, INPUT_LENGTH, model.config.n_channels)).astype(np.float32)
     eager = model.predict(x)
     compiled = model.predict(x, compiled=True)
     assert np.array_equal(eager, compiled), "compiled replay diverged from eager"
-    return _interleaved(lambda: model.predict(x), lambda: model.predict(x, compiled=True))
+    return interleave(
+        {"eager": lambda: model.predict(x), "compiled": lambda: model.predict(x, compiled=True)},
+        rounds=9, inner=N_RUNS // 2,
+    )
 
 
-def test_compiled_plan_speedup_over_eager(bench_record):
+def test_compiled_plan_speedup_over_eager(bench_record, blas_pinned):
     """Plan replay vs eager no-grad predict on the serving shapes.
 
     The plan is traced once at ``MAX_BATCH``; every other measured batch
@@ -148,14 +111,14 @@ def test_compiled_plan_speedup_over_eager(bench_record):
     model.predict(warm, compiled=True)                   # the only trace
     assert predictor.traces == 1
 
-    results = {}
+    timings, speedups = {}, {}
     for batch in (SINGLE_BATCH, ODD_BATCH, MAX_BATCH):
-        t_eager, t_compiled, speedup = _measure(model, batch)
-        results[batch] = (t_eager, t_compiled, speedup)
+        timings[batch] = _measure(model, batch)
+        speedups[batch] = timings[batch].ratios("eager", "compiled")
         print(
-            f"\ncompiled plan (batch {batch}): eager {t_eager * 1e6:,.0f}us/call, "
-            f"compiled {t_compiled * 1e6:,.0f}us/call, "
-            f"median paired speedup {speedup:.2f}x"
+            f"\ncompiled plan (batch {batch}): eager {timings[batch]['eager'].median * 1e6:,.0f}us/call, "
+            f"compiled {timings[batch]['compiled'].median * 1e6:,.0f}us/call, "
+            f"median paired speedup {speedups[batch].median:.2f}x"
         )
     assert predictor.traces == 1, "measurement loop traced new plans"
 
@@ -163,32 +126,33 @@ def test_compiled_plan_speedup_over_eager(bench_record):
     # thread (CI) the eager/compiled gap is pure Python overhead and the
     # single-request serving shape must be >= 2x; with a multithreaded BLAS
     # the eager baseline borrows cores and only a relaxed bar is demanded.
-    required_single = 2.0 if _single_threaded_blas() else 1.4
-    speedup_single = results[SINGLE_BATCH][2]
+    required_single = 2.0 if blas_pinned else 1.4
+    speedup_single = speedups[SINGLE_BATCH].median
     assert speedup_single >= required_single, (
         f"compiled plan gave {speedup_single:.2f}x over eager at non-traced "
         f"batch {SINGLE_BATCH}; expected at least {required_single:.2f}x"
     )
     # Larger batches are BLAS-bound; the plan must still never lose.
     for batch in (ODD_BATCH, MAX_BATCH):
-        speedup = results[batch][2]
+        speedup = speedups[batch].median
         assert speedup >= 1.1, (
             f"compiled plan gave {speedup:.2f}x at batch {batch}; "
             "the fast path must not regress batched serving"
         )
 
-    bench_record("compiled_plan_speedup", {
+    bench_record("inference", "compiled_plan_speedup", {
         "traced_at_batch": MAX_BATCH,
         "plans_traced": predictor.traces,
-        "single_threaded_blas": _single_threaded_blas(),
         "per_batch": {
             str(batch): {
-                "eager_us": round(t_eager * 1e6, 1),
-                "compiled_us": round(t_compiled * 1e6, 1),
-                "speedup": round(speedup, 2),
+                "eager_us": round(timing["eager"].median * 1e6, 1),
+                "compiled_us": round(timing["compiled"].median * 1e6, 1),
+                "speedup": round(speedups[batch].median, 2),
+                "spread": round(speedups[batch].spread, 3),
+                "compiled_wins": timing.wins("compiled", "eager"),
                 "traced": batch == MAX_BATCH,
             }
-            for batch, (t_eager, t_compiled, speedup) in results.items()
+            for batch, timing in timings.items()
         },
     })
 
@@ -223,7 +187,7 @@ def test_bucketed_workload_traces_logarithmic_plans(bench_record):
         f"\nworkload 2x(1..{MAX_BATCH}): {predictor.traces} plans traced "
         f"(bound {bound}), {len(predictor)} kept, {predictor.hits} replays"
     )
-    bench_record("plans_per_workload", {
+    bench_record("inference", "plans_per_workload", {
         "workload": f"two cycles of batch 1..{MAX_BATCH}",
         "max_batch": MAX_BATCH,
         "plans_traced": predictor.traces,
@@ -252,7 +216,7 @@ def test_liveness_arena_reduces_plan_memory(bench_record):
         f"liveness allocation only packed the arena {ratio:.2f}x tighter "
         "than keeping every intermediate alive; expected >= 3x"
     )
-    bench_record("plan_memory", {
+    bench_record("inference", "plan_memory", {
         "model": "LiPFormer",
         "traced_at_batch": MAX_BATCH,
         "n_steps": plan.n_steps,
@@ -311,7 +275,7 @@ def test_steady_state_replay_allocates_nothing_large(bench_record):
         f"{MAX_BATCH}) over {INPUT_LENGTH}x8: {plan.n_steps} steps, arena "
         f"{plan.arena_nbytes / 1024:,.0f} KiB, no large allocations in 50 runs"
     )
-    bench_record("steady_state_allocation", {
+    bench_record("inference", "steady_state_allocation", {
         "traced_at_batch": MAX_BATCH,
         "replayed_at_batch": ODD_BATCH,
         "n_steps": plan.n_steps,
@@ -362,7 +326,7 @@ def test_replay_profile_recorded(bench_record):
     print(f"\nenriched replay profile at batch {ENRICHED_BATCH}: {total:,.0f}us/pass")
     for kind, us in profile.items():
         print(f"  {kind:<20} {us:8.1f}us  {us / total:6.1%}")
-    bench_record("replay_profile", {
+    bench_record("inference", "replay_profile", {
         "model": "LiPFormer",
         "shape": "enriched: 7 channels, 4 numerical + 2 categorical covariates",
         "batch": ENRICHED_BATCH,

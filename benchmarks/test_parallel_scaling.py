@@ -15,12 +15,14 @@ Quantifies the two claims of the ``repro.runtime`` layer:
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.cluster import ShardedForecaster
 from repro.config import ModelConfig
 from repro.core import LiPFormer
+from repro.profiling import interleave
 from repro.runtime import PoolExecutor, SerialExecutor
 from repro.serving import ForecastService
 
@@ -60,31 +62,25 @@ def _drive(cluster, ticks):
             handle.result()
 
 
-def test_pool_executor_speedup_over_serial():
+def test_pool_executor_speedup_over_serial(blas_pinned):
     """Parallel forecast_all throughput vs the serial fan-out baseline.
 
-    Serial and pool blocks of ``TICKS`` ticks alternate (swapping order
-    every repeat) and the gate reads the median per-pair ratio, so a load
-    spike on a shared host lands on both sides of a pair instead of
-    deciding the verdict from one block.
+    Serial and pool blocks of ``TICKS`` ticks are interleaved and the gate
+    reads the median per-round ratio, so a load spike on a shared host
+    lands on both sides of a round instead of deciding the verdict from
+    one block.
     """
     executors = {"serial": SerialExecutor(), "pool": PoolExecutor(N_SHARDS)}
-    elapsed = {name: 0.0 for name in executors}
-    ratios = []
     with executors["serial"], executors["pool"]:
         clusters = {}
         for name, executor in executors.items():
             clusters[name] = _build_cluster(executor)
             _drive(clusters[name], 2)              # warm caches and the pool
             clusters[name].reset_service_stats()
-        for i in range(REPEATS):
-            block = {}
-            for name in ("serial", "pool") if i % 2 == 0 else ("pool", "serial"):
-                start = time.perf_counter()
-                _drive(clusters[name], TICKS)
-                block[name] = time.perf_counter() - start
-                elapsed[name] += block[name]
-            ratios.append(block["serial"] / block["pool"])
+        timings = interleave(
+            {name: partial(_drive, cluster, TICKS) for name, cluster in clusters.items()},
+            rounds=REPEATS,
+        )
         for cluster in clusters.values():
             stats = cluster.service_stats()
             assert stats.requests == N_TENANTS * TICKS * REPEATS
@@ -92,7 +88,7 @@ def test_pool_executor_speedup_over_serial():
             # per shard into one flush per fan-out.
             assert stats.mean_batch_size >= 0.8 * N_TENANTS / N_SHARDS
 
-    speedup = float(np.median(ratios))
+    speedup = timings.ratios("serial", "pool").median
     cores = os.cpu_count() or 1
     # The bar the host can actually clear: with one core a thread pool can
     # only tie (the assert guards against fan-out *overhead*), and real
@@ -101,20 +97,16 @@ def test_pool_executor_speedup_over_serial():
     # unless OMP/OPENBLAS_NUM_THREADS=1 as CI sets) the baseline already
     # occupies every core and the executor comparison measures scheduling,
     # not parallelism.
-    single_threaded_blas = "1" in (
-        os.environ.get("OMP_NUM_THREADS"),
-        os.environ.get("OPENBLAS_NUM_THREADS"),
-    )
-    if cores >= 4 and single_threaded_blas:
+    if cores >= 4 and blas_pinned:
         required = 1.5
-    elif cores >= 2 and single_threaded_blas:
+    elif cores >= 2 and blas_pinned:
         required = 1.1
     else:
         required = 0.6
     print(
         f"\nparallel scaling ({cores} cores, {N_SHARDS} shards): serial "
-        f"{N_TENANTS * TICKS * REPEATS / elapsed['serial']:,.0f} forecasts/s, pool "
-        f"{N_TENANTS * TICKS * REPEATS / elapsed['pool']:,.0f} forecasts/s "
+        f"{N_TENANTS * TICKS / timings['serial'].median:,.0f} forecasts/s, pool "
+        f"{N_TENANTS * TICKS / timings['pool'].median:,.0f} forecasts/s "
         f"(median paired speedup {speedup:.2f}x, required {required:.2f}x)"
     )
     assert speedup >= required, (

@@ -41,7 +41,7 @@ def _make_cluster():
     )
 
 
-def test_bursty_multitenant_latency_recorded(bench_record_serving):
+def test_bursty_multitenant_latency_recorded(bench_record):
     cluster = _make_cluster()
     rng = np.random.default_rng(11)
     for i in range(N_TENANTS):
@@ -77,12 +77,12 @@ def test_bursty_multitenant_latency_recorded(bench_record_serving):
         f"p50 {p50:.2f}ms p95 {p95:.2f}ms p99 {p99:.2f}ms, "
         f"{throughput:,.0f} req/s, peak queue {peak_queue:.0f}"
     )
-    bench_record_serving("latency", {
+    bench_record("serving", "latency", {
         "p50_ms": round(p50, 3), "p95_ms": round(p95, 3), "p99_ms": round(p99, 3),
     })
-    bench_record_serving("throughput", {"req_per_s": round(throughput)})
-    bench_record_serving("queue_depth", {"peak": peak_queue})
-    bench_record_serving("workload", {
+    bench_record("serving", "throughput", {"req_per_s": round(throughput)})
+    bench_record("serving", "queue_depth", {"peak": peak_queue})
+    bench_record("serving", "workload", {
         "tenants": N_TENANTS, "shards": N_SHARDS, "bursts": N_BURSTS,
         "input_length": INPUT_LENGTH, "horizon": HORIZON,
         "max_batch_size": 16,
@@ -98,7 +98,7 @@ BURST_SIZE = 48  # 3x the queue: two thirds of each burst must shed
 DOOMED_PER_BURST = 4  # submitted with a deadline that lapses before flush
 
 
-def test_overload_shedding_recorded(bench_record_serving):
+def test_overload_shedding_recorded(bench_record):
     """Benchmark S3 — typed load-shedding under a 3-priority burst.
 
     Drives a queue-bounded service with bursts three times its capacity
@@ -180,7 +180,7 @@ def test_overload_shedding_recorded(bench_record_serving):
         f"(deadline misses {deadline_miss_rate:.1%}), "
         f"{outcomes['ok']} served, interactive p99 {p99_interactive:.2f}ms"
     )
-    bench_record_serving("overload", {
+    bench_record("serving", "overload", {
         "submitted": submitted,
         "served": outcomes["ok"],
         "refused_at_admission": refused,

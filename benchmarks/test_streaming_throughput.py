@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.config import ModelConfig
 from repro.core import LiPFormer
+from repro.profiling import interleave
 from repro.serving import ForecastService
 from repro.streaming import SeriesStore, StreamingForecaster, replay
 
@@ -24,15 +25,6 @@ N_TENANTS = 12
 INPUT_LENGTH = 48
 HORIZON = 12
 TICKS = 16          # forecast ticks after warmup
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _make_model():
@@ -71,8 +63,8 @@ def test_streaming_beats_per_tenant_sequential_predict():
 
     sequential()
     result = streaming()      # warmup both paths (and keep one result)
-    t_sequential = _best_of(sequential)
-    t_streaming = _best_of(streaming)
+    timings = interleave({"sequential": sequential, "streaming": streaming}, rounds=3)
+    t_sequential, t_streaming = timings["sequential"].min, timings["streaming"].min
 
     requests = N_TENANTS * (TICKS + 1)     # replay also forecasts at warmup
     speedup = t_sequential / t_streaming * (requests / (N_TENANTS * TICKS))

@@ -60,7 +60,7 @@ def main() -> None:
         for i in range(N_TENANTS):
             cluster.ingest(f"tenant-{i}", rng.normal(size=(4, 1)).astype(np.float32))
         cluster.forecast_all()
-    print(f"served {N_TENANTS * N_BURSTS + N_TENANTS} forecasts across 2 shards\n")
+    print(f"served {cluster.service_stats().requests} forecasts across 2 shards\n")
 
     # --- 2. latency percentiles from the serving histograms --------------
     latency = obs.histogram("repro_serving_request_latency_seconds")

@@ -1,19 +1,11 @@
 """Rule ``timing-discipline``: instrumentation clocks go through ``repro.obs``.
 
-The serving, streaming, cluster and runtime layers are instrumented via
-the ``repro.obs`` timing helpers (``now()`` / ``timed()``), so every
-latency metric shares one monotonic clock and the disabled-mode fast path
-lives in exactly one place.  A raw ``time.perf_counter()`` or
-``time.time()`` call scattered through those packages would bypass the
-no-op gate the overhead benchmark enforces — and ``time.time()`` is not
-even monotonic, so durations built on it can go negative across NTP
-steps.
-
-Scope: ``repro/{serving,streaming,cluster,runtime,profiling}``.  The
-profiling package's measurement primitive (``time_callable``) predates
-``repro.obs`` and *is* the clock its experiments are built on; it is
-adjudicated through the analysis baseline rather than exempted here, so
-any new raw clock use in profiling still needs a justification.
+The serving, streaming, cluster, runtime and profiling layers read the
+clock through ``repro.obs.now()``, so every latency metric and every
+:func:`repro.profiling.interleave` measurement shares one monotonic
+clock.  A raw ``time.perf_counter()`` or ``time.time()`` call scattered
+through those packages would bypass it — and ``time.time()`` is not even
+monotonic, so durations built on it can go negative across NTP steps.
 """
 
 from __future__ import annotations
@@ -55,8 +47,8 @@ def _walk_calls(node: ast.AST, qual: str = "") -> Iterator[Tuple[ast.Call, str]]
 class TimingDisciplineRule(Rule):
     ID = "timing-discipline"
     DESCRIPTION = (
-        "raw time.* clock calls in instrumented packages; use the "
-        "repro.obs timing helpers (now()/timed())"
+        "raw time.* clock calls in instrumented packages; use "
+        "repro.obs.now()"
     )
 
     def check(self, context) -> Iterable[Finding]:
@@ -92,7 +84,6 @@ class TimingDisciplineRule(Rule):
                 context,
                 call,
                 f"raw time.{clock}() call in an instrumented package; "
-                "route timing through repro.obs (now()/timed()) so the "
-                "disabled-mode fast path stays centralized",
+                "read the clock through repro.obs.now()",
                 symbol=qual,
             )

@@ -714,18 +714,6 @@ class CompiledPredictor:
         with self._lock:
             return len(self._plans)
 
-    def reserve(self, capacity: int) -> None:
-        """Grow (never shrink) the signature-entry budget.
-
-        The serving layer calls this with its covariate-signature budget:
-        since the key dropped the batch dim, entries track distinct tenant
-        *signatures* only, and an LRU smaller than the live signature
-        population would thrash — every miss re-traces (several eager
-        forwards' worth of work) under the predictor lock.
-        """
-        with self._lock:
-            self.capacity = max(self.capacity, int(capacity))
-
     def _parameter_version(self) -> int:
         version = getattr(self.model, "parameter_version", None)
         return int(version()) if callable(version) else 0

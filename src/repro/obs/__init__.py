@@ -13,7 +13,7 @@ cycles):
 * :mod:`repro.obs.trace` — ``span()`` contexts with thread-local
   propagation across executor fan-out, a bounded ``TraceRecorder``, and
   Chrome trace-event export.
-* :mod:`repro.obs.timing` — the sanctioned clock (``now()``/``timed()``)
+* :mod:`repro.obs.timing` — the sanctioned clock (``now()``)
   enforced by the ``timing-discipline`` lint rule.
 
 Metrics are on by default (env ``REPRO_OBS_METRICS=0`` to disable);
@@ -39,7 +39,7 @@ from .metrics import (
     register_stats,
     tracing_enabled,
 )
-from .timing import now, timed
+from .timing import now
 from .trace import (
     Span,
     TraceRecorder,
@@ -77,6 +77,5 @@ __all__ = [
     "observability",
     "register_stats",
     "span",
-    "timed",
     "tracing_enabled",
 ]

@@ -1,45 +1,19 @@
 """Centralised wall-clock access for the instrumented layers.
 
 The ``timing-discipline`` lint rule bans raw ``time.perf_counter()`` /
-``time.time()`` calls inside ``repro.{serving,streaming,cluster,runtime}``;
-instrumentation clocks go through these helpers instead so latency metrics
-share one monotonic clock and the disabled-mode fast path lives in exactly
-one place.
+``time.time()`` calls inside ``repro.{serving,streaming,cluster,runtime,profiling}``;
+instrumentation clocks read :func:`now` instead, so latency metrics and
+the profiling package's :func:`~repro.profiling.interleave` share one
+monotonic clock.
 """
 
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
 
-from .metrics import _STATE, Histogram
-
-__all__ = ["now", "timed"]
+__all__ = ["now"]
 
 
 def now() -> float:
     """Monotonic seconds — the one sanctioned clock for instrumented code."""
     return _perf_counter()
-
-
-class timed:
-    """Context manager observing its elapsed seconds into ``histogram``.
-
-    No-op (no clock read) when metrics are disabled at entry; suitable for
-    cold paths — hot paths hand-roll the two ``now()`` calls to also gate
-    label lookups behind one ``metrics_enabled()`` check.
-    """
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "timed":
-        self._start = _perf_counter() if _STATE.metrics else 0.0
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._start:
-            self._histogram.observe(_perf_counter() - self._start)
-        return False

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Dict, Iterable, List, Optional
+from functools import partial
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
 from ..config import ModelConfig, fit_patch_length
 from ..core.base import ForecastModel
-from .timing import time_inference
+from ..nn import Tensor, no_grad
+from .timing import interleave
 
 __all__ = ["limit_blas_threads", "edge_inference_profile"]
 
@@ -65,24 +67,19 @@ def edge_inference_profile(
 
     A fresh, untrained model is built per input length — inference cost does
     not depend on the weights' values, only on the architecture.  The
-    ``repeats`` timings are interleaved: each round times every length
-    once, so a burst of host load lands on all lengths alike instead of on
-    one length's samples, and each length reports its median.
+    ``repeats`` rounds are interleaved (:func:`~repro.profiling.timing.interleave`):
+    each round times every length once, so a burst of host load lands on
+    all lengths alike instead of on one length's samples, and each length
+    reports its median.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
     generator = rng if rng is not None else np.random.default_rng(0)
-    models: Dict[int, ForecastModel] = {}
+    passes = {}
     for input_length in input_lengths:
         patch_length = fit_patch_length(input_length, base_config.patch_length)
         config = base_config.with_overrides(input_length=input_length, patch_length=patch_length)
-        models[input_length] = model_factory(config)
-    samples: Dict[int, List[float]] = {length: [] for length in models}
-    with limit_blas_threads(n_threads) if n_threads is not None else nullcontext():
-        for _ in range(repeats):
-            for length, model in models.items():
-                samples[length].append(
-                    time_inference(model, batch_size=batch_size, repeats=1, rng=generator)
-                )
-    return {length: float(np.median(times)) for length, times in samples.items()}
+        x = generator.standard_normal((batch_size, input_length, config.n_channels))
+        passes[input_length] = partial(model_factory(config).eval(), Tensor(x.astype(np.float32)))
+    with limit_blas_threads(n_threads) if n_threads is not None else nullcontext(), no_grad():
+        timings = interleave(passes, rounds=repeats)
+    return {length: timings[length].median for length in passes}
 

@@ -1,28 +1,81 @@
-"""Wall-clock timing of training and inference."""
+"""Wall-clock timing of training and inference, all through :func:`interleave`.
+
+Sides run in rounds with the order reversed every other round, so host load
+lands on all of them alike (Kalibera & Jones, "Rigorous Benchmarking in
+Reasonable Time", ISMM 2013).
+"""
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.base import ForecastModel
 from ..nn import Tensor, no_grad
+from ..obs import now
 
-__all__ = ["time_callable", "time_forward", "time_inference", "time_training_step"]
+__all__ = ["Interleaved", "Samples", "interleave", "time_callable", "time_forward", "time_inference", "time_training_step"]
+
+
+@dataclass(frozen=True)
+class Samples:
+    """One value per round: per-call seconds, or a per-round ratio."""
+
+    values: Tuple[float, ...]
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self.values))
+
+    @property
+    def min(self) -> float:
+        return min(self.values)
+
+    @property
+    def spread(self) -> float:
+        """Interquartile range as a share of the median."""
+        q1, median, q3 = np.percentile(self.values, (25, 50, 75))
+        return float((q3 - q1) / median) if median else 0.0
+
+
+class Interleaved(Dict[Hashable, Samples]):
+    """Each side's per-call :class:`Samples` from one :func:`interleave` run."""
+
+    def ratios(self, numerator: Hashable, denominator: Hashable) -> Samples:
+        """Per-round ``numerator / denominator``; its median is the paired estimate."""
+        return Samples(tuple(a / b for a, b in zip(self[numerator].values, self[denominator].values)))
+
+    def wins(self, side: Hashable, other: Hashable) -> int:
+        """Rounds in which ``side`` took less time than ``other``."""
+        return sum(a < b for a, b in zip(self[side].values, self[other].values))
+
+
+def interleave(sides: Mapping[Hashable, Callable[[], object]], rounds: int, inner: int = 1) -> Interleaved:
+    """Time each side once per round; a sample is ``inner`` calls' seconds / ``inner``.
+
+    Even rounds run the sides in mapping order, odd rounds in reverse.
+    """
+    if rounds < 1 or inner < 1 or not sides:
+        raise ValueError(f"interleave needs rounds >= 1, inner >= 1 and a side; got {rounds}, {inner}, {len(sides)}")
+    order = list(sides)
+    times: Dict[Hashable, list] = {side: [] for side in order}
+    for round_index in range(rounds):
+        for side in order if round_index % 2 == 0 else reversed(order):
+            fn = sides[side]
+            start = now()
+            for _ in range(inner):
+                fn()
+            times[side].append((now() - start) / inner)
+    return Interleaved((side, Samples(tuple(values))) for side, values in times.items())
 
 
 def time_callable(fn: Callable[[], object], repeats: int = 3) -> float:
     """Median wall-clock seconds of ``fn`` over ``repeats`` runs."""
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    timings = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        timings.append(time.perf_counter() - start)
-    return float(np.median(timings))
+    return interleave({"fn": fn}, repeats)["fn"].median
 
 
 def time_forward(model: ForecastModel, x: Tensor, repeats: int = 3, **covariates) -> float:

@@ -147,13 +147,8 @@ class ForecastService:
         #: ``supports_compiled_plan`` silently stay eager).
         self.compiled = bool(compiled)
         if self.compiled and getattr(model, "supports_compiled_plan", False):
-            # Plans are batch-polymorphic: the cache key tracks covariate
-            # *signatures* only (with / without covariates), not batch
-            # sizes, so a handful of entries covers the flush loop's whole
-            # shape population — tail batches of any size replay the same
-            # bucket plan.  Align the predictor's polymorphic trace width
-            # with the service's micro-batch ceiling.
-            model.compiled_predictor().reserve(4)
+            # Build the predictor (and its repro_plan_cache view) up front.
+            model.compiled_predictor()
         #: admission policy; the default is inert (unbounded queue, no
         #: deadlines) so un-configured services behave exactly as before.
         self.admission = admission if admission is not None else AdmissionPolicy()

@@ -8,6 +8,7 @@ snapshots and failover on the thread and the process backend.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,6 @@ def test_serving_quickstart_exits_zero():
     [
         "cluster_quickstart",
         "cluster_process_quickstart",
-        "observability_quickstart",
         "edge_device_inference",
         "quickstart",
     ],
@@ -47,3 +47,12 @@ def test_serving_quickstart_exits_zero():
 def test_example_exits_zero(name):
     completed = run_example(name)
     assert completed.returncode == 0, completed.stdout + completed.stderr
+
+
+def test_observability_quickstart_counts_what_it_served():
+    completed = run_example("observability_quickstart")
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    served = re.search(r"^served (\d+) forecasts", completed.stdout, re.M)
+    exported = re.search(r"^repro_serving_requests = (\d+)$", completed.stdout, re.M)
+    assert served and exported, completed.stdout
+    assert served.group(1) == exported.group(1)

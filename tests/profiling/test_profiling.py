@@ -12,6 +12,7 @@ from repro.profiling import (
     count_parameters,
     edge_inference_profile,
     human_readable_count,
+    interleave,
     limit_blas_threads,
     measure_macs,
     parameter_breakdown,
@@ -124,6 +125,67 @@ class TestTiming:
         inference = time_inference(model, batch_size=16, repeats=3)
         training = time_training_step(model, batch_size=16, repeats=3)
         assert training > inference
+
+
+class FakeClock:
+    """Stands in for ``repro.obs.now``: every side call advances it by that
+    side's own duration and records which side ran."""
+
+    def __init__(self, durations):
+        self.time = 0.0
+        self.calls = []
+        self.durations = durations
+
+    def now(self):
+        return self.time
+
+    def side(self, name):
+        def call():
+            self.calls.append(name)
+            self.time += self.durations[name][sum(1 for c in self.calls if c == name) - 1]
+        return call
+
+
+class TestInterleave:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        # Per-call durations, indexed by call number: "a" is faster in
+        # rounds 0, 1 and 3, "b" in round 2 (two calls per round, inner=2).
+        fake = FakeClock({
+            "a": [1.0, 1.0, 2.0, 2.0, 8.0, 8.0, 0.5, 1.5],
+            "b": [4.0, 4.0, 3.0, 3.0, 2.0, 2.0, 4.0, 4.0],
+        })
+        monkeypatch.setattr("repro.profiling.timing.now", fake.now)
+        return fake
+
+    def test_order_alternates_and_inner_divides_each_sample(self, clock):
+        timings = interleave({"a": clock.side("a"), "b": clock.side("b")}, rounds=4, inner=2)
+        assert clock.calls == ["a", "a", "b", "b", "b", "b", "a", "a"] * 2
+        assert timings["a"].values == (1.0, 2.0, 8.0, 1.0)
+        assert timings["b"].values == (4.0, 3.0, 2.0, 4.0)
+        assert timings["a"].min == 1.0
+        assert timings["a"].median == 1.5
+        # Quartiles of (1, 1, 2, 8) are 1 and 3.5: IQR / median = 2.5 / 1.5.
+        assert timings["a"].spread == pytest.approx(2.5 / 1.5)
+
+    def test_ratio_is_the_median_per_round_ratio_and_wins_count_rounds(self, clock):
+        timings = interleave({"a": clock.side("a"), "b": clock.side("b")}, rounds=4, inner=2)
+        # Per-round b / a: 4, 1.5, 0.25, 4; the ratio of the medians would
+        # be 3.5 / 1.5 instead.
+        assert timings.ratios("b", "a").values == (4.0, 1.5, 0.25, 4.0)
+        assert timings.ratios("b", "a").median == pytest.approx(2.75)
+        assert timings.wins("a", "b") == 3
+        assert timings.wins("b", "a") == 1
+
+    def test_each_side_gets_one_sample_per_round(self, clock):
+        timings = interleave({"a": clock.side("a"), "b": clock.side("b")}, rounds=3)
+        assert clock.calls == ["a", "b", "b", "a", "a", "b"]
+        assert len(timings["a"].values) == len(timings["b"].values) == 3
+
+    @pytest.mark.parametrize("rounds, inner, sides", [(0, 1, {"a": int}), (1, 0, {"a": int}), (1, 1, {})])
+    def test_rejects_empty_measurements(self, rounds, inner, sides):
+        with pytest.raises(ValueError):
+            interleave(sides, rounds=rounds, inner=inner)
 
 
 class TestEdgeEmulation:
