@@ -40,6 +40,7 @@ from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.nn.plan import InferencePlan
 from repro.profiling import interleave
+from repro.profiling.timing import Samples
 
 INPUT_LENGTH = 96
 HORIZON = 24
@@ -317,14 +318,17 @@ def test_replay_profile_recorded(bench_record):
     leave the plan serving the same bits afterwards."""
     plan, inputs = _enriched_plan()
     expected = plan.run(*inputs)
-    profile = plan.profile(repeats=50)
+    profile = {kind: Samples(tuple(us)) for kind, us in plan.profile(repeats=50).items()}
     assert {"matmul", "attention_scores", "attention_output", "add"} <= profile.keys()
-    assert all(us >= 0.0 for us in profile.values())
+    assert all(samples.min >= 0.0 for samples in profile.values())
     assert np.array_equal(plan.run(*inputs), expected)
 
-    total = sum(profile.values())
-    print(f"\nenriched replay profile at batch {ENRICHED_BATCH}: {total:,.0f}us/pass")
-    for kind, us in profile.items():
+    per_pass = Samples(tuple(map(sum, zip(*(samples.values for samples in profile.values())))))
+    mean_us = {kind: float(np.mean(samples.values)) for kind, samples in profile.items()}
+    total = float(np.mean(per_pass.values))
+    print(f"\nenriched replay profile at batch {ENRICHED_BATCH}: {total:,.0f}us/pass"
+          f" (spread {per_pass.spread:.1%})")
+    for kind, us in mean_us.items():
         print(f"  {kind:<20} {us:8.1f}us  {us / total:6.1%}")
     bench_record("inference", "replay_profile", {
         "model": "LiPFormer",
@@ -334,5 +338,9 @@ def test_replay_profile_recorded(bench_record):
         "repeats": 50,
         "us_per_pass": round(total, 1),
         "us_per_row": round(total / ENRICHED_BATCH, 1),
-        "us_by_kind": {kind: round(us, 1) for kind, us in profile.items()},
+        "us_by_kind": {kind: round(us, 1) for kind, us in mean_us.items()},
+        "spread": {
+            "us_per_pass": round(per_pass.spread, 3),
+            "us_by_kind": {kind: round(samples.spread, 3) for kind, samples in profile.items()},
+        },
     })

@@ -1,7 +1,7 @@
 """Rule ``timing-discipline``: instrumentation clocks go through ``repro.obs``.
 
-The serving, streaming, cluster, runtime and profiling layers read the
-clock through ``repro.obs.now()``, so every latency metric and every
+The nn, serving, streaming, cluster, runtime and profiling layers read
+the clock through ``repro.obs.now()``, so every latency metric and every
 :func:`repro.profiling.interleave` measurement shares one monotonic
 clock.  A raw ``time.perf_counter()`` or ``time.time()`` call scattered
 through those packages would bypass it — and ``time.time()`` is not even
@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, Set, Tuple
 from ..base import Rule, call_name, register
 from ..findings import Finding
 
-_SCOPED_PACKAGES = ("serving", "streaming", "cluster", "runtime", "profiling")
+_SCOPED_PACKAGES = ("nn", "serving", "streaming", "cluster", "runtime", "profiling")
 
 # Clock attributes of the ``time`` module whose raw use is banned.
 # ``time.sleep`` and formatting helpers are not clocks and stay allowed.

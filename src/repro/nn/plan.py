@@ -61,7 +61,6 @@ it may serve traffic.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -598,15 +597,15 @@ class InferencePlan:
         out = self._out_slot.bind(batch)
         return out.copy() if copy else out
 
-    def profile(self, repeats: int = 20) -> Dict[str, float]:
-        """Mean µs per full-batch replay, split by op kind.
+    def profile(self, repeats: int = 20) -> Dict[str, List[float]]:
+        """µs per full-batch replay, split by op kind: one value per repeat.
 
         Re-runs the steps ``repeats`` times on whatever the input buffers
         hold and times each kernel on its own, in :meth:`_replay_timed`,
         so ``_replay`` stays untimed.  A step's kind is the name of the op
         that recorded it (``matmul``, ``add``, ``attention_scores``,
-        ``gelu``, ...).  Like :meth:`run`, it must not overlap another
-        call on the same plan.
+        ``gelu``, ...); kinds come most expensive first.  Like :meth:`run`,
+        it must not overlap another call on the same plan.
         """
         if repeats < 1:
             raise ValueError(f"repeats must be positive, got {repeats}")
@@ -614,17 +613,17 @@ class InferencePlan:
         if bound is None:
             bound = self._bind(self.max_batch)
         kinds = [_op_kind(kernel) for kernel in self._kernels]
-        totals = dict.fromkeys(kinds, 0.0)
+        samples: Dict[str, List[float]] = {kind: [] for kind in kinds}
         for _ in range(repeats):
+            totals = dict.fromkeys(samples, 0.0)
             self._replay_timed(bound, kinds, totals)
-        return {
-            kind: total * 1e6 / repeats
-            for kind, total in sorted(totals.items(), key=lambda item: -item[1])
-        }
+            for kind, total in totals.items():
+                samples[kind].append(total * 1e6)
+        return dict(sorted(samples.items(), key=lambda item: -sum(item[1])))
 
     def _replay_timed(self, bound, kinds: List[str], totals: Dict[str, float]) -> None:
         """One replay of ``bound`` adding each kernel's seconds to its kind."""
-        clock = time.perf_counter
+        clock = obs.now
         for kind, kernel, arrays in zip(kinds, self._kernels, bound):
             start = clock()
             kernel(*arrays)

@@ -1,7 +1,8 @@
 """Centralised wall-clock access for the instrumented layers.
 
 The ``timing-discipline`` lint rule bans raw ``time.perf_counter()`` /
-``time.time()`` calls inside ``repro.{serving,streaming,cluster,runtime,profiling}``;
+``time.time()`` calls inside
+``repro.{nn,serving,streaming,cluster,runtime,profiling}``;
 instrumentation clocks read :func:`now` instead, so latency metrics and
 the profiling package's :func:`~repro.profiling.interleave` share one
 monotonic clock.

@@ -7,7 +7,7 @@ request-level inference stack:
   rows (or ``submit(history, covariates) -> Forecast``, a one-row block on
   the same path) with a micro-batching queue that coalesces pending rows
   into single padded forward passes under ``no_grad``;
-* batching helpers (:func:`group_requests`, :class:`BatchAssembler`) and
+* batching helpers (:func:`group_requests`, :func:`stage_group`) and
   :class:`ServiceStats` for observing batching behaviour;
 * :mod:`repro.serving.admission` — overload protection: priority classes
   (:data:`PRIORITIES`), per-request deadlines, and an
@@ -31,11 +31,11 @@ from .admission import (
     Overloaded,
 )
 from .batching import (
-    BatchAssembler,
     Forecast,
     ForecastRequest,
     ForecastRows,
     group_requests,
+    stage_group,
 )
 from .service import ForecastService, ServiceStats
 
@@ -44,7 +44,7 @@ __all__ = [
     "ForecastRows",
     "ForecastRequest",
     "group_requests",
-    "BatchAssembler",
+    "stage_group",
     "ForecastService",
     "ServiceStats",
     "PRIORITIES",

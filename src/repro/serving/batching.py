@@ -11,8 +11,10 @@ that are independent of any model:
   block (a service's, a streaming sweep's or a process shard's);
 * :class:`ForecastRequest` — a run of queued rows sharing one submit
   call's timing, priority and covariate signature;
-* :func:`group_requests` / :class:`BatchAssembler` — split queued runs by
-  covariate signature and copy each group into one rectangular batch.
+* :func:`group_requests` / :func:`stage_group` — split queued runs by
+  covariate signature and hand each group to the model as one rectangular
+  batch: a one-run group as the queued block's own views, several runs
+  joined with ``np.concatenate``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.plan import bucket_for
-
 __all__ = [
     "Forecast",
     "ForecastRows",
     "ForecastRequest",
     "group_requests",
-    "BatchAssembler",
+    "stage_group",
 ]
 
 
@@ -147,10 +147,6 @@ class ForecastRequest:
     def __len__(self) -> int:
         return len(self.history)
 
-    @property
-    def has_covariates(self) -> bool:
-        return self.future_numerical is not None or self.future_categorical is not None
-
     def span(self, start: int, stop: int) -> "ForecastRequest":
         """Rows ``[start, stop)`` of this run, as a run of their own (views)."""
         if start == 0 and stop == len(self):
@@ -196,69 +192,25 @@ def group_requests(requests: Sequence[ForecastRequest]) -> List[List[ForecastReq
     return list(by_signature.values())
 
 
-class BatchAssembler:
-    """Assemble request groups into padded batches over reusable scratch.
+def stage_group(members: Sequence[ForecastRequest]) -> Dict[str, Optional[np.ndarray]]:
+    """The model inputs of one forward-pass group (keys ``x`` /
+    ``future_numerical`` / ``future_categorical``).
 
-    ``np.stack`` per flush allocated a fresh batch block (plus per-row
-    copies) every time; the assembler instead keeps one scratch buffer per
-    input kind — history, numerical covariates, categorical covariates —
-    already in the model's dtype, and copies each run's rows straight in
-    with one slice assignment.  Steady-state flushing therefore performs
-    no batch-sized allocations and no dtype casts (submit already copied
-    every history into a float32 block).
-
-    The returned batch views alias the scratch buffers: they are valid
-    until the next :meth:`assemble` call, which is exactly the flush loop's
-    assemble → forward → resolve cadence.
+    A one-run group hands over its run's own views of the queued block;
+    several runs are joined with one ``np.concatenate`` per field.  Submit
+    already cast every field to the model's dtype, and the compiled plan
+    copies its inputs into its own buffers, so that copy is the only
+    staging copy a one-run pass takes.
     """
 
-    __slots__ = ("_x", "_fn", "_fc")
+    def join(field: str) -> Optional[np.ndarray]:
+        blocks = [getattr(request, field) for request in members]
+        if blocks[0] is None:
+            return None
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    def __init__(self) -> None:
-        self._x: Optional[np.ndarray] = None
-        self._fn: Optional[np.ndarray] = None
-        self._fc: Optional[np.ndarray] = None
-
-    @staticmethod
-    def _fill(
-        buffer: Optional[np.ndarray],
-        blocks: List[np.ndarray],
-        dtype: np.dtype,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy ``blocks`` into (a large-enough) ``buffer``; returns (buffer, view)."""
-        n = sum(len(block) for block in blocks)
-        row_shape = blocks[0].shape[1:]
-        if buffer is None or buffer.shape[0] < n or buffer.shape[1:] != row_shape:
-            # Clamp scratch capacity to the active power-of-two bucket —
-            # the same bucketing the compiled-plan cache uses — so
-            # fluctuating group sizes reallocate O(log max_batch) times
-            # and then stabilise, instead of growing row by row.
-            buffer = np.empty((bucket_for(n),) + row_shape, dtype=dtype)
-        view = buffer[:n]
-        start = 0
-        for block in blocks:
-            view[start:start + len(block)] = block
-            start += len(block)
-        return buffer, view
-
-    def assemble(self, members: Sequence[ForecastRequest]) -> Dict[str, Optional[np.ndarray]]:
-        """One batch dictionary (keys ``x`` / ``future_numerical`` /
-        ``future_categorical``) for a signature-homogeneous group."""
-        batch: Dict[str, Optional[np.ndarray]] = {
-            "x": None,
-            "future_numerical": None,
-            "future_categorical": None,
-        }
-        self._x, batch["x"] = self._fill(
-            self._x, [r.history for r in members], np.float32
-        )
-        first = members[0]
-        if first.future_numerical is not None:
-            self._fn, batch["future_numerical"] = self._fill(
-                self._fn, [r.future_numerical for r in members], np.float32
-            )
-        if first.future_categorical is not None:
-            self._fc, batch["future_categorical"] = self._fill(
-                self._fc, [r.future_categorical for r in members], np.int64
-            )
-        return batch
+    return {
+        "x": join("history"),
+        "future_numerical": join("future_numerical"),
+        "future_categorical": join("future_categorical"),
+    }

@@ -41,11 +41,11 @@ from .admission import (
     resolve_deadline,
 )
 from .batching import (
-    BatchAssembler,
     Forecast,
     ForecastRequest,
     ForecastRows,
     group_requests,
+    stage_group,
 )
 
 __all__ = ["ServiceStats", "ForecastService"]
@@ -107,7 +107,7 @@ class ServiceStats(CounterStats):
         return {**counters_dict(self), "mean_batch_size": self.mean_batch_size}
 
 
-@guarded_by("_pending", "_rows", "stats", "_assembler", "_timer", "_timer_at", lock="_lock")
+@guarded_by("_pending", "_rows", "stats", "_timer", "_timer_at", lock="_lock")
 class ForecastService:
     """Serve a forecasting model behind a micro-batching request API.
 
@@ -156,7 +156,6 @@ class ForecastService:
         # Queued runs of rows in admission order, and the rows they hold.
         self._pending: List[ForecastRequest] = []
         self._rows = 0
-        self._assembler = BatchAssembler()
         self._timer: Optional[threading.Timer] = None
         self._timer_at = 0.0
         self._lock = threading.RLock()
@@ -484,6 +483,8 @@ class ForecastService:
         ``future_numerical`` / ``future_categorical`` are per-request arrays
         aligned with ``histories`` (``[n, horizon, c]``) or ``None``.
         """
+        if not len(histories):
+            return np.empty((0, self.config.horizon, self.config.n_channels), dtype=np.float32)
         handles = [
             self.submit(
                 history,
@@ -506,7 +507,10 @@ class ForecastService:
         batches without a per-sample Python loop, then runs them through the
         model under ``no_grad``.  Returns ``[n_windows, horizon, channels]``
         predictions aligned with the dataset's window indexing.
+        ``batch_size`` defaults to ``max_batch_size``.
         """
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         for field in ("input_length", "horizon", "n_channels"):
             expected = getattr(self.config, field)
             actual = getattr(dataset, field)
@@ -730,10 +734,7 @@ class ForecastService:
                         _FLUSH_OCCUPANCY.observe(size / self.max_batch_size)
                     try:
                         with obs.span("batch.assemble", requests=size):
-                            # The assembled batch aliases the service's
-                            # scratch buffers — consumed by the forward pass
-                            # below before the next group is assembled.
-                            batch = self._assembler.assemble(members)
+                            batch = stage_group(members)
                         output = self._run_batch(batch)
                     except Exception as error:  # noqa: BLE001 - routed to handles
                         for request in members:

@@ -483,6 +483,18 @@ class TestTimingDiscipline:
         assert rule_ids(findings) == ["timing-discipline"] * 2
         assert all("time.perf_counter()" in f.message for f in findings)
 
+    def test_kernel_clock_call_flagged_in_nn(self, lint):
+        source = """
+            import time
+
+            def replay_timed(kernel):
+                start = time.perf_counter()
+                kernel()
+                return time.perf_counter() - start
+        """
+        findings = lint(source, path="repro/nn/plan.py", rules=[TimingDisciplineRule])
+        assert rule_ids(findings) == ["timing-discipline"] * 2
+
     def test_obs_helpers_are_clean(self, lint):
         source = """
             from repro import obs

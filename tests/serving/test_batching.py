@@ -7,10 +7,10 @@ from repro.baselines import DLinear
 from repro.config import ModelConfig
 from repro.serving import ForecastService
 from repro.serving.batching import (
-    BatchAssembler,
     ForecastRequest,
     ForecastRows,
     group_requests,
+    stage_group,
 )
 
 from padding_oracle import reference_pad
@@ -29,9 +29,8 @@ def _request(history, fn=None, fc=None):
 
 def _assembled(requests):
     """``(batch, members)`` per forward-pass group, the way the flush loop
-    builds them: ``group_requests`` then ``BatchAssembler`` (one assembler
-    per group here, so every batch stays valid)."""
-    return [(BatchAssembler().assemble(members), members) for members in group_requests(requests)]
+    builds them: ``group_requests`` then ``stage_group``."""
+    return [(stage_group(members), members) for members in group_requests(requests)]
 
 
 def _service(input_length, n_channels, pad_mode="edge"):
@@ -137,7 +136,7 @@ class TestCoalesce:
         sizes = sorted(len(members) for _, members in groups)
         assert sizes == [1, 2]
         for batch, members in groups:
-            if members[0].has_covariates:
+            if members[0].future_numerical is not None:
                 assert batch["future_numerical"].shape == (2, 6, 2)
                 assert batch["future_categorical"].shape == (2, 6, 1)
             else:

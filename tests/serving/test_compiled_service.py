@@ -1,4 +1,4 @@
-"""Compiled fast path through the serving layer: parity, warmup, scratch reuse."""
+"""Compiled fast path through the serving layer: parity, warmup, staging."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import ForecastService
-from repro.serving.batching import BatchAssembler, ForecastRequest, ForecastRows, group_requests
+from repro.serving.batching import ForecastRequest, ForecastRows, group_requests, stage_group
 
 
 @pytest.fixture
@@ -122,7 +122,7 @@ class TestCompiledServiceParity:
         assert np.array_equal(compiled.backfill(dataset), eager.backfill(dataset))
 
 
-class TestBatchAssembler:
+class TestStageGroup:
     def _request(self, rng, config, fn=None, fc=None):
         history = rng.normal(size=(1, config.input_length, config.n_channels)).astype(np.float32)
         return ForecastRequest(
@@ -134,16 +134,20 @@ class TestBatchAssembler:
         )
 
     def test_assemble_matches_np_stack(self, config, rng):
+        """Multi-run groups, with and without covariates, stage exactly
+        what ``np.concatenate`` gives, in the same dtypes."""
         fn = rng.normal(size=(config.horizon, 3)).astype(np.float32)
         fc = rng.integers(0, 5, size=(config.horizon, 1)).astype(np.int64)
         requests = [
             self._request(rng, config),
             self._request(rng, config, fn=fn, fc=fc),
             self._request(rng, config),
+            self._request(rng, config, fn=fn, fc=fc),
         ]
-        assembler = BatchAssembler()
-        for members in group_requests(requests):
-            batch = assembler.assemble(members)
+        groups = group_requests(requests)
+        assert [len(members) for members in groups] == [2, 2]
+        for members in groups:
+            batch = stage_group(members)
             expected = {
                 key: None if getattr(members[0], field) is None
                 else np.concatenate([getattr(m, field) for m in members])
@@ -160,19 +164,46 @@ class TestBatchAssembler:
                     assert np.array_equal(batch[key], expected[key])
                     assert batch[key].dtype == expected[key].dtype
 
-    def test_scratch_buffer_is_reused_between_assemblies(self, config, rng):
-        assembler = BatchAssembler()
-        members = [self._request(rng, config) for _ in range(4)]
-        first = assembler.assemble(members)["x"]
-        second = assembler.assemble(members)["x"]
-        assert first.base is second.base or first is second  # same backing buffer
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_one_run_flush_hands_the_model_the_queued_block(self, model, config, rng, compiled):
+        """A one-run flush passes ``predict`` views of the queued block (no
+        staging copy of its own), and the pass leaves the block's bytes as
+        they were."""
+        service = ForecastService(model, max_batch_size=8, compiled=compiled)
+        n = 5
+        histories = rng.normal(size=(n, config.input_length, config.n_channels)).astype(np.float32)
+        fn = [rng.normal(size=(config.horizon, 3)).astype(np.float32) for _ in range(n)]
+        fc = [rng.integers(0, 5, size=(config.horizon, 1)) for _ in range(n)]
+        rows = service.submit_many(
+            histories, np.full(n, config.input_length), future_numerical=fn, future_categorical=fc
+        )
+        (queued,) = service._pending
+        before = {
+            "x": histories.copy(),
+            "future_numerical": queued.future_numerical.copy(),
+            "future_categorical": queued.future_categorical.copy(),
+        }
+        seen = {}
+        predict = model.predict
 
-    def test_scratch_grows_for_larger_groups(self, config, rng):
-        assembler = BatchAssembler()
-        small = assembler.assemble([self._request(rng, config)])["x"]
-        big_members = [self._request(rng, config) for _ in range(6)]
-        big = assembler.assemble(big_members)["x"]
-        assert big.shape[0] == 6
-        for i, member in enumerate(big_members):
-            assert np.array_equal(big[i], member.history[0])
-        assert small.shape[0] == 1
+        def spy(x, **kwargs):
+            seen.update(kwargs, x=x)
+            return predict(x, **kwargs)
+
+        model.predict = spy
+        try:
+            service.flush()
+        finally:
+            del model.predict
+        assert rows.all_done() and not rows.errors
+        assert np.shares_memory(seen["x"], histories)
+        assert np.shares_memory(seen["future_numerical"], queued.future_numerical)
+        assert np.shares_memory(seen["future_categorical"], queued.future_categorical)
+        assert np.array_equal(histories, before["x"])
+        for key in ("future_numerical", "future_categorical"):
+            assert np.array_equal(getattr(queued, key), before[key])
+        expected = model.predict(
+            before["x"], future_numerical=before["future_numerical"],
+            future_categorical=before["future_categorical"],
+        )
+        assert np.array_equal(rows.values, expected)

@@ -172,6 +172,12 @@ class TestPredictManyAndBackfill:
         out = service.predict_many(list(histories))
         np.testing.assert_allclose(out, service.model.predict(histories), atol=1e-5)
 
+    def test_predict_many_of_nothing_is_an_empty_block(self, service):
+        out = service.predict_many([])
+        assert out.shape == (0, service.config.horizon, service.config.n_channels)
+        assert out.dtype == np.float32
+        assert service.stats.requests == 0
+
     def test_backfill_covers_every_window(self, service, cycle_smoke_data):
         dataset = cycle_smoke_data.test
         predictions = service.backfill(dataset, batch_size=8)
@@ -205,6 +211,12 @@ class TestPredictManyAndBackfill:
         assert service.stats.backfill_windows == len(data.test)
         assert service.stats.backfill_batches == -(-len(data.test) // 8)
         assert service.stats.mean_batch_size == 3.0
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_backfill_rejects_a_batch_size_below_one(self, service, cycle_smoke_data, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            service.backfill(cycle_smoke_data.test, batch_size=batch_size)
+        assert service.stats.backfill_batches == 0
 
     def test_backfill_rejects_mismatched_horizon(self, service, cycle_smoke_data):
         series = cycle_smoke_data.test.series
