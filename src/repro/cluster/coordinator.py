@@ -78,8 +78,11 @@ def merge_stats(parts: Iterable[Stats]) -> Stats:
 class Shard(Protocol):
     """The interface a coordinator drives; one class per transport.
 
-    Routed calls run under the topology read lock plus ``lock``;
-    control-plane calls run under the topology write lock.  ``census``
+    Routed calls run under the topology read lock.  ``ingest`` takes
+    only the locks its own state needs (a thread shard's store lock, a
+    process shard's ``lock``); ``drop`` and the fan-out legs run under
+    ``lock`` as well.  Control-plane calls run under the topology write
+    lock.  ``census``
     maps tenant → (observed rows, generation) and counts every row
     ``ingest`` accepted, including rows a transport still holds for
     later delivery (a process shard's write-behind buffer).  It must
@@ -500,16 +503,17 @@ class Coordinator:
     def ingest(self, tenant: str, values: np.ndarray, timestamp=None) -> int:
         """Append observations on the tenant's shard; returns its total.
 
-        Holds the topology read lock (arrivals for different shards
-        proceed concurrently) plus the owning shard's lock, so an arrival
-        can never land on a shard mid-migration and vanish.  A process
-        shard validates and buffers the rows; the next frame to its
-        worker, whatever its command, applies them first.
+        Holds the topology read lock, so an arrival can never land on a
+        shard mid-migration or mid-restore and vanish, and makes one
+        routing lookup.  The shard takes only the lock its own state
+        needs: a thread shard's store lock orders the append against a
+        gather, and a process shard's ``lock`` guards its write-behind
+        buffer, census and watermarks.  A process shard validates and
+        buffers the rows; the next frame to its worker, whatever its
+        command, applies them first.
         """
         with self._topology.read():
-            shard = self._shards[self._assign_locked(tenant)]
-            with shard.lock:
-                return shard.ingest(tenant, values, timestamp)
+            return self._shards[self._assign_locked(tenant)].ingest(tenant, values, timestamp)
 
     def forecast(
         self,

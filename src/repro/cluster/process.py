@@ -342,7 +342,6 @@ class ProcessShard:
     # ------------------------------------------------------------------ #
     # Routed traffic
     # ------------------------------------------------------------------ #
-    @requires_lock("lock")
     def ingest(self, tenant: str, values: np.ndarray, timestamp) -> int:
         """Accept rows into the write-behind buffer; returns the tenant's
         total observed rows, buffered ones included.
@@ -352,41 +351,46 @@ class ProcessShard:
         the shape against the replica's channel count, and the timestamp
         against the tenant's watermark.  A timestamp the wire codec cannot
         encode raises ``TypeError`` now rather than failing a later frame.
-        A dead worker raises :class:`WorkerDied` and an open breaker
-        :class:`~repro.errors.CircuitOpen` (without taking the half-open
-        probe, which belongs to the frame that will carry the row).
+        A worker already marked dead or reaped (:meth:`kill`,
+        :meth:`alive`, :meth:`close`) raises :class:`WorkerDied`, and an
+        open breaker :class:`~repro.errors.CircuitOpen` (without taking
+        the half-open probe, which belongs to the frame that will carry
+        the row).  Ingest makes no syscall: a death nobody has observed
+        yet accepts the row like any buffered one, the next frame finds
+        the death, and the census reports the row at failover.
         """
-        if self._dead is None and self.process.poll() is not None:
-            self._dead = "worker process exited"
-        if self._dead is not None:
-            raise WorkerDied(self.shard_id, self._dead)
-        self.breaker.check()
-        # A copy: the caller may reuse its array before the frame goes out.
-        values = np.array(values, dtype=np.float32)
-        if values.ndim == 1:
-            values = values[None, :]
-        if values.ndim != 2 or values.shape[1] != self.n_channels:
-            raise ValueError(f"expected [T, {self.n_channels}] rows, got shape {values.shape}")
-        if timestamp is not None:
-            wire.encode_state(timestamp)
-            check_timestamp_order(tenant, timestamp, self._watermarks.get(tenant))
-            self._watermarks[tenant] = timestamp
-        entry = self._census.get(tenant)
-        if entry is None:
-            entry = (0, self._tombstones.pop(tenant, 0))
-        total = entry[0] + len(values)
-        self._census[tenant] = (total, entry[1])
-        self._buffer.append((tenant, values, timestamp))
-        self._buffered_rows += len(values)
-        if self._buffered_rows >= BUFFER_ROWS:
-            try:
-                self.request("ping")
-            except ConnectionError:
-                # The row is accepted either way: an unsent frame left it
-                # buffered for the next one, and a dead worker's census
-                # reports it at failover.
-                pass
-        return total
+        with self.lock:
+            if self._dead is None and self.process.returncode is not None:
+                self._dead = "worker process exited"
+            if self._dead is not None:
+                raise WorkerDied(self.shard_id, self._dead)
+            self.breaker.check()
+            # A copy: the caller may reuse its array before the frame goes out.
+            values = np.array(values, dtype=np.float32)
+            if values.ndim == 1:
+                values = values[None, :]
+            if values.ndim != 2 or values.shape[1] != self.n_channels:
+                raise ValueError(f"expected [T, {self.n_channels}] rows, got shape {values.shape}")
+            if timestamp is not None:
+                wire.encode_state(timestamp)
+                check_timestamp_order(tenant, timestamp, self._watermarks.get(tenant))
+                self._watermarks[tenant] = timestamp
+            entry = self._census.get(tenant)
+            if entry is None:
+                entry = (0, self._tombstones.pop(tenant, 0))
+            total = entry[0] + len(values)
+            self._census[tenant] = (total, entry[1])
+            self._buffer.append((tenant, values, timestamp))
+            self._buffered_rows += len(values)
+            if self._buffered_rows >= BUFFER_ROWS:
+                try:
+                    self.request("ping")
+                except (ConnectionError, ValueError):
+                    # The row is accepted either way: an unsent frame (a
+                    # corrupt one included) left it buffered for the next
+                    # one, and a dead worker's census reports it at failover.
+                    pass
+            return total
 
     def drop(self, tenant: str) -> None:
         with self.lock:

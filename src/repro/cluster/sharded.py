@@ -65,6 +65,9 @@ class LocalShard:
 
     # routed
     def ingest(self, tenant: str, values: np.ndarray, timestamp) -> int:
+        """One store call and no shard lock: the store lock orders the
+        append against a gather, and the coordinator's topology read
+        guard excludes migrations and :meth:`restore`."""
         return self.forecaster.ingest(tenant, values, timestamp=timestamp)
 
     def drop(self, tenant: str) -> None:

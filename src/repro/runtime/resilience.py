@@ -116,7 +116,13 @@ class CircuitBreaker:
     def check(self) -> None:
         """Raise :class:`CircuitOpen` exactly where :meth:`allow` would,
         without admitting a half-open probe: for work that is accepted
-        now and delivered by a later gated call."""
+        now and delivered by a later gated call.
+
+        A closed breaker returns without taking the lock (one attribute
+        read).  A check that races a trip may pass, which costs nothing:
+        the work it admits still waits for that later gated call."""
+        if self._state == self.CLOSED:
+            return
         with self._lock:
             self._gate_locked()
 

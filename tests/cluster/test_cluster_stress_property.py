@@ -1,7 +1,8 @@
 """Property stress: random op interleavings vs a serial replay oracle.
 
 Hypothesis drives randomized schedules of ``ingest`` / ``drop`` /
-``checkpoint`` / ``add_shard`` / ``remove_shard`` / ``failover`` against
+``checkpoint`` / ``add_shard`` / ``remove_shard`` / ``failover`` (and
+``crash``: kill, ingest rows nobody has delivered, fail over) against
 a live cluster while a plain-Python oracle tracks, per tenant, the rows
 that should survive.  The oracle is updated *through the cluster's own
 FailoverReport* — lost tenants vanish, restored tenants roll back to the
@@ -12,7 +13,8 @@ and every forecast must match the cluster bit-for-bit.
 
 Runs on both backends: the thread backend carries the example budget
 (cheap), the process backend gets a few examples with a real ``kill -9``
-before each failover (spawning workers per example is expensive).
+before each failover (spawning workers per example is expensive).  Only
+the process backend kills, so both backends run identical schedules.
 """
 
 import os
@@ -21,7 +23,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cluster import ProcessCoordinator, ServiceSpec, ShardedForecaster
 from repro.config import ModelConfig
@@ -48,6 +50,10 @@ _op = st.one_of(
     st.tuples(st.just("add")),
     st.tuples(st.just("remove"), st.integers(min_value=0, max_value=9)),
     st.tuples(st.just("failover"), st.integers(min_value=0, max_value=9)),
+    st.tuples(
+        st.just("crash"), st.integers(min_value=0, max_value=9), _tenant,
+        st.integers(min_value=1, max_value=6),
+    ),
 )
 _schedule = st.lists(_op, min_size=4, max_size=14)
 
@@ -88,13 +94,21 @@ def run_drill(cluster, ops, data_seed, kill_for_real):
                 shard_ids = sorted(cluster.shard_ids())
                 if len(shard_ids) > 1:
                     cluster.remove_shard(shard_ids[op[1] % len(shard_ids)])
-            elif kind == "failover":
+            elif kind in ("failover", "crash"):
                 shard_ids = sorted(cluster.shard_ids())
                 if n_checkpoints == 0 or len(shard_ids) < 2:
                     continue
                 victim = shard_ids[op[1] % len(shard_ids)]
                 if kill_for_real:
                     os.kill(cluster.worker_pid(victim), signal.SIGKILL)
+                if kind == "crash":
+                    # Rows accepted between the kill and the next frame,
+                    # into a tenant on the victim where the ring has one.
+                    names = [f"tenant-{(op[2] + i) % 6}" for i in range(6)]
+                    tenant = next((t for t in names if cluster.shard_for(t) == victim), names[0])
+                    block = rng.normal(size=(op[3], CHANNELS)).astype(np.float32)
+                    cluster.ingest(tenant, block)
+                    rows.setdefault(tenant, []).append(block)
                 report = cluster.failover(victim)
                 # Cross-check the stale accounting against oracle counts
                 # *before* rolling the oracle back: rows rolled back must
@@ -168,6 +182,11 @@ class TestScheduleParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(ops=_schedule, data_seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(
+        ops=[("ingest", 0, 3), ("ingest", 1, 4), ("ingest", 2, 2), ("checkpoint",),
+             ("ingest", 0, 2), ("crash", 0, 0, 3)],
+        data_seed=1,
+    )
     def test_backends_agree_on_identical_schedules(self, ops, data_seed):
         thread = ShardedForecaster(SPEC, n_shards=2)
         thread_rows = run_drill(thread, ops, data_seed, kill_for_real=False)

@@ -292,3 +292,106 @@ class TestPoolParity:
         report = compare_cluster_to_unsharded(produced, expected)
         assert report.bit_identical, f"max |Δ| = {report.max_abs_error}"
         assert report.windows_compared == 7 * 13
+
+
+class CountingLock:
+    """A shard lock that counts how often it is entered."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class TestIngestWithoutShardLock:
+    """A thread-shard ingest takes the topology read guard and the store
+    lock, never the shard lock: the store lock orders it against a gather."""
+
+    def test_ingest_never_enters_the_shard_lock(self, service_factory, rng):
+        cluster = ShardedForecaster(service_factory, n_shards=2)
+        # The coordinator keeps no public accessor for its shard handles.
+        locks = {}
+        for shard_id, shard in cluster._shards.items():
+            shard.lock = locks[shard_id] = CountingLock(shard.lock)
+        for i in range(64):
+            cluster.ingest(f"tenant-{i}", rng.normal(size=(1, 1)).astype(np.float32))
+        assert [lock.entered for lock in locks.values()] == [0, 0]
+        cluster.flush()  # a fan-out still takes every shard lock
+        assert [lock.entered for lock in locks.values()] == [1, 1]
+
+    def test_concurrent_ingest_never_tears_a_window_from_its_moments(self, config):
+        """One thread ingests 1, 2, 3, ... per tenant through the cluster
+        while another sweeps: every window a sweep gathers whose last value
+        is ``v`` must come with the mean of ``1..v``, ``(v + 1) / 2``."""
+        def factory():
+            return ForecastService(LiPFormer(config), max_batch_size=8)
+
+        cluster = ShardedForecaster(factory, n_shards=2, normalization="rolling")
+        tenants = [f"w{i}" for i in range(4)]
+        rows = 400
+        history = np.arange(1, INPUT_LENGTH + 1, dtype=np.float32)[:, None]
+        for tenant in tenants:
+            cluster.ingest(tenant, history)
+        assert len({cluster.shard_for(tenant) for tenant in tenants}) == 2
+        torn = []
+        for shard_id in cluster.shard_ids():
+            store = cluster.shard(shard_id).store
+
+            def checked(*args, _gather=store.gather, **kwargs):
+                gathered = _gather(*args, **kwargs)
+                _, windows, _, (mean, _) = gathered
+                for row, last in enumerate(windows[:, -1, 0].tolist()):
+                    if abs(mean[row, 0] - (last + 1) / 2) > 1e-9 * last:
+                        torn.append((last, mean[row, 0]))
+                return gathered
+
+            store.gather = checked
+        stop = threading.Event()
+        errors = []
+
+        def write():
+            try:
+                for value in range(INPUT_LENGTH + 1, rows + 1):
+                    for tenant in tenants:
+                        cluster.ingest(tenant, np.array([[value]], dtype=np.float32))
+            except Exception as error:  # noqa: BLE001 - surfaced by the assert
+                errors.append(error)
+
+        def sweep():
+            sweeps = 0
+            try:
+                while not stop.is_set() or not sweeps:
+                    for handle in cluster.forecast_all().values():
+                        assert handle.result().shape == (HORIZON, 1)
+                    sweeps += 1
+            except Exception as error:  # noqa: BLE001 - surfaced by the assert
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer = threading.Thread(target=write)
+            reader = threading.Thread(target=sweep)
+            reader.start()
+            writer.start()
+            writer.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not writer.is_alive() and not reader.is_alive(), "ingest or sweep deadlocked"
+        assert not errors, errors[:1]
+        assert not torn, torn[:3]
+        reference = StreamingForecaster(factory(), normalization="rolling")
+        for tenant in tenants:
+            assert cluster.shard(cluster.shard_for(tenant)).store.observed(tenant) == rows
+            reference.ingest(tenant, np.arange(1, rows + 1, dtype=np.float32)[:, None])
+        expected = {tenant: handle.result() for tenant, handle in reference.forecast_all().items()}
+        for tenant, handle in cluster.forecast_all(tenants).items():
+            np.testing.assert_array_equal(handle.result(), expected[tenant])

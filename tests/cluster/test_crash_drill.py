@@ -3,9 +3,10 @@
 The process backend's reason to exist beyond throughput: worker death is
 an observable OS event, not a simulation.  These tests SIGKILL a live
 worker process mid-service and drive what only a process boundary has:
-detection (:meth:`detect_failures` must classify without hanging) and
-the work in flight at the crash (queued handles fail typed, healthy
-shards still settle).  Failover itself (restore, loss accounting,
+detection (:meth:`detect_failures` must classify without hanging), the
+work in flight at the crash (queued handles fail typed, healthy shards
+still settle) and rows accepted after a death nobody has observed yet
+(counted at failover like buffered rows).  Failover itself (restore, loss accounting,
 resurrection guards) is a coordinator contract, checked on both backends
 in ``test_conformance.py``; the other names in this module bind those
 cases on the process backend, so the names it has always reported keep
@@ -113,3 +114,25 @@ class TestKillMinusNine:
             cluster_handles = cluster.forecast_all(survivors_tenants)
             for handle in cluster_handles.values():
                 assert handle.result().shape == (HORIZON, CHANNELS)
+
+    def test_rows_accepted_after_an_unseen_death_count_as_stale(self, spec, tmp_path):
+        """Ingest makes no syscall, so a worker that died unobserved still
+        accepts rows like buffered ones: the next frame finds the death,
+        and failover reports every row since the checkpoint as stale."""
+        with populated(spec, tmp_path) as cluster:
+            tenant = "tenant-0"
+            victim = cluster.shard_for(tenant)
+            rng = np.random.default_rng(5)
+            total = cluster.ingest(tenant, rng.normal(size=(2, CHANNELS)))
+            pid = cluster.worker_pid(victim)
+            os.kill(pid, signal.SIGKILL)
+            # Wait for the exit without reaping it: nobody has observed it.
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            k = 3
+            for _ in range(k):
+                total += 1
+                assert cluster.ingest(tenant, rng.normal(size=(1, CHANNELS))) == total
+            assert cluster.detect_failures(timeout=5.0) == [victim]
+            report = cluster.failover(victim)
+            assert report.stale == {tenant: 2 + k}
+            assert tenant in report.restored

@@ -4,7 +4,8 @@ Every contract both backends share is written once, in
 ``test_conformance.py``, and the ``ServiceSpec`` and ``build_cluster``
 unit tests live in ``test_cluster_spec.py``.  What is left here exists
 only across a process boundary: one frame per worker per sweep, the
-write-behind ``BUFFER_ROWS`` cap, cache-backed registry views,
+write-behind ``BUFFER_ROWS`` cap (a corrupt cap frame included), an
+ingest that never polls the worker, cache-backed registry views,
 per-worker metrics, spans grafted from workers, worker reaping on
 ``close`` and ``WorkerDied`` at ingest.  Workers are real OS processes,
 so those tests lean on a shared module-scoped cluster where they can
@@ -22,6 +23,7 @@ import repro.obs as obs
 from repro.cluster import process as process_module
 from repro.cluster import ProcessCoordinator, ServiceSpec, WorkerDied
 from repro.config import ModelConfig
+from repro.testing import faults
 
 import test_cluster_spec as cluster_spec
 import test_conformance as conformance
@@ -135,6 +137,38 @@ class TestRoutedTraffic:
             assert sent == [("ping", True)]
             census = shard.request("census")["result"]
             assert {t: observed for t, (observed, _) in census.items()} == {"a": 5, "b": 2}
+
+    def test_corrupt_cap_frame_still_accepts_the_row_exactly_once(self, spec, monkeypatch):
+        """A cap drain whose ping fails corrupt before the write leaves the
+        row buffered: the ingest returns the census total instead of
+        raising, and the next frame delivers the row once."""
+        monkeypatch.setattr(process_module, "BUFFER_ROWS", 6)
+        schedule = faults.FaultSchedule().add("shard.send", "corrupt", match={"cmd": "ping"})
+        with ProcessCoordinator(spec, n_shards=1, warmup=False) as cluster:
+            shard = cluster._shards["shard-0"]
+            assert cluster.ingest("a", np.zeros((4, CHANNELS), dtype=np.float32)) == 4
+            with faults.inject(schedule):
+                assert cluster.ingest("a", np.ones((2, CHANNELS), dtype=np.float32)) == 6
+            assert [kind for _, kind, _ in schedule.fired] == ["corrupt"]
+            census = shard.request("census")["result"]
+            worker = {t: (int(observed), int(gen)) for t, (observed, gen) in census.items()}
+            assert worker == shard.census() == {"a": (6, 0)}
+
+    def test_fleet_ingest_makes_no_waitpid_call(self, spec, monkeypatch):
+        """Liveness at ingest is what a reap or a failed frame already
+        recorded: a tick of 64 ingests never polls a worker process."""
+        with ProcessCoordinator(spec, n_shards=2, warmup=False) as cluster:
+            polls = []
+            for shard in cluster._shards.values():
+                def counted(_poll=shard.process.poll):
+                    polls.append(1)
+                    return _poll()
+
+                monkeypatch.setattr(shard.process, "poll", counted)
+            for tenant, values in make_streams(64, 1).items():
+                assert cluster.ingest(tenant, values) == 1
+            assert polls == []
+            assert cluster.tenant_count() == 64
 
 
 class TestParity:

@@ -83,6 +83,51 @@ class TestCircuitBreaker:
         assert breaker.trips == 2
 
 
+class TestCheck:
+    """``check`` gates like ``allow`` but never takes the half-open probe."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = [100.0]
+        monkeypatch.setattr(obs, "now", lambda: clock[0])
+        return clock
+
+    def tripped(self):
+        breaker = CircuitBreaker("x", failure_threshold=1, reset_timeout=30.0)
+        breaker.record_failure()  # opens at t = 100
+        return breaker
+
+    def test_closed_passes(self, clock):
+        breaker = CircuitBreaker("x")
+        breaker.check()
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_open_inside_the_reset_timeout_raises_the_time_remaining(self, clock):
+        breaker = self.tripped()
+        clock[0] = 112.0
+        with pytest.raises(CircuitOpen) as excinfo:
+            breaker.check()
+        assert excinfo.value.name == "x"
+        assert excinfo.value.retry_after == pytest.approx(18.0)
+
+    def test_open_past_the_timeout_passes_without_taking_the_probe(self, clock):
+        breaker = self.tripped()
+        clock[0] = 131.0
+        breaker.check()
+        breaker.check()
+        assert breaker.state == CircuitBreaker.OPEN
+        breaker.allow()  # the probe is still there for the gated call
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+
+    def test_half_open_raises(self, clock):
+        breaker = self.tripped()
+        clock[0] = 131.0
+        breaker.allow()
+        with pytest.raises(CircuitOpen) as excinfo:
+            breaker.check()
+        assert excinfo.value.retry_after == 0.0
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
