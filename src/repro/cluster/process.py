@@ -371,11 +371,13 @@ class ProcessShard:
                 values = values[None, :]
             if values.ndim != 2 or values.shape[1] != self.n_channels:
                 raise ValueError(f"expected [T, {self.n_channels}] rows, got shape {values.shape}")
+            entry = self._census.get(tenant)
+            if entry is None and not len(values):
+                return 0  # as in the store: zero rows create no tenant
             if timestamp is not None:
                 wire.encode_state(timestamp)
                 check_timestamp_order(tenant, timestamp, self._watermarks.get(tenant))
                 self._watermarks[tenant] = timestamp
-            entry = self._census.get(tenant)
             if entry is None:
                 entry = (0, self._tombstones.pop(tenant, 0))
             total = entry[0] + len(values)

@@ -36,6 +36,7 @@ from ..config import ModelConfig
 from ..nn.serialization import load_module
 from ..serving.admission import AdmissionPolicy
 from ..serving.service import ForecastService
+from ..streaming.forecaster import _NORMALIZATIONS
 
 __all__ = ["ServiceSpec", "ClusterSpec", "validate_cluster_timeouts"]
 
@@ -66,7 +67,6 @@ class ServiceSpec:
     model: str = "LiPFormer"
     config: ModelConfig = field(default_factory=ModelConfig)
     max_batch_size: int = 32
-    pad_mode: str = "edge"
     compiled: bool = True
     weights_path: Optional[str] = None
     #: admission knobs — forwarded into each replica's
@@ -94,7 +94,6 @@ class ServiceSpec:
         return ForecastService(
             model,
             max_batch_size=self.max_batch_size,
-            pad_mode=self.pad_mode,
             compiled=self.compiled,
             admission=admission,
         )
@@ -109,7 +108,6 @@ class ServiceSpec:
             "model": self.model,
             "config": asdict(self.config),
             "max_batch_size": int(self.max_batch_size),
-            "pad_mode": self.pad_mode,
             "compiled": bool(self.compiled),
             "weights_path": self.weights_path,
             "queue_limit": None if self.queue_limit is None else int(self.queue_limit),
@@ -132,7 +130,6 @@ class ServiceSpec:
             model=str(state["model"]),
             config=ModelConfig(**{k: v for k, v in config.items()}),
             max_batch_size=int(state["max_batch_size"]),
-            pad_mode=str(state["pad_mode"]),
             compiled=bool(state["compiled"]),
             weights_path=state.get("weights_path"),
             queue_limit=None if queue_limit is None else int(queue_limit),
@@ -147,6 +144,8 @@ class ClusterSpec:
     Validated at construction so a misconfigured cluster fails before any
     worker spawns:
 
+    * ``normalization`` — one of the streaming forecaster's modes,
+      ``"none"`` or ``"rolling"``;
     * ``request_timeout`` / ``heartbeat_timeout`` — both positive, with
       the heartbeat strictly tighter than a full request
       (:func:`validate_cluster_timeouts`);
@@ -180,6 +179,10 @@ class ClusterSpec:
         if self.backend not in ("thread", "process"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; use 'thread' or 'process'"
+            )
+        if self.normalization not in _NORMALIZATIONS:
+            raise ValueError(
+                f"unknown normalization {self.normalization!r}; use one of {_NORMALIZATIONS}"
             )
         validate_cluster_timeouts(self.request_timeout, self.heartbeat_timeout)
         if self.retry_attempts < 1:

@@ -130,18 +130,14 @@ class ForecastService:
         self,
         model: ForecastModel,
         max_batch_size: int = 32,
-        pad_mode: str = "edge",
         compiled: bool = True,
         admission: Optional[AdmissionPolicy] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if pad_mode not in ("edge", "zeros"):
-            raise ValueError(f"unknown pad_mode {pad_mode!r}; use 'edge' or 'zeros'")
         self.model = model
         self.config: ModelConfig = model.config
         self.max_batch_size = max_batch_size
-        self.pad_mode = pad_mode
         #: route batch forwards through the model's compiled inference plan
         #: (bit-identical to eager; models that never opted into
         #: ``supports_compiled_plan`` silently stay eager).
@@ -185,8 +181,8 @@ class ForecastService:
         for one channel).  It is copied at submit time — changing the
         caller's array afterwards does not change the forecast — into a
         one-row :meth:`submit_many` block: the most recent ``input_length``
-        steps, right-aligned, with shorter histories left-padded
-        (``pad_mode``).  Future covariates, when given, must cover the
+        steps, right-aligned, with shorter histories left-padded by
+        repeating their oldest step.  Future covariates, when given, must cover the
         model horizon.
 
         ``priority`` is one of :data:`~repro.serving.admission.PRIORITIES`;
@@ -235,8 +231,8 @@ class ForecastService:
 
         ``histories`` is ``[n, input_length, channels]`` float32 with each
         row's ``observed_lengths[i]`` observed steps right-aligned; the
-        service takes ownership and left-pads the rest in place
-        (``pad_mode``).
+        service takes ownership and left-pads the rest in place with the
+        row's oldest observed step.
         ``future_numerical`` / ``future_categorical`` are per-row sequences
         (``None`` entries, or ``None`` altogether, for rows without).
 
@@ -272,7 +268,8 @@ class ForecastService:
         return self._enqueue(histories, observed, runs, priority, rank, timeout, deadline)
 
     def _pad_block(self, histories: np.ndarray, observed: np.ndarray) -> None:
-        """Left-pad short rows of a right-aligned block in place (``pad_mode``).
+        """Left-pad short rows of a right-aligned block in place by
+        repeating each row's oldest observed step (edge padding).
 
         The one padding routine: ``submit`` and ``submit_many`` both pad here.
         """
@@ -280,7 +277,7 @@ class ForecastService:
         for row, length in enumerate(observed.tolist()):
             if length < input_length:
                 pad = input_length - length
-                histories[row, :pad] = histories[row, pad] if self.pad_mode == "edge" else 0.0
+                histories[row, :pad] = histories[row, pad]
 
     def _enqueue(
         self,

@@ -14,8 +14,8 @@ continuously for many independent tenants, each wanting fresh forecasts:
 * :class:`StreamingForecaster` — gathers the tenants' latest
   ``input_length`` windows as one columnar block (a single forecast is a
   block of one), routes it through :meth:`ForecastService.submit_many`
-  so concurrent tenants coalesce into micro-batches, and denormalises per
-  tenant (rolling stats or the paper's last-value scheme);
+  so concurrent tenants coalesce into micro-batches, and, under rolling
+  normalisation, denormalises each tenant through its rolling stats;
 * :func:`replay` / :func:`compare_to_backfill` — a harness that drives N
   synthetic tenants tick-by-tick and proves streaming output bit-identical
   to offline :meth:`ForecastService.backfill` over the same series.

@@ -11,8 +11,9 @@ one padded forward pass.  Short histories (cold-start tenants) lean on
 the service's left-padding.  ``forecast`` is a sweep of one tenant, and
 ``forecast_all`` a sweep of many plus a flush.
 
-Per-tenant normalisation modes handle the distribution-shift story at the
-serving boundary:
+Two normalisation modes handle the distribution-shift story at the
+serving boundary (the paper's Section III-C1 last-value normalisation
+needs no mode here: LiPFormer applies it inside every forward pass):
 
 * ``"none"``      — values are already in model space (e.g. replaying an
   offline-scaled series); forecasts come back untouched.  This is the mode
@@ -23,10 +24,6 @@ serving boundary:
   standardised with the tenant's current statistics, read under the same
   lock as the window, and the forecast is mapped back through the same
   statistics.  New tenants never need an offline fit.
-* ``"last_value"`` — the paper's Section III-C1 normalisation applied per
-  tenant at the serving boundary: subtract the window's last observed value,
-  add it back to the forecast (denormalisation).  Useful for models without
-  an internal :class:`~repro.core.revin.LastValueNormalizer`.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ __all__ = [
     "state_tenants",
 ]
 
-_NORMALIZATIONS = ("none", "rolling", "last_value")
+_NORMALIZATIONS = ("none", "rolling")
 
 
 class StreamingForecaster:
@@ -60,19 +57,17 @@ class StreamingForecaster:
         the :class:`ForecastService` forecasts are routed through.  Sharing
         one service across forecasters (or with request-path traffic) is
         fine — coalescing happens in the service queue.
-    store:
-        optional pre-built :class:`SeriesStore`; by default a store sized at
-        ``window_capacity`` (default ``4 * input_length``) windows is built.
-        It must keep moments exactly when ``normalization`` is
-        ``"rolling"``.
     normalization:
-        ``"none"`` | ``"rolling"`` | ``"last_value"`` (see module docstring).
+        ``"none"`` | ``"rolling"`` (see module docstring); a ``"rolling"``
+        forecaster's store keeps per-tenant moments.
+    window_capacity:
+        rows each tenant's ring holds, at least ``input_length`` (default
+        ``4 * input_length``).
     """
 
     def __init__(
         self,
         service: ForecastService,
-        store: Optional[SeriesStore] = None,
         normalization: str = "none",
         window_capacity: Optional[int] = None,
     ) -> None:
@@ -88,29 +83,7 @@ class StreamingForecaster:
                 f"window_capacity {capacity} cannot hold one input window "
                 f"of {self.config.input_length} steps"
             )
-        if store is not None:
-            if store.n_channels != self.config.n_channels:
-                raise ValueError(
-                    f"store has {store.n_channels} channels, model expects "
-                    f"{self.config.n_channels}"
-                )
-            # A pre-built (e.g. restored) store must satisfy the same
-            # geometry bound as a default-built one, or every forecast is
-            # silently a left-padded cold start.
-            if store.capacity < self.config.input_length:
-                raise ValueError(
-                    f"store capacity {store.capacity} cannot hold one input "
-                    f"window of {self.config.input_length} steps"
-                )
-        rolling = normalization == "rolling"
-        if store is None:
-            store = SeriesStore(capacity, self.config.n_channels, moments=rolling)
-        elif store.moments != rolling:
-            raise ValueError(
-                f"a {normalization!r} forecaster needs a store that keeps "
-                f"{'' if rolling else 'no '}rolling moments"
-            )
-        self.store = store
+        self.store = SeriesStore(capacity, self.config.n_channels, moments=normalization == "rolling")
         self.normalization = normalization
 
     # ------------------------------------------------------------------ #
@@ -267,9 +240,15 @@ class StreamingForecaster:
             raise ValueError(
                 f"tenant {tenants[positions[empty[0]]]!r} has no observations to forecast from"
             )
-        normalized, shift, scale = self._normalize_many(windows, moments)
+        if moments is not None:
+            # "rolling": the (mean, std) the gather froze with the windows;
+            # _Sweep maps the forecasts back through the same pair.
+            mean, std = moments
+            windows = ((windows.astype(np.float64) - mean[:, None, :]) / std[:, None, :]).astype(
+                np.float32
+            )
         rows = self.service.submit_many(
-            normalized,
+            windows,
             lengths,
             future_numerical=future_numerical,
             future_categorical=future_categorical,
@@ -277,7 +256,7 @@ class StreamingForecaster:
             timeout=timeout,
             deadline=deadline,
         )
-        return positions, _Sweep(rows, self.normalization, shift, scale)
+        return positions, _Sweep(rows, moments)
 
     def forecast_all(
         self,
@@ -386,7 +365,7 @@ class StreamingForecaster:
             "store": {
                 "capacity": int(self.store.capacity),
                 "n_channels": int(self.store.n_channels),
-                "dtype": self.store.dtype.name,
+                "dtype": "float32",
             },
             "store_stats": asdict(self.store.stats_snapshot()),
             "tenants": {
@@ -399,20 +378,26 @@ class StreamingForecaster:
     def from_state(cls, service: ForecastService, state: dict) -> "StreamingForecaster":
         """Rebuild a forecaster around ``service`` from full :meth:`to_state` output.
 
-        Every tenant comes back through :meth:`import_tenant`; the store
-        then starts clean (its next delta is O(churn), not O(fleet)), with
-        the saved :class:`~repro.streaming.store.StoreStats`.
+        A store header other than float32 rows of the model's channel count
+        and at least ``input_length`` capacity, or an unknown normalisation,
+        raises ``ValueError`` before any tenant is adopted.  Every tenant
+        comes back through :meth:`import_tenant`; the store then starts
+        clean (its next delta is O(churn), not O(fleet)), with the saved
+        :class:`~repro.streaming.store.StoreStats`.
         """
         tenants = state_tenants(state)
         geometry = state["store"]
-        normalization = str(state["normalization"])
-        store = SeriesStore(
-            int(geometry["capacity"]),
-            int(geometry["n_channels"]),
-            dtype=np.dtype(str(geometry["dtype"])),
-            moments=normalization == "rolling",
+        channels = service.config.n_channels
+        if (str(geometry["dtype"]), int(geometry["n_channels"])) != ("float32", channels):
+            raise ValueError(
+                f"store holds {geometry['dtype']} rows of {geometry['n_channels']} channels; "
+                f"the model takes float32 rows of {channels}"
+            )
+        forecaster = cls(
+            service,
+            normalization=str(state["normalization"]),
+            window_capacity=int(geometry["capacity"]),
         )
-        forecaster = cls(service, store=store, normalization=normalization)
         for tenant, payload in tenants.items():
             if payload is None:
                 raise ValueError(
@@ -420,33 +405,9 @@ class StreamingForecaster:
                     "once its chain is resolved"
                 )
             forecaster.import_tenant(tenant, payload)
-        store.mark_clean()
-        store.stats = StoreStats(**state["store_stats"])
+        forecaster.store.mark_clean()
+        forecaster.store.stats = StoreStats(**state["store_stats"])
         return forecaster
-
-    # ------------------------------------------------------------------ #
-    def _normalize_many(self, windows: np.ndarray, moments):
-        """Map a gathered ``[N, L, C]`` block into model space, vectorised.
-
-        ``moments`` is the gather's frozen ``(mean, std)`` in ``"rolling"``
-        mode: read under the store lock with the windows, so later ingests
-        cannot change how a queued forecast is denormalised.  Returns the
-        float32 model input plus the stacked ``[N, C]`` shift and scale
-        (see :class:`_Sweep`) that map the block's forecasts back.
-        """
-        if self.normalization == "none":
-            return windows.astype(np.float32, copy=False), None, None
-        if self.normalization == "rolling":
-            mean, std = moments
-            normalized = (
-                (windows.astype(np.float64) - mean[:, None, :]) / std[:, None, :]
-            ).astype(np.float32)
-            return normalized, mean, std
-        # last_value: the paper's x' = x - x_T / ŷ = ŷ' + x_T, per tenant.
-        # Windows are right-aligned, so row i's x_T is windows[i, -1].
-        anchor = windows[:, -1, :].astype(np.float32)
-        normalized = (windows - anchor[:, None, :]).astype(np.float32, copy=False)
-        return normalized, anchor, None
 
 
 def _per_row(mapping: Optional[Mapping[str, np.ndarray]], keys: List[str]):
@@ -484,38 +445,29 @@ def payload_census(payload: dict) -> Tuple[int, int]:
 class _Sweep:
     """One :meth:`StreamingForecaster.forecast_block` block's way back out.
 
-    Holds the block's service rows and the stacked inverse mapping, and
-    denormalises the whole ``[N, H, C]`` block once (:meth:`settled`),
-    when it is first read after every row has settled.  It is the block
-    behind a streaming :class:`~repro.serving.Forecast` handle, so its
-    rows are returned in the tenants' scale (identity, rolling
-    inverse-standardise, or last-value add-back).
+    Holds the block's service rows and the stacked ``[N, C]`` rolling
+    ``(mean, std)`` they were standardised with (``None``: the way back is
+    the identity), and denormalises the whole ``[N, H, C]`` block once
+    (:meth:`settled`), when it is first read after every row has settled.
+    It is the block behind a streaming :class:`~repro.serving.Forecast`
+    handle, so its rows are returned in the tenants' scale.
     """
 
-    __slots__ = ("rows", "done", "refused", "mode", "shift", "scale", "_values")
+    __slots__ = ("rows", "done", "refused", "moments", "_values")
 
-    def __init__(
-        self,
-        rows: ForecastRows,
-        mode: str,
-        shift: Optional[np.ndarray],
-        scale: Optional[np.ndarray],
-    ) -> None:
+    def __init__(self, rows: ForecastRows, moments: Optional[Tuple[np.ndarray, np.ndarray]]) -> None:
         self.rows = rows
         # What a Forecast handle reads besides result(), straight off the rows.
         self.done, self.refused = rows.done, rows.refused
-        self.mode = mode
-        self.shift = shift      # [N, C]: rolling mean, or last-value anchor
-        self.scale = scale      # [N, C]: rolling std
+        self.moments = moments
         self._values: Optional[np.ndarray] = None
 
     def denormalize(self, values: np.ndarray, index=slice(None)) -> np.ndarray:
         """Rows ``index`` of the block, mapped back to the tenants' scale."""
-        if self.mode == "none":
+        if self.moments is None:
             return values
-        if self.mode == "rolling":
-            return values.astype(np.float64) * self.scale[index, None, :] + self.shift[index, None, :]
-        return values + self.shift[index, None, :]
+        mean, std = self.moments
+        return values.astype(np.float64) * std[index, None, :] + mean[index, None, :]
 
     def settled(self) -> np.ndarray:
         """The whole ``[N, horizon, C]`` block in the tenants' scale.

@@ -96,19 +96,17 @@ class _Slot:
 
 @guarded_by("_slots", "_slab", "_free", "stats", "_tombstones", lock="_lock")
 class SeriesStore:
-    """Bounded per-tenant rings in one slab, plus optional rolling moments.
+    """Bounded per-tenant float32 rings in one slab, plus optional rolling moments.
 
-    ``ingest`` lazily gives a new tenant a slot on first sight, so tenants
-    need no registration step.  When timestamps are supplied they must be
+    ``ingest`` lazily gives a new tenant a slot with its first rows, so
+    tenants need no registration step.  When timestamps are supplied they must be
     strictly increasing per tenant — out-of-order arrivals would silently
     corrupt the window a forecast is assembled from.  With ``moments``
     every tenant also keeps Welford moments of everything it ingested,
     updated under the same lock acquisition as its ring.
     """
 
-    def __init__(
-        self, capacity: int, n_channels: int, dtype=np.float32, moments: bool = False
-    ) -> None:
+    def __init__(self, capacity: int, n_channels: int, moments: bool = False) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if n_channels < 1:
@@ -116,10 +114,9 @@ class SeriesStore:
         self.capacity = capacity
         self.n_channels = n_channels
         self.moments = bool(moments)
-        self._dtype = np.dtype(dtype)
         # Tenant -> slot, in first-seen order; freed slab rows are reused.
         self._slots: Dict[str, _Slot] = {}
-        self._slab = np.zeros((_INITIAL_SLOTS, capacity, n_channels), dtype=self._dtype)
+        self._slab = np.zeros((_INITIAL_SLOTS, capacity, n_channels), dtype=np.float32)
         self._free: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
         self._lock = threading.Lock()
         self.stats = StoreStats()
@@ -152,11 +149,6 @@ class SeriesStore:
         with self._lock:
             return list(self._slots)
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The stored row dtype (every slot shares the slab's)."""
-        return self._dtype
-
     @requires_lock("_lock")
     def _slot_locked(self, tenant: str) -> _Slot:
         try:
@@ -173,13 +165,16 @@ class SeriesStore:
     # ------------------------------------------------------------------ #
     def ingest(self, tenant: str, values: np.ndarray, timestamp=None) -> int:
         """Append observations for a tenant; returns its total observed rows."""
-        # Validate before touching any state: a rejected ingest must not
-        # leave a phantom empty tenant behind (forecast_all over
-        # store.tenants() would then fail every healthy tenant's tick).
+        # Validate before touching any state, and give zero rows of an
+        # unknown tenant no slot: a phantom empty tenant would fail every
+        # healthy tenant's forecast_all tick over store.tenants().
         values = self._rows(values)
         with self._lock:
             slot = self._slots.get(tenant)
-            if timestamp is not None and slot is not None:
+            if slot is None:
+                if not len(values):
+                    return 0
+            elif timestamp is not None:
                 check_timestamp_order(tenant, timestamp, slot.last)
             return self._append_locked(tenant, slot, values, timestamp).total
 
@@ -217,22 +212,31 @@ class SeriesStore:
             slots = self._slots
             if timestamps is not None:
                 watermarks: Dict[str, object] = {}
-                for tenant, timestamp in zip(tenants, timestamps):
-                    if timestamp is None:
-                        continue
+                # Each tenant's watermark as the batch moves it, from the
+                # first entry that finds or creates the tenant on.
+                for tenant, count, timestamp in zip(tenants, counts.tolist(), timestamps):
                     if tenant in watermarks:
                         last = watermarks[tenant]
                     else:
                         slot = slots.get(tenant)
+                        if slot is None and not count:
+                            continue  # creates no tenant, so sets no watermark
                         last = None if slot is None else slot.last
-                    check_timestamp_order(tenant, timestamp, last)
-                    watermarks[tenant] = timestamp
+                    if timestamp is not None:
+                        check_timestamp_order(tenant, timestamp, last)
+                        last = timestamp
+                    watermarks[tenant] = last
             start = 0
             for index, tenant in enumerate(tenants):
                 stop = stops[index]
+                slot = slots.get(tenant)
+                if slot is None and start == stop:
+                    # A zero-row entry of an unknown tenant creates nothing.
+                    totals[index] = generations[index] = 0
+                    continue
                 slot = self._append_locked(
                     tenant,
-                    slots.get(tenant),
+                    slot,
                     values[start:stop],
                     None if timestamps is None else timestamps[index],
                 )
@@ -242,8 +246,8 @@ class SeriesStore:
         return totals, generations
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
-        """``values`` as store-dtype ``[T, C]`` rows, or ``ValueError``."""
-        values = np.asarray(values, dtype=self._dtype)
+        """``values`` as float32 ``[T, C]`` rows, or ``ValueError``."""
+        values = np.asarray(values, dtype=np.float32)
         if values.ndim == 1:
             values = values[None, :]
         if values.ndim != 2 or values.shape[1] != self.n_channels:
@@ -257,7 +261,7 @@ class SeriesStore:
         """Give ``tenant`` a free slab row, doubling the slab if none is left."""
         if not self._free:
             slots = len(self._slab)
-            grown = np.zeros((2 * slots,) + self._slab.shape[1:], dtype=self._dtype)
+            grown = np.zeros((2 * slots,) + self._slab.shape[1:], dtype=np.float32)
             grown[:slots] = self._slab
             self._slab = grown
             self._free = list(range(2 * slots - 1, slots - 1, -1))
@@ -342,7 +346,7 @@ class SeriesStore:
             raise ValueError(f"n must be non-negative, got {n}")
         with self._lock:
             slot = self._slot_locked(tenant)
-            out = np.empty((min(n, slot.size), self.n_channels), dtype=self._dtype)
+            out = np.empty((min(n, slot.size), self.n_channels), dtype=np.float32)
             self._copy_latest_locked(slot, out)
             return out
 
@@ -369,7 +373,7 @@ class SeriesStore:
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        windows = np.empty((len(tenants), n, self.n_channels), dtype=self._dtype)
+        windows = np.empty((len(tenants), n, self.n_channels), dtype=np.float32)
         lengths = np.empty(len(tenants), dtype=np.int64)
         found: List[int] = []
         # Moments are copied out under the lock (folds update them in
@@ -493,14 +497,14 @@ class SeriesStore:
         """
         with self._lock:
             slot = self._slot_locked(tenant)
-            data = np.empty((slot.size, self.n_channels), dtype=self._dtype)
+            data = np.empty((slot.size, self.n_channels), dtype=np.float32)
             self._copy_latest_locked(slot, data)
             return {
                 "series": {
                     "buffer": {
                         "capacity": int(self.capacity),
                         "n_channels": int(self.n_channels),
-                        "dtype": self._dtype.name,
+                        "dtype": "float32",
                         "data": data,
                         "total_appended": int(slot.total),
                     },
@@ -531,7 +535,7 @@ class SeriesStore:
         series = payload["series"]
         buffer = series["buffer"]
         capacity, n_channels = int(buffer["capacity"]), int(buffer["n_channels"])
-        data = np.asarray(buffer["data"], dtype=self._dtype)
+        data = np.asarray(buffer["data"], dtype=np.float32)
         size, total = len(data), int(buffer["total_appended"])
         if size > capacity:
             raise ValueError(f"state holds {size} rows but capacity is {capacity}")

@@ -97,9 +97,6 @@ class TestServiceSpecReplica:
         with pytest.raises(ValueError, match="shape mismatch"):
             ServiceSpec(config=CONFIG, weights_path=str(path)).build()
 
-    def test_unknown_pad_mode_rejected_at_build(self):
-        with pytest.raises(ValueError, match="pad_mode"):
-            ServiceSpec(config=CONFIG, pad_mode="wrap").build()
 
 
 class TestTimeoutValidation:
@@ -133,6 +130,8 @@ class TestClusterSpecValidation:
         [
             {"n_shards": 0},
             {"backend": "fiber"},
+            {"normalization": "bogus"},
+            {"normalization": "last_value"},
             {"request_timeout": 0.0},
             {"heartbeat_timeout": 0.0},
             {"request_timeout": 1.0, "heartbeat_timeout": 1.0},

@@ -955,6 +955,18 @@ class TestIngestValidation:
         assert censuses(cluster) == census
         assert_same(forecasts(cluster), expected)
 
+    def test_zero_rows_of_an_unknown_tenant_create_nothing(self, cluster):
+        """An empty tenant would fail every implicit sweep with "no observations"."""
+        tenants, census = cluster.tenants(), censuses(cluster)
+        expected = forecasts(cluster)
+        assert cluster.ingest("ghost", np.zeros((0, CHANNELS)), timestamp=5) == 0
+        assert cluster.tenants() == tenants
+        assert censuses(cluster) == census
+        assert_same(forecasts(cluster), expected)
+        # Nothing was created, so no watermark either: an earlier stamp is fine.
+        cluster.ingest("ghost", np.ones((1, CHANNELS)), timestamp=1)
+        assert "ghost" in forecasts(cluster)
+
     def test_unencodable_timestamp_raises_type_error_at_ingest(self):
         with running(build_cluster(SPEC, n_shards=2, backend="process")) as cluster:
             row = np.zeros((1, CHANNELS))

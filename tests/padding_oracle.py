@@ -12,18 +12,12 @@ from typing import Tuple
 import numpy as np
 
 
-def reference_pad(
-    history: np.ndarray,
-    input_length: int,
-    n_channels: int,
-    pad_mode: str = "edge",
-) -> Tuple[np.ndarray, int]:
+def reference_pad(history: np.ndarray, input_length: int, n_channels: int) -> Tuple[np.ndarray, int]:
     """Normalise a single history to ``[input_length, n_channels]`` float32.
 
     Histories longer than ``input_length`` keep their most recent steps;
-    shorter ones are left-padded with their first step (``"edge"``) or
-    with zeros (``"zeros"``).  Returns the padded history and the number
-    of observed (un-padded) steps.
+    shorter ones are left-padded with their first step.  Returns the
+    padded history and the number of observed (un-padded) steps.
     """
     history = np.asarray(history, dtype=np.float32)
     if history.ndim == 1:
@@ -37,10 +31,5 @@ def reference_pad(
         raise ValueError("history must contain at least one time step")
     if observed >= input_length:
         return history[-input_length:], input_length
-    if pad_mode == "edge":
-        pad = np.repeat(history[:1], input_length - observed, axis=0)
-    elif pad_mode == "zeros":
-        pad = np.zeros((input_length - observed, n_channels), dtype=np.float32)
-    else:
-        raise ValueError(f"unknown pad_mode {pad_mode!r}; use 'edge' or 'zeros'")
+    pad = np.repeat(history[:1], input_length - observed, axis=0)
     return np.concatenate([pad, history], axis=0), observed

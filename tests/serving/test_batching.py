@@ -33,20 +33,18 @@ def _assembled(requests):
     return [(stage_group(members), members) for members in group_requests(requests)]
 
 
-def _service(input_length, n_channels, pad_mode="edge"):
+def _service(input_length, n_channels):
     config = ModelConfig(
         input_length=input_length, horizon=2, n_channels=n_channels,
         patch_length=1, hidden_dim=4, dropout=0.0,
     )
-    return ForecastService(DLinear(config), pad_mode=pad_mode, compiled=False)
+    return ForecastService(DLinear(config), compiled=False)
 
 
 def _assert_submit_matches_reference(service, history):
     """``submit`` queues the row and observed length ``reference_pad`` gives."""
     config = service.config
-    expected, observed = reference_pad(
-        history, config.input_length, config.n_channels, service.pad_mode
-    )
+    expected, observed = reference_pad(history, config.input_length, config.n_channels)
     service.submit(history)
     (request,) = service._pending
     assert request.history.dtype == np.float32
@@ -80,11 +78,6 @@ class TestSubmitPadding:
         np.testing.assert_array_equal(padded[:3], np.repeat(history[:1], 3, axis=0))
         np.testing.assert_array_equal(padded[3:], history)
 
-    def test_zeros_pad_mode(self):
-        history = np.ones((2, 3), dtype=np.float32)
-        padded = _assert_submit_matches_reference(_service(4, 3, pad_mode="zeros"), history)
-        np.testing.assert_array_equal(padded[:2], np.zeros((2, 3)))
-
     def test_one_dimensional_history_promoted_to_single_channel(self):
         padded = _assert_submit_matches_reference(_service(6, 1), np.arange(6.0))
         assert padded.shape == (6, 1)
@@ -105,12 +98,6 @@ class TestSubmitPadding:
             service.submit(history)
         assert service.pending == 0
         assert service.stats.requests == 0
-
-    def test_unknown_pad_mode_raises(self):
-        with pytest.raises(ValueError):
-            reference_pad(np.ones((2, 1)), input_length=4, n_channels=1, pad_mode="wrap")
-        with pytest.raises(ValueError, match="pad_mode"):
-            _service(4, 1, pad_mode="wrap")
 
 
 class TestCoalesce:

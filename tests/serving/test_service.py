@@ -274,11 +274,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ForecastService(DLinear(_config_for(cycle_smoke_data)), max_batch_size=0)
 
-    def test_unknown_pad_mode_rejected_at_construction(self, cycle_smoke_data):
-        """A bad pad mode fails the constructor, not the first short request."""
-        with pytest.raises(ValueError, match="pad_mode"):
-            ForecastService(DLinear(_config_for(cycle_smoke_data)), pad_mode="wrap")
-
 
 class TestSubmitIsOneRowSubmitMany:
     """``submit`` gives what a one-row ``submit_many`` block of its tail gives."""
@@ -295,11 +290,10 @@ class TestSubmitIsOneRowSubmitMany:
         block[0, input_length - observed:] = history[len(history) - observed:]
         return block, np.array([observed])
 
-    @pytest.mark.parametrize("pad_mode", ["edge", "zeros"])
     @pytest.mark.parametrize("extra_steps", [-7, 0, 5], ids=["short", "full", "long"])
-    def test_forecast_and_counters_match(self, cycle_smoke_data, rng, pad_mode, extra_steps):
+    def test_forecast_and_counters_match(self, cycle_smoke_data, rng, extra_steps):
         data = cycle_smoke_data
-        single, many = self._pair(data, pad_mode=pad_mode)
+        single, many = self._pair(data)
         history = rng.normal(size=(data.input_length + extra_steps, data.n_channels))
         history = history.astype(np.float32)
         forecast = single.submit(history).result()

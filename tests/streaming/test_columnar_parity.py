@@ -47,8 +47,7 @@ def sweeps(draw):
         "history": [draw(st.integers(1, 2 * CONFIG.input_length)) for _ in range(n_tenants)],
         "with_covariates": [draw(st.booleans()) for _ in range(n_tenants)],
         "max_batch_size": draw(st.sampled_from([1, 2, 3, 4, 16])),
-        "normalization": draw(st.sampled_from(["none", "rolling", "last_value"])),
-        "pad_mode": draw(st.sampled_from(["edge", "zeros"])),
+        "normalization": draw(st.sampled_from(["none", "rolling"])),
         "queue_limit": draw(st.one_of(st.none(), st.integers(1, n_tenants + 2))),
         "queued": draw(st.lists(st.sampled_from(PRIORITIES), max_size=4)),
         "priority": draw(st.sampled_from(PRIORITIES)),
@@ -61,7 +60,7 @@ def fixed_case(n_tenants, **overrides):
     case = {
         "seed": 3, "n_tenants": n_tenants, "history": [20] * n_tenants,
         "with_covariates": [False] * n_tenants, "max_batch_size": 16,
-        "normalization": "none", "pad_mode": "edge", "queue_limit": None,
+        "normalization": "none", "queue_limit": None,
         "queued": [], "priority": "batch", "deadline": None,
     }
     case.update(overrides)
@@ -72,7 +71,6 @@ def build(case):
     service = ForecastService(
         MODEL,
         max_batch_size=case["max_batch_size"],
-        pad_mode=case["pad_mode"],
         compiled=False,
         admission=AdmissionPolicy(queue_limit=case["queue_limit"]),
     )
@@ -128,7 +126,7 @@ class PerTenantReference:
     """One forecast at a time, from the forecaster's public pieces only.
 
     ``store.latest`` → the tenant's normalisation (its rolling scaler
-    frozen by ``to_standard_scaler()``, or the last-value anchor) →
+    frozen by ``to_standard_scaler()``) →
     ``reference_pad`` → ``service.submit`` → the inverse mapping on
     ``result()``.  A refused submit raises before any counter moves.  Its
     service only ever sees full-length windows, so the reference counts
@@ -151,16 +149,11 @@ class PerTenantReference:
         window = forecaster.store.latest(tenant, input_length)
         if forecaster.normalization == "none":
             normalized, inverse = window, None
-        elif forecaster.normalization == "rolling":
+        else:
             frozen = forecaster.scaler(tenant).to_standard_scaler()
             normalized, inverse = frozen.transform(window), frozen.inverse_transform
-        else:
-            anchor = window[-1:].astype(np.float32)
-            normalized, inverse = window - anchor, lambda values: values + anchor
         service = forecaster.service
-        padded, observed = reference_pad(
-            normalized, input_length, forecaster.config.n_channels, service.pad_mode
-        )
+        padded, observed = reference_pad(normalized, input_length, forecaster.config.n_channels)
         handle = service.submit(padded, **request)
         self.padded_requests += int(observed < input_length)
         return Mapped(handle, inverse)
@@ -261,7 +254,7 @@ def test_unknown_tenant_raises_before_any_row_is_queued():
 
 def test_unflushed_sweep_split_by_a_mid_block_flush():
     """Rows a mid-block flush resolved answer without flushing the rest."""
-    case = fixed_case(3, history=[20, 5, 20], max_batch_size=2, normalization="last_value")
+    case = fixed_case(3, history=[20, 5, 20], max_batch_size=2, normalization="rolling")
     tenants = ["t0", "t1", "t2"]
     ref_service, ref_forecaster, _ = build(case)
     reference = PerTenantReference(ref_forecaster)

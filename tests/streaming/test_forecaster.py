@@ -6,7 +6,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.serving import ForecastService
-from repro.streaming import SeriesStore, StreamingForecaster
+from repro.streaming import StreamingForecaster
 
 
 @pytest.fixture
@@ -124,15 +124,6 @@ class TestNormalization:
         )
         np.testing.assert_allclose(handle.result(), expected, rtol=1e-12)
 
-    def test_last_value_mode_matches_manual_anchor(self, service, rng):
-        forecaster = StreamingForecaster(service, normalization="last_value")
-        values = stream(rng, 40, offset=20.0)
-        forecaster.ingest("a", values)
-        window = values[-32:]
-        anchor = window[-1:]
-        expected = service.model.predict((window - anchor)[None])[0] + anchor
-        np.testing.assert_array_equal(forecaster.forecast("a").result(), expected)
-
     def test_separate_tenants_keep_separate_statistics(self, service, rng):
         forecaster = StreamingForecaster(service, normalization="rolling")
         forecaster.ingest("low", stream(rng, 40, offset=1.0))
@@ -229,20 +220,20 @@ class TestFutureCovariates:
         np.testing.assert_array_equal(handles["t0"].result(), history_only)
 
     def test_covariates_compose_with_normalization(self, cov_service, rng):
-        forecaster = StreamingForecaster(cov_service, normalization="last_value")
+        forecaster = StreamingForecaster(cov_service, normalization="rolling")
         values = stream(rng, 40, offset=25.0)
         forecaster.ingest("a", values)
         numerical, categorical = self.covariates(rng)
         produced = forecaster.forecast(
             "a", future_numerical=numerical, future_categorical=categorical
         ).result()
-        window = values[-32:]
-        anchor = window[-1:]
-        expected = cov_service.model.predict(
-            (window - anchor)[None],
+        # Only the history and the forecast are mapped; covariates pass as given.
+        frozen = forecaster.scaler("a").to_standard_scaler()
+        expected = frozen.inverse_transform(cov_service.model.predict(
+            frozen.transform(values[-32:])[None],
             future_numerical=numerical[None],
             future_categorical=categorical[None],
-        )[0] + anchor
+        )[0])
         np.testing.assert_array_equal(produced, expected)
 
     def test_invalid_covariate_shape_raises_at_submit(self, cov_service, rng):
@@ -258,10 +249,6 @@ class TestConstruction:
             StreamingForecaster(service, window_capacity=8)
         with pytest.raises(ValueError, match="window_capacity"):
             StreamingForecaster(service, window_capacity=0)  # not the default
-
-    def test_store_channel_mismatch_rejected(self, service):
-        with pytest.raises(ValueError, match="channels"):
-            StreamingForecaster(service, store=SeriesStore(capacity=64, n_channels=5))
 
     def test_default_store_capacity(self, forecaster):
         assert forecaster.store.capacity == 4 * 32

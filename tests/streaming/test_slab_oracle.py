@@ -101,18 +101,27 @@ class ReferenceStore:
         self.stats = StoreStats()
 
     def ingest(self, tenant: str, values: np.ndarray, timestamp=None) -> int:
+        if tenant not in self.buffers and not len(values):
+            return 0                                  # zero rows create no tenant
         if timestamp is not None:
             check_timestamp_order(tenant, timestamp, self.last.get(tenant))
         return self._append(tenant, values, timestamp)
 
     def ingest_many(self, tenants, counts, values, timestamps=None) -> Tuple[List[int], List[int]]:
         if timestamps is not None:
-            watermarks = {}
-            for tenant, timestamp in zip(tenants, timestamps):
+            live, watermarks = set(self.buffers), {}
+            for tenant, count, timestamp in zip(tenants, counts, timestamps):
+                if tenant not in live and not count:
+                    continue
+                live.add(tenant)
                 check_timestamp_order(tenant, timestamp, watermarks.get(tenant, self.last.get(tenant)))
                 watermarks[tenant] = timestamp
         totals, generations, start = [], [], 0
         for index, (tenant, count) in enumerate(zip(tenants, counts)):
+            if tenant not in self.buffers and not count:
+                totals.append(0)
+                generations.append(0)
+                continue
             stamp = None if timestamps is None else timestamps[index]
             totals.append(self._append(tenant, values[start:start + count], stamp))
             generations.append(self.generations[tenant])
@@ -318,11 +327,14 @@ def test_slab_matches_per_tenant_reference(channels, moments, capacity, steps, s
 
 def test_gather_refuses_a_tenant_without_statistics():
     store = SeriesStore(4, 2, moments=True)
-    store.ingest("empty", np.zeros((0, 2)))
-    with pytest.raises(ValueError, match="no observations"):
-        store.gather(["empty"], 2)
     source = SeriesStore(4, 2)
     source.ingest("bare", np.ones((3, 2)))
+    # A zero-row ingest creates no tenant; a zero-row payload adopts one.
+    empty = source.tenant_state("bare")
+    empty["series"]["buffer"].update(data=np.zeros((0, 2), np.float32), total_appended=0)
+    store.restore_tenant("empty", empty)
+    with pytest.raises(ValueError, match="no observations"):
+        store.gather(["empty"], 2)
     store.restore_tenant("bare", source.tenant_state("bare"))   # fresh moments
     with pytest.raises(RuntimeError, match="no rolling statistics"):
         store.gather(["bare"], 2)
