@@ -1,13 +1,14 @@
 """Benchmark S4 — parallel shard execution and incremental checkpoint cost.
 
-Quantifies the two claims of the ``repro.runtime`` layer:
+Quantifies two claims of the thread cluster:
 
-* **parallel fan-out**: ``forecast_all`` over S shards through a
-  :class:`~repro.runtime.PoolExecutor` overlaps the per-shard forward
-  passes (NumPy releases the GIL inside BLAS), so throughput scales with
-  cores.  The speedup bar adapts to the host: single-core CI boxes can
-  only verify the pool doesn't *cost* anything, multi-core hosts must see
-  a real speedup (>1.5× at 4 shards on ≥4 cores — the acceptance bar).
+* **parallel fan-out**: ``forecast_all`` over S shards whose collects
+  run on a :class:`concurrent.futures.ThreadPoolExecutor` overlaps the
+  per-shard forward passes (NumPy releases the GIL inside BLAS), so
+  throughput scales with cores.  The speedup bar adapts to the host:
+  single-core CI boxes can only verify the pool doesn't *cost* anything,
+  multi-core hosts must see a real speedup (>1.5× at 4 shards on ≥4
+  cores — the acceptance bar).
 * **O(churn) checkpoints**: ``save_incremental`` at 10% churn must write
   well under half the bytes of a full ``save`` (acceptance: <50%), because
   a delta carries payloads only for dirtied tenants.
@@ -15,6 +16,7 @@ Quantifies the two claims of the ``repro.runtime`` layer:
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -23,7 +25,6 @@ from repro.cluster import ShardedForecaster
 from repro.config import ModelConfig
 from repro.core import LiPFormer
 from repro.profiling import interleave
-from repro.runtime import PoolExecutor, SerialExecutor
 from repro.serving import ForecastService
 
 N_SHARDS = 4
@@ -70,10 +71,9 @@ def test_pool_executor_speedup_over_serial(blas_pinned):
     lands on both sides of a round instead of deciding the verdict from
     one block.
     """
-    executors = {"serial": SerialExecutor(), "pool": PoolExecutor(N_SHARDS)}
-    with executors["serial"], executors["pool"]:
+    with ThreadPoolExecutor(N_SHARDS) as pool:
         clusters = {}
-        for name, executor in executors.items():
+        for name, executor in {"serial": None, "pool": pool}.items():
             clusters[name] = _build_cluster(executor)
             _drive(clusters[name], 2)              # warm caches and the pool
             clusters[name].reset_service_stats()
@@ -110,7 +110,7 @@ def test_pool_executor_speedup_over_serial(blas_pinned):
         f"(median paired speedup {speedup:.2f}x, required {required:.2f}x)"
     )
     assert speedup >= required, (
-        f"PoolExecutor gave {speedup:.2f}x over SerialExecutor on {cores} "
+        f"a {N_SHARDS}-thread pool gave {speedup:.2f}x over inline collects on {cores} "
         f"cores; expected at least {required:.2f}x"
     )
 
@@ -118,7 +118,7 @@ def test_pool_executor_speedup_over_serial(blas_pinned):
 def test_incremental_checkpoint_cost_at_ten_percent_churn(tmp_path):
     """Delta bytes and wall-clock vs a full snapshot of the same fleet."""
     rng = np.random.default_rng(12)
-    cluster = _build_cluster(SerialExecutor())
+    cluster = _build_cluster(None)
 
     full_path = str(tmp_path / "full.npz")
     start = time.perf_counter()

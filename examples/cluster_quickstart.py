@@ -18,16 +18,18 @@ replica in ONE process, this script is the scaling step past both limits:
 4. survive a restart: snapshot the whole cluster to one ``.npz`` archive,
    revive it around fresh replicas, and verify the revived cluster
    forecasts bit-identically;
-5. run the fan-outs in parallel (``repro.runtime.PoolExecutor`` drives S
-   shards on S cores), checkpoint O(churn) with ``save_incremental``, and
-   survive a dead replica with ``failover`` — tenants re-home to the
-   survivors from the last checkpoint chain.
+5. run the fan-outs in parallel (a ``concurrent.futures.ThreadPoolExecutor``
+   as the cluster's ``executor`` drives S shards on S cores), checkpoint
+   O(churn) with ``save_incremental``, and survive a dead replica with
+   ``failover`` — tenants re-home to the survivors from the last
+   checkpoint chain.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -108,41 +110,39 @@ def main() -> None:
     assert identical
 
     # ------------------------------------------------------------------ #
-    # 5. The parallel execution layer: pool fan-out, O(churn) checkpoints
-    #    and replica failover.
+    # 5. Pool fan-out, O(churn) checkpoints and replica failover.
     # ------------------------------------------------------------------ #
-    from repro.runtime import PoolExecutor
+    with ThreadPoolExecutor(len(revived)) as pool:
+        revived.executor = pool             # S shards on S cores
+        for handle in revived.forecast_all().values():
+            handle.result()
 
-    revived.executor = PoolExecutor(len(revived))   # S shards on S cores
-    for handle in revived.forecast_all().values():
-        handle.result()
+        # A handful of tenants tick; the delta checkpoint captures only them.
+        for name in list(tenants)[:4]:
+            revived.ingest(name, tenants[name][-1][None, :])
+        delta_path = path.replace("cluster.npz", "delta.npz")
+        revived.save(path)                   # full base (starts the chain)
+        for name in list(tenants)[:4]:
+            revived.ingest(name, tenants[name][-1][None, :])
+        revived.save_incremental(delta_path)
+        full_kb = os.path.getsize(path) / 1024
+        delta_kb = os.path.getsize(delta_path) / 1024
+        print(f"incremental checkpoint: {delta_kb:,.1f} KiB vs {full_kb:,.0f} KiB "
+              f"full ({delta_kb / full_kb:.0%}) for 4/{revived.tenant_count()} "
+              "churned tenants")
 
-    # A handful of tenants tick; the delta checkpoint captures only them.
-    for name in list(tenants)[:4]:
-        revived.ingest(name, tenants[name][-1][None, :])
-    delta_path = path.replace("cluster.npz", "delta.npz")
-    revived.save(path)                   # full base (starts the chain)
-    for name in list(tenants)[:4]:
-        revived.ingest(name, tenants[name][-1][None, :])
-    revived.save_incremental(delta_path)
-    full_kb = os.path.getsize(path) / 1024
-    delta_kb = os.path.getsize(delta_path) / 1024
-    print(f"incremental checkpoint: {delta_kb:,.1f} KiB vs {full_kb:,.0f} KiB "
-          f"full ({delta_kb / full_kb:.0%}) for 4/{revived.tenant_count()} "
-          "churned tenants")
-
-    # A replica dies.  Its ring arc falls to the survivors and its tenants
-    # restore from the checkpoint chain — the report is honest about any
-    # arrivals the chain had not yet captured.
-    victim = revived.shard_ids()[0]
-    report = revived.failover(victim)
-    print(f"failover of {victim}: {len(report.restored)} tenants re-homed, "
-          f"{len(report.lost)} lost, {len(report.stale)} stale — "
-          f"cluster now {len(revived)} shards, still serving "
-          f"{revived.tenant_count()} tenants")
-    assert report.complete
-    for handle in revived.forecast_all().values():
-        handle.result()
+        # A replica dies.  Its ring arc falls to the survivors and its tenants
+        # restore from the checkpoint chain — the report is honest about any
+        # arrivals the chain had not yet captured.
+        victim = revived.shard_ids()[0]
+        report = revived.failover(victim)
+        print(f"failover of {victim}: {len(report.restored)} tenants re-homed, "
+              f"{len(report.lost)} lost, {len(report.stale)} stale — "
+              f"cluster now {len(revived)} shards, still serving "
+              f"{revived.tenant_count()} tenants")
+        assert report.complete
+        for handle in revived.forecast_all().values():
+            handle.result()
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ API groups into:
 * ``repro.cluster``     — sharded multi-replica serving with consistent-hash
                           tenant partitioning, incremental checkpoints,
                           replica failover and snapshot/restore persistence
-* ``repro.runtime``     — parallel execution layer: reader/writer locking
-                          and pluggable per-shard fan-out executors
+* ``repro.runtime``     — concurrency primitives: reader/writer and
+                          lock-order-checked locks, retries, breakers
 * ``repro.profiling``   — parameters, MACs, timing, edge emulation
 * ``repro.experiments`` — drivers regenerating every paper table / figure
 """
@@ -27,7 +27,6 @@ from .core import LiPFormer
 from .baselines import available_models, create_model
 from .cluster import HashRing, ShardedForecaster
 from .data import load_dataset, prepare_forecasting_data
-from .runtime import PoolExecutor, SerialExecutor
 from .serving import ForecastService
 from .streaming import SeriesStore, StreamingForecaster
 from .training import Trainer, run_experiment
@@ -47,8 +46,6 @@ __all__ = [
     "StreamingForecaster",
     "HashRing",
     "ShardedForecaster",
-    "SerialExecutor",
-    "PoolExecutor",
     "Trainer",
     "run_experiment",
     "__version__",

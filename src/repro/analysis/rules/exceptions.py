@@ -2,7 +2,7 @@
 
 A ``try/except Exception: pass`` around cluster internals converts a
 shard corruption into silent data loss.  Broad handlers are legitimate —
-rollback paths, executor error channels — *when the error remains
+rollback paths, fan-out error channels — *when the error remains
 observable*: re-raised, recorded on a stats/report object, or otherwise
 acted on.  This rule flags handlers that catch everything
 (bare ``except:``, ``Exception``, ``BaseException``) and then neither

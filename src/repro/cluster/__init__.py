@@ -19,10 +19,10 @@ past both limits:
 * two shard transports behind that coordinator:
   :class:`LocalShard` (an in-process
   :class:`~repro.streaming.forecaster.StreamingForecaster`, fan-outs
-  overlapped by a pluggable executor) and :class:`ProcessShard` (a worker
-  OS process behind the pickle-free wire codec, :mod:`repro.wire`, with
-  retries, a circuit breaker and a census of acknowledged ingests that
-  outlives a ``kill -9``);
+  inline or overlapped on a ``concurrent.futures`` pool) and
+  :class:`ProcessShard` (a worker OS process behind the pickle-free wire
+  codec, :mod:`repro.wire`, with retries, a circuit breaker and a census
+  of acknowledged ingests that outlives a ``kill -9``);
 * :class:`ShardedForecaster` / :class:`ProcessCoordinator` — the two
   public constructors, picking the shard class; :func:`build_cluster`
   picks between them from a :class:`ClusterSpec`, and

@@ -33,19 +33,22 @@ from __future__ import annotations
 
 import os
 import uuid
+from concurrent.futures import Executor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
 from .. import obs
-from ..runtime import Executor, map_shards
+from ..config import ModelConfig
 from ..runtime.annotations import guarded_by, requires_lock, unguarded
 from ..runtime.locks import RWLock, TrackedRLock
 from ..serving.admission import DEFAULT_PRIORITY, resolve_deadline
 from ..serving.service import ServiceStats
-from ..streaming.forecaster import payload_census
+from ..streaming.forecaster import check_state_header, payload_census
 from ..streaming.store import StoreStats
 from .ring import HashRing
 from .snapshot import (
@@ -120,18 +123,21 @@ def fan_out(
     shards: Mapping[str, Shard],
     op: str,
     jobs: Mapping[str, dict],
-    executor: Executor,
+    executor: Optional[Executor] = None,
 ) -> Dict[str, Any]:
     """Run one split-phase operation: start every shard, then collect every one.
 
     ``jobs`` maps shard id → keyword fields for that shard's ``start``.
     Every involved shard lock is held from the first start to the last
     collect, acquired in sorted id order so concurrent fan-outs cannot
-    deadlock.  Collection runs through ``executor``: process shards
-    compute between their send and receive anyway, and thread shards do
-    their work inside ``collect``, so a pool overlaps them.  Every shard
-    settles before the first error (in start, then collect order) is
-    raised.  Returns ``{shard_id: result}`` in ``jobs`` order.
+    deadlock.  Shards start in ``jobs`` order; their collects run inline,
+    or on ``executor`` when more than one shard started (thread shards do
+    their work inside ``collect``, so a pool overlaps them).  A pooled
+    collect carries the caller's span, and a pool that refuses work (shut
+    down) leaves its collect inline.  Every collect settles before the
+    first error (in start, then collect order) is raised; only an
+    interrupt during an inline collect, with nothing else in flight,
+    propagates at once.  Returns ``{shard_id: result}`` in ``jobs`` order.
     """
     with ExitStack() as held:
         for shard_id in sorted(jobs):
@@ -145,13 +151,28 @@ def fan_out(
                 first_error = first_error if first_error is not None else error
             else:
                 started.append(shard_id)
-        try:
-            results = map_shards(executor, lambda shard_id: shards[shard_id].collect(), started)
-        except Exception as error:
-            first_error = first_error if first_error is not None else error
+        collects = [shards[shard_id].collect for shard_id in started]
+        pooled = executor is not None and len(started) > 1
+        if pooled:
+            collects = [_submitted(executor, collect) for collect in collects]
+        results: Dict[str, Any] = {}
+        for shard_id, collect in zip(started, collects):
+            try:
+                results[shard_id] = collect()
+            # Once every collect is in flight, even an interrupt waits for the rest.
+            except (BaseException if pooled else Exception) as error:
+                first_error = first_error if first_error is not None else error
         if first_error is not None:
             raise first_error
         return results
+
+
+def _submitted(executor: Executor, collect: Callable[[], Any]) -> Callable[[], Any]:
+    """``collect`` submitted to ``executor``, as a call that waits for it."""
+    try:
+        return executor.submit(obs.carry_current_span(collect)).result
+    except RuntimeError:
+        return collect
 
 
 @dataclass
@@ -192,7 +213,10 @@ class Coordinator:
 
     #: reported by :meth:`as_dict`
     BACKEND = "?"
-    executor: Executor
+    #: where a fan-out's collects run (see :func:`fan_out`); ``None`` is inline
+    executor: Optional[Executor] = None
+    #: the replicas' model config, once known (restores check headers against it)
+    config: Optional[ModelConfig] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -564,7 +588,8 @@ class Coordinator:
         columnar block, so they coalesce into that replica's
         micro-batches.  With ``tenants=None`` each shard sweeps its own
         live tenants (no enumeration round trip), skipping any dropped
-        concurrently; an explicit list keeps strict errors.
+        concurrently or holding no rows; an explicit list keeps strict
+        errors.
 
         The sweep shares one deadline: ``timeout`` is anchored once, when
         the fan-out starts.  A tenant refused by admission control gets a
@@ -820,14 +845,19 @@ class Coordinator:
 
     @unguarded("constructor phase: the cluster is not visible to other threads yet")
     def _restore(self, state: dict) -> None:
-        # Shards built by a later add_shard must match the restored
-        # stores' geometry, so the capacity comes from the saved state.
-        first_shard = next(iter(state["shards"].values()))
-        self._init_runtime(
-            str(state["normalization"]),
-            int(first_shard["store"]["capacity"]),
-            int(state["vnodes"]),
-        )
+        # Every shard header is checked before any shard opens (so before
+        # any worker spawns), against the replicas' config where it is
+        # known up front.  Shards built by a later add_shard must match
+        # the restored stores' geometry, so the capacity comes from there.
+        headers = {check_state_header(shard, self.config) for shard in state["shards"].values()}
+        normalization = str(state["normalization"])
+        if len(headers) != 1 or next(iter(headers))[0] != normalization:
+            raise ValueError(
+                f"shard (normalization, capacity) headers {sorted(headers)} must agree "
+                f"with each other and with the cluster's normalization {normalization!r}"
+            )
+        ((_, capacity),) = headers
+        self._init_runtime(normalization, capacity, int(state["vnodes"]))
         self.rebalances = int(state["rebalances"])
         self.tenants_migrated = int(state["tenants_migrated"])
         retired = state["retired"]
@@ -842,7 +872,6 @@ class Coordinator:
                 self._shards,
                 "restore",
                 {shard_id: {"state": state["shards"][shard_id]} for shard_id in shard_ids},
-                self.executor,
             )
         except BaseException:
             for shard in self._shards.values():

@@ -43,6 +43,7 @@ import itertools
 import os
 import signal
 import subprocess
+from concurrent.futures import Executor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +57,6 @@ from ..errors import (
     WorkerDied,
     WorkerStalled,
 )
-from ..runtime import SerialExecutor
 from ..runtime.annotations import guarded_by, requires_lock
 from ..runtime.locks import TrackedRLock
 from ..runtime.resilience import CircuitBreaker, RetryPolicy
@@ -473,8 +473,9 @@ class ProcessShard:
         if skip_missing:
             # The census is exact under the shard lock (buffered tenants
             # included: their rows ride this frame ahead of the sweep), so
-            # a tenant dropped since the caller enumerated it drops out.
-            tenants = [tenant for tenant in tenants if tenant in self._census]
+            # a tenant dropped since the caller enumerated it drops out,
+            # as does one that holds no rows.
+            tenants = [tenant for tenant in tenants if self._census.get(tenant, (0,))[0]]
         budget = None if deadline is None else deadline - obs.now()
         # The frame's seq keys its block, here and in the worker; a
         # retried send reuses it (a failed attempt never reached the worker).
@@ -702,8 +703,8 @@ class ProcessCoordinator(Coordinator):
                 "cannot cross a process boundary without pickling it)"
             )
         self.spec = spec
+        self.config = spec.config
         self.cluster_spec = cluster if cluster is not None else ClusterSpec(backend="process")
-        self.executor = SerialExecutor()
         # The live workers' last polls as registry views, beside the
         # retired record's (weakly bound: they die with the coordinator).
         # Poll-backed, not RPC-backed, so a metrics export never hangs on
@@ -760,9 +761,7 @@ class ProcessCoordinator(Coordinator):
                 "window_capacity": self.window_capacity,
                 "warmup": warmup,
             }
-            fan_out(
-                spawned, "init", {sid: dict(init, shard_id=sid) for sid in spawned}, self.executor
-            )
+            fan_out(spawned, "init", {sid: dict(init, shard_id=sid) for sid in spawned})
         except BaseException:
             for shard in spawned.values():
                 shard.close(graceful=False)
@@ -854,14 +853,15 @@ class ProcessCoordinator(Coordinator):
 # ---------------------------------------------------------------------- #
 def build_cluster(
     spec: ServiceSpec,
-    executor=None,
+    executor: Optional[Executor] = None,
     cluster: Optional[ClusterSpec] = None,
     **knobs,
 ) -> Coordinator:
     """One replica recipe, two deployments.
 
-    ``backend="thread"`` builds a :class:`ShardedForecaster` (pass
-    ``executor`` to parallelise fan-outs across threads);
+    ``backend="thread"`` builds a :class:`ShardedForecaster` (pass a
+    :class:`concurrent.futures.Executor` as ``executor`` to parallelise
+    fan-outs across threads);
     ``backend="process"`` builds a :class:`ProcessCoordinator` with one
     OS process per shard.  Both expose the same API and produce
     bit-identical forecasts, so the choice is purely operational.

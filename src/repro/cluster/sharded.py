@@ -10,10 +10,11 @@ over local shards; routing, rebalancing, failover and persistence all
 live in the coordinator.
 
 Fan-outs (``forecast_all`` / ``flush`` / checkpoint collection) do their
-per-shard work in :meth:`LocalShard.collect`, driven through a pluggable
-:class:`~repro.runtime.Executor` — with a
-:class:`~repro.runtime.PoolExecutor`, S shards use S cores (forward
-passes are NumPy-bound and release the GIL in BLAS).
+per-shard work in :meth:`LocalShard.collect`, which
+:func:`~repro.cluster.coordinator.fan_out` runs inline or on the
+cluster's ``executor`` — with a :class:`concurrent.futures.ThreadPoolExecutor`
+of S workers, S shards use S cores (forward passes are NumPy-bound and
+release the GIL in BLAS).
 
 The shard services are expected to be *replicas*: ``service_factory`` must
 build services around models with identical weights (model construction is
@@ -24,13 +25,12 @@ deterministic from ``config.seed``, so a plain
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..config import ModelConfig
-from ..runtime import Executor, SerialExecutor
 from ..runtime.locks import TrackedRLock
 from ..serving.service import ForecastService
 from ..streaming.forecaster import StreamingForecaster
@@ -51,7 +51,7 @@ class LocalShard:
 
     Every call goes straight to the forecaster.  The split-phase pair
     records the operation in :meth:`start` and runs it in :meth:`collect`,
-    so the coordinator's executor decides where the work runs; an op other
+    so the fan-out decides which thread does the work; an op other
     than ``forecast_all`` and ``flush`` is the method of that name.  A
     process shard's worker (:mod:`repro.cluster.worker`) hosts one too and
     serves its control-plane commands through the same methods.
@@ -145,9 +145,10 @@ class ShardedForecaster(Coordinator):
         zero-argument callable building one :class:`ForecastService` per
         shard; replicas must share weights and configuration.
     executor:
-        where per-shard fan-out work runs.  Defaults to
-        :class:`~repro.runtime.SerialExecutor`; pass a
-        :class:`~repro.runtime.PoolExecutor` to drive S shards on S cores.
+        a :class:`concurrent.futures.Executor` for per-shard fan-out work.
+        ``None`` (the default) runs it inline on the calling thread; a
+        ``ThreadPoolExecutor(S)`` drives S shards on S cores.  The caller
+        owns the pool and shuts it down.
     knobs:
         :class:`~repro.cluster.spec.ClusterSpec` fields (``n_shards``,
         ``normalization``, ``window_capacity``, ``vnodes``), with its
@@ -172,8 +173,7 @@ class ShardedForecaster(Coordinator):
         executor: Optional[Executor] = None,
     ) -> None:
         self.service_factory = service_factory
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.config: Optional[ModelConfig] = None
+        self.executor = executor
 
     def _start(self, cluster: ClusterSpec, warmup: bool = True) -> None:
         # A new cluster's replicas trace their plans lazily: on the first

@@ -35,7 +35,7 @@ from ..baselines.registry import create_model
 from ..config import ModelConfig
 from ..nn.serialization import load_module
 from ..serving.admission import AdmissionPolicy
-from ..serving.service import ForecastService
+from ..serving.service import ForecastService, check_max_batch_size
 from ..streaming.forecaster import _NORMALIZATIONS
 
 __all__ = ["ServiceSpec", "ClusterSpec", "validate_cluster_timeouts"]
@@ -76,6 +76,15 @@ class ServiceSpec:
     queue_limit: Optional[int] = None
     default_timeout: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        check_max_batch_size(self.max_batch_size)   # the replica's checks, before any spawn
+        self._admission()
+
+    def _admission(self) -> Optional[AdmissionPolicy]:
+        if self.queue_limit is None and self.default_timeout is None:
+            return None
+        return AdmissionPolicy(queue_limit=self.queue_limit, default_timeout=self.default_timeout)
+
     def build(self) -> ForecastService:
         """Construct the replica this spec describes.
 
@@ -86,16 +95,11 @@ class ServiceSpec:
         model = create_model(self.model, self.config)
         if self.weights_path is not None:
             load_module(model, self.weights_path)
-        admission = None
-        if self.queue_limit is not None or self.default_timeout is not None:
-            admission = AdmissionPolicy(
-                queue_limit=self.queue_limit, default_timeout=self.default_timeout
-            )
         return ForecastService(
             model,
             max_batch_size=self.max_batch_size,
             compiled=self.compiled,
-            admission=admission,
+            admission=self._admission(),
         )
 
     # Thread-backed shards accept any zero-arg service factory; a spec is

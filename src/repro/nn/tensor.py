@@ -79,9 +79,9 @@ def get_default_dtype():
 class _GradMode(threading.local):
     """Per-thread switch controlling whether operations record a graph.
 
-    Thread-local, exactly like ``torch``'s grad mode: the parallel serving
-    layer (``repro.runtime.PoolExecutor``) runs ``no_grad`` inference on
-    worker threads, and a process-wide flag would let two overlapping
+    Thread-local, exactly like ``torch``'s grad mode: a thread cluster's
+    fan-out on a thread pool runs ``no_grad`` inference on worker
+    threads, and a process-wide flag would let two overlapping
     ``no_grad`` blocks restore each other's state — leaving gradients
     disabled for an unrelated training thread (or forever).  Each thread
     starts with gradients enabled via the class-attribute default.

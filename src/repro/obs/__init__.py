@@ -11,7 +11,7 @@ cycles):
   registry-backed views over the per-layer ``*Stats`` counters, merged
   by the same sum-or-max rule as ``CounterStats.merge``.
 * :mod:`repro.obs.trace` — ``span()`` contexts with thread-local
-  propagation across executor fan-out, a bounded ``TraceRecorder``, and
+  propagation onto fan-out pool threads, a bounded ``TraceRecorder``, and
   Chrome trace-event export.
 * :mod:`repro.obs.timing` — the sanctioned clock (``now()``)
   enforced by the ``timing-discipline`` lint rule.

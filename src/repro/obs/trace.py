@@ -2,7 +2,7 @@
 
 A :func:`span` context manager opens a span under the current thread's
 innermost active span; :func:`carry_current_span` re-establishes that
-parent on executor worker threads so a ``map_shards`` fan-out keeps one
+parent on pool worker threads so a cluster fan-out keeps one
 connected tree: ``cluster.forecast_all`` -> ``shard.forecast`` ->
 ``service.flush`` -> ``batch.assemble`` -> ``plan.replay``.
 
@@ -258,8 +258,9 @@ def carry_current_span(fn: Callable) -> Callable:
     """Wrap ``fn`` so the caller's active span parents spans in ``fn``.
 
     Captures the *caller's* innermost span at wrap time and re-establishes
-    it on whatever thread later runs ``fn`` — this is what keeps a
-    ``PoolExecutor.map_shards`` fan-out attached to the cluster-level span.
+    it on whatever thread later runs ``fn`` — this is what keeps the shard
+    collects that a cluster fan-out (:func:`~repro.cluster.coordinator.fan_out`)
+    runs on a thread pool attached to the cluster-level span.
     Identity when tracing is off or no span is active (zero overhead).
     """
     if not _STATE.tracing:

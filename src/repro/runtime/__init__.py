@@ -1,9 +1,7 @@
-"""``repro.runtime`` — the parallel execution layer under the cluster.
+"""``repro.runtime`` — the concurrency primitives under the cluster.
 
-PR 3's :class:`~repro.cluster.sharded.ShardedForecaster` gave the system N
-model replicas but one global lock, so N shards still used one core.  This
-package holds the concurrency primitives that fix that, kept separate from
-the cluster so they stay reusable (and testable) on their own:
+Kept separate from the cluster so they stay reusable (and testable) on
+their own:
 
 * :class:`RWLock` — writer-preferring reentrant reader/writer lock: routed
   traffic shares the topology read-side, rebalances/checkpoints take the
@@ -16,23 +14,17 @@ the cluster so they stay reusable (and testable) on their own:
   :func:`enable_lock_ordering` or ``REPRO_LOCK_ORDER=1``);
 * :func:`guarded_by` / :func:`requires_lock` / :func:`unguarded` — no-op
   annotations the static analyzer (``python -m repro.analysis``) enforces;
-* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` —
-  pluggable fan-out strategies for per-shard work (inline or thread
-  pool; threads reach S cores while the work is NumPy-bound);
-* :func:`map_shards` — the one fan-out idiom: ``fn(shard_id)`` per shard,
-  results keyed and ordered by shard id;
 * :class:`RetryPolicy` / :class:`CircuitBreaker` — resilience primitives
   for calls that cross a process gap: decorrelated-jitter retries with a
   deadline-capped budget, and a per-dependency breaker that fails fast
   while a worker is sick (see :mod:`repro.runtime.resilience`).
 
-See ``ARCHITECTURE.md`` for how these compose with the per-shard locks in
-the cluster layer, and ``benchmarks/test_parallel_scaling.py`` for the
-measured speedup.
+See ``ARCHITECTURE.md`` for how these compose with the per-shard locks
+in the cluster layer, whose one fan-out (``fan_out``) collects inline or
+on a caller-supplied :class:`concurrent.futures.Executor`.
 """
 
 from .annotations import guarded_by, requires_lock, unguarded
-from .executor import Executor, PoolExecutor, SerialExecutor, map_shards
 from .resilience import CircuitBreaker, RetryPolicy
 from .locks import (
     LockOrderMonitor,
@@ -46,10 +38,6 @@ from .locks import (
 )
 
 __all__ = [
-    "Executor",
-    "SerialExecutor",
-    "PoolExecutor",
-    "map_shards",
     "RWLock",
     "TrackedRLock",
     "LockOrderMonitor",

@@ -107,6 +107,11 @@ class ServiceStats(CounterStats):
         return {**counters_dict(self), "mean_batch_size": self.mean_batch_size}
 
 
+def check_max_batch_size(max_batch_size: int) -> None:
+    if max_batch_size < 1:
+        raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+
+
 @guarded_by("_pending", "_rows", "stats", "_timer", "_timer_at", lock="_lock")
 class ForecastService:
     """Serve a forecasting model behind a micro-batching request API.
@@ -133,8 +138,7 @@ class ForecastService:
         compiled: bool = True,
         admission: Optional[AdmissionPolicy] = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+        check_max_batch_size(max_batch_size)
         self.model = model
         self.config: ModelConfig = model.config
         self.max_batch_size = max_batch_size

@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import ModelConfig
 from ..data.incremental import RollingScaler
 from ..serving.admission import DEFAULT_PRIORITY
 from ..serving.batching import Forecast, ForecastRows
@@ -41,6 +42,7 @@ from .store import SeriesStore, StoreStats
 
 __all__ = [
     "StreamingForecaster",
+    "check_state_header",
     "payload_census",
     "state_tenants",
 ]
@@ -71,18 +73,10 @@ class StreamingForecaster:
         normalization: str = "none",
         window_capacity: Optional[int] = None,
     ) -> None:
-        if normalization not in _NORMALIZATIONS:
-            raise ValueError(
-                f"unknown normalization {normalization!r}; use one of {_NORMALIZATIONS}"
-            )
         self.service = service
         self.config = service.config
         capacity = 4 * self.config.input_length if window_capacity is None else window_capacity
-        if capacity < self.config.input_length:
-            raise ValueError(
-                f"window_capacity {capacity} cannot hold one input window "
-                f"of {self.config.input_length} steps"
-            )
+        _check_geometry(normalization, capacity, self.config)
         self.store = SeriesStore(capacity, self.config.n_channels, moments=normalization == "rolling")
         self.normalization = normalization
 
@@ -223,9 +217,9 @@ class StreamingForecaster:
 
         ``timeout`` is anchored once, so the block shares one deadline.
         Covariates are per-row sequences aligned with ``tenants``.  An
-        unknown tenant raises ``KeyError`` (or, with ``skip_missing``,
-        drops out of the block), and a tenant with no observations raises
-        ``ValueError``, before any row is queued.
+        unknown tenant raises ``KeyError`` and a tenant with no
+        observations raises ``ValueError``, before any row is queued; with
+        ``skip_missing`` both drop out of the block instead.
         """
         positions, windows, lengths, moments = self.store.gather(
             tenants, self.config.input_length, skip_missing=skip_missing
@@ -283,7 +277,8 @@ class StreamingForecaster:
         A tenant refused by admission control gets a handle that raises the
         typed error from ``result()``.  With ``tenants=None`` (every live
         tenant) or ``skip_missing``, a tenant dropped concurrently is
-        skipped instead of raising ``KeyError``.
+        skipped instead of raising ``KeyError``, and one that holds no
+        rows instead of raising ``ValueError``.
         """
         keys: List[str] = list(tenants) if tenants is not None else self.store.tenants()
         rows = self.forecast_many(
@@ -378,27 +373,15 @@ class StreamingForecaster:
     def from_state(cls, service: ForecastService, state: dict) -> "StreamingForecaster":
         """Rebuild a forecaster around ``service`` from full :meth:`to_state` output.
 
-        A store header other than float32 rows of the model's channel count
-        and at least ``input_length`` capacity, or an unknown normalisation,
-        raises ``ValueError`` before any tenant is adopted.  Every tenant
-        comes back through :meth:`import_tenant`; the store then starts
-        clean (its next delta is O(churn), not O(fleet)), with the saved
+        A header :func:`check_state_header` refuses raises ``ValueError``
+        before any tenant is adopted.  Every tenant comes back through
+        :meth:`import_tenant`; the store then starts clean (its next delta
+        is O(churn), not O(fleet)), with the saved
         :class:`~repro.streaming.store.StoreStats`.
         """
-        tenants = state_tenants(state)
-        geometry = state["store"]
-        channels = service.config.n_channels
-        if (str(geometry["dtype"]), int(geometry["n_channels"])) != ("float32", channels):
-            raise ValueError(
-                f"store holds {geometry['dtype']} rows of {geometry['n_channels']} channels; "
-                f"the model takes float32 rows of {channels}"
-            )
-        forecaster = cls(
-            service,
-            normalization=str(state["normalization"]),
-            window_capacity=int(geometry["capacity"]),
-        )
-        for tenant, payload in tenants.items():
+        normalization, capacity = check_state_header(state, service.config)
+        forecaster = cls(service, normalization=normalization, window_capacity=capacity)
+        for tenant, payload in state_tenants(state).items():
             if payload is None:
                 raise ValueError(
                     f"tenant {tenant!r} has no payload: a delta state loads only "
@@ -408,6 +391,38 @@ class StreamingForecaster:
         forecaster.store.mark_clean()
         forecaster.store.stats = StoreStats(**state["store_stats"])
         return forecaster
+
+
+def _check_geometry(normalization: str, capacity: int, config: Optional[ModelConfig]) -> None:
+    if normalization not in _NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}; use one of {_NORMALIZATIONS}")
+    if config is not None and capacity < config.input_length:
+        raise ValueError(
+            f"window_capacity {capacity} cannot hold one input window "
+            f"of {config.input_length} steps"
+        )
+
+
+def check_state_header(state: dict, config: Optional[ModelConfig] = None) -> Tuple[str, int]:
+    """A forecaster state's ``(normalization, capacity)``, once no tenant
+    payload is needed to see that a model with ``config`` can serve it.
+
+    Refuses (``ValueError``) a state without a payload map, a store of
+    anything but float32 rows and an unknown normalisation; given
+    ``config``, also a channel count the model does not take and a
+    capacity below one input window.
+    """
+    state_tenants(state)
+    geometry = state["store"]
+    normalization, capacity = str(state["normalization"]), int(geometry["capacity"])
+    channels = int(geometry["n_channels"]) if config is None else config.n_channels
+    if (str(geometry["dtype"]), int(geometry["n_channels"])) != ("float32", channels):
+        raise ValueError(
+            f"store holds {geometry['dtype']} rows of {geometry['n_channels']} channels; "
+            f"the model takes float32 rows of {channels}"
+        )
+    _check_geometry(normalization, capacity, config)
+    return normalization, capacity
 
 
 def _per_row(mapping: Optional[Mapping[str, np.ndarray]], keys: List[str]):

@@ -361,7 +361,7 @@ class SeriesStore:
         recent ``lengths[i] = min(n, held)`` rows right-aligned (what
         :meth:`latest` returns, at the end of the row), zeros before them.
         An unknown tenant raises ``KeyError``, or with ``skip_missing`` is
-        left out.
+        left out, as is a tenant that holds no rows.
 
         ``moments`` is ``None`` unless the store keeps moments; then it is
         the float64 ``(mean, std)``, each ``[len(found), channels]``, that
@@ -387,7 +387,7 @@ class SeriesStore:
             slots = self._slots
             for position, tenant in enumerate(tenants):
                 slot = slots.get(tenant)
-                if slot is None:
+                if slot is None or (skip_missing and not slot.size):
                     if skip_missing:
                         continue
                     raise KeyError(f"unknown tenant {tenant!r}")

@@ -370,9 +370,9 @@ class TestPickleBan:
         """
         findings = lint(source, path="repro/wire.py", rules=[PickleBanRule])
         assert rule_ids(findings) == ["pickle-ban"]
-        # repro.runtime (locks, thread executors) carries no serialised
+        # repro.runtime (locks, retries, breakers) carries no serialised
         # state and stays out of scope.
-        assert lint(source, path="repro/runtime/executor.py", rules=[PickleBanRule]) == []
+        assert lint(source, path="repro/runtime/locks.py", rules=[PickleBanRule]) == []
 
     def test_real_transport_modules_are_clean(self, lint):
         import pathlib

@@ -1,5 +1,8 @@
 """Tests for ServiceSpec replicas, ClusterSpec validation and build_cluster."""
 
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,25 @@ class TestServiceSpec:
             ProcessCoordinator(
                 lambda: ForecastService(create_model("LiPFormer", CONFIG)), n_shards=1
             )
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"max_batch_size": 0},
+            {"max_batch_size": -3},
+            {"queue_limit": 0},
+            {"queue_limit": -1},
+            {"default_timeout": 0.0},
+            {"default_timeout": -1.0},
+        ],
+    )
+    def test_bad_knobs_raise_before_any_worker_spawns(self, knobs):
+        with mock.patch.object(wire, "spawn_worker") as spawn:
+            with pytest.raises(ValueError):
+                build_cluster(ServiceSpec(config=CONFIG, **knobs), backend="process")
+            with pytest.raises(ValueError):
+                ServiceSpec.from_state({**ServiceSpec(config=CONFIG).to_state(), **knobs})
+        assert spawn.call_count == 0
 
 
 class TestServiceSpecReplica:
@@ -155,10 +177,8 @@ class TestBuildCluster:
             build_cluster(ServiceSpec(config=CONFIG), backend="fibers")
 
     def test_process_backend_rejects_executor(self):
-        from repro.runtime import SerialExecutor
-
-        with pytest.raises(ValueError, match="executor"):
-            build_cluster(ServiceSpec(config=CONFIG), backend="process", executor=SerialExecutor())
+        with ThreadPoolExecutor(1) as pool, pytest.raises(ValueError, match="executor"):
+            build_cluster(ServiceSpec(config=CONFIG), backend="process", executor=pool)
 
 
 class TestBuildClusterIntegration:

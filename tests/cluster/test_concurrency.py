@@ -11,6 +11,7 @@ mid-stream) and then audit the books.
 import gc
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import repro.obs.metrics
 from repro.cluster import ShardedForecaster, compare_cluster_to_unsharded, replay_cluster
 from repro.config import ModelConfig
 from repro.core import LiPFormer
-from repro.runtime import PoolExecutor, lock_ordering
+from repro.runtime import lock_ordering
 from repro.serving import ForecastService
 from repro.streaming import StreamingForecaster
 
@@ -49,6 +50,13 @@ def config():
 
 
 @pytest.fixture
+def pool():
+    """A fan-out thread pool, shut down after the test."""
+    with ThreadPoolExecutor(3) as executor:
+        yield executor
+
+
+@pytest.fixture
 def service_factory(config):
     def factory():
         return ForecastService(LiPFormer(config), max_batch_size=8)
@@ -56,7 +64,7 @@ def service_factory(config):
 
 
 class TestStress:
-    def test_threads_across_shards_with_midstream_rebalance(self, service_factory):
+    def test_threads_across_shards_with_midstream_rebalance(self, service_factory, pool):
         """Ingest + forecast from many threads while the topology changes.
 
         Each worker owns a disjoint set of tenants, so the expected counts
@@ -67,7 +75,7 @@ class TestStress:
         counted, and (implicitly) no deadlock because the test finishes.
         """
         n_threads, tenants_per_thread, iterations = 6, 3, 24
-        cluster = ShardedForecaster(service_factory, n_shards=3, executor=PoolExecutor(3))
+        cluster = ShardedForecaster(service_factory, n_shards=3, executor=pool)
         owned = {
             worker: [f"w{worker}-t{j}" for j in range(tenants_per_thread)]
             for worker in range(n_threads)
@@ -164,9 +172,9 @@ class TestStress:
         assert views["repro_serving_requests"] == cluster.service_stats().requests == 48
         assert views["repro_store_observations"] == cluster.store_stats().observations
 
-    def test_concurrent_fan_outs_never_tear_stats(self, service_factory):
+    def test_concurrent_fan_outs_never_tear_stats(self, service_factory, pool):
         """Parallel forecast_all calls from several threads stay exact."""
-        cluster = ShardedForecaster(service_factory, n_shards=2, executor=PoolExecutor(2))
+        cluster = ShardedForecaster(service_factory, n_shards=2, executor=pool)
         rng = np.random.default_rng(7)
         tenants = [f"tenant-{i}" for i in range(12)]
         for tenant in tenants:
@@ -195,10 +203,10 @@ class TestStress:
 
 
 class TestDropRace:
-    def test_forecast_all_tolerates_concurrent_drops(self, service_factory, rng):
+    def test_forecast_all_tolerates_concurrent_drops(self, service_factory, rng, pool):
         """A tenant dropped between enumeration and its shard's fan-out must
         vanish from the result, not KeyError the whole fan-out."""
-        cluster = ShardedForecaster(service_factory, n_shards=2, executor=PoolExecutor(2))
+        cluster = ShardedForecaster(service_factory, n_shards=2, executor=pool)
         stable = [f"stable-{i}" for i in range(6)]
         churny = [f"churny-{i}" for i in range(6)]
         for tenant in stable + churny:
@@ -286,7 +294,7 @@ class TestPoolParity:
         }
         reference = StreamingForecaster(service_factory())
         expected = replay_cluster(reference, streams, warmup=INPUT_LENGTH)
-        with PoolExecutor(4) as pool:
+        with ThreadPoolExecutor(4) as pool:
             cluster = ShardedForecaster(service_factory, n_shards=3, executor=pool)
             produced = replay_cluster(cluster, streams, warmup=INPUT_LENGTH)
         report = compare_cluster_to_unsharded(produced, expected)

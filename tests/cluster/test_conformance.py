@@ -21,6 +21,7 @@ also bind cases of this one on their own backend under the test names
 they have always reported; no case is written out twice.
 """
 
+import copy
 import gc
 from contextlib import contextmanager
 
@@ -768,6 +769,24 @@ class TestSweeps:
         assert sorted(implicit) == sorted(cluster.tenants())
         assert "tenant-5" not in implicit
         assert_same(forecasts(cluster, sorted(implicit)), implicit)
+
+    def test_a_restored_tenant_without_rows_sits_out_implicit_sweeps(self, cluster, tmp_path):
+        """A zero-row payload (as snapshots of older builds can hold) is
+        skipped by an implicit sweep; naming it explicitly still raises."""
+        expected = forecasts(cluster)
+        state = cluster.to_state()
+        owner = state["shards"][cluster.shard_for("tenant-0")]
+        ghost = copy.deepcopy(owner["tenants"]["tenant-0"])
+        ghost["series"]["buffer"].update(
+            data=np.zeros((0, CHANNELS), np.float32), total_appended=0
+        )
+        state["shards"][cluster.shard_for("ghost")]["tenants"]["ghost"] = ghost
+        write_snapshot(state, str(tmp_path / "ckpt"))
+        with running(type(cluster).load(SPEC, str(tmp_path / "ckpt"))) as revived:
+            assert "ghost" in revived.tenants()
+            assert_same(forecasts(revived), expected)
+            with pytest.raises(ValueError, match="no observations"):
+                revived.forecast_all(["tenant-0", "ghost"])
 
     def test_explicit_unknown_tenant_raises_and_settles_the_rest(self, cluster):
         handle = cluster.forecast("tenant-1")

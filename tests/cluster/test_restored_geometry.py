@@ -4,11 +4,15 @@ A shard state names its store's geometry — ``{capacity, n_channels,
 dtype}`` — and its normalisation mode.  ``StreamingForecaster.from_state``
 and ``Coordinator.load`` (both backends) must refuse a header the model
 cannot serve with ``ValueError`` before any tenant is adopted, and a
-refused cluster load must leave no worker running.  Hypothesis draws the
-corruption: a dtype other than float32 (an ``int8`` slab would silently
-truncate every ingest), a channel count the model does not take, a
-capacity below ``input_length`` (every forecast a padded cold start), and
-a normalisation that is unknown or the retired ``"last_value"``.
+process-backend load must refuse it before any worker spawns.  Hypothesis
+draws the corruption: a dtype other than float32 (an ``int8`` slab would
+silently truncate every ingest), a channel count the model does not take,
+a capacity below ``input_length`` (every forecast a padded cold start),
+and a normalisation that is unknown or the retired ``"last_value"``.  A
+cluster load also refuses headers each shard would accept but that
+disagree: a cluster normalisation other than its shards' (the next
+``add_shard`` would build a store without the moments the tenants carry),
+or shards of different capacities.
 """
 
 import copy
@@ -39,9 +43,23 @@ CORRUPTIONS = {
         lambda mode: mode not in ("none", "rolling")
     ),
 }
-corruptions = st.one_of(
-    *(st.tuples(st.just(field), values) for field, values in CORRUPTIONS.items())
-)
+#: cluster-level corruptions: every shard header is servable, but they disagree
+CLUSTER_CORRUPTIONS = {
+    # the saved cluster keeps rolling statistics, like its shards
+    "cluster_normalization": st.just("none"),
+    "second_shard_capacity": st.integers(INPUT_LENGTH, 8 * INPUT_LENGTH).filter(
+        lambda capacity: capacity != 4 * INPUT_LENGTH
+    ),
+}
+
+
+def drawn(table):
+    return st.one_of(*(st.tuples(st.just(field), values) for field, values in table.items()))
+
+
+ALL_CORRUPTIONS = {**CORRUPTIONS, **CLUSTER_CORRUPTIONS}
+corruptions = drawn(CORRUPTIONS)
+cluster_corruptions = drawn(ALL_CORRUPTIONS)
 
 
 @functools.lru_cache(maxsize=1)
@@ -67,13 +85,19 @@ def corrupt_shard(shard_state, corruption):
 
 
 def corrupt_cluster(corruption):
-    state = dict(saved_state())
-    state["shards"] = {
-        shard_id: corrupt_shard(shard_state, corruption)
-        for shard_id, shard_state in state["shards"].items()
-    }
-    if corruption[0] == "normalization":
-        state["normalization"] = corruption[1]
+    field, value = corruption
+    state = copy.deepcopy(saved_state())
+    if field == "cluster_normalization":
+        state["normalization"] = value
+    elif field == "second_shard_capacity":
+        list(state["shards"].values())[1]["store"]["capacity"] = value
+    else:
+        state["shards"] = {
+            shard_id: corrupt_shard(shard_state, corruption)
+            for shard_id, shard_state in state["shards"].items()
+        }
+        if field == "normalization":
+            state["normalization"] = value
     return state
 
 
@@ -120,15 +144,16 @@ class TestRestoredGeometryIsChecked:
         refuses_before_adopting(lambda: StreamingForecaster.from_state(SPEC.build(), shard_state))
 
     @settings(max_examples=30, deadline=None)
-    @given(corruption=corruptions)
+    @given(corruption=cluster_corruptions)
+    @example(corruption=("cluster_normalization", "none"))
     def test_thread_cluster_load_refuses_before_adopting(self, corruption):
         refuses_before_adopting(lambda: load_corrupted(ShardedForecaster, corruption))
 
-    @pytest.mark.parametrize("field", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("field", sorted(ALL_CORRUPTIONS))
     @settings(max_examples=3, deadline=None)
     @given(data=st.data())
     def test_process_cluster_load_refuses_and_reaps_its_workers(self, field, data):
-        corruption = (field, data.draw(CORRUPTIONS[field]))
+        corruption = (field, data.draw(ALL_CORRUPTIONS[field]))
         spawned = []
         spawn_worker = wire.spawn_worker
 
@@ -140,5 +165,4 @@ class TestRestoredGeometryIsChecked:
         with mock.patch.object(wire, "spawn_worker", recording):
             with pytest.raises(ValueError):
                 load_corrupted(ProcessCoordinator, corruption)
-        assert spawned, "the load never reached a worker"
-        assert all(process.poll() is not None for process in spawned)
+        assert spawned == [], "a refused header spawned workers"

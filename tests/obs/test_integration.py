@@ -1,14 +1,16 @@
 """Acceptance tests: traced cluster fan-out and stats/metrics agreement.
 
-A traced :meth:`ShardedForecaster.forecast_all` over two shards must yield
-one coherent span tree — cluster → shard → service flush → batch assembly
-→ compiled plan replay — and the Chrome trace-event export of that tree
-must be valid as-is.  Separately, the registry-backed ``*Stats`` views
-must agree with ``stats_snapshot()`` so the JSON/Prometheus exports can
-never drift from the objects they mirror.
+A traced :meth:`ShardedForecaster.forecast_all` over two shards, collected
+inline or on a thread pool, must yield one coherent span tree — cluster →
+shard → service flush → batch assembly → compiled plan replay — and the
+Chrome trace-event export of that tree must be valid as-is.  Separately,
+the registry-backed ``*Stats`` views must agree with ``stats_snapshot()``
+so the JSON/Prometheus exports can never drift from the objects they
+mirror.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,42 +52,47 @@ def _index(spans):
 
 
 class TestSpanTree:
-    def test_forecast_all_produces_nested_span_tree(self, cluster, rng):
-        _populate(cluster, rng)
-        cluster.forecast_all()  # warm the compiled plans outside the trace
-        recorder = obs.default_recorder()
-        recorder.clear()
-        with obs.observability(tracing=True):
-            results = cluster.forecast_all()
-        assert len(results) == 12
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_forecast_all_produces_nested_span_tree(self, cluster, rng, pooled):
+        with ThreadPoolExecutor(2) as pool:
+            cluster.executor = pool if pooled else None
+            _populate(cluster, rng)
+            cluster.forecast_all()  # warm the compiled plans outside the trace
+            recorder = obs.default_recorder()
+            recorder.clear()
+            with obs.observability(tracing=True):
+                results = cluster.forecast_all()
+            assert len(results) == 12
 
-        by_id, by_name = _index(recorder.spans())
-        assert len(by_name["cluster.forecast_all"]) == 1
-        root = by_name["cluster.forecast_all"][0]
-        assert root.parent_id is None
-        assert root.args["shards"] == 2 and root.args["tenants"] == 12
+            by_id, by_name = _index(recorder.spans())
+            assert len(by_name["cluster.forecast_all"]) == 1
+            root = by_name["cluster.forecast_all"][0]
+            assert root.parent_id is None
+            assert root.args["shards"] == 2 and root.args["tenants"] == 12
 
-        shard_spans = by_name["shard.forecast"]
-        assert {span.args["shard"] for span in shard_spans} == set(cluster.shard_ids())
-        for span in shard_spans:
-            assert span.parent_id == root.span_id
+            shard_spans = by_name["shard.forecast"]
+            assert {span.args["shard"] for span in shard_spans} == set(cluster.shard_ids())
+            for span in shard_spans:
+                assert span.parent_id == root.span_id
+                # Pooled shard spans open on pool threads and still nest.
+                assert (span.thread_id != root.thread_id) == pooled
 
-        shard_ids = {span.span_id for span in shard_spans}
-        flushes = by_name["service.flush"]
-        assert flushes and all(span.parent_id in shard_ids for span in flushes)
+            shard_ids = {span.span_id for span in shard_spans}
+            flushes = by_name["service.flush"]
+            assert flushes and all(span.parent_id in shard_ids for span in flushes)
 
-        flush_ids = {span.span_id for span in flushes}
-        for name in ("batch.assemble", "plan.replay"):
-            children = by_name[name]
-            assert children and all(span.parent_id in flush_ids for span in children)
+            flush_ids = {span.span_id for span in flushes}
+            for name in ("batch.assemble", "plan.replay"):
+                children = by_name[name]
+                assert children and all(span.parent_id in flush_ids for span in children)
 
-        # Every child's interval is contained in its parent's.
-        for span in recorder.spans():
-            if span.parent_id is None:
-                continue
-            parent = by_id[span.parent_id]
-            assert parent.start <= span.start
-            assert span.start + span.duration <= parent.start + parent.duration + 1e-9
+            # Every child's interval is contained in its parent's.
+            for span in recorder.spans():
+                if span.parent_id is None:
+                    continue
+                parent = by_id[span.parent_id]
+                assert parent.start <= span.start
+                assert span.start + span.duration <= parent.start + parent.duration + 1e-9
 
     def test_chrome_export_round_trips(self, cluster, rng, tmp_path):
         _populate(cluster, rng)
